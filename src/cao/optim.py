@@ -134,8 +134,11 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
     Refresh happens when k > 0, the step index is past ``warm_steps``, and
     either no sketch exists yet or the index is a multiple of ``m``. A failed
     refresh (non-finite products) keeps the previous sketch and is flagged in
-    the record. A non-finite loss raises ``DivergenceError`` carrying the
-    diagnostic record.
+    the record. ``hvp_calls`` grows by one per column of every block sent to
+    the Hessian, so a successful refresh adds exactly ``(t_pow + 1) * k`` and a
+    failed one the columns submitted up to and including the failing block.
+    A non-finite loss raises ``DivergenceError`` carrying the diagnostic
+    record.
     """
     theta = state.theta
     sketch = state.sketch
@@ -155,10 +158,12 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
                                                     replace=False))
         calls = 0
 
-        def counted(v, _closure=problem.hvp_closure(theta, sketch_batch)):
+        def counted(block):
+            # one HVP per column submitted, including those of a block whose
+            # product turns out non-finite and fails the refresh
             nonlocal calls
-            calls += 1
-            return _closure(v)
+            calls += block.shape[1]
+            return problem.hvp_block(theta, block, sketch_batch)
 
         lcfg = LanczosConfig(k=cfg.k, iters=cfg.t_pow,
                              seed=_refresh_seed(cfg.sketch_seed, state.step))

@@ -1,10 +1,11 @@
 """Benchmark objectives with analytic gradients and Hessian-vector products.
 
-Every problem is matrix-free: it exposes ``loss``, ``grad`` and ``hvp``
-evaluated on a (possibly empty) mini-batch. Problems are immutable after
-construction and all randomness is fixed by the construction seed, so
-identical ``(theta, batch)`` inputs give bit-identical outputs and instances
-can be shared across threads.
+Every problem is matrix-free: it exposes ``loss``, ``grad`` and Hessian
+products (``hvp`` for one direction, ``hvp_block`` for an n x j block of
+directions) evaluated on a (possibly empty) mini-batch. Problems are
+immutable after construction and all randomness is fixed by the construction
+seed, so identical ``(theta, batch)`` inputs give bit-identical outputs and
+instances can be shared across threads.
 """
 
 from __future__ import annotations
@@ -76,10 +77,11 @@ class ProblemMeta:
 
 
 class Problem:
-    """Base class: subclasses implement ``_loss``, ``_grad``, ``_hvp``.
+    """Base class: subclasses implement ``_loss``, ``_grad``, ``_hvp_block``.
 
     The public methods validate dimensions and finiteness around the
-    analytic kernels.
+    analytic kernels. ``_hvp_block(theta, V, batch)`` returns ``H @ V`` for an
+    n x j block ``V``; the single-direction ``hvp`` is its one-column case.
     """
 
     meta: ProblemMeta
@@ -135,29 +137,47 @@ class Problem:
         return g
 
     def hvp(self, theta, v, batch: Batch = FULL_BATCH) -> np.ndarray:
-        theta = self._check_theta(theta)
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ContractViolationError(
                 f"{self.meta.name}: direction shape {v.shape} != ({self.dim},)"
             )
+        return self.hvp_block(theta, v[:, None], batch)[:, 0]
+
+    def hvp_block(self, theta, v, batch: Batch = FULL_BATCH) -> np.ndarray:
+        """``H @ V`` for an n x j block of directions, as one batched product."""
+        theta = self._check_theta(theta)
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim != 2 or v.shape[0] != self.dim:
+            raise ContractViolationError(
+                f"{self.meta.name}: direction block shape {v.shape} != ({self.dim}, j)"
+            )
         self._check_finite(v, "hvp direction")
         batch = self._check_batch(batch)
         with np.errstate(over="ignore", invalid="ignore"):
-            hv = self._hvp(theta, v, batch)
+            hv = self._hvp_block(theta, v, batch)
         self._check_finite(hv, f"hvp on {self.meta.name}")
         return hv
 
     def hvp_closure(self, theta, batch: Batch = FULL_BATCH):
-        """Freeze (theta, batch) into a ``v -> H v`` callable."""
+        """Freeze (theta, batch) into a callable taking a vector or an n x j block."""
         theta = self._check_theta(theta).copy()
-        return lambda v: self.hvp(theta, v, batch)
+
+        def apply(v):
+            if np.ndim(v) == 2:
+                return self.hvp_block(theta, v, batch)
+            return self.hvp(theta, v, batch)
+
+        return apply
 
     def dense_hessian(self, theta, batch: Batch = FULL_BATCH) -> np.ndarray:
         """Materialize the Hessian column by column from ``hvp``.
 
         Ground-truth oracle for tests and residual-curvature measurements;
-        capped at ``DENSE_ORACLE_CAP`` to keep it O(n^2) small.
+        capped at ``DENSE_ORACLE_CAP`` to keep it O(n^2) small. Each column is
+        bit-identical to ``hvp`` of the matching unit vector; one
+        ``hvp_block`` with the identity would not be, because BLAS rounds a
+        one-column product (gemv) differently from a many-column one (gemm).
         """
         if self.dim > DENSE_ORACLE_CAP:
             raise OracleUnavailableError(
@@ -236,7 +256,7 @@ class QuadraticProblem(Problem):
     def _grad(self, theta, batch):
         return self.matrix @ (theta - self.target)
 
-    def _hvp(self, theta, v, batch):
+    def _hvp_block(self, theta, v, batch):
         return self.matrix @ v
 
 
@@ -272,13 +292,13 @@ class RosenbrockProblem(Problem):
         g[1:] += 200.0 * d
         return g
 
-    def _hvp(self, theta, v, batch):
+    def _hvp_block(self, theta, v, batch):
         x = theta
         diag = np.zeros_like(x)
         diag[:-1] += 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
         diag[1:] += 200.0
-        off = -400.0 * x[:-1]  # H[i, i+1]
-        hv = diag * v
+        off = -400.0 * x[:-1, None]  # H[i, i+1]
+        hv = diag[:, None] * v
         hv[:-1] += off * v[1:]
         hv[1:] += off * v[:-1]
         return hv
@@ -353,12 +373,12 @@ class LogregProblem(Problem):
         g = -(x.T @ (y * s)) / x.shape[0]
         return g + self.reg * theta
 
-    def _hvp(self, theta, v, batch):
+    def _hvp_block(self, theta, v, batch):
         x, y = self._select(batch)
         z = x @ theta
         p = np.where(z >= 0, 1.0 / (1 + np.exp(-z)), np.exp(z) / (1 + np.exp(z)))
-        w = p * (1.0 - p)
-        return (x.T @ (w * (x @ v))) / x.shape[0] + self.reg * v
+        w = p * (1.0 - p)  # once per block, shared by every column
+        return (x.T @ (w[:, None] * (x @ v))) / x.shape[0] + self.reg * v
 
     def initial_point(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng([int(seed), 7919])
@@ -413,19 +433,24 @@ class MlpProblem(Problem):
         self.meta = ProblemMeta(dim=n, name=f"mlp{d}x{h}x{c}")
 
     # -- parameter (un)packing ----------------------------------------------
+    # both act on the last axis, so a (j, n) stack of directions (un)packs
+    # into (j, ...) stacks of layer-shaped arrays
 
     def _unpack(self, theta):
         d, h, c = self.widths
+        lead = theta.shape[:-1]
         i = 0
-        w1 = theta[i : i + h * d].reshape(h, d); i += h * d
-        b1 = theta[i : i + h]; i += h
-        w2 = theta[i : i + c * h].reshape(c, h); i += c * h
-        b2 = theta[i : i + c]
+        w1 = theta[..., i : i + h * d].reshape(*lead, h, d); i += h * d
+        b1 = theta[..., i : i + h]; i += h
+        w2 = theta[..., i : i + c * h].reshape(*lead, c, h); i += c * h
+        b2 = theta[..., i : i + c]
         return w1, b1, w2, b2
 
     @staticmethod
     def _pack(w1, b1, w2, b2):
-        return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
+        lead = b1.shape[:-1]
+        return np.concatenate([w1.reshape(*lead, -1), b1, w2.reshape(*lead, -1), b2],
+                              axis=-1)
 
     def _select(self, batch):
         if batch.is_full:
@@ -461,10 +486,11 @@ class MlpProblem(Problem):
         gb1 = da.sum(axis=0)
         return self._pack(gw1, gb1, gw2, gb2)
 
-    def _hvp(self, theta, v, batch):
-        # forward-over-reverse: push the direction through the forward pass,
-        # then differentiate the backward pass along it
-        u1, c1, u2, c2 = self._unpack(v)
+    def _hvp_block(self, theta, v, batch):
+        # forward-over-reverse: one forward pass for the whole block, then push
+        # each direction (leading axis j) through it and differentiate the
+        # backward pass along it
+        u1, c1, u2, c2 = self._unpack(v.T)
         x, y, w2, hid, _, _, probs = self._forward(theta, batch)
         b = y.size
         sq = 1.0 - hid**2
@@ -474,19 +500,19 @@ class MlpProblem(Problem):
         dz /= b
         dh = dz @ w2
 
-        r_act = x @ u1.T + c1
+        r_act = x @ u1.transpose(0, 2, 1) + c1[:, None]
         r_hid = sq * r_act
-        r_logits = r_hid @ w2.T + hid @ u2.T + c2
-        r_probs = probs * (r_logits - np.sum(probs * r_logits, axis=1, keepdims=True))
+        r_logits = r_hid @ w2.T + hid @ u2.transpose(0, 2, 1) + c2[:, None]
+        r_probs = probs * (r_logits - np.sum(probs * r_logits, axis=2, keepdims=True))
         r_dz = r_probs / b
 
-        r_gw2 = r_dz.T @ hid + dz.T @ r_hid
-        r_gb2 = r_dz.sum(axis=0)
+        r_gw2 = r_dz.transpose(0, 2, 1) @ hid + dz.T @ r_hid
+        r_gb2 = r_dz.sum(axis=1)
         r_dh = r_dz @ w2 + dz @ u2
         r_da = r_dh * sq + dh * (-2.0 * hid * r_hid)
-        r_gw1 = r_da.T @ x
-        r_gb1 = r_da.sum(axis=0)
-        return self._pack(r_gw1, r_gb1, r_gw2, r_gb2)
+        r_gw1 = r_da.transpose(0, 2, 1) @ x
+        r_gb1 = r_da.sum(axis=1)
+        return self._pack(r_gw1, r_gb1, r_gw2, r_gb2).T
 
     def initial_point(self, seed: int) -> np.ndarray:
         d, h, c = self.widths

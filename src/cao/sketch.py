@@ -1,9 +1,12 @@
 """Top-k Hessian eigenpair estimates from matrix-free products.
 
-The sketch is built by orthogonal subspace iteration over a ``v -> H v``
-closure followed by a Rayleigh-Ritz step on the projected k x k matrix
-(``block_lanczos`` below). Exactly ``(iters + 1) * k`` closure calls are made
-per build.
+The sketch is built by subspace iteration + Rayleigh-Ritz on LAPACK (``qr``,
+``eigh``): an orthonormal n x k block is pushed through a block closure
+``V -> H V`` and re-orthonormalized ``iters`` times, then the projected k x k
+matrix is diagonalized (``block_lanczos`` below). The closure receives the
+whole n x k block once per iteration and must return the n x k product, so
+exactly ``iters + 1`` closure calls, ``(iters + 1) * k`` Hessian-vector
+products, are made per build.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ class LanczosConfig:
     k: int
     iters: int = 10
     seed: int = 0
-    reorth: bool = True
 
     def __post_init__(self):
         if self.k < 0:
@@ -79,13 +81,31 @@ class LanczosConfig:
             raise ContractViolationError(f"iters must be >= 1, got {self.iters}")
 
 
-def qr_orthonormalize(m, rng=None) -> np.ndarray:
-    """Orthonormalize the columns of an n x k matrix (modified Gram-Schmidt).
+def _positive_first(q) -> np.ndarray:
+    """Flip columns so the first nonzero entry of each is positive."""
+    first = q[(q != 0).argmax(axis=0), np.arange(q.shape[1])]
+    return q * np.copysign(1.0, first)
 
-    Columns that become numerically zero after projection (norm below
-    ``RANK_DEFICIENCY_TOL``) are repaired with a fresh random direction; each
-    repair is logged. Signs are normalized so the first nonzero entry of
-    every column is positive.
+
+def _qr(m):
+    """Reduced QR factors of ``m``.
+
+    One column is normalized directly: for it, LAPACK's call overhead costs
+    about twice the normalization and would dominate k = 1 sketch builds.
+    """
+    if m.shape[1] == 1:
+        norm = np.linalg.norm(m)
+        return m / max(norm, RANK_DEFICIENCY_TOL), np.full((1, 1), norm)
+    return np.linalg.qr(m)
+
+
+def qr_orthonormalize(m, rng=None) -> np.ndarray:
+    """Orthonormalize the columns of an n x k matrix (Householder QR).
+
+    A column whose projection off the earlier ones is numerically zero
+    (``|R_jj|`` below ``RANK_DEFICIENCY_TOL``) is replaced by a fresh random
+    direction and the factorization redone; each repair is logged. Signs are
+    normalized so the first nonzero entry of every column is positive.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -93,79 +113,28 @@ def qr_orthonormalize(m, rng=None) -> np.ndarray:
     n, k = m.shape
     if k > n:
         raise ContractViolationError(f"need k <= n, got shape {m.shape}")
-    q = m.copy()
-    for j in range(k):
-        v = q[:, j].copy()
-        for _ in range(2):  # second pass restores orthogonality lost to rounding
-            v -= q[:, :j] @ (q[:, :j].T @ v)
-        norm = np.linalg.norm(v)
-        if norm < RANK_DEFICIENCY_TOL:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            log.warning("rank-deficient column %d repaired with a random direction", j)
-            while norm < RANK_DEFICIENCY_TOL:
-                v = rng.standard_normal(n)
-                for _ in range(2):
-                    v -= q[:, :j] @ (q[:, :j].T @ v)
-                norm = np.linalg.norm(v)
-        v /= norm
-        nz = np.nonzero(v)[0]
-        if nz.size and v[nz[0]] < 0:
-            v = -v
-        q[:, j] = v
-    return q
-
-
-def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 60):
-    """Symmetric eigendecomposition by cyclic Jacobi rotations.
-
-    Intended for the small projected matrices (k x k); returns eigenvalues
-    ascending with matching eigenvector columns.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    k = a.shape[0]
-    if a.shape != (k, k):
-        raise ContractViolationError("jacobi_eigh expects a square matrix")
-    mat = a.copy()
-    vecs = np.eye(k)
-    if k == 1:
-        return mat.ravel().copy(), vecs
-    scale = max(np.linalg.norm(mat), 1e-300)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(mat, -1) ** 2) * 2.0)
-        if off <= tol * scale:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = mat[p, q]
-                if abs(apq) <= tol * scale / k:
-                    continue
-                tau = (mat[q, q] - mat[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot_p = c * mat[:, p] - s * mat[:, q]
-                rot_q = s * mat[:, p] + c * mat[:, q]
-                mat[:, p], mat[:, q] = rot_p, rot_q
-                rot_p = c * mat[p, :] - s * mat[q, :]
-                rot_q = s * mat[p, :] + c * mat[q, :]
-                mat[p, :], mat[q, :] = rot_p, rot_q
-                rot_p = c * vecs[:, p] - s * vecs[:, q]
-                rot_q = s * vecs[:, p] + c * vecs[:, q]
-                vecs[:, p], vecs[:, q] = rot_p, rot_q
-    vals = np.diag(mat).copy()
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    q, r = _qr(m)
+    while abs(r.diagonal()).min(initial=np.inf) < RANK_DEFICIENCY_TOL:
+        # only the first small R_jj is meaningful: later ones depend on the
+        # arbitrary direction QR picked for column j
+        j = int(np.argmax(abs(r.diagonal()) < RANK_DEFICIENCY_TOL))
+        if rng is None:
+            rng = np.random.default_rng(0)
+        log.warning("rank-deficient column %d repaired with a random direction", j)
+        m = m.copy()
+        m[:, j] = rng.standard_normal(n)
+        q, r = _qr(m)
+    return _positive_first(q)
 
 
 def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None) -> Sketch:
     """Estimate the top-k eigenpairs of the symmetric operator behind ``hvp_closure``.
 
-    Power-iterates an orthonormal n x k block through the operator ``iters``
-    times, then solves the projected k x k eigenproblem and returns the Ritz
-    pairs sorted by signed eigenvalue, descending. A non-finite product
-    aborts the build with ``NumericOverflowError`` so the caller can keep a
-    previous sketch.
+    ``hvp_closure`` maps an n x k block ``V`` to ``H @ V``. The orthonormal
+    start block is pushed through it ``iters`` times, then the projected
+    k x k eigenproblem is solved and the Ritz pairs are returned sorted by
+    signed eigenvalue, descending. A non-finite product aborts the build
+    with ``NumericOverflowError`` so the caller can keep a previous sketch.
 
     ``v0`` overrides the seeded random start block (used by invariance tests).
     """
@@ -183,35 +152,23 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None) -> Sketch:
     v = qr_orthonormalize(v0, rng)
 
     def apply_block(block):
-        cols = []
-        for i in range(cfg.k):
-            hv = np.asarray(hvp_closure(block[:, i]), dtype=np.float64)
-            if not np.all(np.isfinite(hv)):
-                raise NumericOverflowError("non-finite Hessian-vector product during sketch build")
-            cols.append(hv)
-        return np.column_stack(cols)
+        hv = np.asarray(hvp_closure(block), dtype=np.float64)
+        if hv.shape != block.shape:
+            raise ContractViolationError(
+                f"block closure returned shape {hv.shape}, expected {block.shape}"
+            )
+        if not np.all(np.isfinite(hv)):
+            raise NumericOverflowError("non-finite Hessian-vector product during sketch build")
+        return hv
 
     for _ in range(cfg.iters):
-        w = apply_block(v)
-        if cfg.reorth:
-            v = qr_orthonormalize(w, rng)
-        else:
-            norms = np.linalg.norm(w, axis=0)
-            norms[norms < RANK_DEFICIENCY_TOL] = 1.0
-            v = w / norms
-    if not cfg.reorth:
-        v = qr_orthonormalize(v, rng)
+        v = qr_orthonormalize(apply_block(v), rng)
     w = apply_block(v)
     projected = v.T @ w
     projected = (projected + projected.T) / 2.0  # kill rounding asymmetry
-    vals, small_vecs = jacobi_eigh(projected)
-    order = np.argsort(vals)[::-1]  # signed value, descending
-    vals = vals[order]
-    basis = v @ small_vecs[:, order]
-    for j in range(cfg.k):  # deterministic output signs
-        nz = np.nonzero(basis[:, j])[0]
-        if nz.size and basis[nz[0], j] < 0:
-            basis[:, j] = -basis[:, j]
+    vals, small_vecs = np.linalg.eigh(projected)
+    vals = vals[::-1]  # signed value, descending
+    basis = _positive_first(v @ small_vecs[:, ::-1])  # deterministic output signs
     sk = Sketch(vals, basis)
     if sk.has_negative:
         log.info("sketch contains negative curvature estimates: %s", vals)

@@ -139,8 +139,8 @@ class TestCaoStep:
             def _grad(self, theta, batch):
                 return 2.0 * theta
 
-            def _hvp(self, theta, v, batch):
-                return np.full(2, np.nan)
+            def _hvp_block(self, theta, v, batch):
+                return np.full(v.shape, np.nan)
 
         p = BadHvp()
         cfg = CaoConfig(alpha=0.1, k=1, eta=1.0, t_pow=2)
@@ -150,6 +150,31 @@ class TestCaoStep:
         assert state.sketch is None
         # fell back to the plain gradient direction
         np.testing.assert_array_equal(state.theta, theta0 - 0.1 * (2.0 * theta0))
+
+    def test_nan_mid_sketch_keeps_previous_and_counts_columns(self):
+        class FlakyQuadratic(QuadraticProblem):
+            fail_on = None  # index of the block product that comes back NaN
+            blocks = 0
+
+            def _hvp_block(self, theta, v, batch):
+                self.blocks += 1
+                if self.blocks == self.fail_on:
+                    return np.full(v.shape, np.nan)
+                return super()._hvp_block(theta, v, batch)
+
+        p = FlakyQuadratic(np.linspace(1.0, 5.0, 6), seed=3)
+        cfg = CaoConfig(alpha=1e-3, k=2, m=5, eta=1.0, t_pow=3)
+        state = make_state(p)
+        for _ in range(5):
+            state, rec = cao_step(state, p, FULL_BATCH, cfg)
+        previous = state.sketch
+        assert previous is not None and state.hvp_calls == (cfg.t_pow + 1) * cfg.k
+        p.fail_on = p.blocks + 2  # the second block of the next refresh
+        state, rec = cao_step(state, p, FULL_BATCH, cfg)
+        assert rec.refresh_failed and not rec.refreshed
+        assert state.sketch is previous
+        # every column submitted is counted, the failing block's included
+        assert state.hvp_calls == (cfg.t_pow + 1) * cfg.k + 2 * cfg.k
 
     def test_dedicated_sketch_batch(self):
         p = cao.logreg(5, 60, seed=3)
@@ -254,8 +279,8 @@ class TestAdam:
             def _grad(self, theta, batch):
                 return self.c.copy()
 
-            def _hvp(self, theta, v, batch):
-                return np.zeros(3)
+            def _hvp_block(self, theta, v, batch):
+                return np.zeros(v.shape)
 
         p = LinearProblem()
         lr, eps = 0.01, 1e-8

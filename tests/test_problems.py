@@ -9,6 +9,7 @@ from cao.errors import (
     OracleUnavailableError,
 )
 from cao.problems import (
+    FULL_BATCH,
     Batch,
     ProblemMeta,
     QuadraticProblem,
@@ -121,6 +122,23 @@ class TestHvpContracts:
             eye = np.eye(p.dim)
             for j in range(0, p.dim, max(1, p.dim // 5)):
                 np.testing.assert_array_equal(h[:, j], p.hvp(theta, eye[:, j]))
+
+    @pytest.mark.parametrize("problem", all_problems(), ids=lambda p: p.meta.name)
+    def test_hvp_block_matches_stacked_hvp(self, problem):
+        theta = problem.initial_point(6)
+        rng = np.random.default_rng(12)
+        batches = [FULL_BATCH]
+        if problem.num_samples:
+            batches.append(Batch(indices=rng.choice(problem.num_samples, 9, replace=False)))
+        for batch in batches:
+            # a random block, and the identity: one product gives the dense Hessian
+            for block in (rng.standard_normal((problem.dim, 3)), np.eye(problem.dim)):
+                hv = problem.hvp_block(theta, block, batch)
+                stacked = np.column_stack([problem.hvp(theta, col, batch) for col in block.T])
+                assert hv.shape == block.shape
+                np.testing.assert_allclose(hv, stacked, rtol=1e-12,
+                                           atol=1e-12 * np.abs(stacked).max())
+            np.testing.assert_array_equal(stacked, problem.dense_hessian(theta, batch))
 
     def test_dense_cap(self):
         class Big(cao.Problem):
@@ -241,6 +259,19 @@ class TestContracts:
         p = quadratic([2.0, 1.0], seed=0)
         with pytest.raises(NumericOverflowError):
             p.hvp(np.zeros(2), np.array([np.inf, 0.0]))
+
+    def test_hvp_block_shape_contract(self):
+        p = quadratic([2.0, 1.0], seed=0)
+        for bad in (np.zeros(2), np.zeros((3, 2)), np.zeros((2, 2, 1))):
+            with pytest.raises(ContractViolationError):
+                p.hvp_block(np.zeros(2), bad)
+
+    def test_hvp_block_nonfinite_direction(self):
+        p = logreg(4, 20, seed=1)
+        block = np.ones((4, 3))
+        block[2, 1] = np.nan
+        with pytest.raises(NumericOverflowError):
+            p.hvp_block(np.zeros(4), block)
 
     def test_meta_invariants(self):
         with pytest.raises(ContractViolationError):

@@ -8,7 +8,6 @@ from cao.sketch import (
     LanczosConfig,
     Sketch,
     block_lanczos,
-    jacobi_eigh,
     qr_orthonormalize,
     sketch_residual,
 )
@@ -18,7 +17,7 @@ def counting_closure(h):
     calls = [0]
 
     def hvp(v):
-        calls[0] += 1
+        calls[0] += v.shape[1]  # one product per column of the block
         return h @ v
 
     return hvp, calls
@@ -33,6 +32,21 @@ def gapped_symmetric(n=100, seed=0, ratio=0.6, top=10):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     h = (q * spectrum) @ q.T
     return (h + h.T) / 2.0
+
+
+@st.composite
+def deficient_matrices(draw):
+    """Random n x k matrices where some columns are zero or repeat an earlier one."""
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(1, n))
+    m = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, k))
+    for j in range(k):
+        kind = draw(st.sampled_from(["keep", "zero", "repeat"]))
+        if kind == "zero":
+            m[:, j] = 0.0
+        elif kind == "repeat" and j > 0:
+            m[:, j] = m[:, draw(st.integers(0, j - 1))]
+    return m
 
 
 class TestQrOrthonormalize:
@@ -65,23 +79,20 @@ class TestQrOrthonormalize:
         resid = m - q @ (q.T @ m)
         assert np.linalg.norm(resid) < 1e-8 * np.linalg.norm(m)
 
+    @settings(max_examples=60, deadline=None)
+    @given(deficient_matrices())
+    def test_orthonormal_signed_and_repaired(self, m):
+        k = m.shape[1]
+        q = qr_orthonormalize(m, rng=np.random.default_rng(0))
+        np.testing.assert_allclose(q.T @ q, np.eye(k), atol=1e-10)
+        first = q[(q != 0).argmax(axis=0), np.arange(k)]
+        assert np.all(first > 0)
+        # zero and repeated columns already lie in the span of earlier ones
+        assert np.linalg.norm(m - q @ (q.T @ m)) <= 1e-8 * (1.0 + np.linalg.norm(m))
+
     def test_k_greater_than_n(self):
         with pytest.raises(ContractViolationError):
             qr_orthonormalize(np.ones((2, 3)))
-
-
-class TestJacobi:
-    @pytest.mark.parametrize("k", [1, 2, 5, 8])
-    def test_matches_dense_oracle(self, k):
-        a = np.random.default_rng(k).standard_normal((k, k))
-        a = (a + a.T) / 2.0
-        vals, vecs = jacobi_eigh(a)
-        np.testing.assert_allclose(vals, np.linalg.eigvalsh(a), atol=1e-11)
-        np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-11)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ContractViolationError):
-            jacobi_eigh(np.ones((2, 3)))
 
 
 class TestSketchType:
@@ -167,6 +178,18 @@ class TestBlockLanczos:
         with pytest.raises(NumericOverflowError):
             block_lanczos(bad, 5, LanczosConfig(k=1, iters=3, seed=0))
 
+    def test_nonfinite_second_block_aborts(self):
+        h = np.diag([3.0, 2.0, 1.0])
+        calls = [0]
+
+        def flaky(v):
+            calls[0] += 1
+            return np.full_like(v, np.nan) if calls[0] == 2 else h @ v
+
+        with pytest.raises(NumericOverflowError):
+            block_lanczos(flaky, 3, LanczosConfig(k=2, iters=3, seed=0))
+        assert calls[0] == 2
+
     def test_determinism(self):
         h = gapped_symmetric(n=30, seed=14, top=5)
         cfg = LanczosConfig(k=2, iters=10, seed=21)
@@ -175,11 +198,21 @@ class TestBlockLanczos:
         assert a.eigvals.tobytes() == b.eigvals.tobytes()
         assert a.basis.tobytes() == b.basis.tobytes()
 
-    def test_no_reorth_variant(self):
-        h = np.diag([5.0, 2.0, 1.0])
-        sk = block_lanczos(lambda v: h @ v, 3,
-                           LanczosConfig(k=1, iters=30, seed=0, reorth=False))
-        assert sk.eigvals[0] == pytest.approx(5.0, rel=1e-6)
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([-4.0, -1.0, 0.0, 1.0, 2.5]), min_size=2, max_size=9),
+           st.data())
+    def test_diagonal_repeated_and_negative_spectra(self, diag, data):
+        n = len(diag)
+        k = data.draw(st.integers(1, n), label="k")
+        h = np.diag(diag)
+        sk = block_lanczos(lambda v: h @ v, n, LanczosConfig(k=k, iters=8, seed=5))
+        assert np.all(np.diff(sk.eigvals) <= 0)
+        np.testing.assert_allclose(sk.basis.T @ sk.basis, np.eye(k), atol=1e-10)
+        # Rayleigh-Ritz: the basis diagonalizes the operator it spans
+        np.testing.assert_allclose(sk.basis.T @ h @ sk.basis, np.diag(sk.eigvals),
+                                   atol=1e-9)
+        if k == n:
+            np.testing.assert_allclose(sk.eigvals, np.sort(diag)[::-1], atol=1e-9)
 
     def test_k_bounds(self):
         h = np.eye(3)

@@ -17,7 +17,6 @@ from .optim import (
     adam_step,
     cao_step,
     load_checkpoint,
-    run_epoch,
     save_checkpoint,
     sgd_step,
 )

@@ -29,7 +29,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolationError
+from .optim import CaoConfig
 
 _OPT_KINDS = ("cao", "sgd", "adam")
 
@@ -93,6 +94,12 @@ def _parse_optimizer(entry: dict, index: int) -> OptimizerSpec:
     unknown = set(entry) - _OPT_KEYS[kind]
     if unknown:
         raise ConfigError(f"optimizer {label!r}: unknown keys {sorted(unknown)}")
+    if kind == "cao":
+        # the same checks the run would make, before any run starts
+        try:
+            CaoConfig(**entry)
+        except (ContractViolationError, TypeError) as exc:
+            raise ConfigError(f"optimizer {label!r}: {exc}") from None
     return OptimizerSpec(kind=kind, label=label, params=entry)
 
 

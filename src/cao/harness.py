@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, OptimizerSpec
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, ContractViolationError, DivergenceError
 from .optim import make_runner
 from .problems import FULL_BATCH, Batch, from_config
 from .runlog import RunLogWriter, read_runlog
@@ -56,15 +56,19 @@ def build_schedule(num_samples: int, batch_size: int, steps: int, seed: int):
 
 
 def run_single(problem, spec: OptimizerSpec, opt_index: int, seed: int, schedule,
-               steps_per_epoch: int, cfg: ExperimentConfig, log_path) -> dict:
-    """One (optimizer, seed) run; writes the log and returns its summary."""
+               steps_per_epoch: int, cfg: ExperimentConfig, log_path,
+               schedule_hash: str | None = None) -> dict:
+    """One (optimizer, seed) run; writes the log and returns its summary.
+
+    ``schedule_hash`` is the digest ``build_schedule`` returned for
+    ``schedule``; it goes into the log header.
+    """
     theta0 = problem.initial_point(seed)
     params = spec.runner_params()
     if spec.kind == "cao":
         params.setdefault("sketch_seed", seed)
     runner = make_runner(spec.kind, theta0, params)
     minibatch = cfg.batch_size > 0 and problem.num_samples > 0
-    schedule_hash = getattr(schedule, "digest", None)
     summary = {"steps_done": 0, "diverged": False, "clamp_steps": 0, "refreshes": 0}
     t_start = time.perf_counter()
     with RunLogWriter(log_path) as writer:
@@ -110,20 +114,18 @@ def _log_path(out_root, exp_name, label, seed) -> Path:
 
 def run_comparison(cfg: ExperimentConfig, out_root=".") -> dict:
     """All (seed, optimizer) runs of a config; schedules shared within a seed."""
-    problem = from_config(cfg.problem)
+    try:
+        problem = from_config(cfg.problem)
+    except ContractViolationError as exc:
+        raise ConfigError(f"problem: {exc}") from None
     logs, diverged = [], False
     for seed in cfg.seeds:
         schedule, spe, digest = build_schedule(problem.num_samples, cfg.batch_size,
                                                cfg.steps, seed)
-
-        class _Sched(list):
-            pass
-
-        sched = _Sched(schedule)
-        sched.digest = digest
         for idx, spec in enumerate(cfg.optimizers):
             path = _log_path(out_root, cfg.name, spec.label, seed)
-            summary = run_single(problem, spec, idx, seed, sched, spe, cfg, path)
+            summary = run_single(problem, spec, idx, seed, schedule, spe, cfg, path,
+                                 schedule_hash=digest)
             logs.append(str(path))
             diverged |= summary["diverged"]
     return {"logs": logs, "diverged": diverged}

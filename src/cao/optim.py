@@ -11,6 +11,7 @@ comparable.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,16 +61,27 @@ class CaoConfig:
             raise ContractViolationError("clip_c, weight_decay, warm_steps must be >= 0")
         if self.t_pow < 1:
             raise ContractViolationError(f"t_pow must be >= 1, got {self.t_pow}")
+        if not self.floor > 0:
+            raise ContractViolationError(f"floor must be > 0, got {self.floor}")
         if self.sketch_batch_size is not None and self.sketch_batch_size < 1:
             raise ContractViolationError("sketch_batch_size must be >= 1 when set")
 
 
 @dataclass
 class CaoState:
+    """Iterate, step index, current sketch and HVP count.
+
+    ``precond`` caches the damped inverse of ``sketch``; it is derived state,
+    rebuilt by ``cao_step`` whenever it does not match the sketch and the
+    config (after a successful refresh, or on a state loaded from a
+    checkpoint), and never saved.
+    """
+
     theta: np.ndarray
     step: int = 0
     sketch: Sketch | None = None
     hvp_calls: int = 0
+    precond: DampedPreconditioner | None = None
 
 
 @dataclass
@@ -109,14 +121,23 @@ def _refresh_seed(base: int, step: int) -> int:
 def _loss_and_grad(problem, theta, batch, step, epoch):
     """Evaluate; a numeric blow-up becomes a DivergenceError with a diagnostic record."""
     try:
-        loss = problem.loss(theta, batch)
-        grad = problem.grad(theta, batch)
+        loss, grad = problem.loss_and_grad(theta, batch)
     except NumericOverflowError as exc:
         record = StepRecord(step=step, epoch=epoch, loss=float("inf"),
                             grad_norm=float("inf"), update_norm=0.0)
         raise DivergenceError(f"iterate blew up at step {step}: {exc}",
                               record=record) from exc
     return loss, grad
+
+
+def _norms(grad, d):
+    """Record norms of the gradient and the update.
+
+    A divergent step's norm overflows to inf, which is the value its record
+    should carry, so the overflow is not warned about.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(grad)), float(np.linalg.norm(d))
 
 
 def _clip(d, c):
@@ -133,15 +154,18 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
 
     Refresh happens when k > 0, the step index is past ``warm_steps``, and
     either no sketch exists yet or the index is a multiple of ``m``. A failed
-    refresh (non-finite products) keeps the previous sketch and is flagged in
-    the record. ``hvp_calls`` grows by one per column of every block sent to
-    the Hessian, so a successful refresh adds exactly ``(t_pow + 1) * k`` and a
-    failed one the columns submitted up to and including the failing block.
+    refresh (non-finite products) keeps the previous sketch, and with it the
+    previous preconditioner, and is flagged in the record. The preconditioner
+    is built once per sketch. ``hvp_calls`` grows by one per column of every
+    block sent to the Hessian, so a successful refresh adds exactly
+    ``(t_pow + 1) * k`` and a failed one the columns submitted up to and
+    including the failing block.
     A non-finite loss raises ``DivergenceError`` carrying the diagnostic
     record.
     """
     theta = state.theta
     sketch = state.sketch
+    pc = state.precond
     hvp_calls = state.hvp_calls
     refreshed = False
     refresh_failed = False
@@ -181,45 +205,39 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
     if cfg.weight_decay:
         grad = grad + cfg.weight_decay * theta
 
+    if sketch is not None and (pc is None or pc.sketch is not sketch
+                               or pc.eta != cfg.eta or pc.floor != cfg.floor):
+        pc = DampedPreconditioner(sketch, cfg.eta, cfg.floor)
+
     clamped = False
     if cfg.k == 0:
         d = grad / cfg.eta if cfg.k0_eta_scaled else grad
     elif sketch is None:
         d = grad  # refresh never succeeded yet; fall back to a plain step
     else:
-        pc = DampedPreconditioner(sketch, cfg.eta, cfg.floor)
         d = precondition(grad, pc)
         clamped = pc.clamped
 
     d = _clip(d, cfg.clip_c)
 
+    grad_norm, update_norm = _norms(grad, d)
     record = StepRecord(
         step=state.step,
         epoch=epoch,
         loss=loss,
-        grad_norm=float(np.linalg.norm(grad)),
-        update_norm=float(np.linalg.norm(d)),
+        grad_norm=grad_norm,
+        update_norm=update_norm,
         refreshed=refreshed,
-        eigvals=() if sketch is None else tuple(float(x) for x in sketch.eigvals),
+        eigvals=() if sketch is None else pc.eigvals,
         clamped=clamped,
         refresh_failed=refresh_failed,
     )
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise DivergenceError(f"non-finite loss at step {state.step}", record=record)
 
     theta = theta - cfg.alpha * d
     return CaoState(theta=theta, step=state.step + 1, sketch=sketch,
-                    hvp_calls=hvp_calls), record
-
-
-def run_epoch(state: CaoState, problem: Problem, loader_schedule, cfg: CaoConfig,
-              epoch: int = 0):
-    """Apply ``cao_step`` over one batch schedule, collecting records."""
-    records = []
-    for batch in loader_schedule:
-        state, rec = cao_step(state, problem, batch, cfg, epoch=epoch)
-        records.append(rec)
-    return state, records
+                    hvp_calls=hvp_calls, precond=pc), record
 
 
 def sgd_step(state: SgdState, problem: Problem, batch: Batch, lr: float,
@@ -237,10 +255,10 @@ def sgd_step(state: SgdState, problem: Problem, batch: Batch, lr: float,
     buf = np.zeros_like(theta) if state.velocity is None else state.velocity
     buf = momentum * buf + grad
     d = _clip(buf, clip)
+    grad_norm, update_norm = _norms(grad, d)
     record = StepRecord(step=state.step, epoch=epoch, loss=loss,
-                        grad_norm=float(np.linalg.norm(grad)),
-                        update_norm=float(np.linalg.norm(d)))
-    if not np.isfinite(loss):
+                        grad_norm=grad_norm, update_norm=update_norm)
+    if not math.isfinite(loss):
         raise DivergenceError(f"non-finite loss at step {state.step}", record=record)
     theta = theta - lr * d
     return SgdState(theta=theta, velocity=buf, step=state.step + 1), record
@@ -263,10 +281,10 @@ def adam_step(state: AdamState, problem: Problem, batch: Batch, lr: float,
     m2_hat = m2 / (1.0 - beta2**t)
     d = m1_hat / (np.sqrt(m2_hat) + eps_adam)
     d = _clip(d, clip)
+    grad_norm, update_norm = _norms(grad, d)
     record = StepRecord(step=state.step, epoch=epoch, loss=loss,
-                        grad_norm=float(np.linalg.norm(grad)),
-                        update_norm=float(np.linalg.norm(d)))
-    if not np.isfinite(loss):
+                        grad_norm=grad_norm, update_norm=update_norm)
+    if not math.isfinite(loss):
         raise DivergenceError(f"non-finite loss at step {state.step}", record=record)
     theta = theta - lr * d
     return AdamState(theta=theta, m1=m1, m2=m2, step=t), record

@@ -8,7 +8,7 @@ the orthogonal complement by 1/eta. Denominators are clamped from below at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,26 +18,32 @@ from .sketch import Sketch
 
 @dataclass(frozen=True)
 class DampedPreconditioner:
+    """The damped inverse of one sketch.
+
+    ``denominators``, ``clamped`` and ``eigvals`` (the sketch's eigenvalues as
+    a tuple of floats, the form a step record carries) are derived once here,
+    so a preconditioner built per sketch serves every step until the next
+    refresh.
+    """
+
     sketch: Sketch
     eta: float
     floor: float = 1e-8
+    denominators: np.ndarray = field(init=False, repr=False, compare=False)
+    clamped: bool = field(init=False, repr=False, compare=False)
+    eigvals: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.eta > 0:
             raise ContractViolationError(f"eta must be > 0, got {self.eta}")
         if not self.floor > 0:
             raise ContractViolationError(f"floor must be > 0, got {self.floor}")
-
-    @property
-    def denominators(self) -> np.ndarray:
-        return np.maximum(self.sketch.eigvals + self.eta, self.floor)
-
-    @property
-    def clamped(self) -> bool:
-        """True when any captured direction hit the floor (negative curvature)."""
-        if self.sketch.k == 0:
-            return False
-        return bool(np.any(self.sketch.eigvals + self.eta < self.floor))
+        shifted = self.sketch.eigvals + self.eta
+        object.__setattr__(self, "denominators", np.maximum(shifted, self.floor))
+        # True when any captured direction hit the floor (negative curvature)
+        object.__setattr__(self, "clamped",
+                           bool(self.sketch.k and np.any(shifted < self.floor)))
+        object.__setattr__(self, "eigvals", tuple(self.sketch.eigvals.tolist()))
 
 
 def _check_g(g, pc):

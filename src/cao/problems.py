@@ -1,16 +1,17 @@
 """Benchmark objectives with analytic gradients and Hessian-vector products.
 
-Every problem is matrix-free: it exposes ``loss``, ``grad`` and Hessian
-products (``hvp`` for one direction, ``hvp_block`` for an n x j block of
-directions) evaluated on a (possibly empty) mini-batch. Problems are
-immutable after construction and all randomness is fixed by the construction
-seed, so identical ``(theta, batch)`` inputs give bit-identical outputs and
-instances can be shared across threads.
+Every problem is matrix-free: it exposes ``loss``, ``grad``, both from one
+pass (``loss_and_grad``), and Hessian products (``hvp`` for one direction,
+``hvp_block`` for an n x j block of directions) evaluated on a (possibly
+empty) mini-batch. Problems are immutable after construction and all
+randomness is fixed by the construction seed, so identical ``(theta, batch)``
+inputs give bit-identical outputs and instances can be shared across threads.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,9 @@ class Problem:
     The public methods validate dimensions and finiteness around the
     analytic kernels. ``_hvp_block(theta, V, batch)`` returns ``H @ V`` for an
     n x j block ``V``; the single-direction ``hvp`` is its one-column case.
+    ``_loss_and_grad`` defaults to the two kernels in turn; a problem whose
+    loss and gradient share a pass overrides it, and must return values
+    bit-identical to ``(_loss, _grad)``.
     """
 
     meta: ProblemMeta
@@ -114,7 +118,12 @@ class Problem:
 
     @staticmethod
     def _check_finite(value, what):
-        if not np.all(np.isfinite(value)):
+        # a loss is a Python float, which needs no NumPy call to check
+        if isinstance(value, float):
+            finite = math.isfinite(value)
+        else:
+            finite = np.isfinite(value).all()
+        if not finite:
             raise NumericOverflowError(f"non-finite {what}")
         return value
 
@@ -135,6 +144,20 @@ class Problem:
             g = self._grad(theta, batch)
         self._check_finite(g, f"gradient on {self.meta.name}")
         return g
+
+    def loss_and_grad(self, theta, batch: Batch = FULL_BATCH):
+        """``(loss, grad)`` from one pass; the same values and checks as the two calls."""
+        theta = self._check_theta(theta)
+        batch = self._check_batch(batch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, g = self._loss_and_grad(theta, batch)
+            value = float(value)
+        self._check_finite(value, f"loss on {self.meta.name}")
+        self._check_finite(g, f"gradient on {self.meta.name}")
+        return value, g
+
+    def _loss_and_grad(self, theta, batch):
+        return self._loss(theta, batch), self._grad(theta, batch)
 
     def hvp(self, theta, v, batch: Batch = FULL_BATCH) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -256,6 +279,11 @@ class QuadraticProblem(Problem):
     def _grad(self, theta, batch):
         return self.matrix @ (theta - self.target)
 
+    def _loss_and_grad(self, theta, batch):
+        d = theta - self.target
+        g = self.matrix @ d
+        return 0.5 * float(d @ g), g
+
     def _hvp_block(self, theta, v, batch):
         return self.matrix @ v
 
@@ -358,20 +386,30 @@ class LogregProblem(Problem):
             return self.x, self.y
         return self.x[batch.indices], self.y[batch.indices]
 
-    def _loss(self, theta, batch):
+    def _margins(self, theta, batch):
         x, y = self._select(batch)
-        margins = y * (x @ theta)
+        return x, y, y * (x @ theta)
+
+    def _loss_from(self, theta, margins):
         value = float(np.mean(np.logaddexp(0.0, -margins)))
         return value + 0.5 * self.reg * float(theta @ theta)
 
-    def _grad(self, theta, batch):
-        x, y = self._select(batch)
-        margins = y * (x @ theta)
+    def _grad_from(self, theta, x, y, margins):
         # sigmoid(-m) without overflow
         s = np.where(margins >= 0, np.exp(-margins) / (1 + np.exp(-margins)),
                      1.0 / (1 + np.exp(margins)))
         g = -(x.T @ (y * s)) / x.shape[0]
         return g + self.reg * theta
+
+    def _loss(self, theta, batch):
+        return self._loss_from(theta, self._margins(theta, batch)[2])
+
+    def _grad(self, theta, batch):
+        return self._grad_from(theta, *self._margins(theta, batch))
+
+    def _loss_and_grad(self, theta, batch):
+        x, y, margins = self._margins(theta, batch)
+        return self._loss_from(theta, margins), self._grad_from(theta, x, y, margins)
 
     def _hvp_block(self, theta, v, batch):
         x, y = self._select(batch)
@@ -468,12 +506,13 @@ class MlpProblem(Problem):
         probs = np.exp(logits - lse[:, None])
         return x, y, w2, hid, logits, lse, probs
 
-    def _loss(self, theta, batch):
-        _, y, _, _, logits, lse, _ = self._forward(theta, batch)
+    @staticmethod
+    def _loss_from(fwd):
+        _, y, _, _, logits, lse, _ = fwd
         return float(np.mean(lse - logits[np.arange(y.size), y]))
 
-    def _grad(self, theta, batch):
-        x, y, w2, hid, _, _, probs = self._forward(theta, batch)
+    def _grad_from(self, fwd):
+        x, y, w2, hid, _, _, probs = fwd
         b = y.size
         dz = probs.copy()
         dz[np.arange(b), y] -= 1.0
@@ -485,6 +524,16 @@ class MlpProblem(Problem):
         gw1 = da.T @ x
         gb1 = da.sum(axis=0)
         return self._pack(gw1, gb1, gw2, gb2)
+
+    def _loss(self, theta, batch):
+        return self._loss_from(self._forward(theta, batch))
+
+    def _grad(self, theta, batch):
+        return self._grad_from(self._forward(theta, batch))
+
+    def _loss_and_grad(self, theta, batch):
+        fwd = self._forward(theta, batch)
+        return self._loss_from(fwd), self._grad_from(fwd)
 
     def _hvp_block(self, theta, v, batch):
         # forward-over-reverse: one forward pass for the whole block, then push

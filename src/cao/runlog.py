@@ -12,7 +12,6 @@ byte.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -22,11 +21,12 @@ LOG_FORMAT_VERSION = 1
 WALL_KEYS = ("wall", "wall_total")
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _pyify(value):
+    # header and summary carry caller-supplied config values, which may be
+    # NumPy scalars; step records hold Python values only (see write_record)
     if isinstance(value, dict):
         return {k: _pyify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -48,10 +48,11 @@ class RunLogWriter:
         self._fh.write(_dumps(payload) + "\n")
 
     def write_record(self, rec: StepRecord) -> None:
-        payload = {"type": "step"}
-        payload.update(_pyify(dataclasses.asdict(rec)))
-        if payload.get("eval_loss") is None:
-            payload.pop("eval_loss", None)
+        # the optimizers fill every field with Python ints, floats, bools and a
+        # tuple of floats, so the fields serialize as they are
+        payload = {"type": "step", **vars(rec)}
+        if payload["eval_loss"] is None:
+            del payload["eval_loss"]
         self._fh.write(_dumps(payload) + "\n")
 
     def write_summary(self, summary: dict) -> None:

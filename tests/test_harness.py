@@ -288,6 +288,17 @@ class TestConfigParsing:
                 "seeds": [0], "steps": 1, "threshold": 0.1,
             })
 
+    @pytest.mark.parametrize("knobs", [{"k": -1}, {"floor": 0.0}, {"k": "3"}],
+                             ids=["negative-k", "zero-floor", "k-as-string"])
+    def test_bad_cao_knob(self, knobs):
+        with pytest.raises(ConfigError, match="'cao-x'"):
+            parse_config({
+                "name": "x",
+                "problem": {"name": "rosenbrock", "n": 2},
+                "optimizers": [{"kind": "cao", "label": "cao-x", "alpha": 0.1, **knobs}],
+                "seeds": [0], "steps": 1, "threshold": 0.1,
+            })
+
     def test_missing_alpha(self):
         with pytest.raises(ConfigError):
             parse_config({
@@ -335,6 +346,31 @@ class TestCli:
         }))
         rc = cli.main(["--out", str(tmp_path), "run", "--config", str(cfg_path)])
         assert rc == cli.EXIT_DIVERGED
+
+    @pytest.mark.parametrize("change, named", [
+        ({"optimizers": [{"kind": "sgd", "alpha": 0.1},
+                         {"kind": "cao", "label": "bad-k", "alpha": 0.1, "k": -1}]},
+         "bad-k"),
+        ({"problem": {"name": "quadratic", "seed": 1}}, "spectrum"),
+    ], ids=["negative-k", "missing-spectrum"])
+    def test_bad_config_exits_before_any_run(self, tmp_path, change, named, capsys):
+        doc = {
+            "name": "bad",
+            "problem": {"name": "quadratic", "spectrum": [4.0, 1.0], "seed": 1},
+            "optimizers": [{"kind": "sgd", "alpha": 0.1},
+                           {"kind": "cao", "label": "cao-k1", "alpha": 0.1}],
+            "seeds": [0],
+            "steps": 5,
+            "threshold": 0.1,
+            **change,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        rc = cli.main(["--out", str(tmp_path), "run", "--config", str(cfg_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "logs").exists()
+        err = capsys.readouterr().err
+        assert named in err
 
     def test_theory_command(self, tmp_path):
         rc = cli.main(["--out", str(tmp_path), "theory"])

@@ -14,10 +14,10 @@ from cao.optim import (
     adam_step,
     cao_step,
     load_checkpoint,
-    run_epoch,
     save_checkpoint,
     sgd_step,
 )
+from cao.precondition import DampedPreconditioner
 from cao.problems import FULL_BATCH, Problem, ProblemMeta, QuadraticProblem, quadratic
 
 
@@ -112,6 +112,85 @@ class TestCaoStep:
         state, rec = cao_step(state, p, FULL_BATCH, cfg)
         assert rec.refreshed and state.sketch is not first
 
+    def test_preconditioner_built_once_per_sketch(self):
+        class Saddle(Problem):
+            # negative curvature, so the sketches clamp
+            meta = ProblemMeta(dim=5, name="saddle")
+            a = np.diag([5.0, 2.0, 0.5, -0.3, -2.0])
+
+            def _loss(self, theta, batch):
+                return 0.5 * float(theta @ (self.a @ theta))
+
+            def _grad(self, theta, batch):
+                return self.a @ theta
+
+            def _hvp_block(self, theta, v, batch):
+                return self.a @ v
+
+        p = Saddle()
+        cfg = CaoConfig(alpha=1e-3, k=3, m=4, eta=0.5, t_pow=3)
+        state = make_state(p)
+        built, clamped = [], []
+        for t in range(13):
+            previous = state.precond
+            state, rec = cao_step(state, p, FULL_BATCH, cfg)
+            pc = state.precond
+            assert pc.sketch is state.sketch
+            if rec.refreshed:
+                assert pc is not previous
+                built.append(t)
+            else:
+                assert pc is previous
+            fresh = DampedPreconditioner(state.sketch, cfg.eta, cfg.floor)
+            assert rec.clamped == fresh.clamped
+            assert rec.eigvals == tuple(float(x) for x in state.sketch.eigvals)
+            assert pc.eigvals == rec.eigvals
+            assert pc.denominators.tobytes() == fresh.denominators.tobytes()
+            clamped.append(rec.clamped)
+        assert built == [0, 4, 8, 12]
+        assert any(clamped)
+
+    def test_failed_refresh_keeps_preconditioner(self):
+        class FlakyQuadratic(QuadraticProblem):
+            fail = False
+
+            def _hvp_block(self, theta, v, batch):
+                if self.fail:
+                    return np.full(v.shape, np.nan)
+                return super()._hvp_block(theta, v, batch)
+
+        p = FlakyQuadratic(np.linspace(1.0, 5.0, 6), seed=3)
+        cfg = CaoConfig(alpha=1e-3, k=2, m=3, eta=1.0, t_pow=2)
+        state = make_state(p)
+        for _ in range(3):
+            state, _ = cao_step(state, p, FULL_BATCH, cfg)
+        kept = state.precond
+        p.fail = True
+        theta = state.theta
+        state, rec = cao_step(state, p, FULL_BATCH, cfg)
+        assert rec.refresh_failed and state.precond is kept
+        expected = theta - cfg.alpha * cao.precondition(p.grad(theta), kept)
+        assert state.theta.tobytes() == expected.tobytes()
+        p.fail = False
+        for _ in range(3):
+            state, rec = cao_step(state, p, FULL_BATCH, cfg)
+        assert rec.refreshed and state.precond is not kept
+
+    def test_checkpointed_state_rebuilds_preconditioner(self, tmp_path):
+        p = quadratic([6.0, 3.0, 1.0], seed=14)
+        cfg = CaoConfig(alpha=0.01, k=2, m=10, eta=0.5, t_pow=3)
+        state = make_state(p, 2)
+        for _ in range(3):
+            state, _ = cao_step(state, p, FULL_BATCH, cfg)
+        save_checkpoint(tmp_path / "cao.npz", state)
+        loaded = load_checkpoint(tmp_path / "cao.npz")
+        assert loaded.precond is None
+        cont, rec_cont = cao_step(state, p, FULL_BATCH, cfg)
+        resumed, rec_resumed = cao_step(loaded, p, FULL_BATCH, cfg)
+        assert resumed.precond.sketch is loaded.sketch
+        assert rec_resumed == rec_cont
+        assert resumed.theta.tobytes() == cont.theta.tobytes()
+
     def test_weight_decay_coupled(self):
         p = quadratic([4.0, 1.0], seed=8)
         theta0 = p.initial_point(1)
@@ -176,6 +255,18 @@ class TestCaoStep:
         # every column submitted is counted, the failing block's included
         assert state.hvp_calls == (cfg.t_pow + 1) * cfg.k + 2 * cfg.k
 
+    def test_records_per_batch(self):
+        p = cao.logreg(5, 40, seed=1)
+        schedule = [cao.Batch(indices=np.arange(i * 10, (i + 1) * 10)) for i in range(4)]
+        cfg = CaoConfig(alpha=0.05, k=1, m=2, eta=1.0, t_pow=2)
+        state, records = make_state(p), []
+        for batch in schedule:
+            state, rec = cao_step(state, p, batch, cfg, epoch=3)
+            records.append(rec)
+        assert len(records) == 4
+        assert [r.step for r in records] == [0, 1, 2, 3]
+        assert all(r.epoch == 3 for r in records)
+
     def test_dedicated_sketch_batch(self):
         p = cao.logreg(5, 60, seed=3)
         theta0 = p.initial_point(0)
@@ -201,17 +292,6 @@ class TestCaoStep:
                 state, _ = cao_step(state, p, FULL_BATCH, cfg)
             outs.append(state.theta.tobytes())
         assert outs[0] == outs[1]
-
-
-class TestRunEpoch:
-    def test_records_per_batch(self):
-        p = cao.logreg(5, 40, seed=1)
-        schedule = [cao.Batch(indices=np.arange(i * 10, (i + 1) * 10)) for i in range(4)]
-        cfg = CaoConfig(alpha=0.05, k=1, m=2, eta=1.0, t_pow=2)
-        state, records = run_epoch(make_state(p), p, schedule, cfg, epoch=3)
-        assert len(records) == 4
-        assert [r.step for r in records] == [0, 1, 2, 3]
-        assert all(r.epoch == 3 for r in records)
 
 
 class TestSgd:

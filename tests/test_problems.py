@@ -148,6 +148,46 @@ class TestHvpContracts:
             Big().dense_hessian(np.zeros(501))
 
 
+class TestLossAndGrad:
+    @pytest.mark.parametrize("problem", all_problems(), ids=lambda p: p.meta.name)
+    def test_equals_separate_calls_bitwise(self, problem):
+        rng = np.random.default_rng(30)
+        batches = [FULL_BATCH]
+        if problem.num_samples:
+            batches.append(Batch(indices=rng.choice(problem.num_samples, 9, replace=False)))
+        for batch in batches:
+            for seed in range(3):
+                theta = problem.initial_point(seed)
+                loss, grad = problem.loss_and_grad(theta, batch)
+                assert type(loss) is float
+                assert loss == problem.loss(theta, batch)
+                assert grad.tobytes() == problem.grad(theta, batch).tobytes()
+
+    @pytest.mark.parametrize("problem", all_problems()[:3], ids=lambda p: p.meta.name)
+    def test_nonfinite_loss_raises(self, problem):
+        with pytest.raises(NumericOverflowError, match="non-finite loss"):
+            problem.loss_and_grad(np.full(problem.dim, 1e200))
+
+    def test_nonfinite_gradient_raises(self):
+        class InfGrad(cao.Problem):
+            meta = ProblemMeta(dim=2, name="inf-grad")
+
+            def _loss(self, theta, batch):
+                return 0.0
+
+            def _grad(self, theta, batch):
+                return np.array([np.inf, 0.0])
+
+        with pytest.raises(NumericOverflowError, match="non-finite gradient"):
+            InfGrad().loss_and_grad(np.zeros(2))
+
+    def test_validates_inputs(self):
+        with pytest.raises(ContractViolationError):
+            quadratic([1.0, 2.0]).loss_and_grad(np.zeros(3))
+        with pytest.raises(ContractViolationError):
+            logreg(3, 10).loss_and_grad(np.zeros(3), Batch(indices=np.array([10])))
+
+
 class TestGradChecks:
     @pytest.mark.parametrize("problem", all_problems(), ids=lambda p: p.meta.name)
     def test_directional_derivative(self, problem):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, ContractViolationError
-from .optim import CaoConfig
+from .optim import make_runner
 
 _OPT_KINDS = ("cao", "sgd", "adam")
 
@@ -48,13 +48,6 @@ class OptimizerSpec:
     kind: str
     label: str
     params: dict
-
-    def runner_params(self) -> dict:
-        """Map config keys onto runner constructor arguments."""
-        params = dict(self.params)
-        if self.kind in ("sgd", "adam"):
-            params["lr"] = params.pop("alpha")
-        return params
 
 
 @dataclass(frozen=True)
@@ -94,12 +87,11 @@ def _parse_optimizer(entry: dict, index: int) -> OptimizerSpec:
     unknown = set(entry) - _OPT_KEYS[kind]
     if unknown:
         raise ConfigError(f"optimizer {label!r}: unknown keys {sorted(unknown)}")
-    if kind == "cao":
-        # the same checks the run would make, before any run starts
-        try:
-            CaoConfig(**entry)
-        except (ContractViolationError, TypeError) as exc:
-            raise ConfigError(f"optimizer {label!r}: {exc}") from None
+    # the same checks the run makes, before any run starts
+    try:
+        make_runner(kind, (), entry, seed=0)
+    except (ContractViolationError, TypeError) as exc:
+        raise ConfigError(f"optimizer {label!r}: {exc}") from None
     return OptimizerSpec(kind=kind, label=label, params=entry)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,10 +65,7 @@ def run_single(problem, spec: OptimizerSpec, opt_index: int, seed: int, schedule
     ``schedule``; it goes into the log header.
     """
     theta0 = problem.initial_point(seed)
-    params = spec.runner_params()
-    if spec.kind == "cao":
-        params.setdefault("sketch_seed", seed)
-    runner = make_runner(spec.kind, theta0, params)
+    runner = make_runner(spec.kind, theta0, spec.params, seed)
     minibatch = cfg.batch_size > 0 and problem.num_samples > 0
     summary = {"steps_done": 0, "diverged": False, "clamp_steps": 0, "refreshes": 0}
     t_start = time.perf_counter()
@@ -322,16 +320,7 @@ def k_ablation(cfg: ExperimentConfig, ks=(0, 1, 3, 5), out_root=".") -> dict:
         params = dict(template.params)
         params["k"] = int(k)
         variants.append(OptimizerSpec(kind="cao", label=f"cao-k{k}", params=params))
-    ablate_cfg = ExperimentConfig(
-        name=f"{cfg.name}-ablate-k",
-        problem=cfg.problem,
-        optimizers=tuple(variants),
-        seeds=cfg.seeds,
-        steps=cfg.steps,
-        threshold=cfg.threshold,
-        batch_size=cfg.batch_size,
-        eval_every=cfg.eval_every,
-    )
+    ablate_cfg = replace(cfg, name=f"{cfg.name}-ablate-k", optimizers=tuple(variants))
     result = run_comparison(ablate_cfg, out_root)
     table = time_to_threshold(result["logs"])
     final = {}
@@ -362,16 +351,8 @@ def sensitivity_sweep(cfg: ExperimentConfig, etas, ms, out_root=".") -> dict:
             params["eta"] = float(eta)
             params["m"] = int(m)
             label = f"cao-eta{eta:g}-m{m}"
-            cell_cfg = ExperimentConfig(
-                name=f"{cfg.name}-sweep",
-                problem=cfg.problem,
-                optimizers=(OptimizerSpec(kind="cao", label=label, params=params),),
-                seeds=cfg.seeds,
-                steps=cfg.steps,
-                threshold=cfg.threshold,
-                batch_size=cfg.batch_size,
-                eval_every=cfg.eval_every,
-            )
+            cell_cfg = replace(cfg, name=f"{cfg.name}-sweep", optimizers=(
+                OptimizerSpec(kind="cao", label=label, params=params),))
             result = run_comparison(cell_cfg, out_root)
             hits, finals, clamps, hvps = [], [], 0, []
             for path in result["logs"]:

@@ -1,18 +1,25 @@
 """Stepping loops: the curvature-adaptive optimizer plus SGD and Adam baselines.
 
-The curvature-adaptive step (``cao_step``) refreshes a rank-k Hessian sketch
-every ``m`` steps from Hessian-vector products on the current batch, applies
-the damped low-rank inverse to the (weight-decayed) gradient, optionally
-clips the resulting direction, and takes a constant-stepsize update. All
-three optimizers share the same record format so runs are directly
-comparable.
+Every step has the same skeleton. ``_loss_and_grad`` evaluates the batch and
+adds coupled weight decay to the gradient; the rule turns the gradient into
+a direction ``d``; ``_update`` clips ``d``, records the step (a non-finite
+loss raises ``DivergenceError`` carrying that record) and returns
+``theta - lr * d``. The rules differ only in the direction: SGD takes the
+heavy-ball buffer, Adam the bias-corrected moment ratio, and the
+curvature-adaptive step (``cao_step``) the damped low-rank inverse of a
+rank-k Hessian sketch applied to the gradient, refreshing the sketch from
+Hessian-vector products every ``m`` steps. With k = 0 it takes the gradient
+itself, which makes it bit-identical to momentum-free SGD.
+
+``make_runner`` maps a config entry onto a step function and its state, and
+the checkpoint functions store any of the three states through its fields.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -118,8 +125,11 @@ def _refresh_seed(base: int, step: int) -> int:
     return int(np.random.SeedSequence([int(base), int(step)]).generate_state(1)[0])
 
 
-def _loss_and_grad(problem, theta, batch, step, epoch):
-    """Evaluate; a numeric blow-up becomes a DivergenceError with a diagnostic record."""
+def _loss_and_grad(problem, theta, batch, step, epoch, weight_decay=0.0):
+    """Loss and gradient with coupled weight decay added to the gradient.
+
+    A numeric blow-up becomes a DivergenceError with a diagnostic record.
+    """
     try:
         loss, grad = problem.loss_and_grad(theta, batch)
     except NumericOverflowError as exc:
@@ -127,17 +137,9 @@ def _loss_and_grad(problem, theta, batch, step, epoch):
                             grad_norm=float("inf"), update_norm=0.0)
         raise DivergenceError(f"iterate blew up at step {step}: {exc}",
                               record=record) from exc
+    if weight_decay:
+        grad = grad + weight_decay * theta
     return loss, grad
-
-
-def _norms(grad, d):
-    """Record norms of the gradient and the update.
-
-    A divergent step's norm overflows to inf, which is the value its record
-    should carry, so the overflow is not warned about.
-    """
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(grad)), float(np.linalg.norm(d))
 
 
 def _clip(d, c):
@@ -146,6 +148,23 @@ def _clip(d, c):
         if norm > c:
             d = d * (c / norm)
     return d
+
+
+def _update(theta, step, epoch, loss, grad, d, lr, clip, **flags):
+    """Clip the direction, record the step and move; returns (new theta, record).
+
+    A divergent step's norm overflows to inf, which is the value its record
+    should carry, so the overflow is not warned about. A non-finite loss
+    raises ``DivergenceError`` carrying the record instead of moving.
+    """
+    d = _clip(d, clip)
+    with np.errstate(over="ignore"):
+        record = StepRecord(step=step, epoch=epoch, loss=loss,
+                            grad_norm=float(np.linalg.norm(grad)),
+                            update_norm=float(np.linalg.norm(d)), **flags)
+    if not math.isfinite(loss):
+        raise DivergenceError(f"non-finite loss at step {step}", record=record)
+    return theta - lr * d, record
 
 
 def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
@@ -160,8 +179,6 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
     block sent to the Hessian, so a successful refresh adds exactly
     ``(t_pow + 1) * k`` and a failed one the columns submitted up to and
     including the failing block.
-    A non-finite loss raises ``DivergenceError`` carrying the diagnostic
-    record.
     """
     theta = state.theta
     sketch = state.sketch
@@ -201,10 +218,8 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
             refresh_failed = True
         hvp_calls += calls
 
-    loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch)
-    if cfg.weight_decay:
-        grad = grad + cfg.weight_decay * theta
-
+    loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch,
+                                cfg.weight_decay)
     if sketch is not None and (pc is None or pc.sketch is not sketch
                                or pc.eta != cfg.eta or pc.floor != cfg.floor):
         pc = DampedPreconditioner(sketch, cfg.eta, cfg.floor)
@@ -218,24 +233,10 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
         d = precondition(grad, pc)
         clamped = pc.clamped
 
-    d = _clip(d, cfg.clip_c)
-
-    grad_norm, update_norm = _norms(grad, d)
-    record = StepRecord(
-        step=state.step,
-        epoch=epoch,
-        loss=loss,
-        grad_norm=grad_norm,
-        update_norm=update_norm,
-        refreshed=refreshed,
-        eigvals=() if sketch is None else pc.eigvals,
-        clamped=clamped,
-        refresh_failed=refresh_failed,
-    )
-    if not math.isfinite(loss):
-        raise DivergenceError(f"non-finite loss at step {state.step}", record=record)
-
-    theta = theta - cfg.alpha * d
+    theta, record = _update(theta, state.step, epoch, loss, grad, d, cfg.alpha,
+                            cfg.clip_c, refreshed=refreshed,
+                            eigvals=() if sketch is None else pc.eigvals,
+                            clamped=clamped, refresh_failed=refresh_failed)
     return CaoState(theta=theta, step=state.step + 1, sketch=sketch,
                     hvp_calls=hvp_calls, precond=pc), record
 
@@ -243,35 +244,23 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
 def sgd_step(state: SgdState, problem: Problem, batch: Batch, lr: float,
              momentum: float = 0.0, weight_decay: float = 0.0, clip: float = 0.0,
              epoch: int = 0):
-    """Heavy-ball SGD: buf <- momentum * buf + g, step along the (clipped) buffer.
-
-    Decay is added to the gradient and clipping applied to the update, in the
-    same order as the curvature-adaptive loop.
-    """
+    """Heavy-ball SGD: buf <- momentum * buf + g, step along the (clipped) buffer."""
     theta = state.theta
-    loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch)
-    if weight_decay:
-        grad = grad + weight_decay * theta
+    loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch, weight_decay)
     buf = np.zeros_like(theta) if state.velocity is None else state.velocity
+    # a sum on the first step too: `buf = grad` would keep a -0.0 that the sum
+    # turns into +0.0, and change the saved velocity's bits
     buf = momentum * buf + grad
-    d = _clip(buf, clip)
-    grad_norm, update_norm = _norms(grad, d)
-    record = StepRecord(step=state.step, epoch=epoch, loss=loss,
-                        grad_norm=grad_norm, update_norm=update_norm)
-    if not math.isfinite(loss):
-        raise DivergenceError(f"non-finite loss at step {state.step}", record=record)
-    theta = theta - lr * d
+    theta, record = _update(theta, state.step, epoch, loss, grad, buf, lr, clip)
     return SgdState(theta=theta, velocity=buf, step=state.step + 1), record
 
 
 def adam_step(state: AdamState, problem: Problem, batch: Batch, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps_adam: float = 1e-8,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
               weight_decay: float = 0.0, clip: float = 0.0, epoch: int = 0):
-    """Bias-corrected Adam with coupled decay; clipping on the final direction."""
+    """Bias-corrected Adam with coupled decay."""
     theta = state.theta
-    loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch)
-    if weight_decay:
-        grad = grad + weight_decay * theta
+    loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch, weight_decay)
     m1 = np.zeros_like(theta) if state.m1 is None else state.m1
     m2 = np.zeros_like(theta) if state.m2 is None else state.m2
     t = state.step + 1
@@ -279,23 +268,29 @@ def adam_step(state: AdamState, problem: Problem, batch: Batch, lr: float,
     m2 = beta2 * m2 + (1.0 - beta2) * grad**2
     m1_hat = m1 / (1.0 - beta1**t)
     m2_hat = m2 / (1.0 - beta2**t)
-    d = m1_hat / (np.sqrt(m2_hat) + eps_adam)
-    d = _clip(d, clip)
-    grad_norm, update_norm = _norms(grad, d)
-    record = StepRecord(step=state.step, epoch=epoch, loss=loss,
-                        grad_norm=grad_norm, update_norm=update_norm)
-    if not math.isfinite(loss):
-        raise DivergenceError(f"non-finite loss at step {state.step}", record=record)
-    theta = theta - lr * d
+    d = m1_hat / (np.sqrt(m2_hat) + eps)
+    theta, record = _update(theta, state.step, epoch, loss, grad, d, lr, clip)
     return AdamState(theta=theta, m1=m1, m2=m2, step=t), record
 
 
 # ---------------------------------------------------------------------------
-# uniform wrappers used by the harness
+# the uniform wrapper used by the harness
+
+_STATES = {"cao": CaoState, "sgd": SgdState, "adam": AdamState}
+
+# admissible values of the baseline knobs: (low, high, low included); high is
+# always excluded
+_BOUNDS = {"alpha": (0.0, math.inf, False), "momentum": (0.0, 1.0, True),
+           "beta1": (0.0, 1.0, True), "beta2": (0.0, 1.0, True),
+           "eps": (0.0, math.inf, False), "weight_decay": (0.0, math.inf, True),
+           "clip": (0.0, math.inf, True)}
 
 
-class _Runner:
-    kind: str
+class Runner:
+    """One optimizer run: ``step_fn(state, problem, batch, **params)`` per step."""
+
+    def __init__(self, step_fn, state, params: dict):
+        self.step_fn, self.state, self.params = step_fn, state, params
 
     @property
     def theta(self):
@@ -303,68 +298,41 @@ class _Runner:
 
     @property
     def hvp_calls(self) -> int:
-        return 0
+        return getattr(self.state, "hvp_calls", 0)
 
     def step(self, problem, batch, epoch=0) -> StepRecord:
-        raise NotImplementedError
-
-
-class CaoRunner(_Runner):
-    kind = "cao"
-
-    def __init__(self, theta0, cfg: CaoConfig):
-        self.cfg = cfg
-        self.state = CaoState(theta=np.asarray(theta0, dtype=np.float64).copy())
-
-    @property
-    def hvp_calls(self):
-        return self.state.hvp_calls
-
-    def step(self, problem, batch, epoch=0):
-        self.state, rec = cao_step(self.state, problem, batch, self.cfg, epoch=epoch)
+        self.state, rec = self.step_fn(self.state, problem, batch, epoch=epoch,
+                                       **self.params)
         return rec
 
 
-class SgdRunner(_Runner):
-    kind = "sgd"
+def make_runner(kind: str, theta0, params: dict, seed: int) -> Runner:
+    """Build a runner from an optimizer config entry's knobs (config key names).
 
-    def __init__(self, theta0, lr, momentum=0.0, weight_decay=0.0, clip=0.0):
-        self.lr, self.momentum = lr, momentum
-        self.weight_decay, self.clip = weight_decay, clip
-        self.state = SgdState(theta=np.asarray(theta0, dtype=np.float64).copy())
-
-    def step(self, problem, batch, epoch=0):
-        self.state, rec = sgd_step(self.state, problem, batch, self.lr, self.momentum,
-                                   self.weight_decay, self.clip, epoch=epoch)
-        return rec
-
-
-class AdamRunner(_Runner):
-    kind = "adam"
-
-    def __init__(self, theta0, lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.0, clip=0.0):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.weight_decay, self.clip = weight_decay, clip
-        self.state = AdamState(theta=np.asarray(theta0, dtype=np.float64).copy())
-
-    def step(self, problem, batch, epoch=0):
-        self.state, rec = adam_step(self.state, problem, batch, self.lr, self.beta1,
-                                    self.beta2, self.eps, self.weight_decay,
-                                    self.clip, epoch=epoch)
-        return rec
-
-
-def make_runner(kind: str, theta0, params: dict) -> _Runner:
-    """Build a stepping wrapper from an optimizer config entry."""
-    params = dict(params)
+    ``alpha`` becomes the baselines' ``lr``; ``seed`` is the default
+    ``sketch_seed``. Bad knobs raise ``ContractViolationError`` (or
+    ``TypeError`` for a cao knob of the wrong type). The step function is
+    looked up now, so a wrapper put on ``cao_step``, ``sgd_step`` or
+    ``adam_step`` sees every step of the run.
+    """
+    if kind not in _STATES:
+        raise ContractViolationError(f"unknown optimizer kind {kind!r}")
     if kind == "cao":
-        return CaoRunner(theta0, CaoConfig(**params))
-    if kind == "sgd":
-        return SgdRunner(theta0, **params)
-    if kind == "adam":
-        return AdamRunner(theta0, **params)
-    raise ContractViolationError(f"unknown optimizer kind {kind!r}")
+        params = {"cfg": CaoConfig(**{"sketch_seed": seed, **params})}
+    else:
+        for key, value in params.items():
+            if key not in _BOUNDS:
+                raise ContractViolationError(f"unknown {kind} knob {key!r}")
+            low, high, closed = _BOUNDS[key]
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not (low <= value if closed else low < value) or not value < high):
+                raise ContractViolationError(
+                    f"{key} must be a number in {'[' if closed else '('}{low:g}, {high:g}),"
+                    f" got {value!r}")
+        params = dict(params)
+        params["lr"] = params.pop("alpha")
+    theta = np.asarray(theta0, dtype=np.float64).copy()
+    return Runner(globals()[f"{kind}_step"], _STATES[kind](theta=theta), params)
 
 
 # ---------------------------------------------------------------------------
@@ -374,27 +342,25 @@ CHECKPOINT_FORMAT = 1
 
 
 def save_checkpoint(path, state) -> None:
-    """Write optimizer state to ``path`` (npz, format v1)."""
-    payload = {"format": np.int64(CHECKPOINT_FORMAT), "step": np.int64(state.step),
-               "theta": state.theta}
-    if isinstance(state, CaoState):
-        payload["kind"] = np.str_("cao")
-        payload["hvp_calls"] = np.int64(state.hvp_calls)
-        if state.sketch is not None:
-            payload["sketch_eigvals"] = state.sketch.eigvals
-            payload["sketch_basis"] = state.sketch.basis
-            payload["sketch_refreshed_at"] = np.int64(state.sketch.refreshed_at)
-    elif isinstance(state, SgdState):
-        payload["kind"] = np.str_("sgd")
-        if state.velocity is not None:
-            payload["velocity"] = state.velocity
-    elif isinstance(state, AdamState):
-        payload["kind"] = np.str_("adam")
-        if state.m1 is not None:
-            payload["m1"] = state.m1
-            payload["m2"] = state.m2
-    else:
+    """Write optimizer state to ``path`` (npz, format v1).
+
+    Every field is stored under its own name except ``precond`` (derived, not
+    saved), unset buffers (omitted) and the sketch, which is split into
+    ``sketch_eigvals``, ``sketch_basis`` and ``sketch_refreshed_at``.
+    """
+    kind = next((k for k, cls in _STATES.items() if type(state) is cls), None)
+    if kind is None:
         raise ContractViolationError(f"cannot checkpoint {type(state).__name__}")
+    payload = {"format": np.int64(CHECKPOINT_FORMAT), "kind": np.str_(kind)}
+    for f in fields(state):
+        value = getattr(state, f.name)
+        if f.name == "precond" or value is None:
+            continue
+        if f.name == "sketch":
+            payload.update(sketch_eigvals=value.eigvals, sketch_basis=value.basis,
+                           sketch_refreshed_at=np.int64(value.refreshed_at))
+        else:
+            payload[f.name] = np.int64(value) if f.type == "int" else value
     np.savez(path, **payload)
 
 
@@ -405,20 +371,13 @@ def load_checkpoint(path):
         if fmt != CHECKPOINT_FORMAT:
             raise ContractViolationError(f"unsupported checkpoint format {fmt}")
         kind = str(data["kind"])
-        step = int(data["step"])
-        theta = data["theta"]
-        if kind == "cao":
-            sketch = None
-            if "sketch_eigvals" in data:
-                sketch = Sketch(data["sketch_eigvals"], data["sketch_basis"],
-                                refreshed_at=int(data["sketch_refreshed_at"]))
-            return CaoState(theta=theta, step=step, sketch=sketch,
-                            hvp_calls=int(data["hvp_calls"]))
-        if kind == "sgd":
-            vel = data["velocity"] if "velocity" in data else None
-            return SgdState(theta=theta, velocity=vel, step=step)
-        if kind == "adam":
-            m1 = data["m1"] if "m1" in data else None
-            m2 = data["m2"] if "m2" in data else None
-            return AdamState(theta=theta, m1=m1, m2=m2, step=step)
-    raise ContractViolationError(f"unknown checkpoint kind {kind!r}")
+        if kind not in _STATES:
+            raise ContractViolationError(f"unknown checkpoint kind {kind!r}")
+        values = {}
+        for f in fields(_STATES[kind]):
+            if f.name == "sketch" and "sketch_eigvals" in data:
+                values["sketch"] = Sketch(data["sketch_eigvals"], data["sketch_basis"],
+                                          refreshed_at=int(data["sketch_refreshed_at"]))
+            elif f.name in data:
+                values[f.name] = int(data[f.name]) if f.type == "int" else data[f.name]
+        return _STATES[kind](**values)

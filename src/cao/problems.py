@@ -580,31 +580,41 @@ def mlp_synthetic(widths, seed: int = 0, n_samples: int = 512, class_sep: float 
 # ---------------------------------------------------------------------------
 # construction from a config section
 
+# name -> (builder, the keys its section may carry besides "name")
 _BUILDERS = {
-    "quadratic": lambda p: quadratic(p["spectrum"], seed=p.get("seed", 0),
-                                     name=p.get("label", "quadratic")),
-    "rosenbrock": lambda p: rosenbrock(p["n"]),
-    "logreg": lambda p: logreg(p["n_features"], p["n_samples"], seed=p.get("seed", 0),
-                               reg=p.get("reg", 1e-2), class_sep=p.get("class_sep", 2.0)),
-    "mlp": lambda p: mlp_synthetic(p["widths"], seed=p.get("seed", 0),
-                                   n_samples=p.get("n_samples", 512),
-                                   class_sep=p.get("class_sep", 2.0),
-                                   input_gain=p.get("input_gain", 1.0)),
+    "quadratic": (lambda p: quadratic(p["spectrum"], seed=p.get("seed", 0),
+                                      name=p.get("label", "quadratic")),
+                  {"spectrum", "seed", "label"}),
+    "rosenbrock": (lambda p: rosenbrock(p["n"]), {"n"}),
+    "logreg": (lambda p: logreg(p["n_features"], p["n_samples"], seed=p.get("seed", 0),
+                                reg=p.get("reg", 1e-2), class_sep=p.get("class_sep", 2.0)),
+               {"n_features", "n_samples", "seed", "reg", "class_sep"}),
+    "mlp": (lambda p: mlp_synthetic(p["widths"], seed=p.get("seed", 0),
+                                    n_samples=p.get("n_samples", 512),
+                                    class_sep=p.get("class_sep", 2.0),
+                                    input_gain=p.get("input_gain", 1.0)),
+            {"widths", "seed", "n_samples", "class_sep", "input_gain"}),
 }
 
 
 def from_config(section: dict) -> Problem:
-    """Build a problem from a config mapping: {"name": ..., <parameters>, "seed": ...}."""
+    """Build a problem from a config mapping: {"name": ..., <parameters>, "seed": ...}.
+
+    A key the named builder does not take is an error, not ignored.
+    """
     try:
         name = section["name"]
     except (KeyError, TypeError):
         raise ContractViolationError("problem section needs a 'name' key") from None
     try:
-        builder = _BUILDERS[name]
+        builder, keys = _BUILDERS[name]
     except KeyError:
         raise ContractViolationError(
             f"unknown problem {name!r}; known: {sorted(_BUILDERS)}"
         ) from None
+    unknown = set(section) - keys - {"name"}
+    if unknown:
+        raise ContractViolationError(f"problem {name!r}: unknown keys {sorted(unknown)}")
     try:
         return builder(section)
     except KeyError as exc:

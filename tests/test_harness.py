@@ -288,16 +288,44 @@ class TestConfigParsing:
                 "seeds": [0], "steps": 1, "threshold": 0.1,
             })
 
-    @pytest.mark.parametrize("knobs", [{"k": -1}, {"floor": 0.0}, {"k": "3"}],
-                             ids=["negative-k", "zero-floor", "k-as-string"])
-    def test_bad_cao_knob(self, knobs):
-        with pytest.raises(ConfigError, match="'cao-x'"):
+    @pytest.mark.parametrize("kind, knobs", [
+        ("cao", {"k": -1}), ("cao", {"floor": 0.0}), ("cao", {"k": "3"}),
+        ("sgd", {"alpha": -0.1}), ("sgd", {"alpha": 0.0}), ("sgd", {"momentum": 1.0}),
+        ("sgd", {"momentum": -0.1}), ("sgd", {"momentum": "0.9"}),
+        ("sgd", {"momentum": None}), ("sgd", {"weight_decay": -1e-3}),
+        ("sgd", {"clip": -1.0}), ("adam", {"beta1": 1.5}), ("adam", {"beta2": 1.0}),
+        ("adam", {"beta1": -0.1}), ("adam", {"eps": 0.0}), ("adam", {"alpha": True}),
+        ("adam", {"alpha": float("inf")}), ("adam", {"weight_decay": -1.0}),
+        ("adam", {"clip": -0.5}),
+    ], ids=["negative-k", "zero-floor", "k-as-string", "sgd-negative-alpha",
+            "sgd-zero-alpha", "sgd-momentum-one", "sgd-negative-momentum",
+            "sgd-momentum-as-string", "sgd-momentum-null", "sgd-negative-decay",
+            "sgd-negative-clip", "adam-beta1-above-one", "adam-beta2-one",
+            "adam-negative-beta1", "adam-zero-eps", "adam-alpha-as-bool",
+            "adam-infinite-alpha", "adam-negative-decay", "adam-negative-clip"])
+    def test_bad_knob(self, kind, knobs):
+        with pytest.raises(ConfigError, match=f"'{kind}-x'"):
             parse_config({
                 "name": "x",
                 "problem": {"name": "rosenbrock", "n": 2},
-                "optimizers": [{"kind": "cao", "label": "cao-x", "alpha": 0.1, **knobs}],
+                "optimizers": [{"kind": kind, "label": f"{kind}-x", "alpha": 0.1,
+                                **knobs}],
                 "seeds": [0], "steps": 1, "threshold": 0.1,
             })
+
+    def test_edge_knobs_accepted(self):
+        cfg = parse_config({
+            "name": "x",
+            "problem": {"name": "rosenbrock", "n": 2},
+            "optimizers": [
+                {"kind": "sgd", "alpha": 1, "momentum": 0, "weight_decay": 0.0,
+                 "clip": 0},
+                {"kind": "adam", "alpha": 1e-3, "beta1": 0.0, "beta2": 0.0,
+                 "eps": 1e-300, "weight_decay": 0, "clip": 0.0},
+            ],
+            "seeds": [0], "steps": 1, "threshold": 0.1,
+        })
+        assert [o.kind for o in cfg.optimizers] == ["sgd", "adam"]
 
     def test_missing_alpha(self):
         with pytest.raises(ConfigError):
@@ -352,7 +380,20 @@ class TestCli:
                          {"kind": "cao", "label": "bad-k", "alpha": 0.1, "k": -1}]},
          "bad-k"),
         ({"problem": {"name": "quadratic", "seed": 1}}, "spectrum"),
-    ], ids=["negative-k", "missing-spectrum"])
+        ({"optimizers": [{"kind": "cao", "alpha": 0.1},
+                         {"kind": "sgd", "label": "bad-sgd", "alpha": -0.1}]},
+         "bad-sgd"),
+        ({"optimizers": [{"kind": "cao", "alpha": 0.1},
+                         {"kind": "sgd", "label": "str-mom", "alpha": 0.1,
+                          "momentum": "0.9"}]},
+         "str-mom"),
+        ({"optimizers": [{"kind": "sgd", "alpha": 0.1},
+                         {"kind": "adam", "label": "bad-adam", "alpha": 0.01,
+                          "beta1": 1.5}]},
+         "bad-adam"),
+        ({"problem": {"name": "quadratic", "spectrum": [4.0, 1.0], "regg": 3}}, "regg"),
+    ], ids=["negative-k", "missing-spectrum", "sgd-negative-alpha",
+            "sgd-momentum-as-string", "adam-beta1-above-one", "unknown-problem-key"])
     def test_bad_config_exits_before_any_run(self, tmp_path, change, named, capsys):
         doc = {
             "name": "bad",

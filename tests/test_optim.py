@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,13 @@ from cao.optim import (
     adam_step,
     cao_step,
     load_checkpoint,
+    make_runner,
     save_checkpoint,
     sgd_step,
 )
 from cao.precondition import DampedPreconditioner
 from cao.problems import FULL_BATCH, Problem, ProblemMeta, QuadraticProblem, quadratic
+from cao.sketch import Sketch
 
 
 def make_state(problem, seed=0):
@@ -317,6 +321,23 @@ class TestSgd:
             t = t - lr * buf
         np.testing.assert_array_equal(state.theta, t)
 
+    def test_first_velocity_is_a_sum(self):
+        class LinearProblem(Problem):
+            meta = ProblemMeta(dim=2, name="linear")
+
+            def _loss(self, theta, batch):
+                return float(theta[1])
+
+            def _grad(self, theta, batch):
+                return np.array([-0.0, 1.0])
+
+            def _hvp_block(self, theta, v, batch):
+                return np.zeros(v.shape)
+
+        state, _ = sgd_step(SgdState(theta=np.zeros(2)), LinearProblem(), FULL_BATCH,
+                            lr=0.1)
+        assert state.velocity.tobytes() == np.array([0.0, 1.0]).tobytes()
+
     def test_clip(self):
         p = quadratic([100.0, 1.0], seed=3)
         state, rec = sgd_step(SgdState(theta=p.initial_point(1)), p, FULL_BATCH,
@@ -368,7 +389,7 @@ class TestAdam:
         prev = state.theta
         for _ in range(200):
             prev = state.theta
-            state, _ = adam_step(state, p, FULL_BATCH, lr=lr, eps_adam=eps)
+            state, _ = adam_step(state, p, FULL_BATCH, lr=lr, eps=eps)
         update = prev - state.theta
         limit = lr * p.c / (np.abs(p.c) + eps)
         np.testing.assert_allclose(update, limit, rtol=1e-6)
@@ -428,6 +449,136 @@ class TestCheckpoints:
         assert loaded.m1.tobytes() == adam_state.m1.tobytes()
         assert loaded.m2.tobytes() == adam_state.m2.tobytes()
         assert loaded.step == 1
+
+
+    # key sets of checkpoint format v1, as written before the states were
+    # stored through their fields; such files must keep loading
+    V1_KEYS = {
+        "cao": {"format", "step", "theta", "kind", "hvp_calls"},
+        "cao-sketch": {"format", "step", "theta", "kind", "hvp_calls", "sketch_eigvals",
+                       "sketch_basis", "sketch_refreshed_at"},
+        "sgd": {"format", "step", "theta", "kind", "velocity"},
+        "adam": {"format", "step", "theta", "kind", "m1", "m2"},
+    }
+
+    def test_hand_written_v1_files_load(self, tmp_path):
+        rng = np.random.default_rng(0)
+        theta, buf = rng.standard_normal(4), rng.standard_normal(4)
+        eigvals, basis = np.array([3.0, 1.0]), np.linalg.qr(rng.standard_normal((4, 2)))[0]
+        head = {"format": np.int64(1), "step": np.int64(9), "theta": theta}
+        files = {
+            "cao": dict(head, kind=np.str_("cao"), hvp_calls=np.int64(0)),
+            "cao-sketch": dict(head, kind=np.str_("cao"), hvp_calls=np.int64(30),
+                               sketch_eigvals=eigvals, sketch_basis=basis,
+                               sketch_refreshed_at=np.int64(5)),
+            "sgd": dict(head, kind=np.str_("sgd"), velocity=buf),
+            "adam": dict(head, kind=np.str_("adam"), m1=buf, m2=buf**2),
+        }
+        expected = {
+            "cao": CaoState(theta=theta, step=9),
+            "cao-sketch": CaoState(theta=theta, step=9, hvp_calls=30,
+                                   sketch=Sketch(eigvals, basis, refreshed_at=5)),
+            "sgd": SgdState(theta=theta, velocity=buf, step=9),
+            "adam": AdamState(theta=theta, m1=buf, m2=buf**2, step=9),
+        }
+        for name, payload in files.items():
+            assert set(payload) == self.V1_KEYS[name]
+            np.savez(tmp_path / f"{name}.npz", **payload)
+            loaded = load_checkpoint(tmp_path / f"{name}.npz")
+            want = expected[name]
+            assert type(loaded) is type(want)
+            for f in dataclasses.fields(want):
+                got, ref = getattr(loaded, f.name), getattr(want, f.name)
+                if isinstance(ref, np.ndarray):
+                    assert got.tobytes() == ref.tobytes()
+                elif isinstance(ref, Sketch):
+                    assert got.eigvals.tobytes() == ref.eigvals.tobytes()
+                    assert got.basis.tobytes() == ref.basis.tobytes()
+                    assert got.refreshed_at == ref.refreshed_at
+                else:
+                    assert got == ref and type(got) is type(ref)
+            # and writing it back gives the same v1 key set
+            save_checkpoint(tmp_path / f"{name}-again.npz", loaded)
+            with np.load(tmp_path / f"{name}-again.npz") as data:
+                assert set(data.files) == self.V1_KEYS[name]
+
+    def test_fresh_states_and_unknown_types(self, tmp_path):
+        for state in (SgdState(theta=np.ones(2)), AdamState(theta=np.ones(2))):
+            save_checkpoint(tmp_path / "s.npz", state)
+            loaded = load_checkpoint(tmp_path / "s.npz")
+            assert type(loaded) is type(state) and loaded.step == 0
+            assert all(getattr(loaded, f.name) is None for f in dataclasses.fields(state)
+                       if f.name not in ("theta", "step"))
+        with pytest.raises(ContractViolationError):
+            save_checkpoint(tmp_path / "x.npz", object())
+        np.savez(tmp_path / "bad.npz", format=np.int64(1), kind=np.str_("lbfgs"),
+                 step=np.int64(0), theta=np.ones(2))
+        with pytest.raises(ContractViolationError, match="lbfgs"):
+            load_checkpoint(tmp_path / "bad.npz")
+
+
+class TestRunner:
+    @pytest.mark.parametrize("kind, params", [
+        ("cao", {"alpha": 0.05, "k": 1, "m": 3, "t_pow": 2}),
+        ("sgd", {"alpha": 0.05, "momentum": 0.5}),
+        ("adam", {"alpha": 0.01, "eps": 1e-6}),
+    ])
+    def test_step_function_looked_up_at_call_time(self, monkeypatch, kind, params):
+        calls = []
+        original = getattr(cao.optim, f"{kind}_step")
+
+        def wrapper(*args, **kwargs):
+            calls.append(kind)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cao.optim, f"{kind}_step", wrapper)
+        p = quadratic([4.0, 1.0], seed=1)
+        runner = make_runner(kind, p.initial_point(0), params, seed=0)
+        for _ in range(4):
+            runner.step(p, FULL_BATCH)
+        assert calls == [kind] * 4
+        assert runner.state.step == 4
+
+    def test_runner_matches_step_functions(self):
+        p = quadratic([4.0, 1.0], seed=1)
+        theta0 = p.initial_point(0)
+        sgd = make_runner("sgd", theta0, {"alpha": 0.05, "momentum": 0.9}, seed=0)
+        adam = make_runner("adam", theta0, {"alpha": 0.01, "beta1": 0.8, "eps": 1e-6},
+                           seed=0)
+        cao_run = make_runner("cao", theta0, {"alpha": 0.05, "k": 1, "m": 3}, seed=4)
+        s, a, c = SgdState(theta=theta0), AdamState(theta=theta0), CaoState(theta=theta0)
+        cfg = CaoConfig(alpha=0.05, k=1, m=3, sketch_seed=4)
+        for _ in range(5):
+            s, _ = sgd_step(s, p, FULL_BATCH, lr=0.05, momentum=0.9)
+            a, _ = adam_step(a, p, FULL_BATCH, lr=0.01, beta1=0.8, eps=1e-6)
+            c, _ = cao_step(c, p, FULL_BATCH, cfg)
+            for runner in (sgd, adam, cao_run):
+                runner.step(p, FULL_BATCH)
+        assert sgd.theta.tobytes() == s.theta.tobytes()
+        assert adam.theta.tobytes() == a.theta.tobytes()
+        assert cao_run.theta.tobytes() == c.theta.tobytes()
+        assert cao_run.hvp_calls == c.hvp_calls > 0
+        assert sgd.hvp_calls == 0 and adam.hvp_calls == 0
+
+    def test_theta0_is_copied(self):
+        theta0 = np.ones(2)
+        runner = make_runner("sgd", theta0, {"alpha": 0.1}, seed=0)
+        runner.step(quadratic([4.0, 1.0], seed=1), FULL_BATCH)
+        assert np.array_equal(theta0, np.ones(2))
+
+    def test_explicit_sketch_seed_wins(self):
+        runner = make_runner("cao", np.ones(2), {"alpha": 0.1, "sketch_seed": 7}, seed=3)
+        assert runner.params["cfg"].sketch_seed == 7
+        runner = make_runner("cao", np.ones(2), {"alpha": 0.1}, seed=3)
+        assert runner.params["cfg"].sketch_seed == 3
+
+    def test_bad_kind_and_knob(self):
+        with pytest.raises(ContractViolationError):
+            make_runner("lbfgs", np.ones(2), {"alpha": 0.1}, seed=0)
+        with pytest.raises(ContractViolationError, match="momentum"):
+            make_runner("sgd", np.ones(2), {"alpha": 0.1, "momentum": 1.0}, seed=0)
+        with pytest.raises(ContractViolationError, match="lr"):
+            make_runner("sgd", np.ones(2), {"lr": 0.1}, seed=0)
 
 
 class TestConfigValidation:

@@ -346,3 +346,21 @@ class TestFromConfig:
     def test_missing_parameter(self):
         with pytest.raises(ContractViolationError):
             from_config({"name": "quadratic"})
+
+    @pytest.mark.parametrize("section, typo", [
+        ({"name": "quadratic", "spectrum": [4.0, 1.0], "regg": 3}, "regg"),
+        ({"name": "rosenbrock", "n": 3, "seed": 1}, "seed"),
+        ({"name": "logreg", "n_features": 3, "n_samples": 20, "regg": 0.5}, "regg"),
+        ({"name": "mlp", "widths": [3, 4, 2], "width": 4}, "width"),
+    ], ids=["quadratic", "rosenbrock", "logreg", "mlp"])
+    def test_unknown_key(self, section, typo):
+        with pytest.raises(ContractViolationError, match=f"unknown keys \\['{typo}'\\]"):
+            from_config(section)
+
+    def test_every_documented_key_accepted(self):
+        from_config({"name": "quadratic", "spectrum": [4.0, 1.0], "seed": 2,
+                     "label": "q"})
+        from_config({"name": "logreg", "n_features": 3, "n_samples": 20, "seed": 1,
+                     "reg": 0.1, "class_sep": 1.0})
+        from_config({"name": "mlp", "widths": [3, 4, 2], "seed": 1, "n_samples": 12,
+                     "class_sep": 1.0, "input_gain": 2.0})

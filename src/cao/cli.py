@@ -45,21 +45,24 @@ def _cmd_run(args):
     return EXIT_OK
 
 
+def _write_table(args, name, text):
+    out = Path(args.out) / "tables" / f"{name}.txt"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
+    print(text, end="")
+    print(f"wrote {out}", file=sys.stderr)
+
+
 def _cmd_ttt(args):
     logs = _collect_logs(args.logs)
     name = args.name or Path(args.logs[0]).name
     if args.thresholds:
         thresholds = [float(x) for x in args.thresholds.split(",")]
-        text = harness.threshold_sweep(logs, thresholds)
-        out = Path(args.out) / "tables" / f"{name}-threshold-sweep.txt"
+        _write_table(args, f"{name}-threshold-sweep",
+                     harness.threshold_sweep(logs, thresholds))
     else:
         table = harness.time_to_threshold(logs, threshold=args.threshold)
-        text = harness.format_ttt(table, name=name)
-        out = Path(args.out) / "tables" / f"{name}-time-to-threshold.txt"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
-    print(text, end="")
-    print(f"wrote {out}", file=sys.stderr)
+        _write_table(args, f"{name}-time-to-threshold", harness.format_ttt(table, name=name))
     return EXIT_OK
 
 
@@ -67,11 +70,8 @@ def _cmd_ablate_k(args):
     cfg = load_config(args.config)
     ks = [int(x) for x in args.ks.split(",")]
     result = harness.k_ablation(cfg, ks=ks, out_root=args.out)
-    text = harness.format_ttt(result["table"], name=result["name"])
-    out = Path(args.out) / "tables" / f"{result['name']}.txt"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
-    print(text, end="")
+    name = result["name"]
+    _write_table(args, name, harness.format_ttt(result["table"], name=name))
     return EXIT_DIVERGED if result["diverged"] else EXIT_OK
 
 
@@ -80,11 +80,7 @@ def _cmd_sweep(args):
     etas = [float(x) for x in args.etas.split(",")]
     ms = [int(x) for x in args.ms.split(",")]
     result = harness.sensitivity_sweep(cfg, etas, ms, out_root=args.out)
-    text = harness.format_sweep(result)
-    out = Path(args.out) / "tables" / f"{result['name']}.txt"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
-    print(text, end="")
+    _write_table(args, result["name"], harness.format_sweep(result))
     return EXIT_DIVERGED if result["diverged"] else EXIT_OK
 
 

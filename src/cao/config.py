@@ -101,6 +101,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     missing = {"name", "problem", "optimizers", "seeds", "steps", "threshold"} - set(doc)
     if missing:
         raise ConfigError(f"config is missing required keys: {sorted(missing)}")
+    if not isinstance(doc["problem"], dict):
+        raise ConfigError("problem section must be a JSON object")
     optimizers = [_parse_optimizer(o, i) for i, o in enumerate(doc["optimizers"])]
     if not optimizers:
         raise ConfigError("config needs at least one optimizer")

@@ -135,20 +135,26 @@ def run_comparison(cfg: ExperimentConfig, out_root=".") -> dict:
 
 def _series(records):
     """(steps, losses) used for threshold scans; prefers full-set eval losses."""
-    if any("eval_loss" in r for r in records):
-        pairs = [(r["step"], r["eval_loss"]) for r in records if "eval_loss" in r]
-    else:
-        pairs = [(r["step"], r["loss"]) for r in records]
-    return pairs
+    key = "eval_loss" if any("eval_loss" in r for r in records) else "loss"
+    return [(r["step"], r[key]) for r in records if key in r]
 
 
 def _group_logs(log_paths):
-    """Parse logs and group them by optimizer label, keeping config order."""
+    """Parse each log once and group the runs by optimizer label, keeping config order.
+
+    A log that a killed run left behind (a line cut short, or no summary line)
+    is an error naming the file.
+    """
     groups = {}
     order = {}
     threshold = None
     for path in sorted(str(p) for p in log_paths):
-        header, records, summary = read_runlog(path)
+        try:
+            header, records, summary = read_runlog(path)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: unreadable log ({exc})") from None
+        if summary is None:
+            raise ConfigError(f"{path}: incomplete log, no summary line")
         label = header["optimizer"]["label"]
         order[label] = header["optimizer"]["index"]
         threshold = header.get("threshold", threshold)
@@ -173,18 +179,8 @@ def _first_hit(records, threshold):
     return None
 
 
-def time_to_threshold(log_paths, threshold: float | None = None) -> dict:
-    """First-hit table: per optimizer the step at which loss reached the threshold.
-
-    Runs that never reach it are excluded from the mean and counted. The
-    speedup row divides each baseline mean by the first curvature-adaptive
-    optimizer's mean.
-    """
-    groups, labels, header_threshold = _group_logs(log_paths)
-    if threshold is None:
-        threshold = header_threshold
-    if threshold is None:
-        raise ConfigError("no threshold given and none recorded in the logs")
+def _ttt_table(groups, labels, threshold) -> dict:
+    """First-hit table over grouped runs (see ``time_to_threshold``)."""
     table = {"threshold": threshold, "optimizers": {}, "speedups": {}}
     for label in labels:
         hits, epochs = {}, []
@@ -216,6 +212,20 @@ def time_to_threshold(log_paths, threshold: float | None = None) -> dict:
     return table
 
 
+def time_to_threshold(log_paths, threshold: float | None = None) -> dict:
+    """First-hit table: per optimizer the step at which loss reached the threshold.
+
+    Runs that never reach it are excluded from the mean and counted. The
+    speedup row divides each baseline mean by the first curvature-adaptive
+    optimizer's mean.
+    """
+    groups, labels, header_threshold = _group_logs(log_paths)
+    threshold = header_threshold if threshold is None else threshold
+    if threshold is None:
+        raise ConfigError("no threshold given and none recorded in the logs")
+    return _ttt_table(groups, labels, threshold)
+
+
 def format_ttt(table: dict, name: str = "") -> str:
     lines = [f"# time-to-threshold  experiment={name}  threshold={table['threshold']:g}"]
     lines.append("# optimizer\tmean_step\tstd_step\tmean_epoch\tunreached\thits_per_seed")
@@ -234,23 +244,19 @@ def format_ttt(table: dict, name: str = "") -> str:
 
 def threshold_sweep(log_paths, thresholds) -> str:
     """One first-hit row per threshold over the same set of logs."""
+    groups, labels, _ = _group_logs(log_paths)
     rows = []
-    header_labels = None
     for thr in thresholds:
-        table = time_to_threshold(log_paths, threshold=thr)
-        labels = list(table["optimizers"])
-        if header_labels is None:
-            header_labels = labels
+        table = _ttt_table(groups, labels, thr)
+        others = [lab for lab in labels if lab != table["reference"]]
+        if not rows:
             cols = "\t".join(f"{lab}_mean" for lab in labels)
-            speed_cols = "\t".join(f"{lab}/{table['reference']}"
-                                   for lab in labels if lab != table["reference"])
+            speed_cols = "\t".join(f"{lab}/{table['reference']}" for lab in others)
             rows.append(f"# threshold\t{cols}\t{speed_cols}")
-        means = []
-        for lab in labels:
-            entry = table["optimizers"][lab]
-            means.append(f"{entry['mean']:.2f}" if "mean" in entry else UNREACHED)
+        means = [f"{entry['mean']:.2f}" if "mean" in entry else UNREACHED
+                 for entry in table["optimizers"].values()]
         speeds = [f"{table['speedups'][lab]:.2f}x" if lab in table["speedups"] else "-"
-                  for lab in labels if lab != table["reference"]]
+                  for lab in others]
         rows.append("\t".join([f"{thr:g}"] + means + speeds))
     return "\n".join(rows) + "\n"
 
@@ -305,6 +311,13 @@ def emit_plot_data(log_paths, out_path) -> Path:
 # derived experiments
 
 
+def _final_loss_mean(runs):
+    """Mean final loss of grouped runs, in seed order; None if every run diverged."""
+    finals = [run["summary"]["final_loss"] for run in runs
+              if "final_loss" in run["summary"]]
+    return float(np.mean(finals)) if finals else None
+
+
 def _first_cao_spec(cfg: ExperimentConfig) -> OptimizerSpec:
     for spec in cfg.optimizers:
         if spec.kind == "cao":
@@ -322,16 +335,11 @@ def k_ablation(cfg: ExperimentConfig, ks=(0, 1, 3, 5), out_root=".") -> dict:
         variants.append(OptimizerSpec(kind="cao", label=f"cao-k{k}", params=params))
     ablate_cfg = replace(cfg, name=f"{cfg.name}-ablate-k", optimizers=tuple(variants))
     result = run_comparison(ablate_cfg, out_root)
-    table = time_to_threshold(result["logs"])
-    final = {}
-    for path in result["logs"]:
-        header, _, summary = read_runlog(path)
-        label = header["optimizer"]["label"]
-        if "final_loss" in summary:
-            final.setdefault(label, []).append(summary["final_loss"])
-    summary_rows = {label: {"first_hit": table["optimizers"][label],
-                            "final_loss_mean": float(np.mean(vals))}
-                    for label, vals in final.items()}
+    groups, labels, _ = _group_logs(result["logs"])
+    table = _ttt_table(groups, labels, cfg.threshold)
+    finals = {label: _final_loss_mean(groups[label]) for label in labels}
+    summary_rows = {label: {"first_hit": table["optimizers"][label], "final_loss_mean": final}
+                    for label, final in finals.items() if final is not None}
     return {"logs": result["logs"], "diverged": result["diverged"],
             "table": table, "summary": summary_rows, "name": ablate_cfg.name}
 
@@ -354,23 +362,17 @@ def sensitivity_sweep(cfg: ExperimentConfig, etas, ms, out_root=".") -> dict:
             cell_cfg = replace(cfg, name=f"{cfg.name}-sweep", optimizers=(
                 OptimizerSpec(kind="cao", label=label, params=params),))
             result = run_comparison(cell_cfg, out_root)
-            hits, finals, clamps, hvps = [], [], 0, []
-            for path in result["logs"]:
-                header, records, summary = read_runlog(path)
-                hit = _first_hit(records, cfg.threshold)
-                hits.append(hit)
-                if "final_loss" in summary:
-                    finals.append(summary["final_loss"])
-                clamps += summary["clamp_steps"]
-                hvps.append(summary["hvp_calls"])
-            reached = [h for h in hits if h is not None]
+            groups, _, _ = _group_logs(result["logs"])
+            runs = groups[label]
+            entry = _ttt_table(groups, [label], cfg.threshold)["optimizers"][label]
+            clamps = sum(run["summary"]["clamp_steps"] for run in runs)
             cells.append({
                 "eta": float(eta), "m": int(m),
-                "first_hit_mean": float(np.mean(reached)) if reached else None,
-                "unreached": len(hits) - len(reached),
-                "final_loss_mean": float(np.mean(finals)) if finals else None,
+                "first_hit_mean": entry.get("mean"),
+                "unreached": entry["unreached"],
+                "final_loss_mean": _final_loss_mean(runs),
                 "clamp_steps": clamps,
-                "hvp_calls": hvps,
+                "hvp_calls": [run["summary"]["hvp_calls"] for run in runs],
                 "diverged": result["diverged"],
                 "unstable": result["diverged"] or clamps > 0,
             })

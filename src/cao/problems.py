@@ -28,14 +28,9 @@ DENSE_ORACLE_CAP = 500
 
 @dataclass(frozen=True)
 class Batch:
-    """Mini-batch selector: ``indices`` into the sample set, empty = full batch.
-
-    ``rng_seed`` is reserved for objectives with per-batch randomness; the
-    built-in problems are deterministic and ignore it.
-    """
+    """Mini-batch selector: ``indices`` into the sample set, empty = full batch."""
 
     indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    rng_seed: int = 0
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -183,15 +178,9 @@ class Problem:
         return hv
 
     def hvp_closure(self, theta, batch: Batch = FULL_BATCH):
-        """Freeze (theta, batch) into a callable taking a vector or an n x j block."""
+        """Freeze (theta, batch) into a callable mapping an n x j block ``V`` to ``H @ V``."""
         theta = self._check_theta(theta).copy()
-
-        def apply(v):
-            if np.ndim(v) == 2:
-                return self.hvp_block(theta, v, batch)
-            return self.hvp(theta, v, batch)
-
-        return apply
+        return lambda v: self.hvp_block(theta, v, batch)
 
     def dense_hessian(self, theta, batch: Batch = FULL_BATCH) -> np.ndarray:
         """Materialize the Hessian column by column from ``hvp``.
@@ -606,12 +595,11 @@ def from_config(section: dict) -> Problem:
         name = section["name"]
     except (KeyError, TypeError):
         raise ContractViolationError("problem section needs a 'name' key") from None
-    try:
-        builder, keys = _BUILDERS[name]
-    except KeyError:
+    if not isinstance(name, str) or name not in _BUILDERS:
         raise ContractViolationError(
             f"unknown problem {name!r}; known: {sorted(_BUILDERS)}"
-        ) from None
+        )
+    builder, keys = _BUILDERS[name]
     unknown = set(section) - keys - {"name"}
     if unknown:
         raise ContractViolationError(f"problem {name!r}: unknown keys {sorted(unknown)}")
@@ -619,3 +607,5 @@ def from_config(section: dict) -> Problem:
         return builder(section)
     except KeyError as exc:
         raise ContractViolationError(f"problem {name!r} is missing parameter {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ContractViolationError(f"problem {name!r}: bad parameter ({exc})") from None

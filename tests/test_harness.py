@@ -244,6 +244,61 @@ class TestDerivedExperiments:
         assert all(h is not None for h in hits)
         assert hits[0] <= hits[1] <= hits[2]
 
+    def test_sweep_cell_matches_time_to_threshold(self, tmp_path):
+        cfg = tiny_config(steps=40, seeds=(0, 1, 2), threshold=0.47)
+        result = sensitivity_sweep(cfg, etas=(0.5, 4.0), ms=(10,), out_root=tmp_path)
+        for cell in result["cells"]:
+            label = f"cao-eta{cell['eta']:g}-m{cell['m']}"
+            logs = sorted((tmp_path / "logs" / result["name"] / label).glob("*.log"))
+            assert len(logs) == 3
+            entry = time_to_threshold(logs, threshold=cfg.threshold)["optimizers"][label]
+            assert cell["first_hit_mean"] == entry["mean"]
+            assert cell["unreached"] == entry["unreached"]
+        # one cell where every seed reaches the threshold, one where only one does
+        assert [cell["unreached"] for cell in result["cells"]] == [0, 2]
+
+
+class TestOneParsePerLog:
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        counts = {}
+        real = harness.read_runlog
+
+        def counting(path):
+            counts[str(path)] = counts.get(str(path), 0) + 1
+            return real(path)
+
+        monkeypatch.setattr(harness, "read_runlog", counting)
+        return counts
+
+    def test_threshold_sweep(self, tmp_path, parses):
+        result = run_comparison(tiny_config(steps=40, seeds=(0, 1, 2)), tmp_path)
+        text = threshold_sweep(result["logs"], [0.7, 0.6, 0.55, 0.5, 0.45])
+        assert len(text.splitlines()) == 1 + 5
+        assert parses == {str(path): 1 for path in result["logs"]}
+        assert len(parses) == 6
+
+    def test_k_ablation(self, tmp_path, parses):
+        result = k_ablation(tiny_config(steps=40, seeds=(0, 1, 2)), ks=(0, 1, 3, 5),
+                            out_root=tmp_path)
+        assert parses == {str(path): 1 for path in result["logs"]}
+        assert len(parses) == 12
+        assert set(result["summary"]) == {"cao-k0", "cao-k1", "cao-k3", "cao-k5"}
+
+    def test_sensitivity_sweep(self, tmp_path, parses):
+        sensitivity_sweep(tiny_config(steps=40, seeds=(0, 1)), etas=(0.5, 1.0),
+                          ms=(10, 20), out_root=tmp_path)
+        written = sorted(str(path) for path in tmp_path.rglob("*.log"))
+        assert len(written) == 8
+        assert parses == {path: 1 for path in written}
+
+
+def cut_log(path, mid_line=False):
+    """Cut a log as a killed run leaves it: before its summary line, or mid-line."""
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2] if mid_line
+                    else text[:text.rstrip("\n").rindex("\n") + 1])
+
 
 class TestLogCompleteness:
     def test_summaries_regenerate_byte_identically(self, tmp_path):
@@ -255,6 +310,29 @@ class TestLogCompleteness:
         p1 = emit_plot_data(result["logs"], tmp_path / "a.tsv").read_bytes()
         p2 = emit_plot_data(result["logs"], tmp_path / "b.tsv").read_bytes()
         assert p1 == p2
+
+    @pytest.mark.parametrize("cut", ["no-summary", "mid-line"])
+    def test_incomplete_log_named(self, tmp_path, cut):
+        synthetic_log(tmp_path / "cao-k1/0.log", "cao-k1", 0, 0, hit_step=10)
+        path = tmp_path / "sgd/0.log"
+        synthetic_log(path, "sgd", 1, 0, hit_step=20)
+        cut_log(path, mid_line=cut == "mid-line")
+        logs = sorted(tmp_path.rglob("*.log"))
+        for summarize in (time_to_threshold,
+                          lambda logs: emit_plot_data(logs, tmp_path / "x.tsv"),
+                          lambda logs: threshold_sweep(logs, [0.8])):
+            with pytest.raises(ConfigError, match="sgd/0.log"):
+                summarize(logs)
+
+    @pytest.mark.parametrize("command", ["ttt", "plotdata"])
+    def test_incomplete_log_exit_code(self, tmp_path, command, capsys):
+        run_comparison(tiny_config(steps=20, seeds=(0,)), tmp_path)
+        path = tmp_path / "logs" / "tiny" / "sgd" / "0.log"
+        cut_log(path)
+        rc = cli.main(["--out", str(tmp_path), command, "--logs",
+                       str(tmp_path / "logs" / "tiny"), "--name", "tiny"])
+        assert rc == cli.EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
 
 
 class TestConfigParsing:
@@ -392,8 +470,14 @@ class TestCli:
                           "beta1": 1.5}]},
          "bad-adam"),
         ({"problem": {"name": "quadratic", "spectrum": [4.0, 1.0], "regg": 3}}, "regg"),
+        ({"problem": 3}, "problem section"),
+        ({"problem": {"name": ["quadratic"], "spectrum": [4.0, 1.0]}}, "['quadratic']"),
+        ({"problem": {"name": "quadratic", "spectrum": "abc"}}, "'quadratic'"),
+        ({"problem": {"name": "rosenbrock", "n": "x"}}, "'rosenbrock'"),
     ], ids=["negative-k", "missing-spectrum", "sgd-negative-alpha",
-            "sgd-momentum-as-string", "adam-beta1-above-one", "unknown-problem-key"])
+            "sgd-momentum-as-string", "adam-beta1-above-one", "unknown-problem-key",
+            "problem-not-object", "problem-name-not-string", "spectrum-not-numbers",
+            "rosenbrock-n-not-int"])
     def test_bad_config_exits_before_any_run(self, tmp_path, change, named, capsys):
         doc = {
             "name": "bad",

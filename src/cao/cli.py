@@ -34,6 +34,15 @@ def _collect_logs(logs_arg):
     return paths
 
 
+def _parse_list(text, flag, cast):
+    """A comma-separated CLI list; a bad entry is a config error naming the flag."""
+    try:
+        return [cast(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag}: expected a comma-separated list of {cast.__name__}s,"
+                          f" got {text!r}") from None
+
+
 def _cmd_run(args):
     cfg = load_config(args.config)
     result = harness.run_comparison(cfg, args.out)
@@ -57,7 +66,7 @@ def _cmd_ttt(args):
     logs = _collect_logs(args.logs)
     name = args.name or Path(args.logs[0]).name
     if args.thresholds:
-        thresholds = [float(x) for x in args.thresholds.split(",")]
+        thresholds = _parse_list(args.thresholds, "--thresholds", float)
         _write_table(args, f"{name}-threshold-sweep",
                      harness.threshold_sweep(logs, thresholds))
     else:
@@ -67,8 +76,8 @@ def _cmd_ttt(args):
 
 
 def _cmd_ablate_k(args):
+    ks = _parse_list(args.ks, "--ks", int)
     cfg = load_config(args.config)
-    ks = [int(x) for x in args.ks.split(",")]
     result = harness.k_ablation(cfg, ks=ks, out_root=args.out)
     name = result["name"]
     _write_table(args, name, harness.format_ttt(result["table"], name=name))
@@ -76,9 +85,9 @@ def _cmd_ablate_k(args):
 
 
 def _cmd_sweep(args):
+    etas = _parse_list(args.etas, "--etas", float)
+    ms = _parse_list(args.ms, "--ms", int)
     cfg = load_config(args.config)
-    etas = [float(x) for x in args.etas.split(",")]
-    ms = [int(x) for x in args.ms.split(",")]
     result = harness.sensitivity_sweep(cfg, etas, ms, out_root=args.out)
     _write_table(args, result["name"], harness.format_sweep(result))
     return EXIT_DIVERGED if result["diverged"] else EXIT_OK

@@ -143,10 +143,11 @@ def _group_logs(log_paths):
     """Parse each log once and group the runs by optimizer label, keeping config order.
 
     A log that a killed run left behind (a line cut short, or no summary line)
-    is an error naming the file.
+    is an error naming the file, and so are two logs of the same label and seed.
     """
     groups = {}
     order = {}
+    seen = {}
     threshold = None
     for path in sorted(str(p) for p in log_paths):
         try:
@@ -156,6 +157,11 @@ def _group_logs(log_paths):
         if summary is None:
             raise ConfigError(f"{path}: incomplete log, no summary line")
         label = header["optimizer"]["label"]
+        key = (label, header["seed"])
+        if key in seen:
+            raise ConfigError(f"{seen[key]} and {path}: both hold label {label!r}, "
+                              f"seed {header['seed']}")
+        seen[key] = path
         order[label] = header["optimizer"]["index"]
         threshold = header.get("threshold", threshold)
         groups.setdefault(label, []).append(

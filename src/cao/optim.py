@@ -128,7 +128,8 @@ def _refresh_seed(base: int, step: int) -> int:
 def _loss_and_grad(problem, theta, batch, step, epoch, weight_decay=0.0):
     """Loss and gradient with coupled weight decay added to the gradient.
 
-    A numeric blow-up becomes a DivergenceError with a diagnostic record.
+    A numeric blow-up, in the problem or in the decayed gradient, becomes a
+    DivergenceError with a diagnostic record.
     """
     try:
         loss, grad = problem.loss_and_grad(theta, batch)
@@ -138,13 +139,24 @@ def _loss_and_grad(problem, theta, batch, step, epoch, weight_decay=0.0):
         raise DivergenceError(f"iterate blew up at step {step}: {exc}",
                               record=record) from exc
     if weight_decay:
-        grad = grad + weight_decay * theta
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = grad + weight_decay * theta
+            if not np.isfinite(grad).all():
+                record = StepRecord(step=step, epoch=epoch, loss=loss,
+                                    grad_norm=_norm(grad), update_norm=0.0)
+                raise DivergenceError(f"non-finite decayed gradient at step {step}",
+                                      record=record)
     return loss, grad
+
+
+def _norm(v) -> float:
+    """``float(np.linalg.norm(v))`` of a 1-d float vector, without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def _clip(d, c):
     if c > 0:
-        norm = float(np.linalg.norm(d))
+        norm = _norm(d)
         if norm > c:
             d = d * (c / norm)
     return d
@@ -159,9 +171,8 @@ def _update(theta, step, epoch, loss, grad, d, lr, clip, **flags):
     """
     d = _clip(d, clip)
     with np.errstate(over="ignore"):
-        record = StepRecord(step=step, epoch=epoch, loss=loss,
-                            grad_norm=float(np.linalg.norm(grad)),
-                            update_norm=float(np.linalg.norm(d)), **flags)
+        record = StepRecord(step=step, epoch=epoch, loss=loss, grad_norm=_norm(grad),
+                            update_norm=_norm(d), **flags)
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite loss at step {step}", record=record)
     return theta - lr * d, record

@@ -51,7 +51,7 @@ def _check_g(g, pc):
     n = pc.sketch.basis.shape[0]
     if pc.sketch.k and g.shape != (n,):
         raise ContractViolationError(f"gradient shape {g.shape} != ({n},)")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericOverflowError("non-finite gradient passed to preconditioner")
     return g
 

@@ -5,6 +5,10 @@ Layout of a log file:
   lines 2..N+1      step records ("type": "step")
   last line         summary record ("type": "summary")
 
+A log is written to ``<name>.part`` and renamed to its name when the writer
+closes cleanly, so a run that fails or is killed leaves no file that looks
+finished.
+
 Wall-clock fields ("wall", "wall_total") are the only nondeterministic
 content; ``normalized_bytes`` strips them so reruns can be compared byte for
 byte.
@@ -13,6 +17,8 @@ byte.
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 from .optim import StepRecord
@@ -22,6 +28,28 @@ WALL_KEYS = ("wall", "wall_total")
 
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_isfinite = math.isfinite
+
+
+def _value(x) -> str:
+    """``_dumps(x)``, with the types of a step record's fields written directly.
+
+    Finite floats and ints are written with the ``__repr__`` that ``json``
+    itself uses, booleans as ``true``/``false`` and a tuple item by item;
+    every other value, non-finite floats included, goes through ``_dumps``.
+    """
+    t = type(x)
+    if t is float and _isfinite(x):
+        return _float_repr(x)
+    if t is bool:
+        return "true" if x else "false"
+    if t is int:
+        return _int_repr(x)
+    if t is tuple:
+        return "[" + ",".join(map(_value, x)) + "]"
+    return _dumps(x)
 
 
 def _pyify(value):
@@ -37,10 +65,18 @@ def _pyify(value):
 
 
 class RunLogWriter:
+    """One log, written to ``<path>.part`` and renamed to ``path`` by a clean close.
+
+    A log already at ``path`` is removed on open, so a run that fails leaves no
+    finished-looking file there, not even an older run's.
+    """
+
     def __init__(self, path):
         self.path = Path(path)
+        self._part = self.path.with_name(self.path.name + ".part")
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "w")
+        self.path.unlink(missing_ok=True)
+        self._fh = open(self._part, "w")
 
     def write_header(self, header: dict) -> None:
         payload = {"type": "header", "version": LOG_FORMAT_VERSION}
@@ -48,12 +84,16 @@ class RunLogWriter:
         self._fh.write(_dumps(payload) + "\n")
 
     def write_record(self, rec: StepRecord) -> None:
-        # the optimizers fill every field with Python ints, floats, bools and a
-        # tuple of floats, so the fields serialize as they are
-        payload = {"type": "step", **vars(rec)}
-        if payload["eval_loss"] is None:
-            del payload["eval_loss"]
-        self._fh.write(_dumps(payload) + "\n")
+        # the fields in sorted key order; the line equals
+        # _dumps({"type": "step", **vars(rec)}) with a None eval_loss left out
+        v = _value
+        eval_loss = "" if rec.eval_loss is None else f'"eval_loss":{v(rec.eval_loss)},'
+        self._fh.write(
+            f'{{"clamped":{v(rec.clamped)},"eigvals":{v(rec.eigvals)},'
+            f'"epoch":{v(rec.epoch)},{eval_loss}"grad_norm":{v(rec.grad_norm)},'
+            f'"loss":{v(rec.loss)},"refresh_failed":{v(rec.refresh_failed)},'
+            f'"refreshed":{v(rec.refreshed)},"step":{v(rec.step)},"type":"step",'
+            f'"update_norm":{v(rec.update_norm)},"wall":{v(rec.wall)}}}\n')
 
     def write_summary(self, summary: dict) -> None:
         payload = {"type": "summary"}
@@ -61,13 +101,19 @@ class RunLogWriter:
         self._fh.write(_dumps(payload) + "\n")
 
     def close(self) -> None:
-        self._fh.close()
+        """Close and move the log to its final name."""
+        if not self._fh.closed:
+            self._fh.close()
+            os.replace(self._part, self.path)
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, *exc):
+        if exc_type is None:
+            self.close()
+        else:
+            self._fh.close()
 
 
 def read_runlog(path):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cao import cli, harness
+from cao import cli, harness, optim
 from cao.config import load_config, parse_config
 from cao.errors import ConfigError
 from cao.harness import (
@@ -126,6 +126,23 @@ class TestRunComparison:
         header, records, summary = read_runlog(result["logs"][0])
         assert summary["diverged"]
         assert records[-1]["loss"] == float("inf") or records[-1]["loss"] > 1e100
+        assert list(tmp_path.rglob("*.part")) == []
+
+    def test_failed_run_leaves_only_a_part_file(self, tmp_path, monkeypatch):
+        def interrupted(state, *args, **kwargs):
+            if state.step == 5:
+                raise KeyboardInterrupt
+            return step(state, *args, **kwargs)
+
+        step = optim.sgd_step
+        monkeypatch.setattr(optim, "sgd_step", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_comparison(tiny_config(steps=20, seeds=(0,)), tmp_path)
+        part = tmp_path / "logs" / "tiny" / "sgd" / "0.log.part"
+        assert len(part.read_text().splitlines()) == 6  # header and 5 steps
+        assert [p.name for p in tmp_path.rglob("*.log")] == ["0.log"]  # cao-k1 only
+        assert cli.main(["--out", str(tmp_path), "ttt", "--logs",
+                         str(tmp_path / "logs" / "tiny")]) == cli.EXIT_OK
 
 
 class TestTimeToThreshold:
@@ -335,6 +352,40 @@ class TestLogCompleteness:
         assert str(path) in capsys.readouterr().err
 
 
+class TestRepeatedRuns:
+    def make_roots(self, tmp_path):
+        for root in ("a", "b"):
+            synthetic_log(tmp_path / root / "cao-k1/0.log", "cao-k1", 0, 0, hit_step=10)
+            synthetic_log(tmp_path / root / "sgd/0.log", "sgd", 1, 0, hit_step=20)
+        return [tmp_path / "a", tmp_path / "b"]
+
+    def test_repeated_label_and_seed_named(self, tmp_path):
+        logs = sorted(str(p) for root in self.make_roots(tmp_path) for p in root.rglob("*.log"))
+        for summarize in (time_to_threshold,
+                          lambda logs: emit_plot_data(logs, tmp_path / "x.tsv"),
+                          lambda logs: threshold_sweep(logs, [0.8])):
+            with pytest.raises(ConfigError, match=r"a/cao-k1/0.log and .*b/cao-k1/0.log"):
+                summarize(logs)
+
+    def test_same_file_twice(self, tmp_path):
+        path = tmp_path / "cao-k1/0.log"
+        synthetic_log(path, "cao-k1", 0, 0, hit_step=10)
+        with pytest.raises(ConfigError, match="seed 0"):
+            time_to_threshold([path, path])
+
+    @pytest.mark.parametrize("command", ["ttt", "plotdata"])
+    def test_exit_code(self, tmp_path, command, capsys):
+        roots = self.make_roots(tmp_path)
+        rc = cli.main(["--out", str(tmp_path), command, "--logs", *map(str, roots),
+                       "--name", "twice"])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(tmp_path / "a" / "cao-k1" / "0.log") in err
+        assert str(tmp_path / "b" / "cao-k1" / "0.log") in err
+        assert not (tmp_path / "tables").exists()
+        assert not (tmp_path / "figures-data").exists()
+
+
 class TestConfigParsing:
     def test_load_and_roundtrip(self, tmp_path):
         doc = tiny_config().to_dict()
@@ -496,6 +547,46 @@ class TestCli:
         assert not (tmp_path / "logs").exists()
         err = capsys.readouterr().err
         assert named in err
+
+    def test_weight_decay_overflow_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "name": "decay",
+            # the seed-0 start has an entry of 1.87, so 1e308 times it overflows at step 0
+            "problem": {"name": "quadratic", "spectrum": [4.0, 1.0, 1.0, 1.0], "seed": 1},
+            "optimizers": [{"kind": kind, "alpha": 0.1, "weight_decay": 1e308}
+                           for kind in ("cao", "sgd", "adam")],
+            "seeds": [0],
+            "steps": 20,
+            "threshold": 0.1,
+        }))
+        rc = cli.main(["--out", str(tmp_path), "run", "--config", str(cfg_path)])
+        assert rc == cli.EXIT_DIVERGED
+        for kind in ("cao", "sgd", "adam"):
+            _, records, summary = read_runlog(tmp_path / "logs" / "decay" / kind / "0.log")
+            assert summary["diverged"] and "final_loss" not in summary
+            assert [r["step"] for r in records] == [0]
+            assert records[0]["grad_norm"] == float("inf")
+            assert records[0]["update_norm"] == 0.0
+        assert list(tmp_path.rglob("*.part")) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["ttt", "--thresholds", "0.5,abc"], "--thresholds"),
+        (["ablate-k", "--ks", "1,x"], "--ks"),
+        (["sweep", "--etas", "0.1,abc"], "--etas"),
+        (["sweep", "--ms", "10,2.5"], "--ms"),
+    ], ids=["thresholds", "ks", "etas", "ms"])
+    def test_bad_list_exit_code(self, tmp_path, argv, flag, capsys):
+        synthetic_log(tmp_path / "in" / "cao-k1/0.log", "cao-k1", 0, 0, hit_step=10)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(steps=5, seeds=(0,)).to_dict()))
+        source = (["--logs", str(tmp_path / "in")] if argv[0] == "ttt"
+                  else ["--config", str(cfg_path)])
+        rc = cli.main(["--out", str(tmp_path), argv[0], *source, *argv[1:]])
+        assert rc == cli.EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "logs").exists()
+        assert not (tmp_path / "tables").exists()
 
     def test_theory_command(self, tmp_path):
         rc = cli.main(["--out", str(tmp_path), "theory"])

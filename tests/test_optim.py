@@ -413,6 +413,49 @@ class TestClipProperty:
         assert np.linalg.norm(d) <= c * (1 + 1e-12) or np.array_equal(d, g)
 
 
+class TestNorm:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 12),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+    def test_bitwise_equal_to_linalg_norm(self, v):
+        from cao.optim import _norm
+
+        with np.errstate(over="ignore"):
+            got, want = _norm(v), float(np.linalg.norm(v))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("v", [[1e200, 1e200], [np.nan, 1.0], [-np.nan], [np.inf, 3.0],
+                                   [5e-324, -5e-324], [-0.0], []],
+                             ids=["overflow", "nan", "negative-nan", "inf", "subnormal",
+                                  "negative-zero", "empty"])
+    def test_edge_vectors(self, v):
+        from cao.optim import _norm
+
+        v = np.array(v, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            assert (np.float64(_norm(v)).tobytes()
+                    == np.float64(np.linalg.norm(v)).tobytes())
+
+
+class TestWeightDecayOverflow:
+    @pytest.mark.parametrize("kind, params", [
+        ("cao", {"k": 1, "m": 5, "t_pow": 2}), ("cao", {"k": 0}), ("sgd", {}), ("adam", {}),
+    ], ids=["cao-k1", "cao-k0", "sgd", "adam"])
+    def test_overflow_is_a_divergence(self, kind, params):
+        # 1e308 * 4.0 overflows; no RuntimeWarning may escape either
+        p = quadratic([4.0, 1.0], seed=1)
+        theta0 = np.full(2, 4.0)
+        runner = make_runner(kind, theta0, {"alpha": 0.1, "weight_decay": 1e308, **params},
+                             seed=0)
+        with pytest.raises(DivergenceError, match="decayed gradient at step 0") as excinfo:
+            runner.step(p, FULL_BATCH)
+        rec = excinfo.value.record
+        assert (rec.step, rec.epoch, rec.update_norm) == (0, 0, 0.0)
+        assert rec.loss == p.loss(theta0)
+        assert rec.grad_norm == float("inf")
+
+
 class TestCheckpoints:
     def test_cao_roundtrip(self, tmp_path):
         p = quadratic([5.0, 2.0, 1.0], seed=11)

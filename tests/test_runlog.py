@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cao.optim import StepRecord
-from cao.runlog import RunLogWriter
+from cao.runlog import RunLogWriter, _dumps
 
 
 def reference_line(rec: StepRecord) -> str:
@@ -54,3 +57,75 @@ def test_write_record_matches_deep_copy_reference(tmp_path, name):
     assert path.read_text() == reference_line(rec)
     # the record is left as it was
     assert "eval_loss" in vars(rec)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 1e300, -1e300, math.inf, -math.inf,
+               math.nan, 0.1, 1.0 / 3.0]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+STEP_RECORDS = st.builds(
+    StepRecord,
+    step=st.integers(0, 2**53), epoch=st.integers(0, 10**6),
+    loss=FLOATS, grad_norm=FLOATS, update_norm=FLOATS,
+    refreshed=st.booleans(), eigvals=st.lists(FLOATS, max_size=8).map(tuple),
+    clamped=st.booleans(), refresh_failed=st.booleans(),
+    eval_loss=st.one_of(st.none(), FLOATS), wall=FLOATS,
+)
+
+
+def same_value(a, b):
+    if isinstance(a, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes() or (
+            math.isnan(a) and math.isnan(b))
+    return a == b
+
+
+@settings(max_examples=300, deadline=None)
+@given(rec=STEP_RECORDS)
+def test_write_record_equals_sorted_encoder(tmp_path_factory, rec):
+    path = tmp_path_factory.mktemp("prop") / "run.log"
+    with RunLogWriter(path) as writer:
+        writer.write_record(rec)
+    line = path.read_text()
+    payload = {"type": "step", **vars(rec)}
+    if rec.eval_loss is None:
+        del payload["eval_loss"]
+    assert line == _dumps(payload) + "\n"
+    back = json.loads(line)
+    assert back.pop("type") == "step"
+    assert back.keys() == payload.keys() - {"type"}
+    for key, value in back.items():
+        want = getattr(rec, key)
+        if key == "eigvals":
+            assert len(value) == len(want)
+            assert all(same_value(a, b) for a, b in zip(want, value))
+        else:
+            assert type(value) is type(want) and same_value(want, value)
+
+
+class TestPartFile:
+    def test_clean_close_moves_the_log(self, tmp_path):
+        path = tmp_path / "a" / "0.log"
+        part = tmp_path / "a" / "0.log.part"
+        with RunLogWriter(path) as writer:
+            writer.write_header({"seed": 0})
+            assert part.exists() and not path.exists()
+        assert path.exists() and not part.exists()
+        assert json.loads(path.read_text())["seed"] == 0
+
+    def test_exception_leaves_only_the_part_file(self, tmp_path):
+        path = tmp_path / "0.log"
+        path.write_text("a finished log of an earlier run\n")
+        with pytest.raises(KeyboardInterrupt):
+            with RunLogWriter(path) as writer:
+                writer.write_header({"seed": 0})
+                writer.write_record(RECORDS["no-eval-loss"])
+                raise KeyboardInterrupt
+        assert not path.exists()
+        assert len((tmp_path / "0.log.part").read_text().splitlines()) == 2
+        assert sorted(tmp_path.rglob("*.log")) == []
+
+    def test_close_twice(self, tmp_path):
+        writer = RunLogWriter(tmp_path / "0.log")
+        writer.close()
+        writer.close()
+        assert (tmp_path / "0.log").read_text() == ""

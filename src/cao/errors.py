@@ -18,7 +18,7 @@ class OracleUnavailableError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """An optimization run produced a non-finite loss.
+    """An optimization run produced a non-finite loss, gradient or step.
 
     Carries the diagnostic record of the offending step in ``record``.
     """

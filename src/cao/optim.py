@@ -1,10 +1,13 @@
 """Stepping loops: the curvature-adaptive optimizer plus SGD and Adam baselines.
 
-Every step has the same skeleton. ``_loss_and_grad`` evaluates the batch and
-adds coupled weight decay to the gradient; the rule turns the gradient into
-a direction ``d``; ``_update`` clips ``d``, records the step (a non-finite
-loss raises ``DivergenceError`` carrying that record) and returns
-``theta - lr * d``. The rules differ only in the direction: SGD takes the
+Every step has the same skeleton, run under one ``np.errstate`` that silences
+overflow and invalid-value warnings. ``_loss_and_grad`` evaluates the batch
+and adds coupled weight decay to the gradient; the rule turns the gradient
+into a direction ``d``; ``_update`` clips ``d``, records the step (a
+non-finite loss, gradient norm or update norm raises ``DivergenceError``
+carrying that record) and returns ``theta - lr * d``. A gradient or
+direction whose norm overflows thus ends the run at its own step.
+The rules differ only in the direction: SGD takes the
 heavy-ball buffer, Adam the bias-corrected moment ratio, and the
 curvature-adaptive step (``cao_step``) the damped low-rank inverse of a
 rank-k Hessian sketch applied to the gradient, refreshing the sketch from
@@ -129,7 +132,8 @@ def _loss_and_grad(problem, theta, batch, step, epoch, weight_decay=0.0):
     """Loss and gradient with coupled weight decay added to the gradient.
 
     A numeric blow-up, in the problem or in the decayed gradient, becomes a
-    DivergenceError with a diagnostic record.
+    DivergenceError with a diagnostic record. Called inside the step's
+    ``np.errstate``, so an overflowing decay term is not warned about.
     """
     try:
         loss, grad = problem.loss_and_grad(theta, batch)
@@ -139,13 +143,12 @@ def _loss_and_grad(problem, theta, batch, step, epoch, weight_decay=0.0):
         raise DivergenceError(f"iterate blew up at step {step}: {exc}",
                               record=record) from exc
     if weight_decay:
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = grad + weight_decay * theta
-            if not np.isfinite(grad).all():
-                record = StepRecord(step=step, epoch=epoch, loss=loss,
-                                    grad_norm=_norm(grad), update_norm=0.0)
-                raise DivergenceError(f"non-finite decayed gradient at step {step}",
-                                      record=record)
+        grad = grad + weight_decay * theta
+        if not np.isfinite(grad).all():
+            record = StepRecord(step=step, epoch=epoch, loss=loss,
+                                grad_norm=_norm(grad), update_norm=0.0)
+            raise DivergenceError(f"non-finite decayed gradient at step {step}",
+                                  record=record)
     return loss, grad
 
 
@@ -165,16 +168,17 @@ def _clip(d, c):
 def _update(theta, step, epoch, loss, grad, d, lr, clip, **flags):
     """Clip the direction, record the step and move; returns (new theta, record).
 
-    A divergent step's norm overflows to inf, which is the value its record
-    should carry, so the overflow is not warned about. A non-finite loss
-    raises ``DivergenceError`` carrying the record instead of moving.
+    Called inside the step's ``np.errstate``: a divergent step's norm
+    overflows to inf, which is the value its record should carry. A
+    non-finite loss, gradient norm or update norm raises ``DivergenceError``
+    carrying the record instead of moving.
     """
     d = _clip(d, clip)
-    with np.errstate(over="ignore"):
-        record = StepRecord(step=step, epoch=epoch, loss=loss, grad_norm=_norm(grad),
-                            update_norm=_norm(d), **flags)
-    if not math.isfinite(loss):
-        raise DivergenceError(f"non-finite loss at step {step}", record=record)
+    record = StepRecord(step=step, epoch=epoch, loss=loss, grad_norm=_norm(grad),
+                        update_norm=_norm(d), **flags)
+    if not (math.isfinite(loss) and math.isfinite(record.grad_norm)
+            and math.isfinite(record.update_norm)):
+        raise DivergenceError(f"non-finite loss or norm at step {step}", record=record)
     return theta - lr * d, record
 
 
@@ -208,6 +212,7 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
             rng = np.random.default_rng([int(cfg.sketch_seed), 555, state.step])
             sketch_batch = Batch(indices=rng.choice(problem.num_samples, size=size,
                                                     replace=False))
+        hvp = problem.hvp_closure(theta, sketch_batch)  # one linearization per refresh
         calls = 0
 
         def counted(block):
@@ -215,7 +220,7 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
             # product turns out non-finite and fails the refresh
             nonlocal calls
             calls += block.shape[1]
-            return problem.hvp_block(theta, block, sketch_batch)
+            return hvp(block)
 
         lcfg = LanczosConfig(k=cfg.k, iters=cfg.t_pow,
                              seed=_refresh_seed(cfg.sketch_seed, state.step))
@@ -229,25 +234,26 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
             refresh_failed = True
         hvp_calls += calls
 
-    loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch,
-                                cfg.weight_decay)
-    if sketch is not None and (pc is None or pc.sketch is not sketch
-                               or pc.eta != cfg.eta or pc.floor != cfg.floor):
-        pc = DampedPreconditioner(sketch, cfg.eta, cfg.floor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch,
+                                    cfg.weight_decay)
+        if sketch is not None and (pc is None or pc.sketch is not sketch
+                                   or pc.eta != cfg.eta or pc.floor != cfg.floor):
+            pc = DampedPreconditioner(sketch, cfg.eta, cfg.floor)
 
-    clamped = False
-    if cfg.k == 0:
-        d = grad / cfg.eta if cfg.k0_eta_scaled else grad
-    elif sketch is None:
-        d = grad  # refresh never succeeded yet; fall back to a plain step
-    else:
-        d = precondition(grad, pc)
-        clamped = pc.clamped
+        clamped = False
+        if cfg.k == 0:
+            d = grad / cfg.eta if cfg.k0_eta_scaled else grad
+        elif sketch is None:
+            d = grad  # refresh never succeeded yet; fall back to a plain step
+        else:
+            d = precondition(grad, pc)
+            clamped = pc.clamped
 
-    theta, record = _update(theta, state.step, epoch, loss, grad, d, cfg.alpha,
-                            cfg.clip_c, refreshed=refreshed,
-                            eigvals=() if sketch is None else pc.eigvals,
-                            clamped=clamped, refresh_failed=refresh_failed)
+        theta, record = _update(theta, state.step, epoch, loss, grad, d, cfg.alpha,
+                                cfg.clip_c, refreshed=refreshed,
+                                eigvals=() if sketch is None else pc.eigvals,
+                                clamped=clamped, refresh_failed=refresh_failed)
     return CaoState(theta=theta, step=state.step + 1, sketch=sketch,
                     hvp_calls=hvp_calls, precond=pc), record
 
@@ -257,12 +263,13 @@ def sgd_step(state: SgdState, problem: Problem, batch: Batch, lr: float,
              epoch: int = 0):
     """Heavy-ball SGD: buf <- momentum * buf + g, step along the (clipped) buffer."""
     theta = state.theta
-    loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch, weight_decay)
-    buf = np.zeros_like(theta) if state.velocity is None else state.velocity
-    # a sum on the first step too: `buf = grad` would keep a -0.0 that the sum
-    # turns into +0.0, and change the saved velocity's bits
-    buf = momentum * buf + grad
-    theta, record = _update(theta, state.step, epoch, loss, grad, buf, lr, clip)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch, weight_decay)
+        buf = np.zeros_like(theta) if state.velocity is None else state.velocity
+        # a sum on the first step too: `buf = grad` would keep a -0.0 that the
+        # sum turns into +0.0, and change the saved velocity's bits
+        buf = momentum * buf + grad
+        theta, record = _update(theta, state.step, epoch, loss, grad, buf, lr, clip)
     return SgdState(theta=theta, velocity=buf, step=state.step + 1), record
 
 
@@ -271,16 +278,17 @@ def adam_step(state: AdamState, problem: Problem, batch: Batch, lr: float,
               weight_decay: float = 0.0, clip: float = 0.0, epoch: int = 0):
     """Bias-corrected Adam with coupled decay."""
     theta = state.theta
-    loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch, weight_decay)
-    m1 = np.zeros_like(theta) if state.m1 is None else state.m1
-    m2 = np.zeros_like(theta) if state.m2 is None else state.m2
-    t = state.step + 1
-    m1 = beta1 * m1 + (1.0 - beta1) * grad
-    m2 = beta2 * m2 + (1.0 - beta2) * grad**2
-    m1_hat = m1 / (1.0 - beta1**t)
-    m2_hat = m2 / (1.0 - beta2**t)
-    d = m1_hat / (np.sqrt(m2_hat) + eps)
-    theta, record = _update(theta, state.step, epoch, loss, grad, d, lr, clip)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch, weight_decay)
+        m1 = np.zeros_like(theta) if state.m1 is None else state.m1
+        m2 = np.zeros_like(theta) if state.m2 is None else state.m2
+        t = state.step + 1
+        m1 = beta1 * m1 + (1.0 - beta1) * grad
+        m2 = beta2 * m2 + (1.0 - beta2) * grad**2
+        m1_hat = m1 / (1.0 - beta1**t)
+        m2_hat = m2 / (1.0 - beta2**t)
+        d = m1_hat / (np.sqrt(m2_hat) + eps)
+        theta, record = _update(theta, state.step, epoch, loss, grad, d, lr, clip)
     return AdamState(theta=theta, m1=m1, m2=m2, step=t), record
 
 

@@ -1,16 +1,21 @@
 """Benchmark objectives with analytic gradients and Hessian-vector products.
 
 Every problem is matrix-free: it exposes ``loss``, ``grad``, both from one
-pass (``loss_and_grad``), and Hessian products (``hvp`` for one direction,
-``hvp_block`` for an n x j block of directions) evaluated on a (possibly
-empty) mini-batch. Problems are immutable after construction and all
-randomness is fixed by the construction seed, so identical ``(theta, batch)``
-inputs give bit-identical outputs and instances can be shared across threads.
+pass (``loss_and_grad``), and Hessian products evaluated on a (possibly
+empty) mini-batch. ``hvp_closure(theta, batch)`` is the one entry point for
+the products: it does the work that depends on the point only once (the
+``_linearize`` hook: a forward pass, sigmoid weights, Hessian bands) and
+returns a map from an n x j block of directions to ``H @ V``. ``hvp_block``
+(one block) and ``hvp`` (one direction) are single calls of such a closure.
+Problems are immutable after construction and all randomness is fixed by the
+construction seed, so identical ``(theta, batch)`` inputs give bit-identical
+outputs and instances can be shared across threads.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -73,14 +78,14 @@ class ProblemMeta:
 
 
 class Problem:
-    """Base class: subclasses implement ``_loss``, ``_grad``, ``_hvp_block``.
+    """Base class: subclasses implement ``_loss``, ``_grad``, ``_linearize``.
 
     The public methods validate dimensions and finiteness around the
-    analytic kernels. ``_hvp_block(theta, V, batch)`` returns ``H @ V`` for an
-    n x j block ``V``; the single-direction ``hvp`` is its one-column case.
-    ``_loss_and_grad`` defaults to the two kernels in turn; a problem whose
-    loss and gradient share a pass overrides it, and must return values
-    bit-identical to ``(_loss, _grad)``.
+    analytic kernels. ``_linearize(theta, batch)`` does the work of the
+    Hessian that depends on the point only and returns a kernel mapping an
+    n x j block ``V`` to ``H @ V``. ``_loss_and_grad`` defaults to the two
+    kernels in turn; a problem whose loss and gradient share a pass overrides
+    it, and must return values bit-identical to ``(_loss, _grad)``.
     """
 
     meta: ProblemMeta
@@ -164,43 +169,51 @@ class Problem:
 
     def hvp_block(self, theta, v, batch: Batch = FULL_BATCH) -> np.ndarray:
         """``H @ V`` for an n x j block of directions, as one batched product."""
-        theta = self._check_theta(theta)
-        v = np.asarray(v, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != self.dim:
-            raise ContractViolationError(
-                f"{self.meta.name}: direction block shape {v.shape} != ({self.dim}, j)"
-            )
-        self._check_finite(v, "hvp direction")
-        batch = self._check_batch(batch)
-        with np.errstate(over="ignore", invalid="ignore"):
-            hv = self._hvp_block(theta, v, batch)
-        self._check_finite(hv, f"hvp on {self.meta.name}")
-        return hv
+        return self.hvp_closure(theta, batch)(v)
 
     def hvp_closure(self, theta, batch: Batch = FULL_BATCH):
-        """Freeze (theta, batch) into a callable mapping an n x j block ``V`` to ``H @ V``."""
+        """Linearize once at (theta, batch); returns ``V -> H @ V`` for n x j blocks.
+
+        Every call checks the block's shape and finiteness and the product's
+        finiteness. Later changes to the caller's ``theta`` do not reach the
+        closure.
+        """
         theta = self._check_theta(theta).copy()
-        return lambda v: self.hvp_block(theta, v, batch)
+        batch = self._check_batch(batch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel = self._linearize(theta, batch)
+
+        def apply(v):
+            v = np.asarray(v, dtype=np.float64)
+            if v.ndim != 2 or v.shape[0] != self.dim:
+                raise ContractViolationError(
+                    f"{self.meta.name}: direction block shape {v.shape} != ({self.dim}, j)"
+                )
+            self._check_finite(v, "hvp direction")
+            with np.errstate(over="ignore", invalid="ignore"):
+                hv = kernel(v)
+            self._check_finite(hv, f"hvp on {self.meta.name}")
+            return hv
+
+        return apply
 
     def dense_hessian(self, theta, batch: Batch = FULL_BATCH) -> np.ndarray:
-        """Materialize the Hessian column by column from ``hvp``.
+        """Materialize the Hessian column by column from one ``hvp_closure``.
 
         Ground-truth oracle for tests and residual-curvature measurements;
-        capped at ``DENSE_ORACLE_CAP`` to keep it O(n^2) small. Each column is
-        bit-identical to ``hvp`` of the matching unit vector; one
-        ``hvp_block`` with the identity would not be, because BLAS rounds a
-        one-column product (gemv) differently from a many-column one (gemm).
+        capped at ``DENSE_ORACLE_CAP`` to keep it O(n^2) small. The closure
+        takes one unit vector per call, so each column is bit-identical to
+        ``hvp`` of the matching unit vector; one block with the identity would
+        not be, because BLAS rounds a one-column product (gemv) differently
+        from a many-column one (gemm).
         """
         if self.dim > DENSE_ORACLE_CAP:
             raise OracleUnavailableError(
                 f"dense oracle capped at n <= {DENSE_ORACLE_CAP}, got n = {self.dim}"
             )
-        theta = self._check_theta(theta)
-        cols = []
+        apply = self.hvp_closure(theta, batch)
         eye = np.eye(self.dim)
-        for j in range(self.dim):
-            cols.append(self.hvp(theta, eye[:, j], batch))
-        return np.column_stack(cols)
+        return np.column_stack([apply(eye[:, j:j + 1])[:, 0] for j in range(self.dim)])
 
     def initial_point(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng([int(seed), 7919])
@@ -273,8 +286,8 @@ class QuadraticProblem(Problem):
         g = self.matrix @ d
         return 0.5 * float(d @ g), g
 
-    def _hvp_block(self, theta, v, batch):
-        return self.matrix @ v
+    def _linearize(self, theta, batch):
+        return lambda v: self.matrix @ v
 
 
 def quadratic(spectrum, seed: int = 0, name: str = "quadratic") -> QuadraticProblem:
@@ -309,16 +322,21 @@ class RosenbrockProblem(Problem):
         g[1:] += 200.0 * d
         return g
 
-    def _hvp_block(self, theta, v, batch):
+    def _linearize(self, theta, batch):
         x = theta
         diag = np.zeros_like(x)
         diag[:-1] += 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
         diag[1:] += 200.0
+        diag = diag[:, None]
         off = -400.0 * x[:-1, None]  # H[i, i+1]
-        hv = diag[:, None] * v
-        hv[:-1] += off * v[1:]
-        hv[1:] += off * v[:-1]
-        return hv
+
+        def kernel(v):
+            hv = diag * v
+            hv[:-1] += off * v[1:]
+            hv[1:] += off * v[:-1]
+            return hv
+
+        return kernel
 
     def initial_point(self, seed: int) -> np.ndarray:
         # classic start plus a small seeded jitter so different seeds differ
@@ -400,12 +418,13 @@ class LogregProblem(Problem):
         x, y, margins = self._margins(theta, batch)
         return self._loss_from(theta, margins), self._grad_from(theta, x, y, margins)
 
-    def _hvp_block(self, theta, v, batch):
-        x, y = self._select(batch)
+    def _linearize(self, theta, batch):
+        x, _ = self._select(batch)
         z = x @ theta
         p = np.where(z >= 0, 1.0 / (1 + np.exp(-z)), np.exp(z) / (1 + np.exp(z)))
-        w = p * (1.0 - p)  # once per block, shared by every column
-        return (x.T @ (w[:, None] * (x @ v))) / x.shape[0] + self.reg * v
+        w = (p * (1.0 - p))[:, None]
+        size, reg = x.shape[0], self.reg
+        return lambda v: (x.T @ (w * (x @ v))) / size + reg * v
 
     def initial_point(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng([int(seed), 7919])
@@ -484,21 +503,28 @@ class MlpProblem(Problem):
             return self.x, self.y
         return self.x[batch.indices], self.y[batch.indices]
 
-    def _forward(self, theta, batch):
+    def _logits(self, theta, batch):
+        """The forward pass up to the log-partition: (x, y, w2, hid, logits, lse)."""
         w1, b1, w2, b2 = self._unpack(theta)
         x, y = self._select(batch)
-        act = x @ w1.T + b1
-        hid = np.tanh(act)
+        hid = np.tanh(x @ w1.T + b1)
         logits = hid @ w2.T + b2
-        zmax = logits.max(axis=1, keepdims=True)
-        lse = zmax[:, 0] + np.log(np.sum(np.exp(logits - zmax), axis=1))
-        probs = np.exp(logits - lse[:, None])
-        return x, y, w2, hid, logits, lse, probs
+        # row maxima one class column at a time: exact, and for a few classes
+        # far cheaper than logits.max(axis=1)
+        zmax = functools.reduce(np.maximum, logits.T)
+        lse = zmax + np.log(np.sum(np.exp(logits - zmax[:, None]), axis=1))
+        return x, y, w2, hid, logits, lse
+
+    def _forward(self, theta, batch):
+        """``_logits`` plus the softmax probabilities, which only derivatives need."""
+        x, y, w2, hid, logits, lse = self._logits(theta, batch)
+        return x, y, w2, hid, logits, lse, np.exp(logits - lse[:, None])
 
     @staticmethod
     def _loss_from(fwd):
-        _, y, _, _, logits, lse, _ = fwd
-        return float(np.mean(lse - logits[np.arange(y.size), y]))
+        y, logits, lse = fwd[1], fwd[4], fwd[5]
+        nll = lse - logits[np.arange(y.size), y]
+        return float(nll.sum() / nll.size)  # np.mean's sum and division, bit for bit
 
     def _grad_from(self, fwd):
         x, y, w2, hid, _, _, probs = fwd
@@ -515,7 +541,7 @@ class MlpProblem(Problem):
         return self._pack(gw1, gb1, gw2, gb2)
 
     def _loss(self, theta, batch):
-        return self._loss_from(self._forward(theta, batch))
+        return self._loss_from(self._logits(theta, batch))
 
     def _grad(self, theta, batch):
         return self._grad_from(self._forward(theta, batch))
@@ -524,33 +550,36 @@ class MlpProblem(Problem):
         fwd = self._forward(theta, batch)
         return self._loss_from(fwd), self._grad_from(fwd)
 
-    def _hvp_block(self, theta, v, batch):
-        # forward-over-reverse: one forward pass for the whole block, then push
-        # each direction (leading axis j) through it and differentiate the
-        # backward pass along it
-        u1, c1, u2, c2 = self._unpack(v.T)
+    def _linearize(self, theta, batch):
+        # forward-over-reverse: the forward pass and the backward quantities of
+        # the point are computed once; each block of directions (leading axis
+        # j) is pushed through them and differentiates the backward pass
         x, y, w2, hid, _, _, probs = self._forward(theta, batch)
         b = y.size
         sq = 1.0 - hid**2
-
         dz = probs.copy()
         dz[np.arange(b), y] -= 1.0
         dz /= b
         dh = dz @ w2
+        neg2hid = -2.0 * hid
 
-        r_act = x @ u1.transpose(0, 2, 1) + c1[:, None]
-        r_hid = sq * r_act
-        r_logits = r_hid @ w2.T + hid @ u2.transpose(0, 2, 1) + c2[:, None]
-        r_probs = probs * (r_logits - np.sum(probs * r_logits, axis=2, keepdims=True))
-        r_dz = r_probs / b
+        def kernel(v):
+            u1, c1, u2, c2 = self._unpack(v.T)
+            r_act = x @ u1.transpose(0, 2, 1) + c1[:, None]
+            r_hid = sq * r_act
+            r_logits = r_hid @ w2.T + hid @ u2.transpose(0, 2, 1) + c2[:, None]
+            r_probs = probs * (r_logits - np.sum(probs * r_logits, axis=2, keepdims=True))
+            r_dz = r_probs / b
 
-        r_gw2 = r_dz.transpose(0, 2, 1) @ hid + dz.T @ r_hid
-        r_gb2 = r_dz.sum(axis=1)
-        r_dh = r_dz @ w2 + dz @ u2
-        r_da = r_dh * sq + dh * (-2.0 * hid * r_hid)
-        r_gw1 = r_da.transpose(0, 2, 1) @ x
-        r_gb1 = r_da.sum(axis=1)
-        return self._pack(r_gw1, r_gb1, r_gw2, r_gb2).T
+            r_gw2 = r_dz.transpose(0, 2, 1) @ hid + dz.T @ r_hid
+            r_gb2 = r_dz.sum(axis=1)
+            r_dh = r_dz @ w2 + dz @ u2
+            r_da = r_dh * sq + dh * (neg2hid * r_hid)
+            r_gw1 = r_da.transpose(0, 2, 1) @ x
+            r_gb1 = r_da.sum(axis=1)
+            return self._pack(r_gw1, r_gb1, r_gw2, r_gb2).T
+
+        return kernel
 
     def initial_point(self, seed: int) -> np.ndarray:
         d, h, c = self.widths

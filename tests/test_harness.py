@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -569,6 +570,36 @@ class TestCli:
             assert records[0]["grad_norm"] == float("inf")
             assert records[0]["update_norm"] == 0.0
         assert list(tmp_path.rglob("*.part")) == []
+
+    @pytest.mark.parametrize("optimizer", [
+        {"kind": "cao", "alpha": 0.1, "eta": 0.1},
+        {"kind": "sgd", "alpha": 10.0},
+        {"kind": "adam", "alpha": 0.01},
+    ], ids=["cao", "sgd", "adam"])
+    def test_huge_finite_gradient_exit_code(self, tmp_path, optimizer):
+        # the decayed gradient stays finite (about 6e307), but the gradient norm,
+        # the preconditioned direction or Adam's squared gradient overflows
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "name": "huge",
+            "problem": {"name": "quadratic", "spectrum": [4.0, 1.0], "seed": 0},
+            "optimizers": [{**optimizer, "weight_decay": 1e308}],
+            "seeds": [0],
+            "steps": 20,
+            "threshold": 0.1,
+        }))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["--out", str(tmp_path), "run", "--config", str(cfg_path)])
+        assert [str(w.message) for w in caught] == []
+        assert rc == cli.EXIT_DIVERGED
+        logs = list((tmp_path / "logs" / "huge").rglob("*.log"))
+        assert len(logs) == 1
+        _, records, summary = read_runlog(logs[0])
+        assert summary["diverged"] and "final_loss" not in summary
+        assert [r["step"] for r in records] == [0]
+        last = records[-1]
+        assert not all(np.isfinite([last["loss"], last["grad_norm"], last["update_norm"]]))
 
     @pytest.mark.parametrize("argv, flag", [
         (["ttt", "--thresholds", "0.5,abc"], "--thresholds"),

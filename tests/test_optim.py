@@ -128,8 +128,8 @@ class TestCaoStep:
             def _grad(self, theta, batch):
                 return self.a @ theta
 
-            def _hvp_block(self, theta, v, batch):
-                return self.a @ v
+            def _linearize(self, theta, batch):
+                return lambda v: self.a @ v
 
         p = Saddle()
         cfg = CaoConfig(alpha=1e-3, k=3, m=4, eta=0.5, t_pow=3)
@@ -158,10 +158,9 @@ class TestCaoStep:
         class FlakyQuadratic(QuadraticProblem):
             fail = False
 
-            def _hvp_block(self, theta, v, batch):
-                if self.fail:
-                    return np.full(v.shape, np.nan)
-                return super()._hvp_block(theta, v, batch)
+            def _linearize(self, theta, batch):
+                kernel = super()._linearize(theta, batch)
+                return lambda v: np.full(v.shape, np.nan) if self.fail else kernel(v)
 
         p = FlakyQuadratic(np.linspace(1.0, 5.0, 6), seed=3)
         cfg = CaoConfig(alpha=1e-3, k=2, m=3, eta=1.0, t_pow=2)
@@ -222,8 +221,8 @@ class TestCaoStep:
             def _grad(self, theta, batch):
                 return 2.0 * theta
 
-            def _hvp_block(self, theta, v, batch):
-                return np.full(v.shape, np.nan)
+            def _linearize(self, theta, batch):
+                return lambda v: np.full(v.shape, np.nan)
 
         p = BadHvp()
         cfg = CaoConfig(alpha=0.1, k=1, eta=1.0, t_pow=2)
@@ -239,11 +238,14 @@ class TestCaoStep:
             fail_on = None  # index of the block product that comes back NaN
             blocks = 0
 
-            def _hvp_block(self, theta, v, batch):
-                self.blocks += 1
-                if self.blocks == self.fail_on:
-                    return np.full(v.shape, np.nan)
-                return super()._hvp_block(theta, v, batch)
+            def _linearize(self, theta, batch):
+                kernel = super()._linearize(theta, batch)
+
+                def flaky(v):
+                    self.blocks += 1
+                    return np.full(v.shape, np.nan) if self.blocks == self.fail_on else kernel(v)
+
+                return flaky
 
         p = FlakyQuadratic(np.linspace(1.0, 5.0, 6), seed=3)
         cfg = CaoConfig(alpha=1e-3, k=2, m=5, eta=1.0, t_pow=3)
@@ -331,8 +333,8 @@ class TestSgd:
             def _grad(self, theta, batch):
                 return np.array([-0.0, 1.0])
 
-            def _hvp_block(self, theta, v, batch):
-                return np.zeros(v.shape)
+            def _linearize(self, theta, batch):
+                return lambda v: np.zeros(v.shape)
 
         state, _ = sgd_step(SgdState(theta=np.zeros(2)), LinearProblem(), FULL_BATCH,
                             lr=0.1)
@@ -380,8 +382,8 @@ class TestAdam:
             def _grad(self, theta, batch):
                 return self.c.copy()
 
-            def _hvp_block(self, theta, v, batch):
-                return np.zeros(v.shape)
+            def _linearize(self, theta, batch):
+                return lambda v: np.zeros(v.shape)
 
         p = LinearProblem()
         lr, eps = 0.01, 1e-8

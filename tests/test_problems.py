@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cao
 from cao.errors import (
@@ -8,9 +10,11 @@ from cao.errors import (
     NumericOverflowError,
     OracleUnavailableError,
 )
+from cao.optim import CaoConfig, CaoState, cao_step
 from cao.problems import (
     FULL_BATCH,
     Batch,
+    MlpProblem,
     ProblemMeta,
     QuadraticProblem,
     fd_hvp,
@@ -146,6 +150,130 @@ class TestHvpContracts:
 
         with pytest.raises(OracleUnavailableError):
             Big().dense_hessian(np.zeros(501))
+
+
+def batches_of(problem, rng):
+    """The full batch and, for a problem with samples, one mini-batch of 9."""
+    batches = [FULL_BATCH]
+    if problem.num_samples:
+        batches.append(Batch(indices=rng.choice(problem.num_samples, 9, replace=False)))
+    return batches
+
+
+class TestHvpClosure:
+    @pytest.mark.parametrize("problem", all_problems(), ids=lambda p: p.meta.name)
+    def test_products_bitwise_equal_hvp_block_and_dense_columns(self, problem):
+        rng = np.random.default_rng(40)
+        theta = problem.initial_point(7)
+        eye = np.eye(problem.dim)
+        for batch in batches_of(problem, rng):
+            apply = problem.hvp_closure(theta, batch)
+            for block in (rng.standard_normal((problem.dim, 3)), eye):
+                assert (apply(block).tobytes()
+                        == problem.hvp_block(theta, block, batch).tobytes())
+            dense = problem.dense_hessian(theta, batch)
+            for j in range(problem.dim):
+                column = apply(eye[:, j:j + 1])[:, 0]
+                assert column.tobytes() == dense[:, j].tobytes()
+                assert column.tobytes() == problem.hvp(theta, eye[:, j], batch).tobytes()
+
+    @pytest.mark.parametrize("problem", all_problems(), ids=lambda p: p.meta.name)
+    def test_later_changes_to_theta_do_not_reach_the_closure(self, problem):
+        rng = np.random.default_rng(41)
+        block = rng.standard_normal((problem.dim, 2))
+        for batch in batches_of(problem, rng):
+            theta = problem.initial_point(8)
+            original = theta.copy()
+            apply = problem.hvp_closure(theta, batch)
+            theta += 0.5
+            assert (apply(block).tobytes()
+                    == problem.hvp_block(original, block, batch).tobytes())
+
+    def test_block_contracts_checked_on_every_call(self):
+        p = logreg(4, 20, seed=1)
+        apply = p.hvp_closure(np.zeros(4))
+        for bad in (np.zeros(4), np.zeros((3, 2)), np.zeros((4, 2, 1))):
+            with pytest.raises(ContractViolationError):
+                apply(bad)
+        block = np.ones((4, 3))
+        block[2, 1] = np.inf
+        with pytest.raises(NumericOverflowError, match="hvp direction"):
+            apply(block)
+        assert apply(np.ones((4, 3))).shape == (4, 3)  # still usable after a rejection
+
+    def test_nonfinite_product_raises(self):
+        # 1200 x^2 overflows in the Hessian's diagonal band
+        apply = rosenbrock(4).hvp_closure(np.full(4, 1e200))
+        with pytest.raises(NumericOverflowError, match="hvp on rosenbrock4"):
+            apply(np.ones((4, 2)))
+
+    def test_point_validated_when_built(self):
+        p = logreg(4, 20, seed=1)
+        with pytest.raises(ContractViolationError):
+            p.hvp_closure(np.zeros(5))
+        with pytest.raises(ContractViolationError):
+            p.hvp_closure(np.zeros(4), Batch(indices=np.array([20])))
+
+    def test_one_forward_pass_per_refresh(self, monkeypatch):
+        calls = []
+        forward = MlpProblem._forward
+
+        def counted(self, theta, batch):
+            calls.append(1)
+            return forward(self, theta, batch)
+
+        monkeypatch.setattr(MlpProblem, "_forward", counted)
+        p = mlp_synthetic([4, 5, 3], seed=2, n_samples=40)
+        batch = Batch(indices=np.arange(10))
+        cfg = CaoConfig(alpha=0.05, k=2, m=3, eta=1.0, t_pow=4)
+        state = CaoState(theta=p.initial_point(0))
+        for _ in range(6):
+            del calls[:]
+            state, rec = cao_step(state, p, batch, cfg)
+            # one pass linearizes the refresh, one gives the step's loss and gradient
+            assert len(calls) == (2 if rec.refreshed else 1)
+        assert state.hvp_calls == 2 * (cfg.t_pow + 1) * cfg.k
+
+
+def reference_mlp_loss(problem, theta, batch):
+    """The mlp loss as computed with row maxima by ``max(axis=1)``, the softmax
+    probabilities formed and ``np.mean``; returns (loss, probabilities)."""
+    w1, b1, w2, b2 = problem._unpack(theta)
+    x, y = problem._select(batch)
+    hid = np.tanh(x @ w1.T + b1)
+    logits = hid @ w2.T + b2
+    zmax = logits.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.sum(np.exp(logits - zmax), axis=1))
+    probs = np.exp(logits - lse[:, None])
+    return float(np.mean(lse - logits[np.arange(y.size), y])), probs
+
+
+class TestMlpLossKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_reference(self, data):
+        d = data.draw(st.integers(1, 5), label="n_in")
+        h = data.draw(st.integers(1, 6), label="n_hidden")
+        c = data.draw(st.integers(2, 12), label="n_classes")
+        n = data.draw(st.integers(c, 40), label="n_samples")
+        p = mlp_synthetic([d, h, c], seed=data.draw(st.integers(0, 3)), n_samples=n)
+        # a scale of up to 700 puts logits near +-700 once tanh saturates
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0, 350.0, 700.0]), label="scale")
+        theta = scale * p.initial_point(data.draw(st.integers(0, 3)))
+        w1, b1, w2, b2 = p._unpack(theta)  # views: edits below change theta
+        if data.draw(st.booleans(), label="ties"):
+            # zeroed W2 rows and repeated biases give exactly tied logits
+            w2[: data.draw(st.integers(1, c))] = 0.0
+            b2[:] = np.array(data.draw(st.lists(st.sampled_from([-700.0, 0.0, 1.5, 700.0]),
+                                                min_size=c, max_size=c)))
+        batch = data.draw(st.sampled_from(
+            [FULL_BATCH, Batch(indices=np.arange(0, n, 2)), Batch(indices=np.array([n - 1]))]))
+
+        expected, probs = reference_mlp_loss(p, theta, batch)
+        loss = p.loss(theta, batch)
+        assert loss == expected and np.isfinite(loss)
+        assert p._forward(theta, batch)[6].tobytes() == probs.tobytes()
+        assert p.loss_and_grad(theta, batch)[0] == expected
 
 
 class TestLossAndGrad:

@@ -5,9 +5,10 @@ Usage: PYTHONPATH=src python scripts/compare_outputs.py ROOT_A ROOT_B
 
 Both roots must hold the same set of files. A ``.log`` file is compared after
 ``cao.runlog.normalized_bytes``, which drops the wall-clock fields; every
-other file is compared byte for byte. Each file that differs, or exists under
-one root only, is printed; the exit code is 1 on any difference and 0 when
-every file is equal.
+other file is compared byte for byte. Each file that differs, exists under
+one root only, or is a log that ``normalized_bytes`` cannot read (cut short,
+say) is printed; the exit code is 1 on any of these and 0 when every file is
+equal.
 """
 
 import argparse
@@ -35,8 +36,12 @@ def compare(root_a, root_b) -> list:
             problems.append(f"only in {root_a}: {rel}")
         elif rel not in files_a:
             problems.append(f"only in {root_b}: {rel}")
-        elif _content(root_a / rel) != _content(root_b / rel):
-            problems.append(f"differs: {rel}")
+        else:
+            try:
+                if _content(root_a / rel) != _content(root_b / rel):
+                    problems.append(f"differs: {rel}")
+            except ValueError as exc:
+                problems.append(f"unreadable: {rel} ({exc})")
     return problems
 
 

@@ -139,11 +139,25 @@ def _series(records):
     return [(r["step"], r[key]) for r in records if key in r]
 
 
+def _check_header(path, header) -> None:
+    """The header keys that group a run; a missing one is an error naming the file."""
+    optimizer = header.get("optimizer")
+    if not isinstance(optimizer, dict):
+        raise ConfigError(f"{path}: log header has no 'optimizer' object")
+    for key in ("label", "index", "kind"):
+        if key not in optimizer:
+            raise ConfigError(f"{path}: log header has no 'optimizer.{key}'")
+    if "seed" not in header:
+        raise ConfigError(f"{path}: log header has no 'seed'")
+
+
 def _group_logs(log_paths):
     """Parse each log once and group the runs by optimizer label, keeping config order.
 
     A log that a killed run left behind (a line cut short, or no summary line)
-    is an error naming the file, and so are two logs of the same label and seed.
+    or that breaks the layout of ``cao.runlog`` is an error naming the file,
+    and so are a header without the keys that group its run and two logs of
+    the same label and seed.
     """
     groups = {}
     order = {}
@@ -156,6 +170,7 @@ def _group_logs(log_paths):
             raise ConfigError(f"{path}: unreadable log ({exc})") from None
         if summary is None:
             raise ConfigError(f"{path}: incomplete log, no summary line")
+        _check_header(path, header)
         label = header["optimizer"]["label"]
         key = (label, header["seed"])
         if key in seen:

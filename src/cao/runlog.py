@@ -1,13 +1,19 @@
 """Line-delimited run logs: one JSON object per line, self-describing header.
 
-Layout of a log file:
+Layout of a log file, blank and whitespace-only lines aside:
   line 1            header record ("type": "header") with the full config
   lines 2..N+1      step records ("type": "step")
-  last line         summary record ("type": "summary")
+  last line         summary record ("type": "summary"), absent if the run was cut
 
 A log is written to ``<name>.part`` and renamed to its name when the writer
 closes cleanly, so a run that fails or is killed leaves no file that looks
 finished.
+
+``read_runlog`` decodes all non-blank lines with one ``json.loads`` and checks
+that they are as many objects as lines, in the layout above, each with a known
+"type". Any fault raises ``ValueError`` naming the file and the first bad line:
+not JSON on its own, not an object, no or an unknown "type", a step or summary
+before the header, a second header or summary, a line after the summary.
 
 Wall-clock fields ("wall", "wall_total") are the only nondeterministic
 content; ``normalized_bytes`` strips them so reruns can be compared byte for
@@ -16,10 +22,12 @@ byte.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 from pathlib import Path
+from typing import NoReturn
 
 from .optim import StepRecord
 
@@ -116,37 +124,86 @@ class RunLogWriter:
             self._fh.close()
 
 
-def read_runlog(path):
-    """Parse a log file into (header, step records, summary)."""
-    header, records, summary = None, [], None
+_KINDS = ("header", "step", "summary")
+
+
+def _layout_fault(value, previous):
+    """What is wrong with a line after one of type ``previous`` (None: first line)."""
+    if type(value) is not dict:
+        return "not a JSON object"
+    kind = value.get("type")
+    if kind not in _KINDS:
+        return f"unknown record type {kind!r}" if "type" in value else 'no "type" key'
+    if previous is None:
+        return None if kind == "header" else f"{kind} line before the header"
+    if kind == "header":
+        return "second header"
+    if previous == "summary":
+        return "second summary" if kind == "summary" else f"{kind} line after the summary"
+    return None
+
+
+def _reject(path, text) -> NoReturn:
+    """Raise for the first line of ``text`` that breaks the layout, decoding line by line."""
+    previous = None
+    for number, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+        fault = _layout_fault(value, previous)
+        if fault is not None:
+            raise ValueError(f"{path}: line {number}: {fault}")
+        previous = value["type"]
+    raise ValueError(f"{path}: missing header line")
+
+
+def _decode(path):
+    """(objects, types) of a log's non-blank lines, each object with its "type" popped."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            kind = obj.pop("type")
-            if kind == "header":
-                header = obj
-            elif kind == "step":
-                records.append(obj)
-            elif kind == "summary":
-                summary = obj
-    if header is None:
-        raise ValueError(f"{path}: missing header line")
-    return header, records, summary
+        text = fh.read()
+    lines = list(filter(None, map(str.strip, text.split("\n"))))
+    # the values hold no cycles: a collection during the decode only promotes them
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        values = json.loads("[" + ",".join(lines) + "]")
+    except (ValueError, RecursionError):
+        values = None
+    finally:
+        if collecting:
+            gc.enable()
+    if values is None or len(values) != len(lines) \
+            or not {dict}.issuperset(map(type, values)):
+        _reject(path, text)
+    kinds = [value.pop("type", None) for value in values]
+    has_summary = kinds[-1:] == ["summary"]
+    if kinds[:1] != ["header"] or kinds.count("step") != len(kinds) - 1 - has_summary:
+        _reject(path, text)
+    return values, kinds
+
+
+def read_runlog(path):
+    """Parse a log file into (header, step records, summary); summary may be None."""
+    values, kinds = _decode(path)
+    if kinds[-1] == "summary":
+        return values[0], values[1:-1], values[-1]
+    return values[0], values[1:], None
 
 
 def normalized_bytes(path) -> bytes:
-    """Log content with wall-clock fields removed; stable across reruns."""
+    """Log content with wall-clock fields removed; stable across reruns.
+
+    Read as ``read_runlog`` reads, so the same faults raise.
+    """
+    values, kinds = _decode(path)
     out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            for key in WALL_KEYS:
-                obj.pop(key, None)
-            out.append(_dumps(obj))
+    for obj, kind in zip(values, kinds):
+        obj["type"] = kind  # the encoder sorts keys
+        for key in WALL_KEYS:
+            obj.pop(key, None)
+        out.append(_dumps(obj))
     return ("\n".join(out) + "\n").encode()

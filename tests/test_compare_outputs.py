@@ -51,3 +51,13 @@ def test_file_on_one_side_only_is_reported(tmp_path, compare_outputs, capsys):
         f"only in {tmp_path / 'b'}: logs/exp/sgd/0.log",
         f"only in {tmp_path / 'b'}: tables/extra.txt",
     ]
+
+
+def test_cut_log_is_reported_unreadable(tmp_path, compare_outputs, capsys):
+    write_tree(tmp_path / "a", wall=0.001)
+    write_tree(tmp_path / "b", wall=0.001)
+    log = tmp_path / "b" / "logs" / "exp" / "sgd" / "0.log"
+    log.write_text(log.read_text()[:60])
+    assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"unreadable: logs/exp/sgd/0.log ({log}: line 2: ")

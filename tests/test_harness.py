@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -318,6 +319,40 @@ def cut_log(path, mid_line=False):
                     else text[:text.rstrip("\n").rindex("\n") + 1])
 
 
+# name -> (edit of a log's lines given the other log's lines, 1-based bad line, fault)
+LAYOUT_BREAKS = {
+    "not-an-object": (lambda lines, other: lines[:2] + ["[1,2]"] + lines[2:],
+                      3, "not a JSON object"),
+    "no-type": (lambda lines, other: lines[:2] + ['{"step":0}'] + lines[2:],
+                3, 'no "type" key'),
+    "unknown-type": (lambda lines, other: lines[:2]
+                     + [lines[2].replace('"type":"step"', '"type":"stepx"')] + lines[3:],
+                     3, "unknown record type 'stepx'"),
+    "header-not-first": (lambda lines, other: [lines[1], lines[0]] + lines[2:],
+                         1, "step line before the header"),
+    "second-header": (lambda lines, other: lines[:3] + [lines[0]] + lines[3:],
+                      4, "second header"),
+    "second-summary": (lambda lines, other: lines + [lines[-1]], 83, "second summary"),
+    "line-after-summary": (lambda lines, other: lines + [lines[1]],
+                           83, "step line after the summary"),
+    "two-objects-on-a-line": (lambda lines, other: lines[:2] + [lines[2] + "," + lines[3]]
+                              + lines[4:], 3, "Extra data"),
+    "two-logs-joined": (lambda lines, other: other + lines, 83, "second header"),
+}
+
+
+def break_layout(tmp_path, case):
+    """cao-k1 (first hit 10) and sgd (first hit 20) logs, sgd's edited by ``case``."""
+    synthetic_log(tmp_path / "cao-k1/0.log", "cao-k1", 0, 0, hit_step=10)
+    path = tmp_path / "sgd/0.log"
+    synthetic_log(path, "sgd", 1, 0, hit_step=20)
+    edit = LAYOUT_BREAKS[case][0]
+    lines = edit(path.read_text().splitlines(),
+                 (tmp_path / "cao-k1/0.log").read_text().splitlines())
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestLogCompleteness:
     def test_summaries_regenerate_byte_identically(self, tmp_path):
         cfg = tiny_config(steps=50, seeds=(0, 1))
@@ -351,6 +386,50 @@ class TestLogCompleteness:
                        str(tmp_path / "logs" / "tiny"), "--name", "tiny"])
         assert rc == cli.EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(LAYOUT_BREAKS))
+    def test_layout_break_named(self, tmp_path, case):
+        path = break_layout(tmp_path, case)
+        _, line, fault = LAYOUT_BREAKS[case]
+        named = f"^{re.escape(str(path))}: line {line}: {fault}"
+        for read in (read_runlog, normalized_bytes):
+            with pytest.raises(ValueError, match=named):
+                read(path)
+        logs = sorted(tmp_path.rglob("*.log"))
+        for summarize in (time_to_threshold,
+                          lambda logs: emit_plot_data(logs, tmp_path / "x.tsv"),
+                          lambda logs: threshold_sweep(logs, [0.8])):
+            with pytest.raises(ConfigError, match=f"sgd/0.log: line {line}: "):
+                summarize(logs)
+
+    @pytest.mark.parametrize("command", ["ttt", "plotdata"])
+    @pytest.mark.parametrize("case", list(LAYOUT_BREAKS))
+    def test_layout_break_exit_code(self, tmp_path, case, command, capsys):
+        path = break_layout(tmp_path / "logs", case)
+        rc = cli.main(["--out", str(tmp_path / "out"), command, "--logs",
+                       str(tmp_path / "logs"), "--name", "broken"])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{path}: line {LAYOUT_BREAKS[case][1]}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["optimizer", "optimizer.label", "optimizer.index",
+                                     "optimizer.kind", "seed"])
+    def test_missing_header_key(self, tmp_path, key, capsys):
+        synthetic_log(tmp_path / "cao-k1/0.log", "cao-k1", 0, 0, hit_step=10)
+        path = tmp_path / "sgd/0.log"
+        synthetic_log(path, "sgd", 1, 0, hit_step=20)
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        owner, _, name = key.rpartition(".")
+        del (header[owner] if owner else header)[name]
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        named = f"{re.escape(str(path))}: log header has no '{key}'"
+        with pytest.raises(ConfigError, match=named):
+            time_to_threshold(sorted(tmp_path.rglob("*.log")))
+        rc = cli.main(["--out", str(tmp_path / "out"), "ttt", "--logs", str(tmp_path),
+                       "--name", "broken"])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{path}: log header has no" in capsys.readouterr().err
 
 
 class TestRepeatedRuns:

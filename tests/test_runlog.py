@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cao.optim import StepRecord
-from cao.runlog import RunLogWriter, _dumps
+from cao.runlog import RunLogWriter, _dumps, normalized_bytes, read_runlog
 
 
 def reference_line(rec: StepRecord) -> str:
@@ -129,3 +131,128 @@ class TestPartFile:
         writer.close()
         writer.close()
         assert (tmp_path / "0.log").read_text() == ""
+
+
+def reference_read(path):
+    """The per-line reader: one ``json.loads`` per non-blank line."""
+    header, records, summary = None, [], None
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            obj = json.loads(line)
+            kind = obj.pop("type")
+            if kind == "header":
+                header = obj
+            elif kind == "step":
+                records.append(obj)
+            elif kind == "summary":
+                summary = obj
+    if header is None:
+        raise ValueError(f"{path}: missing header line")
+    return header, records, summary
+
+
+def same_tree(a, b):
+    """Equal types and values, floats bit for bit with NaN equal to NaN, dict keys in order."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b) or (math.isnan(a) and math.isnan(b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(same_tree(a[k], b[k]) for k in a)
+    if type(a) in (list, tuple):
+        return len(a) == len(b) and all(map(same_tree, a, b))
+    return a == b
+
+
+HEADER = {"seed": 0, "optimizer": {"kind": "sgd", "label": "sgd", "index": 0},
+          "threshold": 0.5}
+BLANK_LINES = st.sampled_from(["", " ", "\t", "  \t ", "\x0c"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=st.lists(STEP_RECORDS, max_size=50),
+       final_loss=st.one_of(st.none(), FLOATS),
+       blanks=st.lists(st.tuples(st.integers(0, 60), BLANK_LINES), max_size=8))
+def test_read_runlog_equals_per_line_reader(tmp_path_factory, records, final_loss, blanks):
+    path = tmp_path_factory.mktemp("read") / "run.log"
+    with RunLogWriter(path) as writer:
+        writer.write_header(HEADER)
+        for rec in records:
+            writer.write_record(rec)
+        if final_loss is not None:
+            writer.write_summary({"steps_done": len(records), "final_loss": final_loss})
+    lines = path.read_text().split("\n")
+    for at, blank in blanks:
+        lines.insert(at, blank)
+    path.write_text("\n".join(lines))
+    got = read_runlog(path)
+    assert same_tree(got, reference_read(path))
+    assert len(got[1]) == len(records)
+    assert (got[2] is None) == (final_loss is None)
+
+
+def test_log_cut_at_every_byte(tmp_path):
+    full = tmp_path / "full.log"
+    with RunLogWriter(full) as writer:
+        writer.write_header(HEADER)
+        for name in ("eval-loss", "divergence", "failed-refresh"):
+            writer.write_record(RECORDS[name])
+        writer.write_summary({"steps_done": 3, "final_loss": float("inf")})
+    data = full.read_bytes()
+    path = tmp_path / "cut.log"
+    for end in range(len(data) + 1):
+        path.write_bytes(data[:end])
+        try:
+            want = reference_read(path)
+        except ValueError:
+            want = None
+        if want is not None:
+            assert same_tree(read_runlog(path), want), end
+            continue
+        cut_line = data[:end].count(b"\n") + 1
+        fault = f"line {cut_line}: " if end else "missing header line"
+        for read in (read_runlog, normalized_bytes):
+            with pytest.raises(ValueError) as info:
+                read(path)
+            assert type(info.value) is ValueError
+            assert str(info.value).startswith(f"{path}: {fault}"), (end, str(info.value))
+
+
+def test_normalized_bytes_keeps_the_type_and_drops_wall_fields(tmp_path):
+    path = tmp_path / "run.log"
+    with RunLogWriter(path) as writer:
+        writer.write_header(HEADER)
+        writer.write_record(RECORDS["eval-loss"])
+        writer.write_summary({"steps_done": 1, "wall_total": 2.5})
+    want = []
+    for line in path.read_text().splitlines():
+        obj = json.loads(line)
+        obj.pop("wall", None)
+        obj.pop("wall_total", None)
+        want.append(_dumps(obj))
+    assert normalized_bytes(path) == ("\n".join(want) + "\n").encode()
+
+
+def test_reads_leave_the_collector_as_they_found_it(tmp_path):
+    good, cut = tmp_path / "good.log", tmp_path / "cut.log"
+    with RunLogWriter(good) as writer:
+        writer.write_header(HEADER)
+        writer.write_record(RECORDS["eval-loss"])
+    cut.write_text(good.read_text()[:-20])
+    try:
+        for enabled in (True, False):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            for read in (read_runlog, normalized_bytes):
+                read(good)
+                assert gc.isenabled() is enabled
+                with pytest.raises(ValueError):
+                    read(cut)
+                assert gc.isenabled() is enabled
+    finally:
+        gc.enable()

@@ -26,6 +26,7 @@ inherited).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,6 +96,18 @@ def _parse_optimizer(entry: dict, index: int) -> OptimizerSpec:
     return OptimizerSpec(kind=kind, label=label, params=entry)
 
 
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _int(doc: dict, key: str, low: int, default=None) -> int:
+    """``doc[key]`` (or ``default``), which must be an int >= ``low``."""
+    value = doc.get(key, default)
+    if not _is_int(value, low):
+        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -103,33 +116,33 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"config is missing required keys: {sorted(missing)}")
     if not isinstance(doc["problem"], dict):
         raise ConfigError("problem section must be a JSON object")
-    optimizers = [_parse_optimizer(o, i) for i, o in enumerate(doc["optimizers"])]
+    entries = doc["optimizers"]
+    if not isinstance(entries, list) or not all(isinstance(o, dict) for o in entries):
+        raise ConfigError(f"optimizers must be a list of objects, got {entries!r}")
+    optimizers = [_parse_optimizer(o, i) for i, o in enumerate(entries)]
     if not optimizers:
         raise ConfigError("config needs at least one optimizer")
     labels = [o.label for o in optimizers]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"optimizer labels must be unique, got {labels}")
-    seeds = tuple(int(s) for s in doc["seeds"])
+    seeds = doc["seeds"]
+    if not isinstance(seeds, list) or not all(_is_int(s, 0) for s in seeds):
+        raise ConfigError(f"seeds must be a list of integers >= 0, got {seeds!r}")
     if not seeds:
         raise ConfigError("config needs at least one seed")
-    steps = int(doc["steps"])
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
-    eval_every = int(doc.get("eval_every", 1))
-    if eval_every < 1:
-        raise ConfigError("eval_every must be >= 1")
-    batch_size = int(doc.get("batch_size", 0))
-    if batch_size < 0:
-        raise ConfigError("batch_size must be >= 0 (0 = full batch)")
+    threshold = doc["threshold"]
+    if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+            or not math.isfinite(threshold)):
+        raise ConfigError(f"threshold must be a finite number, got {threshold!r}")
     return ExperimentConfig(
         name=str(doc["name"]),
         problem=dict(doc["problem"]),
         optimizers=tuple(optimizers),
-        seeds=seeds,
-        steps=steps,
-        threshold=float(doc["threshold"]),
-        batch_size=batch_size,
-        eval_every=eval_every,
+        seeds=tuple(seeds),
+        steps=_int(doc, "steps", 1),
+        threshold=float(threshold),
+        batch_size=_int(doc, "batch_size", 0, default=0),
+        eval_every=_int(doc, "eval_every", 1, default=1),
     )
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, OptimizerSpec
+from .config import ExperimentConfig, OptimizerSpec, parse_config
 from .errors import ConfigError, ContractViolationError, DivergenceError
 from .optim import make_runner
 from .problems import FULL_BATCH, Batch, from_config
@@ -116,6 +116,10 @@ def run_comparison(cfg: ExperimentConfig, out_root=".") -> dict:
         problem = from_config(cfg.problem)
     except ContractViolationError as exc:
         raise ConfigError(f"problem: {exc}") from None
+    for spec in cfg.optimizers:
+        if spec.params.get("k", 0) > problem.dim:
+            raise ConfigError(f"optimizer {spec.label!r}: k = {spec.params['k']} exceeds"
+                              f" the problem dimension {problem.dim}")
     logs, diverged = [], False
     for seed in cfg.seeds:
         schedule, spe, digest = build_schedule(problem.num_samples, cfg.batch_size,
@@ -346,15 +350,16 @@ def _first_cao_spec(cfg: ExperimentConfig) -> OptimizerSpec:
     raise ConfigError("config has no curvature-adaptive optimizer entry")
 
 
+def _derived(cfg: ExperimentConfig, name: str, entries) -> ExperimentConfig:
+    """``cfg`` renamed, with ``entries`` as its optimizers, checked as a config file is."""
+    return parse_config({**cfg.to_dict(), "name": name, "optimizers": entries})
+
+
 def k_ablation(cfg: ExperimentConfig, ks=(0, 1, 3, 5), out_root=".") -> dict:
     """Re-run the config's curvature-adaptive optimizer across ranks."""
     template = _first_cao_spec(cfg)
-    variants = []
-    for k in ks:
-        params = dict(template.params)
-        params["k"] = int(k)
-        variants.append(OptimizerSpec(kind="cao", label=f"cao-k{k}", params=params))
-    ablate_cfg = replace(cfg, name=f"{cfg.name}-ablate-k", optimizers=tuple(variants))
+    ablate_cfg = _derived(cfg, f"{cfg.name}-ablate-k", [
+        {"kind": "cao", "label": f"cao-k{k}", **template.params, "k": int(k)} for k in ks])
     result = run_comparison(ablate_cfg, out_root)
     groups, labels, _ = _group_logs(result["logs"])
     table = _ttt_table(groups, labels, cfg.threshold)
@@ -372,33 +377,31 @@ def sensitivity_sweep(cfg: ExperimentConfig, etas, ms, out_root=".") -> dict:
     divergence flag.
     """
     template = _first_cao_spec(cfg)
+    # every cell is checked before the first one runs
+    grid_cfg = _derived(cfg, f"{cfg.name}-sweep", [
+        {"kind": "cao", "label": f"cao-eta{eta:g}-m{m}", **template.params,
+         "eta": float(eta), "m": int(m)} for eta in etas for m in ms])
     cells = []
     diverged_any = False
-    for eta in etas:
-        for m in ms:
-            params = dict(template.params)
-            params["eta"] = float(eta)
-            params["m"] = int(m)
-            label = f"cao-eta{eta:g}-m{m}"
-            cell_cfg = replace(cfg, name=f"{cfg.name}-sweep", optimizers=(
-                OptimizerSpec(kind="cao", label=label, params=params),))
-            result = run_comparison(cell_cfg, out_root)
-            groups, _, _ = _group_logs(result["logs"])
-            runs = groups[label]
-            entry = _ttt_table(groups, [label], cfg.threshold)["optimizers"][label]
-            clamps = sum(run["summary"]["clamp_steps"] for run in runs)
-            cells.append({
-                "eta": float(eta), "m": int(m),
-                "first_hit_mean": entry.get("mean"),
-                "unreached": entry["unreached"],
-                "final_loss_mean": _final_loss_mean(runs),
-                "clamp_steps": clamps,
-                "hvp_calls": [run["summary"]["hvp_calls"] for run in runs],
-                "diverged": result["diverged"],
-                "unstable": result["diverged"] or clamps > 0,
-            })
-            diverged_any |= result["diverged"]
-    return {"cells": cells, "diverged": diverged_any, "name": f"{cfg.name}-sweep"}
+    for spec in grid_cfg.optimizers:
+        label = spec.label
+        result = run_comparison(replace(grid_cfg, optimizers=(spec,)), out_root)
+        groups, _, _ = _group_logs(result["logs"])
+        runs = groups[label]
+        entry = _ttt_table(groups, [label], cfg.threshold)["optimizers"][label]
+        clamps = sum(run["summary"]["clamp_steps"] for run in runs)
+        cells.append({
+            "eta": spec.params["eta"], "m": spec.params["m"],
+            "first_hit_mean": entry.get("mean"),
+            "unreached": entry["unreached"],
+            "final_loss_mean": _final_loss_mean(runs),
+            "clamp_steps": clamps,
+            "hvp_calls": [run["summary"]["hvp_calls"] for run in runs],
+            "diverged": result["diverged"],
+            "unstable": result["diverged"] or clamps > 0,
+        })
+        diverged_any |= result["diverged"]
+    return {"cells": cells, "diverged": diverged_any, "name": grid_cfg.name}
 
 
 def format_sweep(sweep: dict) -> str:

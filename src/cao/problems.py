@@ -355,7 +355,15 @@ def rosenbrock(n: int) -> RosenbrockProblem:
 
 
 class LogregProblem(Problem):
-    """l2-regularized logistic regression on seeded two-class Gaussian data."""
+    """l2-regularized logistic regression on seeded two-class Gaussian data.
+
+    Each sigmoid is taken from one ``e = exp(-|m|)``, as ``e / (1 + e)`` or
+    ``1 / (1 + e)`` by the sign of ``m``, which never overflows. The Hessian
+    product ``X^T (w * (X V))`` is formed as ``((w * (X V))^T X)^T``: the
+    same bytes without handing BLAS a transposed ``X``, C-contiguous for a
+    C-ordered ``V`` such as ``block_lanczos`` sends (F-ordered for an
+    F-ordered ``V``).
+    """
 
     def __init__(
         self,
@@ -398,13 +406,14 @@ class LogregProblem(Problem):
         return x, y, y * (x @ theta)
 
     def _loss_from(self, theta, margins):
-        value = float(np.mean(np.logaddexp(0.0, -margins)))
+        terms = np.logaddexp(0.0, -margins)
+        value = float(terms.sum() / terms.size)  # np.mean's sum and division
         return value + 0.5 * self.reg * float(theta @ theta)
 
     def _grad_from(self, theta, x, y, margins):
-        # sigmoid(-m) without overflow
-        s = np.where(margins >= 0, np.exp(-margins) / (1 + np.exp(-margins)),
-                     1.0 / (1 + np.exp(margins)))
+        # sigmoid(-m) from one exp(-|m|): e / (1 + e) for m >= 0, else 1 / (1 + e)
+        e = np.exp(-np.abs(margins))
+        s = np.where(margins >= 0, e, 1.0) / (1.0 + e)
         g = -(x.T @ (y * s)) / x.shape[0]
         return g + self.reg * theta
 
@@ -421,10 +430,12 @@ class LogregProblem(Problem):
     def _linearize(self, theta, batch):
         x, _ = self._select(batch)
         z = x @ theta
-        p = np.where(z >= 0, 1.0 / (1 + np.exp(-z)), np.exp(z) / (1 + np.exp(z)))
+        # sigmoid(z) from one exp(-|z|): 1 / (1 + e) for z >= 0, else e / (1 + e)
+        e = np.exp(-np.abs(z))
+        p = np.where(z >= 0, 1.0, e) / (1.0 + e)
         w = (p * (1.0 - p))[:, None]
         size, reg = x.shape[0], self.reg
-        return lambda v: (x.T @ (w * (x @ v))) / size + reg * v
+        return lambda v: ((w * (x @ v)).T @ x).T / size + reg * v
 
     def initial_point(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng([int(seed), 7919])

@@ -157,7 +157,8 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None) -> Sketch:
             raise ContractViolationError(
                 f"block closure returned shape {hv.shape}, expected {block.shape}"
             )
-        if not np.all(np.isfinite(hv)):
+        # kept: a raw closure (not Problem.hvp_closure) has no check of its own
+        if not np.isfinite(hv).all():
             raise NumericOverflowError("non-finite Hessian-vector product during sketch build")
         return hv
 

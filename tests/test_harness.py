@@ -605,10 +605,24 @@ class TestCli:
         ({"problem": {"name": ["quadratic"], "spectrum": [4.0, 1.0]}}, "['quadratic']"),
         ({"problem": {"name": "quadratic", "spectrum": "abc"}}, "'quadratic'"),
         ({"problem": {"name": "rosenbrock", "n": "x"}}, "'rosenbrock'"),
+        ({"steps": "abc"}, "steps"),
+        ({"seeds": 5}, "seeds"),
+        ({"seeds": ["x"]}, "seeds"),
+        ({"seeds": [-1]}, "seeds"),
+        ({"threshold": None}, "threshold"),
+        ({"threshold": float("nan")}, "threshold"),
+        ({"eval_every": "z"}, "eval_every"),
+        ({"batch_size": 1.5}, "batch_size"),
+        ({"optimizers": {"kind": "sgd", "alpha": 0.1}}, "optimizers"),
+        ({"optimizers": [{"kind": "sgd", "alpha": 0.1},
+                         {"kind": "cao", "label": "big-k", "alpha": 0.1, "k": 3}]},
+         "big-k"),
     ], ids=["negative-k", "missing-spectrum", "sgd-negative-alpha",
             "sgd-momentum-as-string", "adam-beta1-above-one", "unknown-problem-key",
             "problem-not-object", "problem-name-not-string", "spectrum-not-numbers",
-            "rosenbrock-n-not-int"])
+            "rosenbrock-n-not-int", "steps-not-int", "seeds-not-list", "seed-not-int",
+            "seed-negative", "threshold-null", "threshold-nan", "eval-every-not-int",
+            "batch-size-not-int", "optimizers-not-list", "k-above-dim"])
     def test_bad_config_exits_before_any_run(self, tmp_path, change, named, capsys):
         doc = {
             "name": "bad",
@@ -627,6 +641,30 @@ class TestCli:
         assert not (tmp_path / "logs").exists()
         err = capsys.readouterr().err
         assert named in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["ablate-k", "--ks", "-1"], "cao-k-1"),
+        (["ablate-k", "--ks", "1,9"], "cao-k9"),
+        (["sweep", "--etas", "1,-1"], "cao-eta-1-m200"),
+        (["sweep", "--ms", "5,0"], "cao-eta0.001-m0"),
+        (["sweep", "--etas", "1,1.0"], "unique"),
+    ], ids=["ablate-negative-k", "ablate-k-above-dim", "sweep-negative-eta",
+            "sweep-zero-m", "sweep-repeated-cell"])
+    def test_bad_derived_knob_exits_before_any_run(self, tmp_path, argv, named, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "name": "bad",
+            "problem": {"name": "quadratic", "spectrum": [4.0, 2.0, 1.0], "seed": 1},
+            "optimizers": [{"kind": "cao", "alpha": 0.1, "k": 1}],
+            "seeds": [0],
+            "steps": 5,
+            "threshold": 0.1,
+        }))
+        rc = cli.main(["--out", str(tmp_path), argv[0], "--config", str(cfg_path),
+                       *argv[1:]])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "logs").exists()
+        assert named in capsys.readouterr().err
 
     def test_weight_decay_overflow_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

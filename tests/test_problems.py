@@ -276,6 +276,49 @@ class TestMlpLossKernel:
         assert p.loss_and_grad(theta, batch)[0] == expected
 
 
+def reference_logreg(p, theta, batch, v):
+    """Loss, gradient and H @ v from the expressions LogregProblem used to have."""
+    x, y = (p.x, p.y) if batch.is_full else (p.x[batch.indices], p.y[batch.indices])
+    m = y * (x @ theta)
+    z = x @ theta
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = float(np.mean(np.logaddexp(0.0, -m))) + 0.5 * p.reg * float(theta @ theta)
+        s = np.where(m >= 0, np.exp(-m) / (1 + np.exp(-m)), 1.0 / (1 + np.exp(m)))
+        prob = np.where(z >= 0, 1.0 / (1 + np.exp(-z)), np.exp(z) / (1 + np.exp(z)))
+    grad = -(x.T @ (y * s)) / x.shape[0] + p.reg * theta
+    w = (prob * (1.0 - prob))[:, None]
+    return loss, grad, (x.T @ (w * (x @ v))) / x.shape[0] + p.reg * v
+
+
+class TestLogregKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_reference(self, data):
+        d = data.draw(st.integers(1, 12), label="n_features")
+        n = data.draw(st.integers(2, 60), label="n_samples")
+        p = logreg(d, n, seed=data.draw(st.integers(0, 3)))
+        # theta = 0 gives margins of +-0.0; scales of 1e3 and more give |margin| > 745,
+        # where exp(-|m|) underflows to 0 and the old exp(|m|) overflowed
+        scale = data.draw(st.sampled_from([0.0, 1e-3, 1.0, 30.0, 1e3, 4e3]), label="scale")
+        theta = scale * p.initial_point(data.draw(st.integers(0, 3)))
+        rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n), label="rows")
+        batch = data.draw(st.sampled_from([FULL_BATCH, Batch(indices=np.array(rows))]))
+        j = data.draw(st.integers(1, min(d, 9)), label="block_width")
+        v = np.random.default_rng(data.draw(st.integers(0, 3))).standard_normal((d, j))
+
+        loss, grad, hv = reference_logreg(p, theta, batch, v)
+        assert p.loss(theta, batch) == loss
+        assert p.grad(theta, batch).tobytes() == grad.tobytes()
+        both = p.loss_and_grad(theta, batch)
+        assert both[0] == loss and both[1].tobytes() == grad.tobytes()
+        product = p.hvp_block(theta, v, batch)
+        assert product.tobytes() == hv.tobytes()
+        assert product.flags.c_contiguous
+        v_f = np.asfortranarray(v)  # same values, another memory order
+        assert (p.hvp_block(theta, v_f, batch).tobytes()
+                == reference_logreg(p, theta, batch, v_f)[2].tobytes())
+
+
 class TestLossAndGrad:
     @pytest.mark.parametrize("problem", all_problems(), ids=lambda p: p.meta.name)
     def test_equals_separate_calls_bitwise(self, problem):

@@ -77,12 +77,21 @@ class ExperimentConfig:
         }
 
 
+def _path_component(value, key: str) -> str:
+    """``value``, which names a directory of the log tree and so must be one path part."""
+    if (not isinstance(value, str) or value in ("", ".", "..")
+            or "/" in value or "\0" in value):
+        raise ConfigError(f"{key} must be a non-empty string without '/' or NUL,"
+                          f" and not '.' or '..', got {value!r}")
+    return value
+
+
 def _parse_optimizer(entry: dict, index: int) -> OptimizerSpec:
     entry = dict(entry)
     kind = entry.pop("kind", None)
     if kind not in _OPT_KINDS:
         raise ConfigError(f"optimizer #{index}: kind must be one of {_OPT_KINDS}, got {kind!r}")
-    label = entry.pop("label", None) or kind
+    label = _path_component(entry.pop("label", kind), f"optimizer #{index}: label")
     if "alpha" not in entry:
         raise ConfigError(f"optimizer {label!r}: 'alpha' (base learning rate) is required")
     unknown = set(entry) - _OPT_KEYS[kind]
@@ -114,6 +123,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     missing = {"name", "problem", "optimizers", "seeds", "steps", "threshold"} - set(doc)
     if missing:
         raise ConfigError(f"config is missing required keys: {sorted(missing)}")
+    name = _path_component(doc["name"], "name")
     if not isinstance(doc["problem"], dict):
         raise ConfigError("problem section must be a JSON object")
     entries = doc["optimizers"]
@@ -135,7 +145,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             or not math.isfinite(threshold)):
         raise ConfigError(f"threshold must be a finite number, got {threshold!r}")
     return ExperimentConfig(
-        name=str(doc["name"]),
+        name=name,
         problem=dict(doc["problem"]),
         optimizers=tuple(optimizers),
         seeds=tuple(seeds),

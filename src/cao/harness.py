@@ -3,6 +3,12 @@
 Within one seed every optimizer consumes the identical batch schedule and
 starts from the identical point, so differences in the logs are attributable
 to the optimizer alone. All outputs are regenerable from the logs.
+
+Every summary works from one entry per run whose ``series`` is the run's
+(step, loss) list: ``_group_logs`` reduces each log to it right after parsing,
+and ``run_single`` collects it as it writes the log. The tables of the derived
+commands (``k_ablation``, ``sensitivity_sweep``) come from the runs' own
+entries and equal the tables rebuilt from a re-read of their logs.
 """
 
 from __future__ import annotations
@@ -58,16 +64,20 @@ def build_schedule(num_samples: int, batch_size: int, steps: int, seed: int):
 
 def run_single(problem, spec: OptimizerSpec, opt_index: int, seed: int, schedule,
                steps_per_epoch: int, cfg: ExperimentConfig, log_path,
-               schedule_hash: str | None = None) -> dict:
-    """One (optimizer, seed) run; writes the log and returns its summary.
+               schedule_hash: str | None = None):
+    """One (optimizer, seed) run; writes the log and returns (summary, series).
 
     ``schedule_hash`` is the digest ``build_schedule`` returned for
-    ``schedule``; it goes into the log header.
+    ``schedule``; it goes into the log header. ``series`` is what
+    ``_series`` picks from the log's records: the (step, eval_loss) pairs if
+    any step was evaluated, else the (step, loss) pair of every record,
+    including the one a divergence leaves.
     """
     theta0 = problem.initial_point(seed)
     runner = make_runner(spec.kind, theta0, spec.params, seed)
     minibatch = cfg.batch_size > 0 and problem.num_samples > 0
     summary = {"steps_done": 0, "diverged": False, "clamp_steps": 0, "refreshes": 0}
+    losses, evals = [], []
     t_start = time.perf_counter()
     with RunLogWriter(log_path) as writer:
         writer.write_header({
@@ -91,46 +101,64 @@ def run_single(problem, spec: OptimizerSpec, opt_index: int, seed: int, schedule
                 rec.wall = time.perf_counter() - t0
                 rec.eval_loss = eval_loss
                 writer.write_record(rec)
+                losses.append((rec.step, rec.loss))
+                if eval_loss is not None:
+                    evals.append((rec.step, eval_loss))
                 summary["steps_done"] = t + 1
                 summary["clamp_steps"] += int(rec.clamped)
                 summary["refreshes"] += int(rec.refreshed)
         except DivergenceError as exc:
-            if exc.record is not None:
-                writer.write_record(exc.record)
+            # no eval_loss in this record: it is set only once a step returns
+            rec = exc.record
+            if rec is not None:
+                writer.write_record(rec)
+                losses.append((rec.step, rec.loss))
             summary["diverged"] = True
         if not summary["diverged"]:
             summary["final_loss"] = problem.loss(runner.theta)
         summary["hvp_calls"] = runner.hvp_calls
         summary["wall_total"] = time.perf_counter() - t_start
         writer.write_summary(summary)
-    return summary
+    return summary, evals or losses
 
 
 def _log_path(out_root, exp_name, label, seed) -> Path:
     return Path(out_root) / "logs" / exp_name / label / f"{seed}.log"
 
 
-def run_comparison(cfg: ExperimentConfig, out_root=".") -> dict:
-    """All (seed, optimizer) runs of a config; schedules shared within a seed."""
+def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None) -> dict:
+    """All (seed, optimizer) runs of a config; schedules shared within a seed.
+
+    ``tasks`` lists the runs of one seed as (config the log records, optimizer,
+    index) triples; by default each optimizer of ``cfg`` with its own index.
+    The problem is built once for all of them. Returns the log paths, whether
+    any run diverged, and per run a (path, label, index, entry) tuple for
+    ``_group``.
+    """
+    if tasks is None:
+        tasks = [(cfg, spec, idx) for idx, spec in enumerate(cfg.optimizers)]
     try:
         problem = from_config(cfg.problem)
     except ContractViolationError as exc:
         raise ConfigError(f"problem: {exc}") from None
-    for spec in cfg.optimizers:
+    for _, spec, _ in tasks:
         if spec.params.get("k", 0) > problem.dim:
             raise ConfigError(f"optimizer {spec.label!r}: k = {spec.params['k']} exceeds"
                               f" the problem dimension {problem.dim}")
-    logs, diverged = [], False
+    logs, runs, diverged = [], [], False
     for seed in cfg.seeds:
         schedule, spe, digest = build_schedule(problem.num_samples, cfg.batch_size,
                                                cfg.steps, seed)
-        for idx, spec in enumerate(cfg.optimizers):
-            path = _log_path(out_root, cfg.name, spec.label, seed)
-            summary = run_single(problem, spec, idx, seed, schedule, spe, cfg, path,
-                                 schedule_hash=digest)
-            logs.append(str(path))
+        for run_cfg, spec, idx in tasks:
+            path = str(_log_path(out_root, run_cfg.name, spec.label, seed))
+            summary, series = run_single(problem, spec, idx, seed, schedule, spe, run_cfg,
+                                         path, schedule_hash=digest)
+            logs.append(path)
+            runs.append((path, spec.label, idx,
+                         _entry(seed, series, summary, spec.kind,
+                                spec.params.get("k", 1), spe)))
             diverged |= summary["diverged"]
-    return {"logs": logs, "diverged": diverged}
+    return {"logs": logs, "diverged": diverged, "runs": runs}
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +166,15 @@ def run_comparison(cfg: ExperimentConfig, out_root=".") -> dict:
 
 
 def _series(records):
-    """(steps, losses) used for threshold scans; prefers full-set eval losses."""
+    """(step, loss) pairs used for threshold scans; prefers full-set eval losses."""
     key = "eval_loss" if any("eval_loss" in r for r in records) else "loss"
     return [(r["step"], r[key]) for r in records if key in r]
+
+
+def _entry(seed, series, summary, kind, rank, steps_per_epoch) -> dict:
+    """What every summary reads of one run."""
+    return {"seed": seed, "series": series, "summary": summary, "kind": kind,
+            "rank": rank, "steps_per_epoch": steps_per_epoch}
 
 
 def _check_header(path, header) -> None:
@@ -155,18 +189,38 @@ def _check_header(path, header) -> None:
         raise ConfigError(f"{path}: log header has no 'seed'")
 
 
+def _group(runs):
+    """Group (path, label, index, entry) runs by label, labels in index order.
+
+    Each label's entries are sorted by seed. Two runs of the same label and
+    seed are an error naming both files.
+    """
+    groups, order, seen = {}, {}, {}
+    for path, label, index, run in runs:
+        key = (label, run["seed"])
+        if key in seen:
+            raise ConfigError(f"{seen[key]} and {path}: both hold label {label!r}, "
+                              f"seed {run['seed']}")
+        seen[key] = path
+        order[label] = index
+        groups.setdefault(label, []).append(run)
+    if not groups:
+        raise ConfigError("no logs given")
+    for label in groups:
+        groups[label].sort(key=lambda run: run["seed"])
+    labels = sorted(groups, key=lambda lab: order[lab])
+    return groups, labels
+
+
 def _group_logs(log_paths):
-    """Parse each log once and group the runs by optimizer label, keeping config order.
+    """Parse each log once, reduce it to its entry and group the runs (see ``_group``).
 
     A log that a killed run left behind (a line cut short, or no summary line)
     or that breaks the layout of ``cao.runlog`` is an error naming the file,
     and so are a header without the keys that group its run and two logs of
-    the same label and seed.
+    the same label and seed. Returns (groups, labels, the logs' threshold).
     """
-    groups = {}
-    order = {}
-    seen = {}
-    threshold = None
+    runs, threshold = [], None
     for path in sorted(str(p) for p in log_paths):
         try:
             header, records, summary = read_runlog(path)
@@ -175,30 +229,17 @@ def _group_logs(log_paths):
         if summary is None:
             raise ConfigError(f"{path}: incomplete log, no summary line")
         _check_header(path, header)
-        label = header["optimizer"]["label"]
-        key = (label, header["seed"])
-        if key in seen:
-            raise ConfigError(f"{seen[key]} and {path}: both hold label {label!r}, "
-                              f"seed {header['seed']}")
-        seen[key] = path
-        order[label] = header["optimizer"]["index"]
+        optimizer = header["optimizer"]
         threshold = header.get("threshold", threshold)
-        groups.setdefault(label, []).append(
-            {"seed": header["seed"], "records": records, "summary": summary,
-             "kind": header["optimizer"]["kind"],
-             "rank": header["optimizer"].get("k", 1),
-             "steps_per_epoch": header.get("steps_per_epoch", 1)}
-        )
-    if not groups:
-        raise ConfigError("no logs given")
-    for label in groups:
-        groups[label].sort(key=lambda run: run["seed"])
-    labels = sorted(groups, key=lambda lab: order[lab])
+        runs.append((path, optimizer["label"], optimizer["index"], _entry(
+            header["seed"], _series(records), summary, optimizer["kind"],
+            optimizer.get("k", 1), header.get("steps_per_epoch", 1))))
+    groups, labels = _group(runs)
     return groups, labels, threshold
 
 
-def _first_hit(records, threshold):
-    for step, value in _series(records):
+def _first_hit(series, threshold):
+    for step, value in series:
         if value <= threshold:
             return step
     return None
@@ -210,7 +251,7 @@ def _ttt_table(groups, labels, threshold) -> dict:
     for label in labels:
         hits, epochs = {}, []
         for run in groups[label]:
-            hit = _first_hit(run["records"], threshold)
+            hit = _first_hit(run["series"], threshold)
             hits[run["seed"]] = hit
             if hit is not None:
                 epochs.append(hit // run["steps_per_epoch"])
@@ -300,7 +341,7 @@ def emit_plot_data(log_paths, out_path) -> Path:
     per_label = {}
     steps_ref = None
     for label in labels:
-        series = [_series(run["records"]) for run in groups[label]]
+        series = [run["series"] for run in groups[label]]
         steps = [s for s, _ in series[0]]
         for ser in series:
             if [s for s, _ in ser] != steps:
@@ -361,7 +402,7 @@ def k_ablation(cfg: ExperimentConfig, ks=(0, 1, 3, 5), out_root=".") -> dict:
     ablate_cfg = _derived(cfg, f"{cfg.name}-ablate-k", [
         {"kind": "cao", "label": f"cao-k{k}", **template.params, "k": int(k)} for k in ks])
     result = run_comparison(ablate_cfg, out_root)
-    groups, labels, _ = _group_logs(result["logs"])
+    groups, labels = _group(result["runs"])
     table = _ttt_table(groups, labels, cfg.threshold)
     finals = {label: _final_loss_mean(groups[label]) for label in labels}
     summary_rows = {label: {"first_hit": table["optimizers"][label], "final_loss_mean": final}
@@ -374,22 +415,24 @@ def sensitivity_sweep(cfg: ExperimentConfig, etas, ms, out_root=".") -> dict:
     """Grid over damping and refresh interval for the curvature-adaptive entry.
 
     Each cell reports first-hit, final loss, clamp events, HVP count and a
-    divergence flag.
+    divergence flag. All cells run in one comparison, each logged as a config
+    of its own: its one optimizer at index 0.
     """
     template = _first_cao_spec(cfg)
     # every cell is checked before the first one runs
     grid_cfg = _derived(cfg, f"{cfg.name}-sweep", [
         {"kind": "cao", "label": f"cao-eta{eta:g}-m{m}", **template.params,
          "eta": float(eta), "m": int(m)} for eta in etas for m in ms])
+    result = run_comparison(grid_cfg, out_root, tasks=[
+        (replace(grid_cfg, optimizers=(spec,)), spec, 0) for spec in grid_cfg.optimizers])
+    groups, _ = _group(result["runs"])
     cells = []
-    diverged_any = False
     for spec in grid_cfg.optimizers:
         label = spec.label
-        result = run_comparison(replace(grid_cfg, optimizers=(spec,)), out_root)
-        groups, _, _ = _group_logs(result["logs"])
         runs = groups[label]
         entry = _ttt_table(groups, [label], cfg.threshold)["optimizers"][label]
         clamps = sum(run["summary"]["clamp_steps"] for run in runs)
+        diverged = any(run["summary"]["diverged"] for run in runs)
         cells.append({
             "eta": spec.params["eta"], "m": spec.params["m"],
             "first_hit_mean": entry.get("mean"),
@@ -397,11 +440,10 @@ def sensitivity_sweep(cfg: ExperimentConfig, etas, ms, out_root=".") -> dict:
             "final_loss_mean": _final_loss_mean(runs),
             "clamp_steps": clamps,
             "hvp_calls": [run["summary"]["hvp_calls"] for run in runs],
-            "diverged": result["diverged"],
-            "unstable": result["diverged"] or clamps > 0,
+            "diverged": diverged,
+            "unstable": diverged or clamps > 0,
         })
-        diverged_any |= result["diverged"]
-    return {"cells": cells, "diverged": diverged_any, "name": grid_cfg.name}
+    return {"cells": cells, "diverged": result["diverged"], "name": grid_cfg.name}
 
 
 def format_sweep(sweep: dict) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -225,8 +225,7 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
         lcfg = LanczosConfig(k=cfg.k, iters=cfg.t_pow,
                              seed=_refresh_seed(cfg.sketch_seed, state.step))
         try:
-            sketch = replace(block_lanczos(counted, problem.dim, lcfg),
-                             refreshed_at=state.step)
+            sketch = block_lanczos(counted, problem.dim, lcfg, refreshed_at=state.step)
             refreshed = True
         except NumericOverflowError:
             log.warning("sketch refresh failed at step %d; keeping previous sketch",

@@ -127,7 +127,8 @@ def qr_orthonormalize(m, rng=None) -> np.ndarray:
     return _positive_first(q)
 
 
-def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None) -> Sketch:
+def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None,
+                  refreshed_at: int = 0) -> Sketch:
     """Estimate the top-k eigenpairs of the symmetric operator behind ``hvp_closure``.
 
     ``hvp_closure`` maps an n x k block ``V`` to ``H @ V``. The orthonormal
@@ -137,6 +138,7 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None) -> Sketch:
     with ``NumericOverflowError`` so the caller can keep a previous sketch.
 
     ``v0`` overrides the seeded random start block (used by invariance tests).
+    ``refreshed_at`` is the optimizer step the sketch is stamped with.
     """
     if cfg.k < 1:
         raise ContractViolationError("block_lanczos needs k >= 1; use Sketch.empty for k = 0")
@@ -170,7 +172,7 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None) -> Sketch:
     vals, small_vecs = np.linalg.eigh(projected)
     vals = vals[::-1]  # signed value, descending
     basis = _positive_first(v @ small_vecs[:, ::-1])  # deterministic output signs
-    sk = Sketch(vals, basis)
+    sk = Sketch(vals, basis, refreshed_at)
     if sk.has_negative:
         log.info("sketch contains negative curvature estimates: %s", vals)
     return sk

@@ -11,6 +11,7 @@ from cao.errors import ConfigError
 from cao.harness import (
     build_schedule,
     emit_plot_data,
+    format_sweep,
     format_ttt,
     k_ablation,
     run_comparison,
@@ -297,19 +298,131 @@ class TestOneParsePerLog:
         assert parses == {str(path): 1 for path in result["logs"]}
         assert len(parses) == 6
 
+    # the derived commands summarize the runs they made, not their logs
     def test_k_ablation(self, tmp_path, parses):
         result = k_ablation(tiny_config(steps=40, seeds=(0, 1, 2)), ks=(0, 1, 3, 5),
                             out_root=tmp_path)
-        assert parses == {str(path): 1 for path in result["logs"]}
-        assert len(parses) == 12
+        assert len(result["logs"]) == 12
+        assert parses == {}
         assert set(result["summary"]) == {"cao-k0", "cao-k1", "cao-k3", "cao-k5"}
 
     def test_sensitivity_sweep(self, tmp_path, parses):
         sensitivity_sweep(tiny_config(steps=40, seeds=(0, 1)), etas=(0.5, 1.0),
                           ms=(10, 20), out_root=tmp_path)
-        written = sorted(str(path) for path in tmp_path.rglob("*.log"))
-        assert len(written) == 8
-        assert parses == {path: 1 for path in written}
+        assert len(list(tmp_path.rglob("*.log"))) == 8
+        assert parses == {}
+
+
+# configs whose derived tables must equal the tables rebuilt from their logs
+EQUIVALENCE_CONFIGS = {
+    "full-batch-quadratic": {
+        "problem": {"name": "quadratic", "spectrum": [20.0, 5.0, 2.0, 1.0, 0.5, 0.2],
+                    "seed": 3},
+        "optimizers": [{"kind": "cao", "label": "cao-k1", "alpha": 0.04, "k": 1,
+                        "m": 10, "eta": 1.0, "t_pow": 4},
+                       {"kind": "sgd", "alpha": 0.04}],
+        "steps": 60, "threshold": 0.3,
+    },
+    "minibatch-mlp-eval-every-3": {
+        "problem": {"name": "mlp", "widths": [4, 6, 3], "n_samples": 60,
+                    "class_sep": 1.5, "input_gain": 4.0, "seed": 3},
+        "optimizers": [{"kind": "cao", "label": "cao-k1", "alpha": 0.2, "k": 1,
+                        "m": 10, "eta": 0.5, "t_pow": 3, "clip_c": 10.0}],
+        "steps": 40, "batch_size": 12, "eval_every": 3, "threshold": 0.8,
+    },
+    "divergent": {
+        "problem": {"name": "quadratic", "spectrum": [100.0, 1.0], "seed": 1},
+        "optimizers": [{"kind": "cao", "label": "cao-k1", "alpha": 0.5, "k": 1,
+                        "m": 10, "eta": 1.0, "t_pow": 4},
+                       {"kind": "sgd", "alpha": 0.5}],
+        "steps": 300, "threshold": 0.01,
+    },
+}
+
+
+def sweep_from_logs(result, out_root, threshold):
+    """``format_sweep`` text of a sweep, rebuilt one cell at a time from its logs."""
+    cells = []
+    for label_dir in sorted((out_root / "logs" / result["name"]).iterdir()):
+        groups, labels, _ = harness._group_logs(label_dir.glob("*.log"))
+        runs = groups[labels[0]]
+        header, _, _ = read_runlog(next(label_dir.glob("*.log")))
+        entry = harness._ttt_table(groups, labels, threshold)["optimizers"][labels[0]]
+        clamps = sum(run["summary"]["clamp_steps"] for run in runs)
+        diverged = any(run["summary"]["diverged"] for run in runs)
+        cells.append({
+            "eta": header["optimizer"]["eta"], "m": header["optimizer"]["m"],
+            "first_hit_mean": entry.get("mean"),
+            "final_loss_mean": harness._final_loss_mean(runs),
+            "clamp_steps": clamps,
+            "hvp_calls": [run["summary"]["hvp_calls"] for run in runs],
+            "unstable": diverged or clamps > 0,
+        })
+    order = [(cell["eta"], cell["m"]) for cell in result["cells"]]
+    cells.sort(key=lambda cell: order.index((cell["eta"], cell["m"])))
+    return format_sweep({"name": result["name"], "cells": cells})
+
+
+class TestDerivedTablesFromRuns:
+    @pytest.fixture(params=list(EQUIVALENCE_CONFIGS))
+    def cfg(self, request):
+        return parse_config({"name": request.param, "seeds": [0, 1],
+                             **EQUIVALENCE_CONFIGS[request.param]})
+
+    def test_k_ablation_equals_its_logs(self, tmp_path, cfg):
+        result = k_ablation(cfg, ks=(0, 1, 2), out_root=tmp_path)
+        groups, labels, _ = harness._group_logs(result["logs"])
+        rebuilt = harness._ttt_table(groups, labels, cfg.threshold)
+        assert format_ttt(result["table"], name=result["name"]) == \
+            format_ttt(rebuilt, name=result["name"])
+        finals = {label: harness._final_loss_mean(groups[label]) for label in labels}
+        assert {label: row["final_loss_mean"] for label, row in result["summary"].items()} \
+            == {label: final for label, final in finals.items() if final is not None}
+
+    def test_sweep_equals_its_logs(self, tmp_path, cfg):
+        result = sensitivity_sweep(cfg, etas=(0.1, 1.0), ms=(5, 20), out_root=tmp_path)
+        assert format_sweep(result) == sweep_from_logs(result, tmp_path, cfg.threshold)
+        # each cell is logged as a config of its own: its one optimizer, at index 0
+        for path in tmp_path.rglob("*.log"):
+            header, _, _ = read_runlog(path)
+            assert header["optimizer"]["index"] == 0
+            assert [o["label"] for o in header["config"]["optimizers"]] == \
+                [header["optimizer"]["label"]]
+
+    def test_run_entries_equal_log_entries(self, tmp_path, cfg):
+        result = run_comparison(cfg, tmp_path)
+        groups, labels, _ = harness._group_logs(result["logs"])
+        from_runs, run_labels = harness._group(result["runs"])
+        assert run_labels == labels
+        for label in labels:
+            for run, logged in zip(from_runs[label], groups[label], strict=True):
+                # repr compares the floats bit for bit, non-finite ones included
+                assert repr(run["series"]) == repr(logged["series"])
+                assert run["summary"] == logged["summary"]
+                assert {k: v for k, v in run.items() if k not in ("series", "summary")} \
+                    == {k: v for k, v in logged.items() if k not in ("series", "summary")}
+
+    def test_divergent_config_diverges(self, tmp_path):
+        cfg = parse_config({"name": "divergent", "seeds": [0],
+                            **EQUIVALENCE_CONFIGS["divergent"]})
+        assert run_comparison(cfg, tmp_path / "run")["diverged"]
+        assert k_ablation(cfg, ks=(0, 1), out_root=tmp_path / "k")["diverged"]
+        sweep = sensitivity_sweep(cfg, etas=(0.1, 1.0), ms=(5,), out_root=tmp_path / "s")
+        assert [cell["diverged"] for cell in sweep["cells"]] == [True, False]
+
+    def test_sweep_builds_its_problem_once(self, tmp_path, monkeypatch):
+        builds = []
+        real = harness.from_config
+
+        def counting(section):
+            builds.append(section)
+            return real(section)
+
+        monkeypatch.setattr(harness, "from_config", counting)
+        result = sensitivity_sweep(tiny_config(steps=20, seeds=(0, 1)), etas=(0.5, 1.0),
+                                   ms=(10, 20), out_root=tmp_path)
+        assert len(result["cells"]) == 4
+        assert len(builds) == 1
 
 
 def cut_log(path, mid_line=False):
@@ -617,12 +730,19 @@ class TestCli:
         ({"optimizers": [{"kind": "sgd", "alpha": 0.1},
                          {"kind": "cao", "label": "big-k", "alpha": 0.1, "k": 3}]},
          "big-k"),
+        *[({"name": name}, "name must be") for name in ("..", ".", "", "a/b", "a\0b", 3)],
+        *[({"optimizers": [{"kind": "sgd", "label": label, "alpha": 0.1}]},
+           "optimizer #0: label must be")
+          for label in ("..", ".", "", "x/y", "x\0y", None, 7)],
     ], ids=["negative-k", "missing-spectrum", "sgd-negative-alpha",
             "sgd-momentum-as-string", "adam-beta1-above-one", "unknown-problem-key",
             "problem-not-object", "problem-name-not-string", "spectrum-not-numbers",
             "rosenbrock-n-not-int", "steps-not-int", "seeds-not-list", "seed-not-int",
             "seed-negative", "threshold-null", "threshold-nan", "eval-every-not-int",
-            "batch-size-not-int", "optimizers-not-list", "k-above-dim"])
+            "batch-size-not-int", "optimizers-not-list", "k-above-dim",
+            "name-dotdot", "name-dot", "name-empty", "name-slash", "name-nul",
+            "name-not-string", "label-dotdot", "label-dot", "label-empty", "label-slash",
+            "label-nul", "label-null", "label-not-string"])
     def test_bad_config_exits_before_any_run(self, tmp_path, change, named, capsys):
         doc = {
             "name": "bad",
@@ -641,6 +761,25 @@ class TestCli:
         assert not (tmp_path / "logs").exists()
         err = capsys.readouterr().err
         assert named in err
+
+    @pytest.mark.parametrize("command", ["run", "ablate-k", "sweep"])
+    def test_name_and_label_cannot_leave_out(self, tmp_path, command, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "name": "../../escaped",
+            "problem": {"name": "quadratic", "spectrum": [4.0, 1.0], "seed": 1},
+            "optimizers": [{"kind": "sgd", "label": "../../../lab", "alpha": 0.1},
+                           {"kind": "cao", "alpha": 0.1, "k": 1}],
+            "seeds": [0],
+            "steps": 5,
+            "threshold": 0.1,
+        }))
+        # deep enough that an escaping log would still land under tmp_path
+        out = tmp_path / "a" / "b" / "c" / "d" / "out"
+        rc = cli.main(["--out", str(out), command, "--config", str(cfg_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert [p for p in tmp_path.rglob("*") if p != cfg_path] == []
+        assert "config error: name must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, named", [
         (["ablate-k", "--ks", "-1"], "cao-k-1"),

@@ -116,6 +116,24 @@ class TestCaoStep:
         state, rec = cao_step(state, p, FULL_BATCH, cfg)
         assert rec.refreshed and state.sketch is not first
 
+    def test_one_sketch_per_refresh(self, monkeypatch):
+        built = []
+        check = Sketch.__post_init__
+
+        def counting(self):
+            built.append(self.refreshed_at)
+            check(self)
+
+        monkeypatch.setattr(Sketch, "__post_init__", counting)
+        p = quadratic([5.0, 2.0, 1.0], seed=7)
+        cfg = CaoConfig(alpha=1e-3, k=2, m=4, eta=1.0, t_pow=2)
+        state = make_state(p)
+        for step in range(9):
+            built.clear()
+            state, rec = cao_step(state, p, FULL_BATCH, cfg)
+            assert built == ([step] if rec.refreshed else [])
+        assert state.sketch.refreshed_at == 8
+
     def test_preconditioner_built_once_per_sketch(self):
         class Saddle(Problem):
             # negative curvature, so the sketches clamp

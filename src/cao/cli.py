@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -43,6 +44,14 @@ def _parse_list(text, flag, cast):
                           f" got {text!r}") from None
 
 
+def _finite_thresholds(values, flag):
+    """``values``; a NaN or infinite threshold is a config error naming ``flag``."""
+    bad = next((x for x in values if not math.isfinite(x)), None)
+    if bad is not None:
+        raise ConfigError(f"{flag}: thresholds must be finite numbers, got {bad!r}")
+    return values
+
+
 def _cmd_run(args):
     cfg = load_config(args.config)
     result = harness.run_comparison(cfg, args.out)
@@ -63,10 +72,13 @@ def _write_table(args, name, text):
 
 
 def _cmd_ttt(args):
+    if args.threshold is not None:
+        _finite_thresholds([args.threshold], "--threshold")
     logs = _collect_logs(args.logs)
     name = args.name or Path(args.logs[0]).name
     if args.thresholds:
-        thresholds = _parse_list(args.thresholds, "--thresholds", float)
+        thresholds = _finite_thresholds(
+            _parse_list(args.thresholds, "--thresholds", float), "--thresholds")
         _write_table(args, f"{name}-threshold-sweep",
                      harness.threshold_sweep(logs, thresholds))
     else:

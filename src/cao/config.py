@@ -140,6 +140,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"seeds must be a list of integers >= 0, got {seeds!r}")
     if not seeds:
         raise ConfigError("config needs at least one seed")
+    # two runs of one (label, seed) would write the same log
+    repeated = next((seed for i, seed in enumerate(seeds) if seed in seeds[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"seeds must be unique, got {repeated} twice in {seeds!r}")
     threshold = doc["threshold"]
     if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
             or not math.isfinite(threshold)):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness test behind them."""
+
+import numpy as np
 
 
 class ContractViolationError(ValueError):
@@ -7,6 +9,16 @@ class ContractViolationError(ValueError):
 
 class NumericOverflowError(ArithmeticError):
     """A computation produced NaN or Inf where a finite value is required."""
+
+
+def all_finite(a):
+    """``np.isfinite(a).all()`` for an array ``a``, without the wrapper of ``.all()``.
+
+    Returns a NumPy bool. Exact for every float array, empty ones included,
+    and warns about nothing: no arithmetic is done on the values, so a huge
+    finite entry cannot overflow.
+    """
+    return np.count_nonzero(np.isfinite(a)) == a.size
 
 
 class DegenerateStepError(ValueError):

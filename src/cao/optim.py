@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ContractViolationError, DivergenceError, NumericOverflowError
+from .errors import ContractViolationError, DivergenceError, NumericOverflowError, all_finite
 from .precondition import DampedPreconditioner, precondition
 from .problems import Batch, Problem
 from .sketch import LanczosConfig, Sketch, block_lanczos
@@ -144,7 +144,7 @@ def _loss_and_grad(problem, theta, batch, step, epoch, weight_decay=0.0):
                               record=record) from exc
     if weight_decay:
         grad = grad + weight_decay * theta
-        if not np.isfinite(grad).all():
+        if not all_finite(grad):
             record = StepRecord(step=step, epoch=epoch, loss=loss,
                                 grad_norm=_norm(grad), update_norm=0.0)
             raise DivergenceError(f"non-finite decayed gradient at step {step}",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericOverflowError
+from .errors import ContractViolationError, NumericOverflowError, all_finite
 from .sketch import Sketch
 
 
@@ -51,7 +51,7 @@ def _check_g(g, pc):
     n = pc.sketch.basis.shape[0]
     if pc.sketch.k and g.shape != (n,):
         raise ContractViolationError(f"gradient shape {g.shape} != ({n},)")
-    if not np.isfinite(g).all():
+    if not all_finite(g):
         raise NumericOverflowError("non-finite gradient passed to preconditioner")
     return g
 

@@ -26,6 +26,7 @@ from .errors import (
     DegenerateStepError,
     NumericOverflowError,
     OracleUnavailableError,
+    all_finite,
 )
 
 DENSE_ORACLE_CAP = 500
@@ -122,7 +123,7 @@ class Problem:
         if isinstance(value, float):
             finite = math.isfinite(value)
         else:
-            finite = np.isfinite(value).all()
+            finite = all_finite(value)
         if not finite:
             raise NumericOverflowError(f"non-finite {what}")
         return value

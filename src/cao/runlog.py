@@ -39,6 +39,7 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _float_repr = float.__repr__
 _int_repr = int.__repr__
 _isfinite = math.isfinite
+_BOOL = ("false", "true")  # indexed by an exact bool
 
 
 def _value(x) -> str:
@@ -52,7 +53,7 @@ def _value(x) -> str:
     if t is float and _isfinite(x):
         return _float_repr(x)
     if t is bool:
-        return "true" if x else "false"
+        return _BOOL[x]
     if t is int:
         return _int_repr(x)
     if t is tuple:
@@ -96,12 +97,32 @@ class RunLogWriter:
         # _dumps({"type": "step", **vars(rec)}) with a None eval_loss left out
         v = _value
         eval_loss = "" if rec.eval_loss is None else f'"eval_loss":{v(rec.eval_loss)},'
+        loss, grad_norm, update_norm, wall = rec.loss, rec.grad_norm, rec.update_norm, rec.wall
+        clamped, refresh_failed, refreshed = rec.clamped, rec.refresh_failed, rec.refreshed
+        if (type(loss) is float and type(grad_norm) is float
+                and type(update_norm) is float and type(wall) is float
+                # finite only if every term is: an inf or NaN term, or a sum
+                # that overflows, takes _value's path below
+                and _isfinite(loss + grad_norm + update_norm + wall)
+                and type(clamped) is bool and type(refresh_failed) is bool
+                and type(refreshed) is bool):
+            f, b = _float_repr, _BOOL
+            (clamped, eigvals, epoch, grad_norm, loss, refresh_failed, refreshed, step,
+             update_norm, wall) = (
+                b[clamped], v(rec.eigvals), v(rec.epoch), f(grad_norm), f(loss),
+                b[refresh_failed], b[refreshed], v(rec.step), f(update_norm), f(wall))
+        else:
+            # in key order, so the first field that cannot be written is the one that raises
+            (clamped, eigvals, epoch, grad_norm, loss, refresh_failed, refreshed, step,
+             update_norm, wall) = map(v, (
+                clamped, rec.eigvals, rec.epoch, grad_norm, loss,
+                refresh_failed, refreshed, rec.step, update_norm, wall))
         self._fh.write(
-            f'{{"clamped":{v(rec.clamped)},"eigvals":{v(rec.eigvals)},'
-            f'"epoch":{v(rec.epoch)},{eval_loss}"grad_norm":{v(rec.grad_norm)},'
-            f'"loss":{v(rec.loss)},"refresh_failed":{v(rec.refresh_failed)},'
-            f'"refreshed":{v(rec.refreshed)},"step":{v(rec.step)},"type":"step",'
-            f'"update_norm":{v(rec.update_norm)},"wall":{v(rec.wall)}}}\n')
+            f'{{"clamped":{clamped},"eigvals":{eigvals},'
+            f'"epoch":{epoch},{eval_loss}"grad_norm":{grad_norm},'
+            f'"loss":{loss},"refresh_failed":{refresh_failed},'
+            f'"refreshed":{refreshed},"step":{step},"type":"step",'
+            f'"update_norm":{update_norm},"wall":{wall}}}\n')
 
     def write_summary(self, summary: dict) -> None:
         payload = {"type": "summary"}

@@ -6,17 +6,25 @@ The sketch is built by subspace iteration + Rayleigh-Ritz on LAPACK (``qr``,
 matrix is diagonalized (``block_lanczos`` below). The closure receives the
 whole n x k block once per iteration and must return the n x k product, so
 exactly ``iters + 1`` closure calls, ``(iters + 1) * k`` Hessian-vector
-products, are made per build.
+products, are made per build. Column signs are fixed once per build, on the
+block that enters Rayleigh-Ritz and on the returned basis; the iterates
+before that keep the signs orthonormalization leaves them.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericOverflowError, OracleUnavailableError
+from .errors import (
+    ContractViolationError,
+    NumericOverflowError,
+    OracleUnavailableError,
+    all_finite,
+)
 
 log = logging.getLogger(__name__)
 
@@ -87,25 +95,45 @@ def _positive_first(q) -> np.ndarray:
     return q * np.copysign(1.0, first)
 
 
-def _qr(m):
-    """Reduced QR factors of ``m``.
+def _orthonormalize(m, rng) -> np.ndarray:
+    """Orthonormal columns spanning those of ``m``, with signs left as they fall.
 
-    One column is normalized directly: for it, LAPACK's call overhead costs
-    about twice the normalization and would dominate k = 1 sketch builds.
+    One column is divided by its norm directly: for it, LAPACK's call overhead
+    costs about twice the normalization and would dominate k = 1 sketch builds.
+    Otherwise Householder QR; its Q does not depend on the signs of the input
+    columns. Rank deficiency is repaired as ``qr_orthonormalize`` describes.
     """
-    if m.shape[1] == 1:
-        norm = np.linalg.norm(m)
-        return m / max(norm, RANK_DEFICIENCY_TOL), np.full((1, 1), norm)
-    return np.linalg.qr(m)
+    n, k = m.shape
+    while True:
+        if k == 1:
+            x = m.ravel()
+            norm = math.sqrt(x.dot(x))  # np.linalg.norm's arithmetic, bit for bit
+            if not norm < RANK_DEFICIENCY_TOL:
+                return m / norm
+            j = 0
+        else:
+            q, r = np.linalg.qr(m)
+            small = abs(r.diagonal())
+            if not small.min(initial=np.inf) < RANK_DEFICIENCY_TOL:
+                return q
+            # only the first small R_jj is meaningful: later ones depend on the
+            # arbitrary direction QR picked for column j
+            j = int(np.argmax(small < RANK_DEFICIENCY_TOL))
+        if rng is None:
+            rng = np.random.default_rng(0)
+        log.warning("rank-deficient column %d repaired with a random direction", j)
+        m = m.copy()
+        m[:, j] = rng.standard_normal(n)
 
 
 def qr_orthonormalize(m, rng=None) -> np.ndarray:
     """Orthonormalize the columns of an n x k matrix (Householder QR).
 
     A column whose projection off the earlier ones is numerically zero
-    (``|R_jj|`` below ``RANK_DEFICIENCY_TOL``) is replaced by a fresh random
-    direction and the factorization redone; each repair is logged. Signs are
-    normalized so the first nonzero entry of every column is positive.
+    (``|R_jj|`` below ``RANK_DEFICIENCY_TOL``; for k = 1, the column's norm)
+    is replaced by a fresh random direction and the factorization redone;
+    each repair is logged. Signs are normalized so the first nonzero entry of
+    every column is positive.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -113,18 +141,7 @@ def qr_orthonormalize(m, rng=None) -> np.ndarray:
     n, k = m.shape
     if k > n:
         raise ContractViolationError(f"need k <= n, got shape {m.shape}")
-    q, r = _qr(m)
-    while abs(r.diagonal()).min(initial=np.inf) < RANK_DEFICIENCY_TOL:
-        # only the first small R_jj is meaningful: later ones depend on the
-        # arbitrary direction QR picked for column j
-        j = int(np.argmax(abs(r.diagonal()) < RANK_DEFICIENCY_TOL))
-        if rng is None:
-            rng = np.random.default_rng(0)
-        log.warning("rank-deficient column %d repaired with a random direction", j)
-        m = m.copy()
-        m[:, j] = rng.standard_normal(n)
-        q, r = _qr(m)
-    return _positive_first(q)
+    return _positive_first(_orthonormalize(m, rng))
 
 
 def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None,
@@ -136,6 +153,14 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None,
     k x k eigenproblem is solved and the Ritz pairs are returned sorted by
     signed eigenvalue, descending. A non-finite product aborts the build
     with ``NumericOverflowError`` so the caller can keep a previous sketch.
+
+    Signs are normalized twice per build: on the block that enters
+    Rayleigh-Ritz and on the returned basis. The start block and the
+    iterates before the last keep the signs orthonormalization leaves. That
+    changes no bit of the result for a closure that is exactly odd in each
+    column, as every problem's is: a flipped column then comes back flipped,
+    one column is normalized by a division, and the Q of Householder QR does
+    not depend on column signs.
 
     ``v0`` overrides the seeded random start block (used by invariance tests).
     ``refreshed_at`` is the optimizer step the sketch is stamped with.
@@ -151,7 +176,7 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None,
         v0 = np.asarray(v0, dtype=np.float64)
         if v0.shape != (n, cfg.k):
             raise ContractViolationError(f"v0 shape {v0.shape} != ({n}, {cfg.k})")
-    v = qr_orthonormalize(v0, rng)
+    v = _orthonormalize(v0, rng)
 
     def apply_block(block):
         hv = np.asarray(hvp_closure(block), dtype=np.float64)
@@ -160,12 +185,13 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None,
                 f"block closure returned shape {hv.shape}, expected {block.shape}"
             )
         # kept: a raw closure (not Problem.hvp_closure) has no check of its own
-        if not np.isfinite(hv).all():
+        if not all_finite(hv):
             raise NumericOverflowError("non-finite Hessian-vector product during sketch build")
         return hv
 
-    for _ in range(cfg.iters):
-        v = qr_orthonormalize(apply_block(v), rng)
+    for _ in range(cfg.iters - 1):
+        v = _orthonormalize(apply_block(v), rng)
+    v = _positive_first(_orthonormalize(apply_block(v), rng))  # enters Rayleigh-Ritz
     w = apply_block(v)
     projected = v.T @ w
     projected = (projected + projected.T) / 2.0  # kill rounding asymmetry

@@ -635,6 +635,12 @@ class TestConfigParsing:
                 "seeds": [0], "steps": 1, "threshold": 0.1,
             })
 
+    @pytest.mark.parametrize("seeds, repeated", [([0, 0], 0), ([3, 1, 2, 1, 3], 1)])
+    def test_repeated_seeds(self, seeds, repeated):
+        doc = {**tiny_config().to_dict(), "seeds": seeds}
+        with pytest.raises(ConfigError, match=rf"^seeds must be unique, got {repeated} twice"):
+            parse_config(doc)
+
     def test_edge_knobs_accepted(self):
         cfg = parse_config({
             "name": "x",
@@ -781,6 +787,16 @@ class TestCli:
         assert [p for p in tmp_path.rglob("*") if p != cfg_path] == []
         assert "config error: name must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "ablate-k", "sweep"])
+    def test_repeated_seed_exits_before_any_run(self, tmp_path, command, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {**tiny_config(steps=5).to_dict(), "seeds": [0, 1, 0]}))
+        rc = cli.main(["--out", str(tmp_path), command, "--config", str(cfg_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "logs").exists()
+        assert "seeds must be unique, got 0 twice" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, named", [
         (["ablate-k", "--ks", "-1"], "cao-k-1"),
         (["ablate-k", "--ks", "1,9"], "cao-k9"),
@@ -873,6 +889,21 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "logs").exists()
+        assert not (tmp_path / "tables").exists()
+
+    @pytest.mark.parametrize("argv, flag, bad", [
+        (["--threshold", "nan"], "--threshold", "nan"),
+        (["--threshold=-inf"], "--threshold", "-inf"),
+        (["--thresholds", "0.5,inf,nan"], "--thresholds", "inf"),
+        (["--thresholds", "0.5,NaN"], "--thresholds", "nan"),
+    ], ids=["threshold-nan", "threshold-minus-inf", "thresholds-inf-nan", "thresholds-nan"])
+    def test_non_finite_threshold_exit_code(self, tmp_path, argv, flag, bad, capsys):
+        synthetic_log(tmp_path / "in" / "cao-k1/0.log", "cao-k1", 0, 0, hit_step=10)
+        rc = cli.main(["--out", str(tmp_path), "ttt", "--logs", str(tmp_path / "in"),
+                       *argv])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {flag}: thresholds must be finite numbers, got {bad}" in err
         assert not (tmp_path / "tables").exists()
 
     def test_theory_command(self, tmp_path):

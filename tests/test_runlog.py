@@ -61,8 +61,10 @@ def test_write_record_matches_deep_copy_reference(tmp_path, name):
     assert "eval_loss" in vars(rec)
 
 
+# the largest doubles and 1e308 make sums of finite fields overflow
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 1e300, -1e300, math.inf, -math.inf,
-               math.nan, 0.1, 1.0 / 3.0]
+               math.nan, 0.1, 1.0 / 3.0, 1.7976931348623157e308, -1.7976931348623157e308,
+               1e308]
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
 STEP_RECORDS = st.builds(
     StepRecord,
@@ -102,6 +104,89 @@ def test_write_record_equals_sorted_encoder(tmp_path_factory, rec):
             assert all(same_value(a, b) for a, b in zip(want, value))
         else:
             assert type(value) is type(want) and same_value(want, value)
+
+
+def plain_value(x) -> str:
+    """A step field: Python scalars written directly, anything else by ``_dumps``."""
+    t = type(x)
+    if t is float and math.isfinite(x):
+        return float.__repr__(x)
+    if t is bool:
+        return "true" if x else "false"
+    if t is int:
+        return int.__repr__(x)
+    if t is tuple:
+        return "[" + ",".join(map(plain_value, x)) + "]"
+    return _dumps(x)
+
+
+def plain_line(rec: StepRecord) -> str:
+    """Reference step line: every field through ``plain_value``, in key order."""
+    v = plain_value
+    eval_loss = "" if rec.eval_loss is None else f'"eval_loss":{v(rec.eval_loss)},'
+    return (f'{{"clamped":{v(rec.clamped)},"eigvals":{v(rec.eigvals)},'
+            f'"epoch":{v(rec.epoch)},{eval_loss}"grad_norm":{v(rec.grad_norm)},'
+            f'"loss":{v(rec.loss)},"refresh_failed":{v(rec.refresh_failed)},'
+            f'"refreshed":{v(rec.refreshed)},"step":{v(rec.step)},"type":"step",'
+            f'"update_norm":{v(rec.update_norm)},"wall":{v(rec.wall)}}}\n')
+
+
+def outcome(write, rec):
+    """The line ``write`` gives for ``rec``, or the type and text of what it raises."""
+    try:
+        return write(rec)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+def written_line(path):
+    """A writer of one record to a fresh log at ``path``; returns the log's text."""
+
+    def write(rec):
+        with RunLogWriter(path) as writer:
+            writer.write_record(rec)
+        return path.read_text()
+
+    return write
+
+
+# NumPy scalars a caller might put in a record; np.float64 is a float subclass
+# that json writes, the others make json raise
+NUMPY_FLOATS = st.one_of(FLOATS.map(np.float64), st.sampled_from([np.float32(0.5)]))
+MIXED_FLOATS = st.one_of(FLOATS, NUMPY_FLOATS)
+MIXED_FLAGS = st.one_of(st.booleans(), st.booleans().map(np.bool_))
+MIXED_RECORDS = st.builds(
+    StepRecord,
+    step=st.one_of(st.integers(0, 2**53), st.integers(0, 10).map(np.int64)),
+    epoch=st.integers(0, 10**6),
+    loss=MIXED_FLOATS, grad_norm=MIXED_FLOATS, update_norm=MIXED_FLOATS,
+    refreshed=MIXED_FLAGS, eigvals=st.lists(MIXED_FLOATS, max_size=3).map(tuple),
+    clamped=MIXED_FLAGS, refresh_failed=MIXED_FLAGS,
+    eval_loss=st.one_of(st.none(), MIXED_FLOATS), wall=MIXED_FLOATS,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rec=MIXED_RECORDS)
+def test_write_record_with_numpy_fields_equals_field_by_field(tmp_path_factory, rec):
+    path = tmp_path_factory.mktemp("mixed") / "run.log"
+    assert outcome(written_line(path), rec) == outcome(plain_line, rec)
+
+
+@pytest.mark.parametrize("fields", [
+    {"loss": np.float64(0.25)}, {"wall": np.float64(math.nan)},
+    {"grad_norm": np.float64(1.7976931348623157e308)}, {"clamped": np.bool_(False)},
+    {"refreshed": np.bool_(True), "loss": np.float32(0.5)},
+    {"eval_loss": np.float32(0.5), "clamped": np.bool_(True)},
+    {"step": np.int64(3)},
+], ids=["float64", "float64-nan", "float64-max", "bool_", "bool_-then-float32",
+        "float32-eval-loss-first", "int64-step"])
+def test_write_record_numpy_scalars(tmp_path, fields):
+    rec = dataclasses.replace(RECORDS["eval-loss"], **fields)
+    got = outcome(written_line(tmp_path / "run.log"), rec)
+    assert got == outcome(plain_line, rec)
+    # a NumPy bool, float32 or int64 is no JSON value; a float64 is written as a float
+    assert isinstance(got, str) == all(type(v) is np.float64 for v in fields.values())
 
 
 class TestPartFile:

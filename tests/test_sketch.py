@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cao import Batch, logreg, mlp_synthetic, quadratic, rosenbrock
 from cao.errors import ContractViolationError, NumericOverflowError
 from cao.sketch import (
+    RANK_DEFICIENCY_TOL,
     LanczosConfig,
     Sketch,
     block_lanczos,
@@ -226,6 +228,87 @@ class TestBlockLanczos:
         sk = block_lanczos(lambda v: h @ v, 12, LanczosConfig(k=12, iters=5, seed=1))
         np.testing.assert_allclose(sk.eigvals, np.sort(np.linalg.eigvalsh(h))[::-1],
                                    atol=1e-9)
+
+
+def signed(q):
+    first = q[(q != 0).argmax(axis=0), np.arange(q.shape[1])]
+    return q * np.copysign(1.0, first)
+
+
+def signed_qr(m, rng):
+    """Reference orthonormalization: a one-column norm or Householder QR, signed."""
+
+    def factor(m):
+        if m.shape[1] == 1:
+            norm = np.linalg.norm(m)
+            return m / max(norm, RANK_DEFICIENCY_TOL), np.full((1, 1), norm)
+        return np.linalg.qr(m)
+
+    q, r = factor(m)
+    while abs(r.diagonal()).min(initial=np.inf) < RANK_DEFICIENCY_TOL:
+        j = int(np.argmax(abs(r.diagonal()) < RANK_DEFICIENCY_TOL))
+        m = m.copy()
+        m[:, j] = rng.standard_normal(m.shape[0])
+        q, r = factor(m)
+    return signed(q)
+
+
+def signed_every_iterate(hvp, n, cfg, v0=None):
+    """Reference subspace iteration that fixes the signs of every iterate."""
+    rng = np.random.default_rng(cfg.seed)
+    v = signed_qr(rng.standard_normal((n, cfg.k)) if v0 is None else v0, rng)
+    for _ in range(cfg.iters):
+        v = signed_qr(hvp(v), rng)
+    projected = v.T @ hvp(v)
+    vals, small_vecs = np.linalg.eigh((projected + projected.T) / 2.0)
+    return vals[::-1], signed(v @ small_vecs[:, ::-1])
+
+
+SIGN_CASES = {
+    "quadratic": (quadratic([9.0, 5.0, 3.0, 2.0, 1.5] + [1.0] * 15, seed=3), Batch()),
+    # numerically rank 2, so the iterates of k > 2 lose rank and are repaired mid-build
+    "quadratic-rank-2": (quadratic([4.0, 1.0] + [1e-20] * 10, seed=5), Batch()),
+    "rosenbrock": (rosenbrock(10), Batch()),
+    "logreg-full": (logreg(12, 80, seed=2), Batch()),
+    "logreg-minibatch": (logreg(12, 80, seed=2),
+                         Batch(indices=np.random.default_rng(4).permutation(80)[:24])),
+    "mlp": (mlp_synthetic([6, 8, 3], seed=1, n_samples=60),
+            Batch(indices=np.arange(0, 60, 2))),
+}
+
+
+class TestSignsFixedOncePerBuild:
+    """``block_lanczos`` equals, bit for bit, the loop that signs every iterate."""
+
+    @staticmethod
+    def assert_same(sketch, want):
+        vals, basis = want
+        assert sketch.basis.shape == basis.shape
+        assert sketch.eigvals.tobytes() == vals.tobytes()
+        assert sketch.basis.tobytes() == basis.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("case", list(SIGN_CASES))
+    def test_problems(self, case, k):
+        problem, batch = SIGN_CASES[case]
+        for seed in range(3):
+            hvp = problem.hvp_closure(problem.initial_point(seed), batch)
+            for iters in (1, 3, 10):
+                cfg = LanczosConfig(k=k, iters=iters, seed=seed)
+                self.assert_same(block_lanczos(hvp, problem.dim, cfg),
+                                 signed_every_iterate(hvp, problem.dim, cfg))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_rank_deficient_start(self, k):
+        problem = SIGN_CASES["quadratic"][0]
+        hvp = problem.hvp_closure(problem.initial_point(0))
+        v0 = np.random.default_rng(k).standard_normal((problem.dim, k))
+        v0[:, 0] = 0.0  # a zero column, and for k > 2 a repeated one
+        v0[:, -1] = -v0[:, k // 2]
+        for seed in range(3):
+            cfg = LanczosConfig(k=k, iters=4, seed=seed)
+            self.assert_same(block_lanczos(hvp, problem.dim, cfg, v0=v0),
+                             signed_every_iterate(hvp, problem.dim, cfg, v0))
 
 
 class TestSketchResidual:

@@ -22,7 +22,6 @@ from .optim import (
 )
 from .precondition import (
     DampedPreconditioner,
-    operator_norm_bound,
     precondition,
     quadratic_form,
 )

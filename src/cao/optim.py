@@ -14,8 +14,9 @@ rank-k Hessian sketch applied to the gradient, refreshing the sketch from
 Hessian-vector products every ``m`` steps. With k = 0 it takes the gradient
 itself, which makes it bit-identical to momentum-free SGD.
 
-``make_runner`` maps a config entry onto a step function and its state, and
-the checkpoint functions store any of the three states through its fields.
+``make_runner`` maps a config entry onto a step function and its state,
+rejecting a key outside its kind's ``_OPT_KEYS``, and the checkpoint
+functions store any of the three states through its fields.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ class CaoConfig:
     """All knobs of the curvature-adaptive loop.
 
     ``k0_eta_scaled`` switches the k = 0 limit from a plain gradient step to
-    the 1/eta-scaled variant (useful as an ablation baseline).
-    ``sketch_batch_size`` draws a dedicated seeded batch of that size for
-    each refresh instead of reusing the current batch (reduces estimate
-    noise on stochastic problems); ``None`` keeps the current batch.
+    the 1/eta-scaled variant (useful as an ablation baseline). A refresh
+    sketches the Hessian of the current batch.
     """
 
     alpha: float
@@ -53,28 +52,22 @@ class CaoConfig:
     weight_decay: float = 0.0
     t_pow: int = 10
     warm_steps: int = 0
-    floor: float = 1e-8
     k0_eta_scaled: bool = False
     sketch_seed: int = 0
-    sketch_batch_size: int | None = None
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ContractViolationError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ContractViolationError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.k < 0:
             raise ContractViolationError(f"k must be >= 0, got {self.k}")
         if self.m < 1:
             raise ContractViolationError(f"m must be >= 1, got {self.m}")
-        if not self.eta > 0:
-            raise ContractViolationError(f"eta must be > 0, got {self.eta}")
+        if not 0 < self.eta < math.inf:
+            raise ContractViolationError(f"eta must be finite and > 0, got {self.eta}")
         if self.clip_c < 0 or self.weight_decay < 0 or self.warm_steps < 0:
             raise ContractViolationError("clip_c, weight_decay, warm_steps must be >= 0")
         if self.t_pow < 1:
             raise ContractViolationError(f"t_pow must be >= 1, got {self.t_pow}")
-        if not self.floor > 0:
-            raise ContractViolationError(f"floor must be > 0, got {self.floor}")
-        if self.sketch_batch_size is not None and self.sketch_batch_size < 1:
-            raise ContractViolationError("sketch_batch_size must be >= 1 when set")
 
 
 @dataclass
@@ -206,13 +199,7 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
         sketch is None or state.step % cfg.m == 0
     )
     if due:
-        sketch_batch = batch
-        if cfg.sketch_batch_size is not None and problem.num_samples > 0:
-            size = min(cfg.sketch_batch_size, problem.num_samples)
-            rng = np.random.default_rng([int(cfg.sketch_seed), 555, state.step])
-            sketch_batch = Batch(indices=rng.choice(problem.num_samples, size=size,
-                                                    replace=False))
-        hvp = problem.hvp_closure(theta, sketch_batch)  # one linearization per refresh
+        hvp = problem.hvp_closure(theta, batch)  # one linearization per refresh
         calls = 0
 
         def counted(block):
@@ -237,8 +224,8 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
         loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch,
                                     cfg.weight_decay)
         if sketch is not None and (pc is None or pc.sketch is not sketch
-                                   or pc.eta != cfg.eta or pc.floor != cfg.floor):
-            pc = DampedPreconditioner(sketch, cfg.eta, cfg.floor)
+                                   or pc.eta != cfg.eta):
+            pc = DampedPreconditioner(sketch, cfg.eta)
 
         clamped = False
         if cfg.k == 0:
@@ -296,6 +283,14 @@ def adam_step(state: AdamState, problem: Problem, batch: Batch, lr: float,
 
 _STATES = {"cao": CaoState, "sgd": SgdState, "adam": AdamState}
 
+# the config keys each optimizer kind takes (besides kind and label)
+_OPT_KEYS = {
+    "cao": {"alpha", "k", "m", "eta", "clip_c", "weight_decay", "t_pow",
+            "warm_steps", "k0_eta_scaled"},
+    "sgd": {"alpha", "momentum", "weight_decay", "clip"},
+    "adam": {"alpha", "beta1", "beta2", "eps", "weight_decay", "clip"},
+}
+
 # admissible values of the baseline knobs: (low, high, low included); high is
 # always excluded
 _BOUNDS = {"alpha": (0.0, math.inf, False), "momentum": (0.0, 1.0, True),
@@ -327,20 +322,21 @@ class Runner:
 def make_runner(kind: str, theta0, params: dict, seed: int) -> Runner:
     """Build a runner from an optimizer config entry's knobs (config key names).
 
-    ``alpha`` becomes the baselines' ``lr``; ``seed`` is the default
-    ``sketch_seed``. Bad knobs raise ``ContractViolationError`` (or
-    ``TypeError`` for a cao knob of the wrong type). The step function is
-    looked up now, so a wrapper put on ``cao_step``, ``sgd_step`` or
-    ``adam_step`` sees every step of the run.
+    ``alpha`` becomes the baselines' ``lr``; ``seed`` is the ``sketch_seed``.
+    A key outside ``_OPT_KEYS[kind]`` or a bad knob raises
+    ``ContractViolationError`` (or ``TypeError`` for a cao knob of the wrong
+    type). The step function is looked up now, so a wrapper put on
+    ``cao_step``, ``sgd_step`` or ``adam_step`` sees every step of the run.
     """
     if kind not in _STATES:
         raise ContractViolationError(f"unknown optimizer kind {kind!r}")
+    unknown = set(params) - _OPT_KEYS[kind]
+    if unknown:
+        raise ContractViolationError(f"unknown keys {sorted(unknown)}")
     if kind == "cao":
-        params = {"cfg": CaoConfig(**{"sketch_seed": seed, **params})}
+        params = {"cfg": CaoConfig(**params, sketch_seed=seed)}
     else:
         for key, value in params.items():
-            if key not in _BOUNDS:
-                raise ContractViolationError(f"unknown {kind} knob {key!r}")
             low, high, closed = _BOUNDS[key]
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not (low <= value if closed else low < value) or not value < high):

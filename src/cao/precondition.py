@@ -3,7 +3,7 @@
 For a sketch B = sum_i lam_i v_i v_i^T and damping eta > 0, the map is
 (B + eta I)^-1 in closed form: components along v_i scale by 1/(lam_i + eta),
 the orthogonal complement by 1/eta. Denominators are clamped from below at
-``floor`` so the map stays positive definite even when lam_i + eta <= 0.
+``FLOOR`` so the map stays positive definite even when lam_i + eta <= 0.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import ContractViolationError, NumericOverflowError, all_finite
 from .sketch import Sketch
+
+FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -28,28 +30,25 @@ class DampedPreconditioner:
 
     sketch: Sketch
     eta: float
-    floor: float = 1e-8
     denominators: np.ndarray = field(init=False, repr=False, compare=False)
     clamped: bool = field(init=False, repr=False, compare=False)
     eigvals: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ContractViolationError(f"eta must be > 0, got {self.eta}")
-        if not self.floor > 0:
-            raise ContractViolationError(f"floor must be > 0, got {self.floor}")
+        if not 0 < self.eta < np.inf:
+            raise ContractViolationError(f"eta must be finite and > 0, got {self.eta}")
         shifted = self.sketch.eigvals + self.eta
-        object.__setattr__(self, "denominators", np.maximum(shifted, self.floor))
+        object.__setattr__(self, "denominators", np.maximum(shifted, FLOOR))
         # True when any captured direction hit the floor (negative curvature)
         object.__setattr__(self, "clamped",
-                           bool(self.sketch.k and np.any(shifted < self.floor)))
+                           bool(self.sketch.k and np.any(shifted < FLOOR)))
         object.__setattr__(self, "eigvals", tuple(self.sketch.eigvals.tolist()))
 
 
 def _check_g(g, pc):
     g = np.asarray(g, dtype=np.float64)
     n = pc.sketch.basis.shape[0]
-    if pc.sketch.k and g.shape != (n,):
+    if g.shape != (n,):
         raise ContractViolationError(f"gradient shape {g.shape} != ({n},)")
     if not all_finite(g):
         raise NumericOverflowError("non-finite gradient passed to preconditioner")
@@ -74,17 +73,3 @@ def quadratic_form(g, pc: DampedPreconditioner) -> float:
     coef = pc.sketch.basis.T @ g
     perp_sq = float(g @ g) - float(coef @ coef)
     return float(np.sum(coef**2 / pc.denominators)) + max(perp_sq, 0.0) / pc.eta
-
-
-def operator_norm_bound(pc: DampedPreconditioner) -> float:
-    """max(1/eta, 1/min denominator); equals 1/eta when no eigenvalue is negative."""
-    if pc.sketch.k == 0:
-        return 1.0 / pc.eta
-    return max(1.0 / pc.eta, 1.0 / float(np.min(pc.denominators)))
-
-
-def min_eigenvalue(pc: DampedPreconditioner) -> float:
-    """Smallest eigenvalue of the map: 1/max(largest denominator, eta)."""
-    if pc.sketch.k == 0:
-        return 1.0 / pc.eta
-    return 1.0 / max(float(np.max(pc.denominators)), pc.eta)

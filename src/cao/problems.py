@@ -2,11 +2,12 @@
 
 Every problem is matrix-free: it exposes ``loss``, ``grad``, both from one
 pass (``loss_and_grad``), and Hessian products evaluated on a (possibly
-empty) mini-batch. ``hvp_closure(theta, batch)`` is the one entry point for
-the products: it does the work that depends on the point only once (the
-``_linearize`` hook: a forward pass, sigmoid weights, Hessian bands) and
-returns a map from an n x j block of directions to ``H @ V``. ``hvp_block``
-(one block) and ``hvp`` (one direction) are single calls of such a closure.
+empty) mini-batch. Each problem has one gradient kernel, ``_loss_and_grad``.
+``hvp_closure(theta, batch)`` is the one entry point for the products: it
+does the work that depends on the point only once (the ``_linearize`` hook:
+a forward pass, sigmoid weights, Hessian bands) and returns a map from an
+n x j block of directions to ``H @ V``; ``hvp`` (one direction) is a single
+call of such a closure.
 Problems are immutable after construction and all randomness is fixed by the
 construction seed, so identical ``(theta, batch)`` inputs give bit-identical
 outputs and instances can be shared across threads.
@@ -79,14 +80,15 @@ class ProblemMeta:
 
 
 class Problem:
-    """Base class: subclasses implement ``_loss``, ``_grad``, ``_linearize``.
+    """Base class: subclasses implement ``_loss_and_grad`` and ``_linearize``.
 
     The public methods validate dimensions and finiteness around the
-    analytic kernels. ``_linearize(theta, batch)`` does the work of the
-    Hessian that depends on the point only and returns a kernel mapping an
-    n x j block ``V`` to ``H @ V``. ``_loss_and_grad`` defaults to the two
-    kernels in turn; a problem whose loss and gradient share a pass overrides
-    it, and must return values bit-identical to ``(_loss, _grad)``.
+    analytic kernels. ``_loss_and_grad(theta, batch)`` returns the loss and
+    the gradient from one pass. ``_linearize(theta, batch)`` does the work of
+    the Hessian that depends on the point only and returns a kernel mapping
+    an n x j block ``V`` to ``H @ V``. ``_loss`` defaults to the loss of
+    ``_loss_and_grad``; a problem with a cheaper loss-only pass overrides it,
+    and must return a value bit-identical to that loss.
     """
 
     meta: ProblemMeta
@@ -117,6 +119,12 @@ class Problem:
             raise ContractViolationError("batch indices out of range")
         return batch
 
+    def _select(self, batch):
+        """The rows of the sample set ``x`` and labels ``y`` that ``batch`` selects."""
+        if batch.is_full:
+            return self.x, self.y
+        return self.x[batch.indices], self.y[batch.indices]
+
     @staticmethod
     def _check_finite(value, what):
         # a loss is a Python float, which needs no NumPy call to check
@@ -142,7 +150,7 @@ class Problem:
         theta = self._check_theta(theta)
         batch = self._check_batch(batch)
         with np.errstate(over="ignore", invalid="ignore"):
-            g = self._grad(theta, batch)
+            g = self._loss_and_grad(theta, batch)[1]
         self._check_finite(g, f"gradient on {self.meta.name}")
         return g
 
@@ -157,8 +165,8 @@ class Problem:
         self._check_finite(g, f"gradient on {self.meta.name}")
         return value, g
 
-    def _loss_and_grad(self, theta, batch):
-        return self._loss(theta, batch), self._grad(theta, batch)
+    def _loss(self, theta, batch):
+        return self._loss_and_grad(theta, batch)[0]
 
     def hvp(self, theta, v, batch: Batch = FULL_BATCH) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -166,11 +174,7 @@ class Problem:
             raise ContractViolationError(
                 f"{self.meta.name}: direction shape {v.shape} != ({self.dim},)"
             )
-        return self.hvp_block(theta, v[:, None], batch)[:, 0]
-
-    def hvp_block(self, theta, v, batch: Batch = FULL_BATCH) -> np.ndarray:
-        """``H @ V`` for an n x j block of directions, as one batched product."""
-        return self.hvp_closure(theta, batch)(v)
+        return self.hvp_closure(theta, batch)(v[:, None])[:, 0]
 
     def hvp_closure(self, theta, batch: Batch = FULL_BATCH):
         """Linearize once at (theta, batch); returns ``V -> H @ V`` for n x j blocks.
@@ -244,13 +248,13 @@ def fd_hvp(problem: Problem, theta, v, batch: Batch = FULL_BATCH, eps: float = 1
 
 
 class QuadraticProblem(Problem):
-    """f(theta) = 0.5 (theta - t*)^T A (theta - t*) with A = Q diag(spectrum) Q^T.
+    """f(theta) = 0.5 theta^T A theta with A = Q diag(spectrum) Q^T.
 
     Q is a seeded random orthogonal matrix, so the spectrum is exact by
     construction: L = max(spectrum), mu = min(spectrum), f* = 0.
     """
 
-    def __init__(self, spectrum, seed: int = 0, name: str = "quadratic", target=None,
+    def __init__(self, spectrum, seed: int = 0, name: str = "quadratic",
                  rotate: bool = True):
         spectrum = np.asarray(spectrum, dtype=np.float64)
         if spectrum.ndim != 1 or spectrum.size == 0:
@@ -264,9 +268,6 @@ class QuadraticProblem(Problem):
         else:
             self.matrix = np.diag(spectrum)
         self.spectrum = np.sort(spectrum)[::-1].copy()
-        self.target = (
-            np.zeros(n) if target is None else np.asarray(target, dtype=np.float64)
-        )
         self.meta = ProblemMeta(
             dim=n,
             name=name,
@@ -275,24 +276,15 @@ class QuadraticProblem(Problem):
             f_star=0.0,
         )
 
-    def _loss(self, theta, batch):
-        d = theta - self.target
-        return 0.5 * float(d @ (self.matrix @ d))
-
-    def _grad(self, theta, batch):
-        return self.matrix @ (theta - self.target)
-
     def _loss_and_grad(self, theta, batch):
-        d = theta - self.target
-        g = self.matrix @ d
-        return 0.5 * float(d @ g), g
+        g = self.matrix @ theta
+        return 0.5 * float(theta @ g), g
 
     def _linearize(self, theta, batch):
         return lambda v: self.matrix @ v
 
 
-def quadratic(spectrum, seed: int = 0, name: str = "quadratic") -> QuadraticProblem:
-    return QuadraticProblem(spectrum, seed=seed, name=name)
+quadratic = QuadraticProblem
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +303,14 @@ class RosenbrockProblem(Problem):
             raise ContractViolationError("rosenbrock needs n >= 2")
         self.meta = ProblemMeta(dim=n, name=f"rosenbrock{n}", f_star=0.0)
 
-    def _loss(self, theta, batch):
+    def _loss_and_grad(self, theta, batch):
         x = theta
-        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
-
-    def _grad(self, theta, batch):
-        x = theta
-        g = np.zeros_like(x)
         d = x[1:] - x[:-1] ** 2
+        loss = float(np.sum(100.0 * d ** 2 + (1.0 - x[:-1]) ** 2))
+        g = np.zeros_like(x)
         g[:-1] = -400.0 * x[:-1] * d - 2.0 * (1.0 - x[:-1])
         g[1:] += 200.0 * d
-        return g
+        return loss, g
 
     def _linearize(self, theta, batch):
         x = theta
@@ -347,8 +336,7 @@ class RosenbrockProblem(Problem):
         return base + 0.05 * rng.standard_normal(self.dim)
 
 
-def rosenbrock(n: int) -> RosenbrockProblem:
-    return RosenbrockProblem(n)
+rosenbrock = RosenbrockProblem
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +385,6 @@ class LogregProblem(Problem):
             smoothness_L=gram_top / (4.0 * n_samples) + reg,
         )
 
-    def _select(self, batch):
-        if batch.is_full:
-            return self.x, self.y
-        return self.x[batch.indices], self.y[batch.indices]
-
     def _margins(self, theta, batch):
         x, y = self._select(batch)
         return x, y, y * (x @ theta)
@@ -411,22 +394,16 @@ class LogregProblem(Problem):
         value = float(terms.sum() / terms.size)  # np.mean's sum and division
         return value + 0.5 * self.reg * float(theta @ theta)
 
-    def _grad_from(self, theta, x, y, margins):
+    def _loss(self, theta, batch):
+        return self._loss_from(theta, self._margins(theta, batch)[2])
+
+    def _loss_and_grad(self, theta, batch):
+        x, y, margins = self._margins(theta, batch)
         # sigmoid(-m) from one exp(-|m|): e / (1 + e) for m >= 0, else 1 / (1 + e)
         e = np.exp(-np.abs(margins))
         s = np.where(margins >= 0, e, 1.0) / (1.0 + e)
         g = -(x.T @ (y * s)) / x.shape[0]
-        return g + self.reg * theta
-
-    def _loss(self, theta, batch):
-        return self._loss_from(theta, self._margins(theta, batch)[2])
-
-    def _grad(self, theta, batch):
-        return self._grad_from(theta, *self._margins(theta, batch))
-
-    def _loss_and_grad(self, theta, batch):
-        x, y, margins = self._margins(theta, batch)
-        return self._loss_from(theta, margins), self._grad_from(theta, x, y, margins)
+        return self._loss_from(theta, margins), g + self.reg * theta
 
     def _linearize(self, theta, batch):
         x, _ = self._select(batch)
@@ -443,9 +420,7 @@ class LogregProblem(Problem):
         return 0.5 * rng.standard_normal(self.dim) / np.sqrt(self.dim)
 
 
-def logreg(n_features: int, n_samples: int, seed: int = 0, reg: float = 1e-2,
-           class_sep: float = 2.0) -> LogregProblem:
-    return LogregProblem(n_features, n_samples, seed=seed, reg=reg, class_sep=class_sep)
+logreg = LogregProblem
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +485,6 @@ class MlpProblem(Problem):
         return np.concatenate([w1.reshape(*lead, -1), b1, w2.reshape(*lead, -1), b2],
                               axis=-1)
 
-    def _select(self, batch):
-        if batch.is_full:
-            return self.x, self.y
-        return self.x[batch.indices], self.y[batch.indices]
-
     def _logits(self, theta, batch):
         """The forward pass up to the log-partition: (x, y, w2, hid, logits, lse)."""
         w1, b1, w2, b2 = self._unpack(theta)
@@ -538,41 +508,35 @@ class MlpProblem(Problem):
         nll = lse - logits[np.arange(y.size), y]
         return float(nll.sum() / nll.size)  # np.mean's sum and division, bit for bit
 
-    def _grad_from(self, fwd):
-        x, y, w2, hid, _, _, probs = fwd
-        b = y.size
+    @staticmethod
+    def _backward_seed(fwd):
+        """The backward pass's seed: the loss's derivatives by logits and hidden units."""
+        y, w2, probs = fwd[1], fwd[2], fwd[6]
         dz = probs.copy()
-        dz[np.arange(b), y] -= 1.0
-        dz /= b
-        gw2 = dz.T @ hid
-        gb2 = dz.sum(axis=0)
-        dh = dz @ w2
-        da = dh * (1.0 - hid**2)
-        gw1 = da.T @ x
-        gb1 = da.sum(axis=0)
-        return self._pack(gw1, gb1, gw2, gb2)
+        dz[np.arange(y.size), y] -= 1.0
+        dz /= y.size
+        return dz, dz @ w2
 
     def _loss(self, theta, batch):
         return self._loss_from(self._logits(theta, batch))
 
-    def _grad(self, theta, batch):
-        return self._grad_from(self._forward(theta, batch))
-
     def _loss_and_grad(self, theta, batch):
         fwd = self._forward(theta, batch)
-        return self._loss_from(fwd), self._grad_from(fwd)
+        x, hid = fwd[0], fwd[3]
+        dz, dh = self._backward_seed(fwd)
+        da = dh * (1.0 - hid**2)
+        grad = self._pack(da.T @ x, da.sum(axis=0), dz.T @ hid, dz.sum(axis=0))
+        return self._loss_from(fwd), grad
 
     def _linearize(self, theta, batch):
         # forward-over-reverse: the forward pass and the backward quantities of
         # the point are computed once; each block of directions (leading axis
         # j) is pushed through them and differentiates the backward pass
-        x, y, w2, hid, _, _, probs = self._forward(theta, batch)
+        fwd = self._forward(theta, batch)
+        x, y, w2, hid, _, _, probs = fwd
         b = y.size
         sq = 1.0 - hid**2
-        dz = probs.copy()
-        dz[np.arange(b), y] -= 1.0
-        dz /= b
-        dh = dz @ w2
+        dz, dh = self._backward_seed(fwd)
         neg2hid = -2.0 * hid
 
         def kernel(v):
@@ -601,10 +565,7 @@ class MlpProblem(Problem):
         return self._pack(w1, np.zeros(h), w2, np.zeros(c))
 
 
-def mlp_synthetic(widths, seed: int = 0, n_samples: int = 512, class_sep: float = 2.0,
-                  input_gain: float = 1.0) -> MlpProblem:
-    return MlpProblem(widths, seed=seed, n_samples=n_samples, class_sep=class_sep,
-                      input_gain=input_gain)
+mlp_synthetic = MlpProblem
 
 
 # ---------------------------------------------------------------------------

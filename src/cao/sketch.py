@@ -100,25 +100,26 @@ def _orthonormalize(m, rng) -> np.ndarray:
 
     One column is divided by its norm directly: for it, LAPACK's call overhead
     costs about twice the normalization and would dominate k = 1 sketch builds.
-    Otherwise Householder QR; its Q does not depend on the signs of the input
-    columns. Rank deficiency is repaired as ``qr_orthonormalize`` describes.
+    Otherwise, and for one column whose norm is below ``RANK_DEFICIENCY_TOL``
+    or whose square overflows, Householder QR, whose norms are scaled; its Q
+    does not depend on the signs of the input columns. Rank deficiency is
+    repaired as ``qr_orthonormalize`` describes. The caller silences the
+    overflow warning of the squared norm.
     """
     n, k = m.shape
     while True:
         if k == 1:
             x = m.ravel()
             norm = math.sqrt(x.dot(x))  # np.linalg.norm's arithmetic, bit for bit
-            if not norm < RANK_DEFICIENCY_TOL:
+            if RANK_DEFICIENCY_TOL <= norm < math.inf:
                 return m / norm
-            j = 0
-        else:
-            q, r = np.linalg.qr(m)
-            small = abs(r.diagonal())
-            if not small.min(initial=np.inf) < RANK_DEFICIENCY_TOL:
-                return q
-            # only the first small R_jj is meaningful: later ones depend on the
-            # arbitrary direction QR picked for column j
-            j = int(np.argmax(small < RANK_DEFICIENCY_TOL))
+        q, r = np.linalg.qr(m)
+        small = abs(r.diagonal())
+        if not small.min(initial=np.inf) < RANK_DEFICIENCY_TOL:
+            return q
+        # only the first small R_jj is meaningful: later ones depend on the
+        # arbitrary direction QR picked for column j
+        j = int(np.argmax(small < RANK_DEFICIENCY_TOL))
         if rng is None:
             rng = np.random.default_rng(0)
         log.warning("rank-deficient column %d repaired with a random direction", j)
@@ -141,7 +142,8 @@ def qr_orthonormalize(m, rng=None) -> np.ndarray:
     n, k = m.shape
     if k > n:
         raise ContractViolationError(f"need k <= n, got shape {m.shape}")
-    return _positive_first(_orthonormalize(m, rng))
+    with np.errstate(over="ignore"):
+        return _positive_first(_orthonormalize(m, rng))
 
 
 def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None,
@@ -176,7 +178,6 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None,
         v0 = np.asarray(v0, dtype=np.float64)
         if v0.shape != (n, cfg.k):
             raise ContractViolationError(f"v0 shape {v0.shape} != ({n}, {cfg.k})")
-    v = _orthonormalize(v0, rng)
 
     def apply_block(block):
         hv = np.asarray(hvp_closure(block), dtype=np.float64)
@@ -189,9 +190,11 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None,
             raise NumericOverflowError("non-finite Hessian-vector product during sketch build")
         return hv
 
-    for _ in range(cfg.iters - 1):
-        v = _orthonormalize(apply_block(v), rng)
-    v = _positive_first(_orthonormalize(apply_block(v), rng))  # enters Rayleigh-Ritz
+    with np.errstate(over="ignore"):  # one for the build, not one per column
+        v = _orthonormalize(v0, rng)
+        for _ in range(cfg.iters - 1):
+            v = _orthonormalize(apply_block(v), rng)
+        v = _positive_first(_orthonormalize(apply_block(v), rng))  # enters Rayleigh-Ritz
     w = apply_block(v)
     projected = v.T @ w
     projected = (projected + projected.T) / 2.0  # kill rounding asymmetry

@@ -344,9 +344,14 @@ def run_theory_suite(seed: int = 0) -> list[TheoryReport]:
         notes="inverted: the unstable stepsize must fail the trend check",
     ))
     skew = quads[1]
+    contraction = {k: check_pl_contraction(skew, k=k, seed=seed) for k in (0, 1, 3)}
+    reports.extend(contraction.values())
+    # measure_gamma_over_ranks(skew), reusing the runs above at the suite's seed
+    gammas = {}
     for k in (0, 1, 3):
-        reports.append(check_pl_contraction(skew, k=k, seed=seed))
-    gammas = measure_gamma_over_ranks(skew, ks=(0, 1, 3), seeds=(0, 1, 2))
+        for s in (0, 1, 2):
+            rep = contraction[k] if s == seed else check_pl_contraction(skew, k=k, seed=s)
+            gammas[(k, s)] = rep.measured["gamma"]
     monotone = all(
         gammas[(0, s)] <= gammas[(1, s)] + 1e-9 and gammas[(1, s)] <= gammas[(3, s)] + 1e-9
         for s in (0, 1, 2)

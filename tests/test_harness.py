@@ -592,13 +592,15 @@ class TestConfigParsing:
             parse_config({"name": "x"})
 
     def test_unknown_optimizer_key(self):
-        with pytest.raises(ConfigError):
-            parse_config({
-                "name": "x",
-                "problem": {"name": "rosenbrock", "n": 2},
-                "optimizers": [{"kind": "sgd", "alpha": 0.1, "bogus": 1}],
-                "seeds": [0], "steps": 1, "threshold": 0.1,
-            })
+        for kind, key in (("sgd", "bogus"), ("sgd", "beta1"), ("cao", "floor"),
+                          ("cao", "sketch_batch_size"), ("cao", "sketch_seed")):
+            with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
+                parse_config({
+                    "name": "x",
+                    "problem": {"name": "rosenbrock", "n": 2},
+                    "optimizers": [{"kind": kind, "alpha": 0.1, key: 1}],
+                    "seeds": [0], "steps": 1, "threshold": 0.1,
+                })
 
     def test_duplicate_labels(self):
         with pytest.raises(ConfigError):
@@ -611,7 +613,8 @@ class TestConfigParsing:
             })
 
     @pytest.mark.parametrize("kind, knobs", [
-        ("cao", {"k": -1}), ("cao", {"floor": 0.0}), ("cao", {"k": "3"}),
+        ("cao", {"k": -1}), ("cao", {"eta": float("inf")}),
+        ("cao", {"alpha": float("inf")}), ("cao", {"k": "3"}),
         ("sgd", {"alpha": -0.1}), ("sgd", {"alpha": 0.0}), ("sgd", {"momentum": 1.0}),
         ("sgd", {"momentum": -0.1}), ("sgd", {"momentum": "0.9"}),
         ("sgd", {"momentum": None}), ("sgd", {"weight_decay": -1e-3}),
@@ -619,8 +622,8 @@ class TestConfigParsing:
         ("adam", {"beta1": -0.1}), ("adam", {"eps": 0.0}), ("adam", {"alpha": True}),
         ("adam", {"alpha": float("inf")}), ("adam", {"weight_decay": -1.0}),
         ("adam", {"clip": -0.5}),
-    ], ids=["negative-k", "zero-floor", "k-as-string", "sgd-negative-alpha",
-            "sgd-zero-alpha", "sgd-momentum-one", "sgd-negative-momentum",
+    ], ids=["negative-k", "infinite-eta", "infinite-alpha", "k-as-string",
+            "sgd-negative-alpha", "sgd-zero-alpha", "sgd-momentum-one", "sgd-negative-momentum",
             "sgd-momentum-as-string", "sgd-momentum-null", "sgd-negative-decay",
             "sgd-negative-clip", "adam-beta1-above-one", "adam-beta2-one",
             "adam-negative-beta1", "adam-zero-eps", "adam-alpha-as-bool",
@@ -736,6 +739,10 @@ class TestCli:
         ({"optimizers": [{"kind": "sgd", "alpha": 0.1},
                          {"kind": "cao", "label": "big-k", "alpha": 0.1, "k": 3}]},
          "big-k"),
+        ({"optimizers": [{"kind": "sgd", "alpha": 0.1},
+                         {"kind": "cao", "label": "inf-eta", "alpha": 0.1,
+                          "eta": float("inf")}]},
+         "inf-eta"),
         *[({"name": name}, "name must be") for name in ("..", ".", "", "a/b", "a\0b", 3)],
         *[({"optimizers": [{"kind": "sgd", "label": label, "alpha": 0.1}]},
            "optimizer #0: label must be")
@@ -745,7 +752,7 @@ class TestCli:
             "problem-not-object", "problem-name-not-string", "spectrum-not-numbers",
             "rosenbrock-n-not-int", "steps-not-int", "seeds-not-list", "seed-not-int",
             "seed-negative", "threshold-null", "threshold-nan", "eval-every-not-int",
-            "batch-size-not-int", "optimizers-not-list", "k-above-dim",
+            "batch-size-not-int", "optimizers-not-list", "k-above-dim", "cao-infinite-eta",
             "name-dotdot", "name-dot", "name-empty", "name-slash", "name-nul",
             "name-not-string", "label-dotdot", "label-dot", "label-empty", "label-slash",
             "label-nul", "label-null", "label-not-string"])
@@ -803,8 +810,9 @@ class TestCli:
         (["sweep", "--etas", "1,-1"], "cao-eta-1-m200"),
         (["sweep", "--ms", "5,0"], "cao-eta0.001-m0"),
         (["sweep", "--etas", "1,1.0"], "unique"),
+        (["sweep", "--etas", "inf,1"], "cao-etainf-m200"),
     ], ids=["ablate-negative-k", "ablate-k-above-dim", "sweep-negative-eta",
-            "sweep-zero-m", "sweep-repeated-cell"])
+            "sweep-zero-m", "sweep-repeated-cell", "sweep-infinite-eta"])
     def test_bad_derived_knob_exits_before_any_run(self, tmp_path, argv, named, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({

@@ -140,11 +140,9 @@ class TestCaoStep:
             meta = ProblemMeta(dim=5, name="saddle")
             a = np.diag([5.0, 2.0, 0.5, -0.3, -2.0])
 
-            def _loss(self, theta, batch):
-                return 0.5 * float(theta @ (self.a @ theta))
-
-            def _grad(self, theta, batch):
-                return self.a @ theta
+            def _loss_and_grad(self, theta, batch):
+                g = self.a @ theta
+                return 0.5 * float(theta @ g), g
 
             def _linearize(self, theta, batch):
                 return lambda v: self.a @ v
@@ -163,7 +161,7 @@ class TestCaoStep:
                 built.append(t)
             else:
                 assert pc is previous
-            fresh = DampedPreconditioner(state.sketch, cfg.eta, cfg.floor)
+            fresh = DampedPreconditioner(state.sketch, cfg.eta)
             assert rec.clamped == fresh.clamped
             assert rec.eigvals == tuple(float(x) for x in state.sketch.eigvals)
             assert pc.eigvals == rec.eigvals
@@ -233,11 +231,8 @@ class TestCaoStep:
         class BadHvp(Problem):
             meta = ProblemMeta(dim=2, name="bad-hvp")
 
-            def _loss(self, theta, batch):
-                return float(theta @ theta)
-
-            def _grad(self, theta, batch):
-                return 2.0 * theta
+            def _loss_and_grad(self, theta, batch):
+                return float(theta @ theta), 2.0 * theta
 
             def _linearize(self, theta, batch):
                 return lambda v: np.full(v.shape, np.nan)
@@ -291,21 +286,6 @@ class TestCaoStep:
         assert [r.step for r in records] == [0, 1, 2, 3]
         assert all(r.epoch == 3 for r in records)
 
-    def test_dedicated_sketch_batch(self):
-        p = cao.logreg(5, 60, seed=3)
-        theta0 = p.initial_point(0)
-        batch = cao.Batch(indices=np.arange(10))
-        base = CaoConfig(alpha=0.05, k=1, eta=1.0, t_pow=3, sketch_seed=1)
-        dedicated = CaoConfig(alpha=0.05, k=1, eta=1.0, t_pow=3, sketch_seed=1,
-                              sketch_batch_size=40)
-        s1, _ = cao_step(CaoState(theta=theta0.copy()), p, batch, base)
-        s2, _ = cao_step(CaoState(theta=theta0.copy()), p, batch, dedicated)
-        # the refresh saw different data, so the sketches differ
-        assert not np.allclose(s1.sketch.eigvals, s2.sketch.eigvals)
-        # both remain deterministic
-        s3, _ = cao_step(CaoState(theta=theta0.copy()), p, batch, dedicated)
-        assert s2.theta.tobytes() == s3.theta.tobytes()
-
     def test_deterministic_trajectory(self):
         p = quadratic([6.0, 2.0, 1.0], seed=10)
         cfg = CaoConfig(alpha=0.01, k=1, m=5, eta=0.5, t_pow=3, sketch_seed=42)
@@ -345,11 +325,8 @@ class TestSgd:
         class LinearProblem(Problem):
             meta = ProblemMeta(dim=2, name="linear")
 
-            def _loss(self, theta, batch):
-                return float(theta[1])
-
-            def _grad(self, theta, batch):
-                return np.array([-0.0, 1.0])
+            def _loss_and_grad(self, theta, batch):
+                return float(theta[1]), np.array([-0.0, 1.0])
 
             def _linearize(self, theta, batch):
                 return lambda v: np.zeros(v.shape)
@@ -394,11 +371,8 @@ class TestAdam:
             meta = ProblemMeta(dim=3, name="linear")
             c = np.array([2.0, -0.5, 1.0])
 
-            def _loss(self, theta, batch):
-                return float(self.c @ theta)
-
-            def _grad(self, theta, batch):
-                return self.c.copy()
+            def _loss_and_grad(self, theta, batch):
+                return float(self.c @ theta), self.c.copy()
 
             def _linearize(self, theta, batch):
                 return lambda v: np.zeros(v.shape)
@@ -629,11 +603,11 @@ class TestRunner:
         runner.step(quadratic([4.0, 1.0], seed=1), FULL_BATCH)
         assert np.array_equal(theta0, np.ones(2))
 
-    def test_explicit_sketch_seed_wins(self):
-        runner = make_runner("cao", np.ones(2), {"alpha": 0.1, "sketch_seed": 7}, seed=3)
-        assert runner.params["cfg"].sketch_seed == 7
+    def test_seed_is_the_sketch_seed(self):
         runner = make_runner("cao", np.ones(2), {"alpha": 0.1}, seed=3)
         assert runner.params["cfg"].sketch_seed == 3
+        with pytest.raises(ContractViolationError, match=r"unknown keys \['sketch_seed'\]"):
+            make_runner("cao", np.ones(2), {"alpha": 0.1, "sketch_seed": 7}, seed=3)
 
     def test_bad_kind_and_knob(self):
         with pytest.raises(ContractViolationError):
@@ -642,6 +616,9 @@ class TestRunner:
             make_runner("sgd", np.ones(2), {"alpha": 0.1, "momentum": 1.0}, seed=0)
         with pytest.raises(ContractViolationError, match="lr"):
             make_runner("sgd", np.ones(2), {"lr": 0.1}, seed=0)
+        # a knob of another kind: adam's beta1 is no sgd knob
+        with pytest.raises(ContractViolationError, match=r"unknown keys \['beta1'\]"):
+            make_runner("sgd", np.ones(2), {"alpha": 0.1, "beta1": 0.9}, seed=0)
 
 
 class TestConfigValidation:
@@ -654,5 +631,10 @@ class TestConfigValidation:
             CaoConfig(alpha=0.1, m=0)
         with pytest.raises(ContractViolationError):
             CaoConfig(alpha=0.1, eta=0.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ContractViolationError, match="alpha must be finite"):
+                CaoConfig(alpha=bad)
+            with pytest.raises(ContractViolationError, match="eta must be finite"):
+                CaoConfig(alpha=0.1, eta=bad)
         with pytest.raises(ContractViolationError):
             CaoConfig(alpha=0.1, t_pow=0)

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from cao.errors import ContractViolationError, NumericOverflowError
 from cao.precondition import (
+    FLOOR,
     DampedPreconditioner,
-    min_eigenvalue,
-    operator_norm_bound,
     precondition,
     quadratic_form,
 )
@@ -19,14 +18,13 @@ def random_case(seed, n_max=200, k_max=8, allow_negative=True, dense_comparable=
 
     ``dense_comparable`` keeps every denominator at least 1e-2 so an LU solve
     of the dense system stays far below the 1e-10 comparison tolerance; a
-    floored denominator (1e-8) makes the system condition ~1e9 and no dense
-    solve can certify that regime. Negative eigenvalues still occur.
+    floored denominator (``FLOOR``) makes the system condition ~1e9 and no
+    dense solve can certify that regime. Negative eigenvalues still occur.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, n_max + 1))
     k = int(rng.integers(0, min(k_max, n) + 1))
     eta = float(rng.uniform(0.05, 2.0))
-    floor = 1e-8
     if k:
         basis = qr_orthonormalize(rng.standard_normal((n, k)), rng)
         if not allow_negative:
@@ -39,11 +37,11 @@ def random_case(seed, n_max=200, k_max=8, allow_negative=True, dense_comparable=
         sk = Sketch(vals, basis)
     else:
         sk = Sketch.empty(n)
-    pc = DampedPreconditioner(sk, eta, floor)
+    pc = DampedPreconditioner(sk, eta)
     g = rng.standard_normal(n)
-    # dense route: eigenvalues clamped so lam + eta >= floor
+    # dense route: eigenvalues clamped so lam + eta >= FLOOR
     if k:
-        clamped = np.maximum(sk.eigvals, floor - eta)
+        clamped = np.maximum(sk.eigvals, FLOOR - eta)
         b = (sk.basis * clamped) @ sk.basis.T
     else:
         b = np.zeros((n, n))
@@ -69,11 +67,11 @@ class TestClosedFormExamples:
     def test_clamped_negative_curvature(self):
         basis = np.eye(2)[:, :1]
         sk = Sketch(np.array([-0.5]), basis)
-        pc = DampedPreconditioner(sk, eta=0.2, floor=1e-8)
+        pc = DampedPreconditioner(sk, eta=0.2)
         assert pc.clamped
         g = basis[:, 0].copy()
         d = precondition(g, pc)
-        np.testing.assert_allclose(d, g / 1e-8)
+        np.testing.assert_allclose(d, g / FLOOR)
 
     def test_perpendicular_gradient(self):
         basis = np.eye(3)[:, :1]
@@ -82,20 +80,26 @@ class TestClosedFormExamples:
         assert quadratic_form(g, pc) == pytest.approx(float(g @ g) / 0.5)
 
 
+def dense_map(pc):
+    """The preconditioner as a dense matrix, one column per unit vector."""
+    n = pc.sketch.basis.shape[0]
+    return np.column_stack([precondition(e, pc) for e in np.eye(n)])
+
+
 class TestOperatorNormBound:
     def test_nonnegative_eigenvalues(self):
         basis = np.eye(3)[:, :2]
         pc = DampedPreconditioner(Sketch(np.array([5.0, 0.0]), basis), eta=0.1)
-        assert operator_norm_bound(pc) == pytest.approx(10.0)
+        assert np.linalg.norm(dense_map(pc), 2) == pytest.approx(10.0)
 
     def test_empty(self):
-        assert operator_norm_bound(DampedPreconditioner(Sketch.empty(4), eta=0.25)) \
-            == pytest.approx(4.0)
+        pc = DampedPreconditioner(Sketch.empty(4), eta=0.25)
+        assert np.linalg.norm(dense_map(pc), 2) == pytest.approx(4.0)
 
     def test_negative_eigenvalue(self):
         basis = np.eye(2)[:, :1]
         pc = DampedPreconditioner(Sketch(np.array([-0.05]), basis), eta=0.1)
-        assert operator_norm_bound(pc) == pytest.approx(20.0)
+        assert np.linalg.norm(dense_map(pc), 2) == pytest.approx(20.0)
 
 
 class TestOracleEquivalence:
@@ -127,7 +131,8 @@ class TestOracleEquivalence:
     def test_norm_bound_all_cases(self, seed):
         pc, g, _ = random_case(seed)
         d = precondition(g, pc)
-        assert np.linalg.norm(d) <= operator_norm_bound(pc) * np.linalg.norm(g) * (1 + 1e-12)
+        bound = max(1.0 / pc.eta, 1.0 / float(np.min(pc.denominators, initial=np.inf)))
+        assert np.linalg.norm(d) <= bound * np.linalg.norm(g) * (1 + 1e-12)
 
 
 class TestStructure:
@@ -156,19 +161,26 @@ class TestStructure:
     def test_min_eigenvalue(self):
         basis = np.eye(3)[:, :1]
         pc = DampedPreconditioner(Sketch(np.array([4.0]), basis), eta=1.0)
-        assert min_eigenvalue(pc) == pytest.approx(1.0 / 5.0)
+        assert np.linalg.eigvalsh(dense_map(pc))[0] == pytest.approx(1.0 / 5.0)
         pc = DampedPreconditioner(Sketch.empty(3), eta=0.5)
-        assert min_eigenvalue(pc) == pytest.approx(2.0)
+        assert np.linalg.eigvalsh(dense_map(pc))[0] == pytest.approx(2.0)
 
 
 class TestValidation:
     def test_eta_must_be_positive(self):
-        with pytest.raises(ContractViolationError):
-            DampedPreconditioner(Sketch.empty(2), eta=0.0)
+        for eta in (0.0, np.inf, np.nan):
+            with pytest.raises(ContractViolationError):
+                DampedPreconditioner(Sketch.empty(2), eta=eta)
 
-    def test_floor_must_be_positive(self):
-        with pytest.raises(ContractViolationError):
-            DampedPreconditioner(Sketch.empty(2), eta=1.0, floor=0.0)
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_wrong_gradient_shape(self, k):
+        sk = Sketch(np.array([2.0]), np.eye(3)[:, :1]) if k else Sketch.empty(3)
+        pc = DampedPreconditioner(sk, eta=1.0)
+        for bad in (np.ones(2), np.ones(4), np.ones((3, 1))):
+            with pytest.raises(ContractViolationError, match="gradient shape"):
+                precondition(bad, pc)
+            with pytest.raises(ContractViolationError, match="gradient shape"):
+                quadratic_form(bad, pc)
 
     def test_nonfinite_gradient(self):
         pc = DampedPreconditioner(Sketch.empty(2), eta=1.0)

@@ -137,7 +137,7 @@ class TestHvpContracts:
         for batch in batches:
             # a random block, and the identity: one product gives the dense Hessian
             for block in (rng.standard_normal((problem.dim, 3)), np.eye(problem.dim)):
-                hv = problem.hvp_block(theta, block, batch)
+                hv = problem.hvp_closure(theta, batch)(block)
                 stacked = np.column_stack([problem.hvp(theta, col, batch) for col in block.T])
                 assert hv.shape == block.shape
                 np.testing.assert_allclose(hv, stacked, rtol=1e-12,
@@ -170,7 +170,7 @@ class TestHvpClosure:
             apply = problem.hvp_closure(theta, batch)
             for block in (rng.standard_normal((problem.dim, 3)), eye):
                 assert (apply(block).tobytes()
-                        == problem.hvp_block(theta, block, batch).tobytes())
+                        == problem.hvp_closure(theta, batch)(block).tobytes())
             dense = problem.dense_hessian(theta, batch)
             for j in range(problem.dim):
                 column = apply(eye[:, j:j + 1])[:, 0]
@@ -187,7 +187,7 @@ class TestHvpClosure:
             apply = problem.hvp_closure(theta, batch)
             theta += 0.5
             assert (apply(block).tobytes()
-                    == problem.hvp_block(original, block, batch).tobytes())
+                    == problem.hvp_closure(original, batch)(block).tobytes())
 
     def test_block_contracts_checked_on_every_call(self):
         p = logreg(4, 20, seed=1)
@@ -311,11 +311,11 @@ class TestLogregKernels:
         assert p.grad(theta, batch).tobytes() == grad.tobytes()
         both = p.loss_and_grad(theta, batch)
         assert both[0] == loss and both[1].tobytes() == grad.tobytes()
-        product = p.hvp_block(theta, v, batch)
+        product = p.hvp_closure(theta, batch)(v)
         assert product.tobytes() == hv.tobytes()
         assert product.flags.c_contiguous
         v_f = np.asfortranarray(v)  # same values, another memory order
-        assert (p.hvp_block(theta, v_f, batch).tobytes()
+        assert (p.hvp_closure(theta, batch)(v_f).tobytes()
                 == reference_logreg(p, theta, batch, v_f)[2].tobytes())
 
 
@@ -343,11 +343,8 @@ class TestLossAndGrad:
         class InfGrad(cao.Problem):
             meta = ProblemMeta(dim=2, name="inf-grad")
 
-            def _loss(self, theta, batch):
-                return 0.0
-
-            def _grad(self, theta, batch):
-                return np.array([np.inf, 0.0])
+            def _loss_and_grad(self, theta, batch):
+                return 0.0, np.array([np.inf, 0.0])
 
         with pytest.raises(NumericOverflowError, match="non-finite gradient"):
             InfGrad().loss_and_grad(np.zeros(2))
@@ -475,14 +472,14 @@ class TestContracts:
         p = quadratic([2.0, 1.0], seed=0)
         for bad in (np.zeros(2), np.zeros((3, 2)), np.zeros((2, 2, 1))):
             with pytest.raises(ContractViolationError):
-                p.hvp_block(np.zeros(2), bad)
+                p.hvp_closure(np.zeros(2))(bad)
 
     def test_hvp_block_nonfinite_direction(self):
         p = logreg(4, 20, seed=1)
         block = np.ones((4, 3))
         block[2, 1] = np.nan
         with pytest.raises(NumericOverflowError):
-            p.hvp_block(np.zeros(4), block)
+            p.hvp_closure(np.zeros(4))(block)
 
     def test_meta_invariants(self):
         with pytest.raises(ContractViolationError):

@@ -229,6 +229,17 @@ class TestBlockLanczos:
         np.testing.assert_allclose(sk.eigvals, np.sort(np.linalg.eigvalsh(h))[::-1],
                                    atol=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_products_at_k1(self, caplog):
+        # a squared norm of about 1e400 overflows; the column is normalized by QR
+        p = quadratic([1e200, 1.0], seed=0)
+        with caplog.at_level("WARNING", logger="cao.sketch"):
+            sk = block_lanczos(p.hvp_closure(np.zeros(2)), 2, LanczosConfig(k=1, seed=3))
+            q = qr_orthonormalize(np.array([[3e200], [4e200]]))
+        assert caplog.records == []
+        assert abs(sk.eigvals[0] - 1e200) <= 1e-12 * 1e200
+        np.testing.assert_allclose(q[:, 0], [0.6, 0.8], rtol=1e-15)
+
 
 def signed(q):
     first = q[(q != 0).argmax(axis=0), np.arange(q.shape[1])]

@@ -83,7 +83,7 @@ class TestSufficientDescent:
         from cao.problems import FULL_BATCH
 
         cfg = CaoConfig(alpha=sufficient_stepsize(4.0, 1.0), k=0, eta=1.0)
-        state = CaoState(theta=p.target.copy())
+        state = CaoState(theta=np.zeros(p.dim))
         state, rec = cao_step(state, p, FULL_BATCH, cfg)
         assert rec.loss == 0.0 and rec.grad_norm == 0.0
         assert p.loss(state.theta) == 0.0

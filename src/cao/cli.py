@@ -115,6 +115,8 @@ def _cmd_plotdata(args):
 
 
 def _cmd_theory(args):
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
     reports = theory.run_theory_suite(seed=args.seed)
     out_dir = Path(args.out) / "logs" / "theory"
     out_dir.mkdir(parents=True, exist_ok=True)

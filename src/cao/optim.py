@@ -14,8 +14,9 @@ rank-k Hessian sketch applied to the gradient, refreshing the sketch from
 Hessian-vector products every ``m`` steps. With k = 0 it takes the gradient
 itself, which makes it bit-identical to momentum-free SGD.
 
-``make_runner`` maps a config entry onto a step function and its state,
-rejecting a key outside its kind's ``_OPT_KEYS``, and the checkpoint
+``KINDS`` gives each optimizer kind's state class and config knobs, each
+with a type and a range; ``make_runner`` checks a config entry against it and
+maps the entry onto a step function and its state, and the checkpoint
 functions store any of the three states through its fields.
 """
 
@@ -27,7 +28,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ContractViolationError, DivergenceError, NumericOverflowError, all_finite
+from .errors import (ContractViolationError, DivergenceError, Knob, NumericOverflowError,
+                     all_finite, check_knobs)
 from .precondition import DampedPreconditioner, precondition
 from .problems import Batch, Problem
 from .sketch import LanczosConfig, Sketch, block_lanczos
@@ -56,18 +58,8 @@ class CaoConfig:
     sketch_seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ContractViolationError(f"alpha must be finite and > 0, got {self.alpha}")
-        if self.k < 0:
-            raise ContractViolationError(f"k must be >= 0, got {self.k}")
-        if self.m < 1:
-            raise ContractViolationError(f"m must be >= 1, got {self.m}")
-        if not 0 < self.eta < math.inf:
-            raise ContractViolationError(f"eta must be finite and > 0, got {self.eta}")
-        if self.clip_c < 0 or self.weight_decay < 0 or self.warm_steps < 0:
-            raise ContractViolationError("clip_c, weight_decay, warm_steps must be >= 0")
-        if self.t_pow < 1:
-            raise ContractViolationError(f"t_pow must be >= 1, got {self.t_pow}")
+        check_knobs(KINDS, "cao", {key: value for key, value in vars(self).items()
+                                   if key != "sketch_seed"}, "optimizer kind")
 
 
 @dataclass
@@ -281,22 +273,20 @@ def adam_step(state: AdamState, problem: Problem, batch: Batch, lr: float,
 # ---------------------------------------------------------------------------
 # the uniform wrapper used by the harness
 
-_STATES = {"cao": CaoState, "sgd": SgdState, "adam": AdamState}
+_ALPHA, _POSITIVE = Knob(float, 0, closed=False, required=True), Knob(float, 0, closed=False)
+_NONNEGATIVE, _UNIT = Knob(float, 0), Knob(float, 0, 1)
 
-# the config keys each optimizer kind takes (besides kind and label)
-_OPT_KEYS = {
-    "cao": {"alpha", "k", "m", "eta", "clip_c", "weight_decay", "t_pow",
-            "warm_steps", "k0_eta_scaled"},
-    "sgd": {"alpha", "momentum", "weight_decay", "clip"},
-    "adam": {"alpha", "beta1", "beta2", "eps", "weight_decay", "clip"},
+# each optimizer kind: its state class and its config knobs besides kind and label
+KINDS = {
+    "cao": (CaoState, {"alpha": _ALPHA, "k": Knob(int, 0), "m": Knob(int, 1),
+                       "eta": _POSITIVE, "clip_c": _NONNEGATIVE,
+                       "weight_decay": _NONNEGATIVE, "t_pow": Knob(int, 1),
+                       "warm_steps": Knob(int, 0), "k0_eta_scaled": Knob(bool)}),
+    "sgd": (SgdState, {"alpha": _ALPHA, "momentum": _UNIT, "weight_decay": _NONNEGATIVE,
+                       "clip": _NONNEGATIVE}),
+    "adam": (AdamState, {"alpha": _ALPHA, "beta1": _UNIT, "beta2": _UNIT, "eps": _POSITIVE,
+                         "weight_decay": _NONNEGATIVE, "clip": _NONNEGATIVE}),
 }
-
-# admissible values of the baseline knobs: (low, high, low included); high is
-# always excluded
-_BOUNDS = {"alpha": (0.0, math.inf, False), "momentum": (0.0, 1.0, True),
-           "beta1": (0.0, 1.0, True), "beta2": (0.0, 1.0, True),
-           "eps": (0.0, math.inf, False), "weight_decay": (0.0, math.inf, True),
-           "clip": (0.0, math.inf, True)}
 
 
 class Runner:
@@ -323,30 +313,19 @@ def make_runner(kind: str, theta0, params: dict, seed: int) -> Runner:
     """Build a runner from an optimizer config entry's knobs (config key names).
 
     ``alpha`` becomes the baselines' ``lr``; ``seed`` is the ``sketch_seed``.
-    A key outside ``_OPT_KEYS[kind]`` or a bad knob raises
-    ``ContractViolationError`` (or ``TypeError`` for a cao knob of the wrong
-    type). The step function is looked up now, so a wrapper put on
-    ``cao_step``, ``sgd_step`` or ``adam_step`` sees every step of the run.
+    An unknown kind, or knobs that do not fit ``KINDS[kind]``, raise
+    ``ContractViolationError``. The step function is looked up now, so a
+    wrapper put on ``cao_step``, ``sgd_step`` or ``adam_step`` sees every step
+    of the run.
     """
-    if kind not in _STATES:
-        raise ContractViolationError(f"unknown optimizer kind {kind!r}")
-    unknown = set(params) - _OPT_KEYS[kind]
-    if unknown:
-        raise ContractViolationError(f"unknown keys {sorted(unknown)}")
+    state_class = check_knobs(KINDS, kind, params, "optimizer kind")
     if kind == "cao":
         params = {"cfg": CaoConfig(**params, sketch_seed=seed)}
     else:
-        for key, value in params.items():
-            low, high, closed = _BOUNDS[key]
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not (low <= value if closed else low < value) or not value < high):
-                raise ContractViolationError(
-                    f"{key} must be a number in {'[' if closed else '('}{low:g}, {high:g}),"
-                    f" got {value!r}")
         params = dict(params)
         params["lr"] = params.pop("alpha")
     theta = np.asarray(theta0, dtype=np.float64).copy()
-    return Runner(globals()[f"{kind}_step"], _STATES[kind](theta=theta), params)
+    return Runner(globals()[f"{kind}_step"], state_class(theta=theta), params)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +341,7 @@ def save_checkpoint(path, state) -> None:
     saved), unset buffers (omitted) and the sketch, which is split into
     ``sketch_eigvals``, ``sketch_basis`` and ``sketch_refreshed_at``.
     """
-    kind = next((k for k, cls in _STATES.items() if type(state) is cls), None)
+    kind = next((k for k, (cls, _) in KINDS.items() if type(state) is cls), None)
     if kind is None:
         raise ContractViolationError(f"cannot checkpoint {type(state).__name__}")
     payload = {"format": np.int64(CHECKPOINT_FORMAT), "kind": np.str_(kind)}
@@ -385,13 +364,14 @@ def load_checkpoint(path):
         if fmt != CHECKPOINT_FORMAT:
             raise ContractViolationError(f"unsupported checkpoint format {fmt}")
         kind = str(data["kind"])
-        if kind not in _STATES:
+        if kind not in KINDS:
             raise ContractViolationError(f"unknown checkpoint kind {kind!r}")
+        state_class = KINDS[kind][0]
         values = {}
-        for f in fields(_STATES[kind]):
+        for f in fields(state_class):
             if f.name == "sketch" and "sketch_eigvals" in data:
                 values["sketch"] = Sketch(data["sketch_eigvals"], data["sketch_basis"],
                                           refreshed_at=int(data["sketch_refreshed_at"]))
             elif f.name in data:
                 values[f.name] = int(data[f.name]) if f.type == "int" else data[f.name]
-        return _STATES[kind](**values)
+        return state_class(**values)

@@ -25,9 +25,11 @@ import numpy as np
 from .errors import (
     ContractViolationError,
     DegenerateStepError,
+    Knob,
     NumericOverflowError,
     OracleUnavailableError,
     all_finite,
+    check_knobs,
 )
 
 DENSE_ORACLE_CAP = 500
@@ -571,43 +573,30 @@ mlp_synthetic = MlpProblem
 # ---------------------------------------------------------------------------
 # construction from a config section
 
-# name -> (builder, the keys its section may carry besides "name")
-_BUILDERS = {
-    "quadratic": (lambda p: quadratic(p["spectrum"], seed=p.get("seed", 0),
-                                      name=p.get("label", "quadratic")),
-                  {"spectrum", "seed", "label"}),
-    "rosenbrock": (lambda p: rosenbrock(p["n"]), {"n"}),
-    "logreg": (lambda p: logreg(p["n_features"], p["n_samples"], seed=p.get("seed", 0),
-                                reg=p.get("reg", 1e-2), class_sep=p.get("class_sep", 2.0)),
-               {"n_features", "n_samples", "seed", "reg", "class_sep"}),
-    "mlp": (lambda p: mlp_synthetic(p["widths"], seed=p.get("seed", 0),
-                                    n_samples=p.get("n_samples", 512),
-                                    class_sep=p.get("class_sep", 2.0),
-                                    input_gain=p.get("input_gain", 1.0)),
-            {"widths", "seed", "n_samples", "class_sep", "input_gain"}),
+# name -> (builder, the knobs its section takes besides "name")
+_SEED = Knob(int, 0)
+_PROBLEMS = {
+    "quadratic": (lambda spectrum, seed=0, label="quadratic":
+                  quadratic(spectrum, seed=seed, name=label),
+                  {"spectrum": Knob(float, required=True, many=True),
+                   "seed": _SEED, "label": Knob(str)}),
+    "rosenbrock": (rosenbrock, {"n": Knob(int, 2, required=True)}),
+    "logreg": (logreg, {"n_features": Knob(int, 1, required=True),
+                        "n_samples": Knob(int, 2, required=True), "seed": _SEED,
+                        "reg": Knob(float, 0), "class_sep": Knob(float)}),
+    "mlp": (mlp_synthetic, {"widths": Knob(int, 1, required=True, many=True),
+                            "seed": _SEED, "n_samples": Knob(int, 1), "class_sep": Knob(float),
+                            "input_gain": Knob(float, 0, closed=False)}),
 }
 
 
 def from_config(section: dict) -> Problem:
     """Build a problem from a config mapping: {"name": ..., <parameters>, "seed": ...}.
 
-    A key the named builder does not take is an error, not ignored.
+    The parameters are first checked against the named problem's knobs: a key
+    it does not take, a missing one, or a value of the wrong type or out of
+    range is an error, not ignored or truncated.
     """
-    try:
-        name = section["name"]
-    except (KeyError, TypeError):
-        raise ContractViolationError("problem section needs a 'name' key") from None
-    if not isinstance(name, str) or name not in _BUILDERS:
-        raise ContractViolationError(
-            f"unknown problem {name!r}; known: {sorted(_BUILDERS)}"
-        )
-    builder, keys = _BUILDERS[name]
-    unknown = set(section) - keys - {"name"}
-    if unknown:
-        raise ContractViolationError(f"problem {name!r}: unknown keys {sorted(unknown)}")
-    try:
-        return builder(section)
-    except KeyError as exc:
-        raise ContractViolationError(f"problem {name!r} is missing parameter {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ContractViolationError(f"problem {name!r}: bad parameter ({exc})") from None
+    params = dict(section)
+    name = params.pop("name", None)
+    return check_knobs(_PROBLEMS, name, params, "problem")(**params)

@@ -1,6 +1,7 @@
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from cao.harness import (
     time_to_threshold,
 )
 from cao.runlog import RunLogWriter, normalized_bytes, read_runlog
-from cao.optim import StepRecord
+from cao.optim import StepRecord, make_runner
+from cao.problems import from_config
+
+ROOT = Path(__file__).resolve().parent.parent
+# the configs reproduce.py and the benchmark workloads run; perfbench/ is only read
+SHIPPED_CONFIGS = sorted([*ROOT.glob("configs/*.json"),
+                          *ROOT.glob("perfbench/configs/*.json")])
 
 
 def tiny_config(name="tiny", steps=60, seeds=(0, 1), threshold=0.5):
@@ -621,13 +628,18 @@ class TestConfigParsing:
         ("sgd", {"clip": -1.0}), ("adam", {"beta1": 1.5}), ("adam", {"beta2": 1.0}),
         ("adam", {"beta1": -0.1}), ("adam", {"eps": 0.0}), ("adam", {"alpha": True}),
         ("adam", {"alpha": float("inf")}), ("adam", {"weight_decay": -1.0}),
-        ("adam", {"clip": -0.5}),
+        ("adam", {"clip": -0.5}), ("cao", {"k": 1.5}), ("cao", {"t_pow": 2.5}),
+        ("cao", {"m": 2.5}), ("cao", {"warm_steps": 0.5}), ("cao", {"k": True}),
+        ("cao", {"alpha": True}), ("cao", {"eta": float("nan")}),
+        ("cao", {"k0_eta_scaled": "no"}), ("cao", {"k0_eta_scaled": 1}),
     ], ids=["negative-k", "infinite-eta", "infinite-alpha", "k-as-string",
             "sgd-negative-alpha", "sgd-zero-alpha", "sgd-momentum-one", "sgd-negative-momentum",
             "sgd-momentum-as-string", "sgd-momentum-null", "sgd-negative-decay",
             "sgd-negative-clip", "adam-beta1-above-one", "adam-beta2-one",
             "adam-negative-beta1", "adam-zero-eps", "adam-alpha-as-bool",
-            "adam-infinite-alpha", "adam-negative-decay", "adam-negative-clip"])
+            "adam-infinite-alpha", "adam-negative-decay", "adam-negative-clip",
+            "k-float", "t-pow-float", "m-float", "warm-steps-float", "k-as-bool",
+            "alpha-as-bool", "nan-eta", "k0-eta-scaled-as-string", "k0-eta-scaled-as-int"])
     def test_bad_knob(self, kind, knobs):
         with pytest.raises(ConfigError, match=f"'{kind}-x'"):
             parse_config({
@@ -657,6 +669,15 @@ class TestConfigParsing:
             "seeds": [0], "steps": 1, "threshold": 0.1,
         })
         assert [o.kind for o in cfg.optimizers] == ["sgd", "adam"]
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS,
+                             ids=[str(p.relative_to(ROOT)) for p in SHIPPED_CONFIGS])
+    def test_shipped_config_builds(self, path):
+        cfg = load_config(path)
+        problem = from_config(cfg.problem)
+        for spec in cfg.optimizers:
+            runner = make_runner(spec.kind, problem.initial_point(0), spec.params, seed=0)
+            assert runner.theta.shape == (problem.dim,)
 
     def test_missing_alpha(self):
         with pytest.raises(ConfigError):
@@ -733,6 +754,7 @@ class TestCli:
         ({"seeds": [-1]}, "seeds"),
         ({"threshold": None}, "threshold"),
         ({"threshold": float("nan")}, "threshold"),
+        ({"threshold": 10**400}, "threshold"),
         ({"eval_every": "z"}, "eval_every"),
         ({"batch_size": 1.5}, "batch_size"),
         ({"optimizers": {"kind": "sgd", "alpha": 0.1}}, "optimizers"),
@@ -743,6 +765,25 @@ class TestCli:
                          {"kind": "cao", "label": "inf-eta", "alpha": 0.1,
                           "eta": float("inf")}]},
          "inf-eta"),
+        *[({"optimizers": [{"kind": "sgd", "alpha": 0.1},
+                           {"kind": "cao", "label": "bad-cao", "alpha": 0.1, **knobs}]},
+           "bad-cao")
+          for knobs in ({"k": 1.5}, {"t_pow": 2.5}, {"m": 2.5}, {"warm_steps": 0.5},
+                        {"k": True}, {"alpha": True}, {"eta": float("nan")},
+                        {"k0_eta_scaled": "no"}, {"k0_eta_scaled": 1}, {"alpha": 10**400})],
+        ({"problem": {"name": "rosenbrock", "n": 2.5}}, "n must be an integer"),
+        ({"problem": {"name": "mlp", "widths": [3.7, 4, 2], "n_samples": 20}}, "widths"),
+        ({"problem": {"name": "quadratic", "spectrum": [4.0, 1.0], "seed": 1.5}},
+         "seed must be an integer"),
+        ({"problem": {"name": "quadratic", "spectrum": [4.0, 1.0], "seed": True}},
+         "seed must be an integer"),
+        ({"problem": {"name": "quadratic", "spectrum": [4.0, 1.0], "label": 7}},
+         "label must be a string"),
+        ({"problem": {"name": "quadratic", "spectrum": [4.0, float("nan")]}}, "spectrum"),
+        ({"problem": {"name": "logreg", "n_features": 3, "n_samples": 20,
+                      "reg": float("nan")}}, "reg"),
+        ({"problem": {"name": "mlp", "widths": [3, 4, 2], "n_samples": 20,
+                      "input_gain": -1.0}}, "input_gain"),
         *[({"name": name}, "name must be") for name in ("..", ".", "", "a/b", "a\0b", 3)],
         *[({"optimizers": [{"kind": "sgd", "label": label, "alpha": 0.1}]},
            "optimizer #0: label must be")
@@ -751,8 +792,15 @@ class TestCli:
             "sgd-momentum-as-string", "adam-beta1-above-one", "unknown-problem-key",
             "problem-not-object", "problem-name-not-string", "spectrum-not-numbers",
             "rosenbrock-n-not-int", "steps-not-int", "seeds-not-list", "seed-not-int",
-            "seed-negative", "threshold-null", "threshold-nan", "eval-every-not-int",
+            "seed-negative", "threshold-null", "threshold-nan", "threshold-huge-int",
+            "eval-every-not-int",
             "batch-size-not-int", "optimizers-not-list", "k-above-dim", "cao-infinite-eta",
+            "cao-k-float", "cao-t-pow-float", "cao-m-float", "cao-warm-steps-float",
+            "cao-k-as-bool", "cao-alpha-as-bool", "cao-nan-eta",
+            "cao-k0-eta-scaled-as-string", "cao-k0-eta-scaled-as-int", "cao-alpha-huge-int",
+            "rosenbrock-n-float", "mlp-widths-float", "problem-seed-float",
+            "problem-seed-as-bool", "quadratic-label-not-string", "spectrum-nan",
+            "logreg-reg-nan", "mlp-negative-input-gain",
             "name-dotdot", "name-dot", "name-empty", "name-slash", "name-nul",
             "name-not-string", "label-dotdot", "label-dot", "label-empty", "label-slash",
             "label-nul", "label-null", "label-not-string"])
@@ -913,6 +961,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"config error: {flag}: thresholds must be finite numbers, got {bad}" in err
         assert not (tmp_path / "tables").exists()
+
+    def test_theory_negative_seed_exit_code(self, tmp_path, capsys):
+        rc = cli.main(["--out", str(tmp_path), "theory", "--seed", "-1"])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "logs" / "theory" / "reports.jsonl").exists()
+        err = capsys.readouterr().err
+        assert "config error: --seed must be an integer >= 0, got -1" in err
 
     def test_theory_command(self, tmp_path):
         rc = cli.main(["--out", str(tmp_path), "theory"])

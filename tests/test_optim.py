@@ -619,6 +619,9 @@ class TestRunner:
         # a knob of another kind: adam's beta1 is no sgd knob
         with pytest.raises(ContractViolationError, match=r"unknown keys \['beta1'\]"):
             make_runner("sgd", np.ones(2), {"alpha": 0.1, "beta1": 0.9}, seed=0)
+        for kind in ("sgd", "cao"):
+            with pytest.raises(ContractViolationError, match="alpha"):
+                make_runner(kind, np.ones(2), {}, seed=0)
 
 
 class TestConfigValidation:
@@ -638,3 +641,8 @@ class TestConfigValidation:
                 CaoConfig(alpha=0.1, eta=bad)
         with pytest.raises(ContractViolationError):
             CaoConfig(alpha=0.1, t_pow=0)
+        for knobs in ({"k": 1.5}, {"t_pow": 2.5}, {"m": 2.5}, {"warm_steps": 0.5},
+                      {"k": True}, {"alpha": True}, {"eta": np.nan},
+                      {"k0_eta_scaled": "no"}, {"k0_eta_scaled": 1}):
+            with pytest.raises(ContractViolationError, match=f"{next(iter(knobs))} must be"):
+                CaoConfig(**{"alpha": 0.1, **knobs})

@@ -11,6 +11,10 @@ call of such a closure.
 Problems are immutable after construction and all randomness is fixed by the
 construction seed, so identical ``(theta, batch)`` inputs give bit-identical
 outputs and instances can be shared across threads.
+
+Each constructor checks its arguments against ``_PROBLEMS``, as ``from_config``
+checks a config section, so both fail alike. Only mlp adds rules a knob cannot
+state: ``widths`` has three entries, ``n_classes >= 2``, ``n_samples >= n_classes``.
 """
 
 from __future__ import annotations
@@ -22,15 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    DegenerateStepError,
-    Knob,
-    NumericOverflowError,
-    OracleUnavailableError,
-    all_finite,
-    check_knobs,
-)
+from .errors import (ContractViolationError, DegenerateStepError, Knob, NumericOverflowError,
+                     OracleUnavailableError, all_finite, check_knobs)
 
 DENSE_ORACLE_CAP = 500
 
@@ -258,12 +255,14 @@ class QuadraticProblem(Problem):
 
     def __init__(self, spectrum, seed: int = 0, name: str = "quadratic",
                  rotate: bool = True):
-        spectrum = np.asarray(spectrum, dtype=np.float64)
-        if spectrum.ndim != 1 or spectrum.size == 0:
-            raise ContractViolationError("spectrum must be a non-empty 1-d sequence")
+        if isinstance(spectrum, np.ndarray):
+            spectrum = spectrum.tolist()  # a scalar or 2-d array is then not a list of numbers
+        check_knobs(_PROBLEMS, "quadratic", {"spectrum": spectrum, "seed": seed, "label": name},
+                    "problem")
+        spectrum = np.array(spectrum, dtype=np.float64)
         n = spectrum.size
         if rotate:
-            rng = np.random.default_rng([int(seed), 101])
+            rng = np.random.default_rng([seed, 101])
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             a = (q * spectrum) @ q.T
             self.matrix = (a + a.T) / 2.0  # exact symmetric storage
@@ -301,8 +300,7 @@ class RosenbrockProblem(Problem):
     """
 
     def __init__(self, n: int):
-        if n < 2:
-            raise ContractViolationError("rosenbrock needs n >= 2")
+        check_knobs(_PROBLEMS, "rosenbrock", {"n": n}, "problem")
         self.meta = ProblemMeta(dim=n, name=f"rosenbrock{n}", f_star=0.0)
 
     def _loss_and_grad(self, theta, batch):
@@ -364,11 +362,10 @@ class LogregProblem(Problem):
         reg: float = 1e-2,
         class_sep: float = 2.0,
     ):
-        if n_features < 1 or n_samples < 2:
-            raise ContractViolationError("logreg needs n_features >= 1, n_samples >= 2")
-        if reg < 0:
-            raise ContractViolationError("reg must be >= 0")
-        rng = np.random.default_rng([int(seed), 211])
+        check_knobs(_PROBLEMS, "logreg", {"n_features": n_features, "n_samples": n_samples,
+                                          "seed": seed, "reg": reg, "class_sep": class_sep},
+                    "problem")
+        rng = np.random.default_rng([seed, 211])
         direction = rng.standard_normal(n_features)
         direction /= np.linalg.norm(direction)
         labels = np.where(np.arange(n_samples) % 2 == 0, 1.0, -1.0)
@@ -447,14 +444,16 @@ class MlpProblem(Problem):
         class_sep: float = 2.0,
         input_gain: float = 1.0,
     ):
-        widths = tuple(int(w) for w in widths)
-        if len(widths) != 3 or min(widths) < 1:
-            raise ContractViolationError("widths must be (n_in, n_hidden, n_classes)")
-        d, h, c = widths
-        if c < 2 or n_samples < c:
-            raise ContractViolationError("need n_classes >= 2 and n_samples >= n_classes")
-        self.widths = widths
-        rng = np.random.default_rng([int(seed), 307])
+        check_knobs(_PROBLEMS, "mlp", {"widths": widths, "seed": seed, "n_samples": n_samples,
+                                       "class_sep": class_sep, "input_gain": input_gain},
+                    "problem")
+        if len(widths) != 3 or widths[2] < 2 or n_samples < widths[2]:
+            raise ContractViolationError(
+                f"problem 'mlp': widths must be (n_in, n_hidden, n_classes) with n_classes "
+                f">= 2 and n_samples >= n_classes, got {widths!r} and {n_samples}")
+        self.widths = tuple(widths)
+        d, h, c = self.widths
+        rng = np.random.default_rng([seed, 307])
         means = rng.standard_normal((c, d)) * class_sep
         y = np.arange(n_samples) % c
         rng.shuffle(y)
@@ -573,12 +572,13 @@ mlp_synthetic = MlpProblem
 # ---------------------------------------------------------------------------
 # construction from a config section
 
-# name -> (builder, the knobs its section takes besides "name")
+# name -> (builder, the knobs its section takes besides "name"); each
+# constructor checks its own arguments against its entry
 _SEED = Knob(int, 0)
 _PROBLEMS = {
     "quadratic": (lambda spectrum, seed=0, label="quadratic":
                   quadratic(spectrum, seed=seed, name=label),
-                  {"spectrum": Knob(float, required=True, many=True),
+                  {"spectrum": Knob(float, 0, closed=False, required=True, many=True),
                    "seed": _SEED, "label": Knob(str)}),
     "rosenbrock": (rosenbrock, {"n": Knob(int, 2, required=True)}),
     "logreg": (logreg, {"n_features": Knob(int, 1, required=True),

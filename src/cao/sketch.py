@@ -19,12 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    NumericOverflowError,
-    OracleUnavailableError,
-    all_finite,
-)
+from .errors import (ContractViolationError, Knob, NumericOverflowError, OracleUnavailableError,
+                     all_finite, check_knobs)
 
 log = logging.getLogger(__name__)
 
@@ -83,10 +79,11 @@ class LanczosConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ContractViolationError(f"k must be >= 0, got {self.k}")
-        if self.iters < 1:
-            raise ContractViolationError(f"iters must be >= 1, got {self.iters}")
+        check_knobs(_LANCZOS, "lanczos", vars(self), "sketch")
+
+
+_LANCZOS = {"lanczos": (LanczosConfig, {"k": Knob(int, 0), "iters": Knob(int, 1),
+                                        "seed": Knob(int, 0)})}
 
 
 def _positive_first(q) -> np.ndarray:

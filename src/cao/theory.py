@@ -19,6 +19,12 @@ from .sketch import LanczosConfig, Sketch, block_lanczos, sketch_residual
 
 DESCENT_SLACK = 1e-9
 WINDOW_FLOOR = 1e-14
+DESCENT_SAMPLES = 100  # (theta, d, alpha) triples of the descent lemma check
+SMOOTHNESS_SAMPLES = 20  # box points of estimate_smoothness, besides the center
+REFRESH_M = 50  # the checks' refresh period
+GROWTH_SLACK = 2.2  # allowed c_{2T} / c_T of the stationarity trend
+GAMMA_MIN = 1e-3  # contraction the PL check requires per refresh window
+CONTRACTION_C, ALPHA_CAP = 0.25, 0.5  # the PL check's stepsize, see check_pl_contraction
 
 
 @dataclass
@@ -49,12 +55,12 @@ def sufficient_stepsize(L: float, eta: float) -> float:
 
 
 def estimate_smoothness(problem: Problem, center, radius: float = 1.5,
-                        num_samples: int = 20, seed: int = 0) -> float:
+                        seed: int = 0) -> float:
     """Conservative local curvature bound: max Hessian spectral norm over a box."""
     center = np.asarray(center, dtype=np.float64)
     rng = np.random.default_rng([int(seed), 523])
     points = [center]
-    for _ in range(num_samples):
+    for _ in range(SMOOTHNESS_SAMPLES):
         points.append(center + rng.uniform(-radius, radius, size=problem.dim))
     worst = 0.0
     for p in points:
@@ -81,8 +87,7 @@ def _run_cao(problem, cfg, theta0, steps):
 # ---------------------------------------------------------------------------
 
 
-def check_descent_lemma(problem: Problem, L: float | None = None,
-                        num_samples: int = 100, seed: int = 0, radius: float = 1.0,
+def check_descent_lemma(problem: Problem, seed: int = 0, radius: float = 1.0,
                         alpha_max: float = 0.1) -> TheoryReport:
     """Smoothness descent inequality over sampled (theta, d, alpha) triples.
 
@@ -91,13 +96,12 @@ def check_descent_lemma(problem: Problem, L: float | None = None,
     box estimate around the default start.
     """
     center = problem.initial_point(seed)
-    if L is None:
-        L = problem.meta.smoothness_L
+    L = problem.meta.smoothness_L
     if L is None:
         L = estimate_smoothness(problem, center, radius=radius + 1.0, seed=seed)
     rng = np.random.default_rng([int(seed), 811])
     worst = np.inf
-    for _ in range(num_samples):
+    for _ in range(DESCENT_SAMPLES):
         theta = center + rng.uniform(-radius, radius, size=problem.dim)
         d = rng.standard_normal(problem.dim)
         alpha = rng.uniform(1e-4, alpha_max)
@@ -109,29 +113,26 @@ def check_descent_lemma(problem: Problem, L: float | None = None,
     return TheoryReport(
         check=f"descent_lemma[{problem.meta.name}]",
         passed=bool(worst >= -DESCENT_SLACK),
-        measured={"min_margin": worst, "L": L, "samples": num_samples},
+        measured={"min_margin": worst, "L": L, "samples": DESCENT_SAMPLES},
         tolerance=DESCENT_SLACK,
     )
 
 
-def check_sufficient_descent(problem: QuadraticProblem, k: int = 1,
-                             eta: float | None = None, steps: int = 200,
-                             seed: int = 0, alpha_scale: float = 1.0,
-                             m: int = 50, t_pow: int = 10) -> TheoryReport:
+def check_sufficient_descent(problem: QuadraticProblem, k: int = 1, steps: int = 200,
+                             seed: int = 0, alpha_scale: float = 1.0) -> TheoryReport:
     """Per-step decrease >= (alpha/2) lambda_min(M_t) ||g_t||^2 at the sufficient stepsize.
 
     lambda_min(M_t) is taken from the sketch actually used at step t,
     1 / max(top eigenvalue + eta, eta); for k = 0 the map is the identity and
-    lambda_min = 1. ``alpha_scale`` rescales the stepsize (negative controls
-    use 50x).
+    lambda_min = 1. The damping is eta = 0.2 sqrt(L). ``alpha_scale`` rescales
+    the stepsize (negative controls use 50x).
     """
     L = problem.meta.smoothness_L
     if L is None:
         raise OracleUnavailableError("check_sufficient_descent needs a known smoothness bound")
-    if eta is None:
-        eta = 0.2 * float(np.sqrt(L))
+    eta = 0.2 * float(np.sqrt(L))
     alpha = alpha_scale * sufficient_stepsize(L, eta)
-    cfg = CaoConfig(alpha=alpha, k=k, m=m, eta=eta, t_pow=t_pow, sketch_seed=seed)
+    cfg = CaoConfig(alpha=alpha, k=k, m=REFRESH_M, eta=eta, sketch_seed=seed)
     theta0 = problem.initial_point(seed)
     fallback = 1.0 / (L + eta)
     try:
@@ -168,14 +169,12 @@ def check_sufficient_descent(problem: QuadraticProblem, k: int = 1,
 
 
 def check_stationarity_rate(problem: Problem, horizons=(100, 200, 400, 800),
-                            k: int = 1, eta: float = 1.0, m: int = 50,
-                            seed: int = 0, stationarity_c: float = 0.5,
-                            alpha: float | None = None, t_pow: int = 10,
-                            growth_slack: float = 2.2) -> TheoryReport:
-    """Trend check on c_T = T * min_{t<T} ||g_t||^2 at several horizons.
+                            eta: float = 1.0, seed: int = 0, stationarity_c: float = 0.5,
+                            alpha: float | None = None) -> TheoryReport:
+    """Trend check on c_T = T * min_{t<T} ||g_t||^2 at several horizons, cao k = 1.
 
     Requires c_T <= 4 (f_0 - best observed loss) / alpha and sub-linear growth
-    c_{2T} <= ``growth_slack`` * c_T. The default stepsize is
+    c_{2T} <= ``GROWTH_SLACK`` * c_T. The default stepsize is
     ``stationarity_c * eta / L`` with L from metadata or a box estimate.
     A run whose loss exceeds 10x the initial value fails with a diagnostic.
     """
@@ -186,7 +185,7 @@ def check_stationarity_rate(problem: Problem, horizons=(100, 200, 400, 800),
         L = estimate_smoothness(problem, theta0, radius=1.5, seed=seed)
     if alpha is None:
         alpha = stationarity_c * eta / L
-    cfg = CaoConfig(alpha=alpha, k=k, m=m, eta=eta, t_pow=t_pow, sketch_seed=seed)
+    cfg = CaoConfig(alpha=alpha, m=REFRESH_M, eta=eta, sketch_seed=seed)
     try:
         _, records = _run_cao(problem, cfg, theta0, max(horizons))
     except DivergenceError as exc:
@@ -216,30 +215,29 @@ def check_stationarity_rate(problem: Problem, horizons=(100, 200, 400, 800),
         ok &= c_t <= bound
     for lo, hi in zip(horizons, horizons[1:]):
         if hi == 2 * lo:
-            ok &= c_vals[hi] <= growth_slack * c_vals[lo]
+            ok &= c_vals[hi] <= GROWTH_SLACK * c_vals[lo]
     return TheoryReport(
         check=f"stationarity[{problem.meta.name},alpha={alpha:.3g}]",
         passed=bool(ok),
         measured={"alpha": alpha, "L": L,
                   "c_T": [c_vals[T] for T in horizons],
                   "bound_T": [bounds[T] for T in horizons]},
-        tolerance=growth_slack,
+        tolerance=GROWTH_SLACK,
     )
 
 
 def check_pl_contraction(problem: QuadraticProblem, k: int = 1, eta: float = 1.0,
-                         m: int = 50, num_windows: int = 6, seed: int = 0,
-                         gamma_min: float = 1e-3, contraction_c: float = 0.25,
-                         alpha_cap: float = 0.5, alpha: float | None = None,
-                         t_pow: int = 10, k0_eta_scaled: bool = True) -> TheoryReport:
+                         m: int = REFRESH_M, num_windows: int = 6,
+                         seed: int = 0) -> TheoryReport:
     """Loss ratio between consecutive sketch refreshes on a gradient-dominated problem.
 
     Runs full-batch steps and measures rho_r = (f_{r+1} - f*) / (f_r - f*)
     across refresh windows of length m; passes when every usable ratio is
-    below 1 and the measured gamma = 1 - max rho clears ``gamma_min``.
+    below 1 and the measured gamma = 1 - max rho clears ``GAMMA_MIN``. k = 0
+    runs the 1/eta-scaled variant.
 
     The stepsize widens with the captured curvature: alpha =
-    min(contraction_c * eta / residual_curvature, alpha_cap), where the
+    min(CONTRACTION_C * eta / residual_curvature, ALPHA_CAP), where the
     residual is measured at the start via the dense oracle. Windows whose
     starting gap is below ``WINDOW_FLOOR`` are excluded.
     """
@@ -249,14 +247,12 @@ def check_pl_contraction(problem: QuadraticProblem, k: int = 1, eta: float = 1.0
     theta0 = problem.initial_point(seed)
     if k >= 1:
         probe = block_lanczos(problem.hvp_closure(theta0, FULL_BATCH), problem.dim,
-                              LanczosConfig(k=k, iters=t_pow, seed=int(seed) + 9999))
+                              LanczosConfig(k=k, iters=CaoConfig.t_pow, seed=int(seed) + 9999))
         lam_perp = residual_curvature(problem, theta0, probe)
     else:
         lam_perp = residual_curvature(problem, theta0, Sketch.empty(problem.dim))
-    if alpha is None:
-        alpha = min(contraction_c * eta / max(lam_perp, 1e-12), alpha_cap)
-    cfg = CaoConfig(alpha=alpha, k=k, m=m, eta=eta, t_pow=t_pow, sketch_seed=seed,
-                    k0_eta_scaled=k0_eta_scaled)
+    alpha = min(CONTRACTION_C * eta / max(lam_perp, 1e-12), ALPHA_CAP)
+    cfg = CaoConfig(alpha=alpha, k=k, m=m, eta=eta, sketch_seed=seed, k0_eta_scaled=True)
     steps = m * num_windows
     state, records = _run_cao(problem, cfg, theta0, steps)
     refresh_f = [records[r * m].loss for r in range(num_windows)]
@@ -273,30 +269,30 @@ def check_pl_contraction(problem: QuadraticProblem, k: int = 1, eta: float = 1.0
             passed=True,
             measured={"alpha": alpha, "lambda_perp": lam_perp, "gamma": 1.0,
                       "windows_used": 0},
-            tolerance=gamma_min,
+            tolerance=GAMMA_MIN,
             notes="all windows below floating-point floor; fully converged",
         )
     max_rho = max(ratios)
     gamma = 1.0 - max_rho
     return TheoryReport(
         check=f"pl_contraction[{problem.meta.name},k={k}]",
-        passed=bool(max_rho < 1.0 and gamma >= gamma_min),
+        passed=bool(max_rho < 1.0 and gamma >= GAMMA_MIN),
         measured={"alpha": alpha, "lambda_perp": lam_perp, "gamma": gamma,
                   "max_rho": max_rho, "windows_used": len(ratios),
                   "ratios": ratios},
-        tolerance=gamma_min,
+        tolerance=GAMMA_MIN,
     )
 
 
 def measure_gamma_over_ranks(problem: QuadraticProblem, ks=(0, 1, 3), seeds=(0, 1, 2),
-                             eta: float = 1.0, m: int = 50, num_windows: int = 6,
-                             **kwargs) -> dict:
+                             eta: float = 1.0, m: int = REFRESH_M,
+                             num_windows: int = 6) -> dict:
     """Measured gamma per (k, seed); k = 0 runs the 1/eta-scaled variant."""
     gammas = {}
     for k in ks:
         for seed in seeds:
             rep = check_pl_contraction(problem, k=k, eta=eta, m=m,
-                                       num_windows=num_windows, seed=seed, **kwargs)
+                                       num_windows=num_windows, seed=seed)
             gammas[(k, seed)] = rep.measured["gamma"]
     return gammas
 

@@ -8,7 +8,7 @@ import pytest
 
 from cao import cli, harness, optim
 from cao.config import load_config, parse_config
-from cao.errors import ConfigError
+from cao.errors import ConfigError, ContractViolationError
 from cao.harness import (
     build_schedule,
     emit_plot_data,
@@ -22,7 +22,7 @@ from cao.harness import (
 )
 from cao.runlog import RunLogWriter, normalized_bytes, read_runlog
 from cao.optim import StepRecord, make_runner
-from cao.problems import from_config
+from cao.problems import _PROBLEMS, from_config
 
 ROOT = Path(__file__).resolve().parent.parent
 # the configs reproduce.py and the benchmark workloads run; perfbench/ is only read
@@ -689,6 +689,79 @@ class TestConfigParsing:
             })
 
 
+# Bad problem sections that name a builder and hold only its keys, so that a
+# direct call of the builder can take them too: (id, section, a word of the
+# message). A missing or unknown key, a section that is not an object and a
+# name that is not a string are config-only cases of TestCli.
+BAD_PROBLEMS = [
+    ("spectrum-not-numbers", {"name": "quadratic", "spectrum": "abc"}, "'quadratic'"),
+    ("rosenbrock-n-not-int", {"name": "rosenbrock", "n": "x"}, "'rosenbrock'"),
+    ("rosenbrock-n-float", {"name": "rosenbrock", "n": 2.5}, "n must be an integer"),
+    ("mlp-widths-float", {"name": "mlp", "widths": [3.7, 4, 2], "n_samples": 20}, "widths"),
+    ("problem-seed-float", {"name": "quadratic", "spectrum": [4.0, 1.0], "seed": 1.5},
+     "seed must be an integer"),
+    ("problem-seed-as-bool", {"name": "quadratic", "spectrum": [4.0, 1.0], "seed": True},
+     "seed must be an integer"),
+    ("quadratic-label-not-string", {"name": "quadratic", "spectrum": [4.0, 1.0], "label": 7},
+     "label must be a string"),
+    ("spectrum-nan", {"name": "quadratic", "spectrum": [4.0, float("nan")]}, "spectrum"),
+    ("logreg-reg-nan", {"name": "logreg", "n_features": 3, "n_samples": 20,
+                        "reg": float("nan")}, "reg"),
+    ("mlp-negative-input-gain", {"name": "mlp", "widths": [3, 4, 2], "n_samples": 20,
+                                 "input_gain": -1.0}, "input_gain"),
+    ("logreg-class-sep-inf", {"name": "logreg", "n_features": 3, "n_samples": 20,
+                              "class_sep": float("inf")}, "class_sep"),
+    ("logreg-n-features-float", {"name": "logreg", "n_features": 3.5, "n_samples": 20},
+     "n_features must be an integer"),
+    ("mlp-n-samples-float", {"name": "mlp", "widths": [3, 4, 2], "n_samples": 2.5},
+     "n_samples must be an integer"),
+    ("spectrum-2d", {"name": "quadratic", "spectrum": [[4.0, 1.0]]}, "spectrum"),
+    ("spectrum-empty", {"name": "quadratic", "spectrum": []}, "spectrum"),
+    ("spectrum-zero", {"name": "quadratic", "spectrum": [4.0, 0.0]}, "spectrum"),
+    ("mlp-two-widths", {"name": "mlp", "widths": [3, 4]}, "(n_in, n_hidden, n_classes)"),
+    ("mlp-one-class", {"name": "mlp", "widths": [3, 4, 1]}, "n_classes >= 2"),
+    ("mlp-fewer-samples-than-classes", {"name": "mlp", "widths": [3, 4, 5], "n_samples": 4},
+     "n_samples >= n_classes"),
+]
+
+# every problem section that reproduce.py and the benchmark run, and spectra as
+# the theory suite passes them: np.geomspace arrays
+GOOD_PROBLEMS = [
+    *[json.loads(path.read_text())["problem"] for path in SHIPPED_CONFIGS],
+    *[{"name": "quadratic", "spectrum": np.geomspace(top, 1.0, n).tolist(), "seed": seed}
+      for top, n, seed in ((1000.0, 40, 13), (1e6, 7, 0), (3.0, 1, 2))],
+]
+
+
+class TestProblemChecks:
+    """A Python call of a problem builder is checked as its config section is."""
+
+    @pytest.mark.parametrize("section, named", [case[1:] for case in BAD_PROBLEMS],
+                             ids=[case[0] for case in BAD_PROBLEMS])
+    def test_builder_fails_as_config(self, section, named):
+        params = dict(section)
+        builder = _PROBLEMS[params.pop("name")][0]
+        with pytest.raises(ContractViolationError, match=re.escape(named)) as config:
+            from_config(section)
+        with pytest.raises(ContractViolationError) as direct:
+            builder(**params)
+        assert str(direct.value) == str(config.value)
+
+    @pytest.mark.parametrize("section", GOOD_PROBLEMS, ids=[
+        *[str(path.relative_to(ROOT)) for path in SHIPPED_CONFIGS],
+        "geomspace-40", "geomspace-7", "geomspace-1"])
+    def test_builder_builds_as_config(self, section):
+        params = dict(section)
+        builder = _PROBLEMS[params.pop("name")][0]
+        if "spectrum" in params:
+            params["spectrum"] = np.array(params["spectrum"])
+        direct, config = builder(**params), from_config(section)
+        assert direct.meta == config.meta
+        for attr in ("matrix", "x", "y"):
+            if hasattr(config, attr):
+                assert getattr(direct, attr).tobytes() == getattr(config, attr).tobytes()
+
+
 class TestCli:
     def test_run_and_ttt(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -746,8 +819,6 @@ class TestCli:
         ({"problem": {"name": "quadratic", "spectrum": [4.0, 1.0], "regg": 3}}, "regg"),
         ({"problem": 3}, "problem section"),
         ({"problem": {"name": ["quadratic"], "spectrum": [4.0, 1.0]}}, "['quadratic']"),
-        ({"problem": {"name": "quadratic", "spectrum": "abc"}}, "'quadratic'"),
-        ({"problem": {"name": "rosenbrock", "n": "x"}}, "'rosenbrock'"),
         ({"steps": "abc"}, "steps"),
         ({"seeds": 5}, "seeds"),
         ({"seeds": ["x"]}, "seeds"),
@@ -771,39 +842,24 @@ class TestCli:
           for knobs in ({"k": 1.5}, {"t_pow": 2.5}, {"m": 2.5}, {"warm_steps": 0.5},
                         {"k": True}, {"alpha": True}, {"eta": float("nan")},
                         {"k0_eta_scaled": "no"}, {"k0_eta_scaled": 1}, {"alpha": 10**400})],
-        ({"problem": {"name": "rosenbrock", "n": 2.5}}, "n must be an integer"),
-        ({"problem": {"name": "mlp", "widths": [3.7, 4, 2], "n_samples": 20}}, "widths"),
-        ({"problem": {"name": "quadratic", "spectrum": [4.0, 1.0], "seed": 1.5}},
-         "seed must be an integer"),
-        ({"problem": {"name": "quadratic", "spectrum": [4.0, 1.0], "seed": True}},
-         "seed must be an integer"),
-        ({"problem": {"name": "quadratic", "spectrum": [4.0, 1.0], "label": 7}},
-         "label must be a string"),
-        ({"problem": {"name": "quadratic", "spectrum": [4.0, float("nan")]}}, "spectrum"),
-        ({"problem": {"name": "logreg", "n_features": 3, "n_samples": 20,
-                      "reg": float("nan")}}, "reg"),
-        ({"problem": {"name": "mlp", "widths": [3, 4, 2], "n_samples": 20,
-                      "input_gain": -1.0}}, "input_gain"),
         *[({"name": name}, "name must be") for name in ("..", ".", "", "a/b", "a\0b", 3)],
         *[({"optimizers": [{"kind": "sgd", "label": label, "alpha": 0.1}]},
            "optimizer #0: label must be")
           for label in ("..", ".", "", "x/y", "x\0y", None, 7)],
+        *[({"problem": section}, named) for _, section, named in BAD_PROBLEMS],
     ], ids=["negative-k", "missing-spectrum", "sgd-negative-alpha",
             "sgd-momentum-as-string", "adam-beta1-above-one", "unknown-problem-key",
-            "problem-not-object", "problem-name-not-string", "spectrum-not-numbers",
-            "rosenbrock-n-not-int", "steps-not-int", "seeds-not-list", "seed-not-int",
-            "seed-negative", "threshold-null", "threshold-nan", "threshold-huge-int",
-            "eval-every-not-int",
+            "problem-not-object", "problem-name-not-string", "steps-not-int", "seeds-not-list",
+            "seed-not-int", "seed-negative", "threshold-null", "threshold-nan",
+            "threshold-huge-int", "eval-every-not-int",
             "batch-size-not-int", "optimizers-not-list", "k-above-dim", "cao-infinite-eta",
             "cao-k-float", "cao-t-pow-float", "cao-m-float", "cao-warm-steps-float",
             "cao-k-as-bool", "cao-alpha-as-bool", "cao-nan-eta",
             "cao-k0-eta-scaled-as-string", "cao-k0-eta-scaled-as-int", "cao-alpha-huge-int",
-            "rosenbrock-n-float", "mlp-widths-float", "problem-seed-float",
-            "problem-seed-as-bool", "quadratic-label-not-string", "spectrum-nan",
-            "logreg-reg-nan", "mlp-negative-input-gain",
             "name-dotdot", "name-dot", "name-empty", "name-slash", "name-nul",
             "name-not-string", "label-dotdot", "label-dot", "label-empty", "label-slash",
-            "label-nul", "label-null", "label-not-string"])
+            "label-nul", "label-null", "label-not-string",
+            *[case for case, _, _ in BAD_PROBLEMS]])
     def test_bad_config_exits_before_any_run(self, tmp_path, change, named, capsys):
         doc = {
             "name": "bad",

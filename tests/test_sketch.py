@@ -223,6 +223,16 @@ class TestBlockLanczos:
         with pytest.raises(ContractViolationError):
             block_lanczos(lambda v: h @ v, 3, LanczosConfig(k=4, iters=5, seed=0))
 
+    @pytest.mark.parametrize("knobs, key", [
+        ({"k": 1.5}, "k"), ({"k": True}, "k"), ({"k": -1}, "k"),
+        ({"k": 1, "iters": 2.5}, "iters"), ({"k": 1, "iters": True}, "iters"),
+        ({"k": 1, "iters": 0}, "iters"), ({"k": 1, "seed": -1}, "seed"),
+    ], ids=["k-float", "k-as-bool", "k-negative", "iters-float", "iters-as-bool",
+            "iters-zero", "seed-negative"])
+    def test_config_rejects_bad_knob(self, knobs, key):
+        with pytest.raises(ContractViolationError, match=f"{key} must be an integer"):
+            LanczosConfig(**knobs)
+
     def test_full_rank_recovers_spectrum(self):
         h = gapped_symmetric(n=12, seed=15, top=4)
         sk = block_lanczos(lambda v: h @ v, 12, LanczosConfig(k=12, iters=5, seed=1))

@@ -122,6 +122,26 @@ class TestRunComparison:
             assert normalized_bytes(tmp_path / "a" / rel) == \
                 normalized_bytes(tmp_path / "b" / rel)
 
+    def test_eval_every_leaves_step_records_unchanged(self, tmp_path):
+        # a full-set eval before a step lets the mlp step reuse its forward
+        # pass; the records must not show whether it did
+        doc = json.loads((ROOT / "configs" / "mlp_speedup.json").read_text())
+        doc.update(seeds=[1], steps=60)
+        records = []
+        for every in (1, 4):
+            doc.update(name=f"every-{every}", eval_every=every)
+            result = run_comparison(parse_config(doc), tmp_path)
+            records.append([])
+            for path in result["logs"]:
+                _, recs, summary = read_runlog(path)
+                assert summary["steps_done"] == 60
+                for rec in recs:
+                    rec.pop("wall")
+                    rec.pop("eval_loss", None)  # written only at evaluated steps
+                records[-1].append((recs, summary["hvp_calls"], summary["final_loss"]))
+        assert any(rec["refreshed"] for rec in records[0][0][0])
+        assert records[0] == records[1]
+
     def test_divergent_run_flagged(self, tmp_path):
         cfg = parse_config({
             "name": "diverge",
@@ -711,6 +731,8 @@ BAD_PROBLEMS = [
                                  "input_gain": -1.0}, "input_gain"),
     ("logreg-class-sep-inf", {"name": "logreg", "n_features": 3, "n_samples": 20,
                               "class_sep": float("inf")}, "class_sep"),
+    ("logreg-class-sep-huge", {"name": "logreg", "n_features": 3, "n_samples": 20,
+                               "class_sep": 1e200}, "class_sep 1e+200 overflows"),
     ("logreg-n-features-float", {"name": "logreg", "n_features": 3.5, "n_samples": 20},
      "n_features must be an integer"),
     ("mlp-n-samples-float", {"name": "mlp", "widths": [3, 4, 2], "n_samples": 2.5},

@@ -1,3 +1,8 @@
+import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +22,7 @@ from cao.problems import (
     MlpProblem,
     ProblemMeta,
     QuadraticProblem,
+    _row_sum,
     fd_hvp,
     from_config,
     logreg,
@@ -24,6 +30,9 @@ from cao.problems import (
     quadratic,
     rosenbrock,
 )
+from cao.harness import build_schedule
+
+MLP_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "mlp_speedup.json"
 
 
 def all_problems():
@@ -415,6 +424,20 @@ class TestBatches:
         with pytest.raises(ContractViolationError):
             p.loss(p.initial_point(0), Batch(indices=np.array([40])))
 
+    def test_index_range_reduced_once_and_frozen(self):
+        schedule = build_schedule(40, 10, 8, seed=0)[0]
+        assert all("span" not in b.__dict__ for b in schedule)  # a schedule pays nothing
+        p, b = logreg(6, 40, seed=3), schedule[0]
+        p.loss(p.initial_point(0), b)
+        assert b.__dict__["span"] == (b.indices.min(), b.indices.max())
+        # the indices are the batch's own copy and read-only, so the range cannot go stale
+        idx = np.array([0, 5])
+        b = Batch(indices=idx)
+        idx[1] = 40
+        assert b.span == (0, 5)
+        with pytest.raises(ValueError):
+            b.indices[1] = 40
+
     def test_deterministic_problem_rejects_batches(self):
         p = quadratic([2.0, 1.0], seed=0)
         with pytest.raises(ContractViolationError):
@@ -439,6 +462,136 @@ class TestThreadSafety:
         with ThreadPoolExecutor(max_workers=4) as pool:
             threaded = [g.tobytes() for g in pool.map(p.grad, thetas)]
         assert serial == threaded
+
+
+class TestRowSum:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_np_sum(self, data):
+        c = data.draw(st.integers(2, 12), label="axis length")
+        shape = (data.draw(st.integers(1, 601), label="rows"), c)
+        if data.draw(st.booleans(), label="3-d"):
+            shape = (data.draw(st.integers(1, 5), label="stack"), *shape)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # signed zeros (a row of -0.0 sums to +0.0), tiny and huge terms,
+            # infinities and the NaN of inf - inf mixed in
+            a = rng.standard_normal(shape) * rng.choice(
+                [0.0, -0.0, 1e-300, 1.0, 1e300, 1.7e308], size=shape)
+            assert _row_sum(a).tobytes() == np.sum(a, axis=-1).tobytes()
+
+
+def mlp_outputs(p, theta, batch, v):
+    """The bytes of loss_and_grad and of an hvp_closure block at (theta, batch)."""
+    loss, g = p.loss_and_grad(theta, batch)
+    return [np.float64(loss).tobytes(), g.tobytes(), p.hvp_closure(theta, batch)(v).tobytes()]
+
+
+class TestMlpMemo:
+    """A batch call after a full-set pass at the same theta takes that pass's
+    rows; it must give the bytes of an instance that has made no full pass.
+    So each expected value comes from a new instance, before any full-set call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_batch_after_full_pass_equals_fresh(self, data):
+        if data.draw(st.booleans(), label="shipped"):
+            args = json.loads(MLP_CONFIG.read_text())["problem"]
+            del args["name"]
+        else:
+            # inner dimensions of 32 and more, and one hidden unit, are
+            # drawn too: there rows are not reused
+            c = data.draw(st.integers(2, 12), label="n_classes")
+            args = {"widths": [data.draw(st.sampled_from([1, 2, 5, 10, 31, 32, 40])),
+                               data.draw(st.sampled_from([1, 2, 6, 16, 31, 32, 33])), c],
+                    "seed": data.draw(st.integers(0, 3)),
+                    "n_samples": data.draw(st.integers(c, 80), label="n_samples")}
+        p = mlp_synthetic(**args)
+        n = p.num_samples
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        theta = data.draw(st.sampled_from([1e-3, 1.0, 30.0]), label="scale") * \
+            p.initial_point(data.draw(st.integers(0, 3)))
+        size = data.draw(st.sampled_from([1, 2, n // 10 + 1, n - 1, n]), label="batch size")
+        batch = Batch(indices=rng.permutation(n)[:size])
+        v = rng.standard_normal((p.dim, data.draw(st.integers(1, 3), label="block")))
+
+        assert p.loss(theta) == mlp_synthetic(**args).loss(theta)
+        assert mlp_outputs(p, theta, batch, v) == mlp_outputs(mlp_synthetic(**args), theta,
+                                                              batch, v)
+        # and a second full-set call, which takes the whole pass
+        assert mlp_outputs(p, theta, FULL_BATCH, v) == \
+            mlp_outputs(mlp_synthetic(**args), theta, FULL_BATCH, v)
+
+    def test_shipped_schedule_batches(self):
+        args = json.loads(MLP_CONFIG.read_text())["problem"]
+        del args["name"]
+        p, fresh = mlp_synthetic(**args), mlp_synthetic(**args)
+        schedule = build_schedule(p.num_samples, 60, 50, seed=1)[0]
+        v = np.random.default_rng(0).standard_normal((p.dim, 2))
+        for s in range(5):
+            theta = p.initial_point(s)
+            for batch in schedule:
+                p.loss(theta)
+                assert mlp_outputs(p, theta, batch, v) == mlp_outputs(fresh, theta, batch, v)
+
+    @pytest.mark.parametrize("widths", [[10, 1, 3], [32, 16, 3], [10, 32, 3], [10, 16, 3]],
+                             ids=["one-hidden-unit", "n-in-32", "n-hidden-32", "shipped"])
+    def test_edges_of_the_reuse_rule(self, widths):
+        # one row or one hidden unit (gemv), or an inner dimension of 32 (row
+        # tiles), is where OpenBLAS rounds a row by the row count
+        def fresh():
+            return mlp_synthetic(widths, seed=1, n_samples=120)
+
+        p = fresh()
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal((p.dim, 2))
+        for s in range(3):
+            theta = p.initial_point(s)
+            for size in (1, 2, 5, 9, 17, 33, 59):
+                batch = Batch(indices=rng.permutation(120)[:size])
+                p.loss(theta)
+                assert mlp_outputs(p, theta, batch, v) == mlp_outputs(fresh(), theta, batch, v)
+
+    def test_theta_changed_in_place_recomputes(self):
+        def fresh():
+            return mlp_synthetic([10, 16, 3], seed=3, n_samples=600)
+
+        p = fresh()
+        batch = Batch(indices=np.arange(0, 600, 10))
+        v = np.ones((p.dim, 1))
+        theta = p.initial_point(0)
+        p.loss(theta)
+        theta[3] += 0.5
+        assert mlp_outputs(p, theta, batch, v) == mlp_outputs(fresh(), theta, batch, v)
+        p.loss(theta)
+        theta[-1] -= 0.25
+        assert p.loss(theta) == fresh().loss(theta)
+        theta[0] *= 2.0
+        assert mlp_outputs(p, theta, batch, v) == mlp_outputs(fresh(), theta, batch, v)
+
+    def test_threads_mixing_full_and_batch_calls_match_serial(self):
+        p = mlp_synthetic([10, 16, 3], seed=3, n_samples=600)
+        thetas = [p.initial_point(s) for s in range(6)]
+        batches = [Batch(indices=np.arange(i, 600, 7)) for i in range(3)]
+        v = np.ones((p.dim, 1))
+
+        def call(task):
+            problem, (i, j) = task
+            if j is None:
+                return [np.float64(problem.loss(thetas[i])).tobytes()]
+            return mlp_outputs(problem, thetas[i], batches[j], v)
+
+        tasks = [(i, j) for _ in range(3) for i in range(6) for j in (None, 0, None, 1, 2)]
+        expected = [call((mlp_synthetic([10, 16, 3], seed=3, n_samples=600), task))
+                    for task in tasks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the kernels too
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(call, [(p, task) for task in tasks], timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
 
 
 class TestConstructionDeterminism:

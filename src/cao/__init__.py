@@ -16,8 +16,6 @@ from .optim import (
     StepRecord,
     adam_step,
     cao_step,
-    load_checkpoint,
-    save_checkpoint,
     sgd_step,
 )
 from .precondition import (
@@ -44,7 +42,6 @@ from .theory import (
     check_pl_contraction,
     check_stationarity_rate,
     check_sufficient_descent,
-    residual_curvature,
     sufficient_stepsize,
 )
 

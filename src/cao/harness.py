@@ -140,7 +140,7 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None) -> dict:
     try:
         problem = from_config(cfg.problem)
     except ContractViolationError as exc:
-        raise ConfigError(f"problem: {exc}") from None
+        raise ConfigError(str(exc)) from None
     for _, spec, _ in tasks:
         if spec.params.get("k", 0) > problem.dim:
             raise ConfigError(f"optimizer {spec.label!r}: k = {spec.params['k']} exceeds"
@@ -215,8 +215,9 @@ def _group(runs):
 def _group_logs(log_paths):
     """Parse each log once, reduce it to its entry and group the runs (see ``_group``).
 
-    A log that a killed run left behind (a line cut short, or no summary line)
-    or that breaks the layout of ``cao.runlog`` is an error naming the file,
+    A path that cannot be read (missing, a directory), a log that a killed
+    run left behind (a line cut short, or no summary line) or one that breaks
+    the layout of ``cao.runlog`` is an error naming the file,
     and so are a header without the keys that group its run and two logs of
     the same label and seed. Returns (groups, labels, the logs' threshold).
     """
@@ -224,7 +225,7 @@ def _group_logs(log_paths):
     for path in sorted(str(p) for p in log_paths):
         try:
             header, records, summary = read_runlog(path)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"{path}: unreadable log ({exc})") from None
         if summary is None:
             raise ConfigError(f"{path}: incomplete log, no summary line")

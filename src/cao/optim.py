@@ -16,20 +16,18 @@ itself, which makes it bit-identical to momentum-free SGD.
 
 ``KINDS`` gives each optimizer kind's state class and config knobs, each
 with a type and a range; ``make_runner`` checks a config entry against it and
-maps the entry onto a step function and its state, and the checkpoint
-functions store any of the three states through its fields.
+maps the entry onto a step function and its state.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContractViolationError, DivergenceError, Knob, NumericOverflowError,
-                     all_finite, check_knobs)
+from .errors import DivergenceError, Knob, NumericOverflowError, all_finite, check_knobs
 from .precondition import DampedPreconditioner, precondition
 from .problems import Batch, Problem
 from .sketch import LanczosConfig, Sketch, block_lanczos
@@ -68,8 +66,7 @@ class CaoState:
 
     ``precond`` caches the damped inverse of ``sketch``; it is derived state,
     rebuilt by ``cao_step`` whenever it does not match the sketch and the
-    config (after a successful refresh, or on a state loaded from a
-    checkpoint), and never saved.
+    config (after a successful refresh, or on a state built without one).
     """
 
     theta: np.ndarray
@@ -204,7 +201,7 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
         lcfg = LanczosConfig(k=cfg.k, iters=cfg.t_pow,
                              seed=_refresh_seed(cfg.sketch_seed, state.step))
         try:
-            sketch = block_lanczos(counted, problem.dim, lcfg, refreshed_at=state.step)
+            sketch = block_lanczos(counted, problem.dim, lcfg)
             refreshed = True
         except NumericOverflowError:
             log.warning("sketch refresh failed at step %d; keeping previous sketch",
@@ -326,52 +323,3 @@ def make_runner(kind: str, theta0, params: dict, seed: int) -> Runner:
         params["lr"] = params.pop("alpha")
     theta = np.asarray(theta0, dtype=np.float64).copy()
     return Runner(globals()[f"{kind}_step"], state_class(theta=theta), params)
-
-
-# ---------------------------------------------------------------------------
-# checkpointing (format v1: numpy .npz archive, exact float64 round trip)
-
-CHECKPOINT_FORMAT = 1
-
-
-def save_checkpoint(path, state) -> None:
-    """Write optimizer state to ``path`` (npz, format v1).
-
-    Every field is stored under its own name except ``precond`` (derived, not
-    saved), unset buffers (omitted) and the sketch, which is split into
-    ``sketch_eigvals``, ``sketch_basis`` and ``sketch_refreshed_at``.
-    """
-    kind = next((k for k, (cls, _) in KINDS.items() if type(state) is cls), None)
-    if kind is None:
-        raise ContractViolationError(f"cannot checkpoint {type(state).__name__}")
-    payload = {"format": np.int64(CHECKPOINT_FORMAT), "kind": np.str_(kind)}
-    for f in fields(state):
-        value = getattr(state, f.name)
-        if f.name == "precond" or value is None:
-            continue
-        if f.name == "sketch":
-            payload.update(sketch_eigvals=value.eigvals, sketch_basis=value.basis,
-                           sketch_refreshed_at=np.int64(value.refreshed_at))
-        else:
-            payload[f.name] = np.int64(value) if f.type == "int" else value
-    np.savez(path, **payload)
-
-
-def load_checkpoint(path):
-    """Read a state written by ``save_checkpoint``; round trip is exact."""
-    with np.load(path, allow_pickle=False) as data:
-        fmt = int(data["format"])
-        if fmt != CHECKPOINT_FORMAT:
-            raise ContractViolationError(f"unsupported checkpoint format {fmt}")
-        kind = str(data["kind"])
-        if kind not in KINDS:
-            raise ContractViolationError(f"unknown checkpoint kind {kind!r}")
-        state_class = KINDS[kind][0]
-        values = {}
-        for f in fields(state_class):
-            if f.name == "sketch" and "sketch_eigvals" in data:
-                values["sketch"] = Sketch(data["sketch_eigvals"], data["sketch_basis"],
-                                          refreshed_at=int(data["sketch_refreshed_at"]))
-            elif f.name in data:
-                values[f.name] = int(data[f.name]) if f.type == "int" else data[f.name]
-        return state_class(**values)

@@ -33,13 +33,11 @@ class Sketch:
     """Top-k eigenvalue estimates and an orthonormal basis of their directions.
 
     ``eigvals`` is sorted descending by signed value and may contain negative
-    entries; ``refreshed_at`` is the optimizer step at which the sketch was
-    built. k = 0 denotes the empty sketch.
+    entries. k = 0 denotes the empty sketch.
     """
 
     eigvals: np.ndarray
     basis: np.ndarray
-    refreshed_at: int = 0
 
     def __post_init__(self):
         vals = np.asarray(self.eigvals, dtype=np.float64)
@@ -66,8 +64,8 @@ class Sketch:
         return bool(self.eigvals.size and self.eigvals[-1] < 0)
 
     @staticmethod
-    def empty(n: int, refreshed_at: int = 0) -> "Sketch":
-        return Sketch(np.empty(0), np.empty((n, 0)), refreshed_at)
+    def empty(n: int) -> "Sketch":
+        return Sketch(np.empty(0), np.empty((n, 0)))
 
 
 @dataclass(frozen=True)
@@ -143,8 +141,7 @@ def qr_orthonormalize(m, rng=None) -> np.ndarray:
         return _positive_first(_orthonormalize(m, rng))
 
 
-def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None,
-                  refreshed_at: int = 0) -> Sketch:
+def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None) -> Sketch:
     """Estimate the top-k eigenpairs of the symmetric operator behind ``hvp_closure``.
 
     ``hvp_closure`` maps an n x k block ``V`` to ``H @ V``. The orthonormal
@@ -162,7 +159,6 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None,
     not depend on column signs.
 
     ``v0`` overrides the seeded random start block (used by invariance tests).
-    ``refreshed_at`` is the optimizer step the sketch is stamped with.
     """
     if cfg.k < 1:
         raise ContractViolationError("block_lanczos needs k >= 1; use Sketch.empty for k = 0")
@@ -198,7 +194,7 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None,
     vals, small_vecs = np.linalg.eigh(projected)
     vals = vals[::-1]  # signed value, descending
     basis = _positive_first(v @ small_vecs[:, ::-1])  # deterministic output signs
-    sk = Sketch(vals, basis, refreshed_at)
+    sk = Sketch(vals, basis)
     if sk.has_negative:
         log.info("sketch contains negative curvature estimates: %s", vals)
     return sk

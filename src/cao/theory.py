@@ -70,11 +70,6 @@ def estimate_smoothness(problem: Problem, center, radius: float = 1.5,
     return worst
 
 
-def residual_curvature(problem: Problem, theta, sketch: Sketch) -> float:
-    """Spectral norm of the Hessian outside the sketch subspace (dense oracle)."""
-    return sketch_residual(sketch, problem.dense_hessian(theta))
-
-
 def _run_cao(problem, cfg, theta0, steps):
     state = CaoState(theta=np.asarray(theta0, dtype=np.float64).copy())
     records = []
@@ -237,7 +232,7 @@ def check_pl_contraction(problem: QuadraticProblem, k: int = 1, eta: float = 1.0
     runs the 1/eta-scaled variant.
 
     The stepsize widens with the captured curvature: alpha =
-    min(CONTRACTION_C * eta / residual_curvature, ALPHA_CAP), where the
+    min(CONTRACTION_C * eta / sketch_residual, ALPHA_CAP), where the
     residual is measured at the start via the dense oracle. Windows whose
     starting gap is below ``WINDOW_FLOOR`` are excluded.
     """
@@ -248,9 +243,9 @@ def check_pl_contraction(problem: QuadraticProblem, k: int = 1, eta: float = 1.0
     if k >= 1:
         probe = block_lanczos(problem.hvp_closure(theta0, FULL_BATCH), problem.dim,
                               LanczosConfig(k=k, iters=CaoConfig.t_pow, seed=int(seed) + 9999))
-        lam_perp = residual_curvature(problem, theta0, probe)
     else:
-        lam_perp = residual_curvature(problem, theta0, Sketch.empty(problem.dim))
+        probe = Sketch.empty(problem.dim)
+    lam_perp = sketch_residual(probe, problem.dense_hessian(theta0))
     alpha = min(CONTRACTION_C * eta / max(lam_perp, 1e-12), ALPHA_CAP)
     cfg = CaoConfig(alpha=alpha, k=k, m=m, eta=eta, sketch_seed=seed, k0_eta_scaled=True)
     steps = m * num_windows

@@ -527,6 +527,22 @@ class TestLogCompleteness:
         assert rc == cli.EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ttt", "plotdata"])
+    @pytest.mark.parametrize("case", ["missing", "directory"])
+    def test_unreadable_path_exit_code(self, tmp_path, case, command, capsys):
+        path = tmp_path / "logs" / "x.log"
+        if case == "missing":
+            logs = path
+        else:
+            synthetic_log(tmp_path / "logs" / "sgd/0.log", "sgd", 1, 0, hit_step=20)
+            path.mkdir()
+            logs = path.parent
+        rc = cli.main(["--out", str(tmp_path / "out"), command, "--logs", str(logs),
+                       "--name", "broken"])
+        assert rc == cli.EXIT_CONFIG
+        assert f"config error: {path}: unreadable log (" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("case", list(LAYOUT_BREAKS))
     def test_layout_break_named(self, tmp_path, case):
         path = break_layout(tmp_path, case)
@@ -900,6 +916,7 @@ class TestCli:
         assert not (tmp_path / "logs").exists()
         err = capsys.readouterr().err
         assert named in err
+        assert "problem: problem" not in err
 
     @pytest.mark.parametrize("command", ["run", "ablate-k", "sweep"])
     def test_name_and_label_cannot_leave_out(self, tmp_path, command, capsys):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +13,7 @@ from cao.optim import (
     SgdState,
     adam_step,
     cao_step,
-    load_checkpoint,
     make_runner,
-    save_checkpoint,
     sgd_step,
 )
 from cao.precondition import DampedPreconditioner
@@ -121,18 +117,23 @@ class TestCaoStep:
         check = Sketch.__post_init__
 
         def counting(self):
-            built.append(self.refreshed_at)
+            built.append(self)
             check(self)
 
         monkeypatch.setattr(Sketch, "__post_init__", counting)
         p = quadratic([5.0, 2.0, 1.0], seed=7)
         cfg = CaoConfig(alpha=1e-3, k=2, m=4, eta=1.0, t_pow=2)
         state = make_state(p)
+        refreshes = []
         for step in range(9):
             built.clear()
             state, rec = cao_step(state, p, FULL_BATCH, cfg)
-            assert built == ([step] if rec.refreshed else [])
-        assert state.sketch.refreshed_at == 8
+            if rec.refreshed:
+                refreshes.append(step)
+                assert len(built) == 1 and built[0] is state.sketch
+            else:
+                assert built == []
+        assert refreshes == [0, 4, 8]
 
     def test_preconditioner_built_once_per_sketch(self):
         class Saddle(Problem):
@@ -195,18 +196,22 @@ class TestCaoStep:
             state, rec = cao_step(state, p, FULL_BATCH, cfg)
         assert rec.refreshed and state.precond is not kept
 
-    def test_checkpointed_state_rebuilds_preconditioner(self, tmp_path):
+    def test_checkpointed_state_rebuilds_preconditioner(self):
+        # a state rebuilt from stored fields: a copy of the sketch, no preconditioner
         p = quadratic([6.0, 3.0, 1.0], seed=14)
         cfg = CaoConfig(alpha=0.01, k=2, m=10, eta=0.5, t_pow=3)
         state = make_state(p, 2)
         for _ in range(3):
             state, _ = cao_step(state, p, FULL_BATCH, cfg)
-        save_checkpoint(tmp_path / "cao.npz", state)
-        loaded = load_checkpoint(tmp_path / "cao.npz")
-        assert loaded.precond is None
+        loaded = CaoState(theta=state.theta.copy(), step=state.step,
+                          sketch=Sketch(state.sketch.eigvals.copy(), state.sketch.basis.copy()),
+                          hvp_calls=state.hvp_calls)
+        assert state.precond is not None and loaded.precond is None
         cont, rec_cont = cao_step(state, p, FULL_BATCH, cfg)
         resumed, rec_resumed = cao_step(loaded, p, FULL_BATCH, cfg)
+        assert cont.precond is state.precond
         assert resumed.precond.sketch is loaded.sketch
+        assert resumed.hvp_calls == cont.hvp_calls
         assert rec_resumed == rec_cont
         assert resumed.theta.tobytes() == cont.theta.tobytes()
 
@@ -448,110 +453,6 @@ class TestWeightDecayOverflow:
         assert (rec.step, rec.epoch, rec.update_norm) == (0, 0, 0.0)
         assert rec.loss == p.loss(theta0)
         assert rec.grad_norm == float("inf")
-
-
-class TestCheckpoints:
-    def test_cao_roundtrip(self, tmp_path):
-        p = quadratic([5.0, 2.0, 1.0], seed=11)
-        cfg = CaoConfig(alpha=0.01, k=2, m=5, eta=0.5, t_pow=4)
-        state = make_state(p, 6)
-        for _ in range(7):
-            state, _ = cao_step(state, p, FULL_BATCH, cfg)
-        path = tmp_path / "cao.npz"
-        save_checkpoint(path, state)
-        loaded = load_checkpoint(path)
-        assert loaded.step == state.step
-        assert loaded.hvp_calls == state.hvp_calls
-        assert loaded.theta.tobytes() == state.theta.tobytes()
-        assert loaded.sketch.eigvals.tobytes() == state.sketch.eigvals.tobytes()
-        assert loaded.sketch.basis.tobytes() == state.sketch.basis.tobytes()
-        assert loaded.sketch.refreshed_at == state.sketch.refreshed_at
-        # resuming produces the same trajectory as continuing
-        cont, _ = cao_step(state, p, FULL_BATCH, cfg)
-        resumed, _ = cao_step(loaded, p, FULL_BATCH, cfg)
-        assert cont.theta.tobytes() == resumed.theta.tobytes()
-
-    def test_sgd_and_adam_roundtrip(self, tmp_path):
-        p = quadratic([5.0, 2.0], seed=12)
-        sgd_state = SgdState(theta=p.initial_point(0))
-        sgd_state, _ = sgd_step(sgd_state, p, FULL_BATCH, lr=0.01, momentum=0.9)
-        save_checkpoint(tmp_path / "sgd.npz", sgd_state)
-        loaded = load_checkpoint(tmp_path / "sgd.npz")
-        assert loaded.velocity.tobytes() == sgd_state.velocity.tobytes()
-
-        adam_state = AdamState(theta=p.initial_point(0))
-        adam_state, _ = adam_step(adam_state, p, FULL_BATCH, lr=0.01)
-        save_checkpoint(tmp_path / "adam.npz", adam_state)
-        loaded = load_checkpoint(tmp_path / "adam.npz")
-        assert loaded.m1.tobytes() == adam_state.m1.tobytes()
-        assert loaded.m2.tobytes() == adam_state.m2.tobytes()
-        assert loaded.step == 1
-
-
-    # key sets of checkpoint format v1, as written before the states were
-    # stored through their fields; such files must keep loading
-    V1_KEYS = {
-        "cao": {"format", "step", "theta", "kind", "hvp_calls"},
-        "cao-sketch": {"format", "step", "theta", "kind", "hvp_calls", "sketch_eigvals",
-                       "sketch_basis", "sketch_refreshed_at"},
-        "sgd": {"format", "step", "theta", "kind", "velocity"},
-        "adam": {"format", "step", "theta", "kind", "m1", "m2"},
-    }
-
-    def test_hand_written_v1_files_load(self, tmp_path):
-        rng = np.random.default_rng(0)
-        theta, buf = rng.standard_normal(4), rng.standard_normal(4)
-        eigvals, basis = np.array([3.0, 1.0]), np.linalg.qr(rng.standard_normal((4, 2)))[0]
-        head = {"format": np.int64(1), "step": np.int64(9), "theta": theta}
-        files = {
-            "cao": dict(head, kind=np.str_("cao"), hvp_calls=np.int64(0)),
-            "cao-sketch": dict(head, kind=np.str_("cao"), hvp_calls=np.int64(30),
-                               sketch_eigvals=eigvals, sketch_basis=basis,
-                               sketch_refreshed_at=np.int64(5)),
-            "sgd": dict(head, kind=np.str_("sgd"), velocity=buf),
-            "adam": dict(head, kind=np.str_("adam"), m1=buf, m2=buf**2),
-        }
-        expected = {
-            "cao": CaoState(theta=theta, step=9),
-            "cao-sketch": CaoState(theta=theta, step=9, hvp_calls=30,
-                                   sketch=Sketch(eigvals, basis, refreshed_at=5)),
-            "sgd": SgdState(theta=theta, velocity=buf, step=9),
-            "adam": AdamState(theta=theta, m1=buf, m2=buf**2, step=9),
-        }
-        for name, payload in files.items():
-            assert set(payload) == self.V1_KEYS[name]
-            np.savez(tmp_path / f"{name}.npz", **payload)
-            loaded = load_checkpoint(tmp_path / f"{name}.npz")
-            want = expected[name]
-            assert type(loaded) is type(want)
-            for f in dataclasses.fields(want):
-                got, ref = getattr(loaded, f.name), getattr(want, f.name)
-                if isinstance(ref, np.ndarray):
-                    assert got.tobytes() == ref.tobytes()
-                elif isinstance(ref, Sketch):
-                    assert got.eigvals.tobytes() == ref.eigvals.tobytes()
-                    assert got.basis.tobytes() == ref.basis.tobytes()
-                    assert got.refreshed_at == ref.refreshed_at
-                else:
-                    assert got == ref and type(got) is type(ref)
-            # and writing it back gives the same v1 key set
-            save_checkpoint(tmp_path / f"{name}-again.npz", loaded)
-            with np.load(tmp_path / f"{name}-again.npz") as data:
-                assert set(data.files) == self.V1_KEYS[name]
-
-    def test_fresh_states_and_unknown_types(self, tmp_path):
-        for state in (SgdState(theta=np.ones(2)), AdamState(theta=np.ones(2))):
-            save_checkpoint(tmp_path / "s.npz", state)
-            loaded = load_checkpoint(tmp_path / "s.npz")
-            assert type(loaded) is type(state) and loaded.step == 0
-            assert all(getattr(loaded, f.name) is None for f in dataclasses.fields(state)
-                       if f.name not in ("theta", "step"))
-        with pytest.raises(ContractViolationError):
-            save_checkpoint(tmp_path / "x.npz", object())
-        np.savez(tmp_path / "bad.npz", format=np.int64(1), kind=np.str_("lbfgs"),
-                 step=np.int64(0), theta=np.ones(2))
-        with pytest.raises(ContractViolationError, match="lbfgs"):
-            load_checkpoint(tmp_path / "bad.npz")
 
 
 class TestRunner:

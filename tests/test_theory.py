@@ -5,7 +5,7 @@ import pytest
 
 from cao.errors import OracleUnavailableError
 from cao.problems import QuadraticProblem, quadratic, rosenbrock
-from cao.sketch import LanczosConfig, Sketch, block_lanczos
+from cao.sketch import LanczosConfig, Sketch, block_lanczos, sketch_residual
 from cao.theory import (
     TheoryReport,
     check_descent_lemma,
@@ -14,7 +14,6 @@ from cao.theory import (
     check_sufficient_descent,
     estimate_smoothness,
     measure_gamma_over_ranks,
-    residual_curvature,
     run_theory_suite,
     sufficient_stepsize,
     suite_quadratics,
@@ -142,13 +141,13 @@ class TestResidualCurvature:
     def test_delegates_to_sketch_residual(self):
         p = QuadraticProblem([5.0, 2.0, 1.0], rotate=False)
         sk = Sketch(np.array([5.0]), np.eye(3)[:, :1])
-        assert residual_curvature(p, np.zeros(3), sk) == pytest.approx(2.0, abs=1e-12)
+        assert sketch_residual(sk, p.dense_hessian(np.zeros(3))) == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_probe_sketch(self):
         p = quadratic([9.0, 3.0, 1.0, 0.5], seed=6)
         theta = p.initial_point(0)
         sk = block_lanczos(p.hvp_closure(theta), 4, LanczosConfig(k=1, iters=30, seed=1))
-        assert residual_curvature(p, theta, sk) == pytest.approx(3.0, rel=1e-6)
+        assert sketch_residual(sk, p.dense_hessian(theta)) == pytest.approx(3.0, rel=1e-6)
 
 
 class TestReportSerialization:

@@ -2,6 +2,8 @@
 
 Subcommands: run, ttt, ablate-k, sweep, plotdata, theory. Exit codes:
 0 success, 1 failed theory check, 2 divergence detected, 3 config error.
+``--log-level`` (``-v`` is INFO) sets the level of the logging records printed
+to stderr, on every call of ``main``; the default is WARNING.
 """
 
 from __future__ import annotations
@@ -139,6 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Curvature-adaptive optimizer benchmark harness",
     )
     parser.add_argument("--out", default=".", help="output root directory")
+    parser.add_argument("--log-level", default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="lowest level of the log records printed (default WARNING)")
+    parser.add_argument("-v", dest="log_level", action="store_const", const="INFO",
+                        help="same as --log-level INFO")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run a multi-optimizer comparison from a config")
@@ -178,9 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # basicConfig adds the stderr handler once per process; the level is set on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(args.log_level)
     try:
         return args.func(args)
     except ConfigError as exc:

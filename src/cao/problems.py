@@ -359,6 +359,9 @@ class LogregProblem(Problem):
     same bytes without handing BLAS a transposed ``X``, C-contiguous for a
     C-ordered ``V`` such as ``block_lanczos`` sends (F-ordered for an
     F-ordered ``V``).
+
+    The problem holds one n x d float64 array, ``x``; construction makes no
+    extra copy of it, and each HVP block allocates one n x j temporary.
     """
 
     def __init__(
@@ -378,7 +381,12 @@ class LogregProblem(Problem):
         labels = np.where(np.arange(n_samples) % 2 == 0, 1.0, -1.0)
         rng.shuffle(labels)
         x = rng.standard_normal((n_samples, n_features))
-        x += np.outer(labels * (class_sep / 2.0), direction)
+        # labels are +-1, so row i of the outer product labels * (class_sep / 2) x direction
+        # is +-shift exactly: add it in place, with no n x d temporary
+        shift = (class_sep / 2.0) * direction
+        positive = (labels > 0)[:, None]
+        np.add(x, shift, out=x, where=positive)
+        np.subtract(x, shift, out=x, where=~positive)
         self.x = x
         self.y = labels
         self.reg = float(reg)
@@ -424,7 +432,13 @@ class LogregProblem(Problem):
         p = np.where(z >= 0, 1.0, e) / (1.0 + e)
         w = (p * (1.0 - p))[:, None]
         size, reg = x.shape[0], self.reg
-        return lambda v: ((w * (x @ v)).T @ x).T / size + reg * v
+
+        def hvp(v):
+            xv = x @ v
+            xv *= w  # in place: one n x j temporary per block
+            return (xv.T @ x).T / size + reg * v
+
+        return hvp
 
     def initial_point(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng([int(seed), 7919])

@@ -15,6 +15,13 @@ that they are as many objects as lines, in the layout above, each with a known
 not JSON on its own, not an object, no or an unknown "type", a step or summary
 before the header, a second header or summary, a line after the summary.
 
+Every line is strict JSON: a non-finite float is written as the string
+"Infinity", "-Infinity" or "NaN". ``read_runlog`` turns such strings in the
+summary back into floats, and in the step records when the summary is missing
+or says "diverged": the steps of a run that did not diverge are finite, so a
+finished log takes no extra pass. Older logs hold the bare tokens, which it
+reads as well. Header values (config values, finite by check) stay as written.
+
 Wall-clock fields ("wall", "wall_total") are the only nondeterministic
 content; ``normalized_bytes`` strips them so reruns can be compared byte for
 byte.
@@ -35,19 +42,26 @@ LOG_FORMAT_VERSION = 1
 WALL_KEYS = ("wall", "wall_total")
 
 
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 _float_repr = float.__repr__
 _int_repr = int.__repr__
 _isfinite = math.isfinite
 _BOOL = ("false", "true")  # indexed by an exact bool
+_CODED = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
+
+
+def _coded(x: float) -> str:
+    """The string a non-finite float is written as."""
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
 def _value(x) -> str:
     """``_dumps(x)``, with the types of a step record's fields written directly.
 
     Finite floats and ints are written with the ``__repr__`` that ``json``
-    itself uses, booleans as ``true``/``false`` and a tuple item by item;
-    every other value, non-finite floats included, goes through ``_dumps``.
+    itself uses, booleans as ``true``/``false``, a tuple item by item and a
+    non-finite float (NumPy's too) as its string; every other value goes
+    through ``_dumps``.
     """
     t = type(x)
     if t is float and _isfinite(x):
@@ -58,6 +72,8 @@ def _value(x) -> str:
         return _int_repr(x)
     if t is tuple:
         return "[" + ",".join(map(_value, x)) + "]"
+    if isinstance(x, float):  # not finite, or a finite float subclass
+        return _dumps(x) if _isfinite(x) else f'"{_coded(x)}"'
     return _dumps(x)
 
 
@@ -69,7 +85,9 @@ def _pyify(value):
     if isinstance(value, (list, tuple)):
         return [_pyify(v) for v in value]
     if hasattr(value, "item"):  # numpy scalar
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not _isfinite(value):
+        return _coded(value)
     return value
 
 
@@ -207,12 +225,27 @@ def _decode(path):
     return values, kinds
 
 
+def _uncode(obj: dict) -> None:
+    """Turn the coded non-finite floats among ``obj``'s values and list items back into floats."""
+    for key, value in obj.items():
+        if type(value) is str:
+            obj[key] = _CODED.get(value, value)
+        elif type(value) is list and str in map(type, value):
+            obj[key] = [_CODED.get(x, x) if type(x) is str else x for x in value]
+
+
 def read_runlog(path):
     """Parse a log file into (header, step records, summary); summary may be None."""
     values, kinds = _decode(path)
     if kinds[-1] == "summary":
-        return values[0], values[1:-1], values[-1]
-    return values[0], values[1:], None
+        header, records, summary = values[0], values[1:-1], values[-1]
+        _uncode(summary)
+    else:
+        header, records, summary = values[0], values[1:], None
+    if summary is None or summary.get("diverged") is True:
+        for rec in records:
+            _uncode(rec)
+    return header, records, summary
 
 
 def normalized_bytes(path) -> bytes:
@@ -226,5 +259,8 @@ def normalized_bytes(path) -> bytes:
         obj["type"] = kind  # the encoder sorts keys
         for key in WALL_KEYS:
             obj.pop(key, None)
-        out.append(_dumps(obj))
+        try:
+            out.append(_dumps(obj))
+        except ValueError:  # an older log's bare non-finite token: coded as the writer codes it
+            out.append(_dumps(_pyify(obj)))
     return ("\n".join(out) + "\n").encode()

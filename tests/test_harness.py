@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -45,6 +48,27 @@ def tiny_config(name="tiny", steps=60, seeds=(0, 1), threshold=0.5):
         "threshold": threshold,
         "eval_every": 1,
     })
+
+
+def _not_strict(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def strict_json_logs(root):
+    """Parse every line of every log and part log under ``root`` with a strict JSON
+    parser; returns how many of them hold a non-finite float, which is coded as a string."""
+    paths = sorted([*Path(root).rglob("*.log"), *Path(root).rglob("*.log.part")])
+    assert paths
+    coded = 0
+    for path in paths:
+        text = path.read_text()
+        for number, line in enumerate(text.splitlines(), 1):
+            try:
+                json.loads(line, parse_constant=_not_strict)
+            except ValueError as exc:
+                raise AssertionError(f"{path}: line {number}: {exc}") from None
+        coded += any(token in text for token in ('"Infinity"', '"-Infinity"', '"NaN"'))
+    return coded
 
 
 def synthetic_log(path, label, index, seed, hit_step, steps=80, threshold=0.75):
@@ -157,6 +181,7 @@ class TestRunComparison:
         assert summary["diverged"]
         assert records[-1]["loss"] == float("inf") or records[-1]["loss"] > 1e100
         assert list(tmp_path.rglob("*.part")) == []
+        assert strict_json_logs(tmp_path) == 1
 
     def test_failed_run_leaves_only_a_part_file(self, tmp_path, monkeypatch):
         def interrupted(state, *args, **kwargs):
@@ -398,6 +423,7 @@ class TestDerivedTablesFromRuns:
 
     def test_k_ablation_equals_its_logs(self, tmp_path, cfg):
         result = k_ablation(cfg, ks=(0, 1, 2), out_root=tmp_path)
+        assert (strict_json_logs(tmp_path) > 0) == result["diverged"]
         groups, labels, _ = harness._group_logs(result["logs"])
         rebuilt = harness._ttt_table(groups, labels, cfg.threshold)
         assert format_ttt(result["table"], name=result["name"]) == \
@@ -408,6 +434,7 @@ class TestDerivedTablesFromRuns:
 
     def test_sweep_equals_its_logs(self, tmp_path, cfg):
         result = sensitivity_sweep(cfg, etas=(0.1, 1.0), ms=(5, 20), out_root=tmp_path)
+        assert (strict_json_logs(tmp_path) > 0) == result["diverged"]
         assert format_sweep(result) == sweep_from_logs(result, tmp_path, cfg.threshold)
         # each cell is logged as a config of its own: its one optimizer, at index 0
         for path in tmp_path.rglob("*.log"):
@@ -418,6 +445,7 @@ class TestDerivedTablesFromRuns:
 
     def test_run_entries_equal_log_entries(self, tmp_path, cfg):
         result = run_comparison(cfg, tmp_path)
+        assert (strict_json_logs(tmp_path) > 0) == result["diverged"]
         groups, labels, _ = harness._group_logs(result["logs"])
         from_runs, run_labels = harness._group(result["runs"])
         assert run_labels == labels
@@ -436,6 +464,8 @@ class TestDerivedTablesFromRuns:
         assert k_ablation(cfg, ks=(0, 1), out_root=tmp_path / "k")["diverged"]
         sweep = sensitivity_sweep(cfg, etas=(0.1, 1.0), ms=(5,), out_root=tmp_path / "s")
         assert [cell["diverged"] for cell in sweep["cells"]] == [True, False]
+        for root in ("run", "k", "s"):
+            assert strict_json_logs(tmp_path / root) >= 1
 
     def test_sweep_builds_its_problem_once(self, tmp_path, monkeypatch):
         builds = []
@@ -820,6 +850,37 @@ class TestCli:
         assert rc == cli.EXIT_OK
         assert (tmp_path / "figures-data" / "tiny-loss.tsv").exists()
 
+    def test_log_level_is_set_on_every_call(self, tmp_path):
+        # a k = 3 sketch of this small mlp finds negative curvature and logs it at INFO
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "name": "neg", "problem": {"name": "mlp", "widths": [2, 3, 2], "n_samples": 8},
+            "optimizers": [{"kind": "cao", "alpha": 0.1, "k": 3, "m": 5, "t_pow": 2}],
+            "seeds": [0], "steps": 5, "threshold": 0.1,
+        }))
+        calls = ["", "-v", "", "--log-level INFO", "--log-level=ERROR", "--log-level DEBUG"]
+        # one process, so the calls after the first find logging already configured
+        script = ("import sys\nfrom cao.cli import main\n"
+                  "for flags in sys.argv[2:]:\n"
+                  "    print('--- call', file=sys.stderr, flush=True)\n"
+                  "    assert main([*flags.split(), '--out', sys.argv[1], 'run',"
+                  " '--config', sys.argv[1] + '/cfg.json']) == 0\n")
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path), *calls],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert done.returncode == 0, done.stderr
+        printed = done.stderr.split("--- call\n")[1:]
+        assert len(printed) == len(calls)
+        info = "INFO cao.sketch: sketch contains negative curvature estimates"
+        assert [info in text for text in printed] == [False, True, False, True, False, True]
+        assert printed[0] == printed[2] == printed[4] == ""
+
+    def test_unknown_log_level_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--log-level", "TRACE", "theory"])
+        assert info.value.code == 2
+        assert "--log-level: invalid choice: 'TRACE'" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.json"
         rc = cli.main(["run", "--config", str(missing)])
@@ -837,6 +898,7 @@ class TestCli:
         }))
         rc = cli.main(["--out", str(tmp_path), "run", "--config", str(cfg_path)])
         assert rc == cli.EXIT_DIVERGED
+        assert strict_json_logs(tmp_path) == 1
 
     @pytest.mark.parametrize("change, named", [
         ({"optimizers": [{"kind": "sgd", "alpha": 0.1},
@@ -993,6 +1055,7 @@ class TestCli:
             assert records[0]["grad_norm"] == float("inf")
             assert records[0]["update_norm"] == 0.0
         assert list(tmp_path.rglob("*.part")) == []
+        assert strict_json_logs(tmp_path) == 3
 
     @pytest.mark.parametrize("optimizer", [
         {"kind": "cao", "alpha": 0.1, "eta": 0.1},
@@ -1023,6 +1086,7 @@ class TestCli:
         assert [r["step"] for r in records] == [0]
         last = records[-1]
         assert not all(np.isfinite([last["loss"], last["grad_norm"], last["update_norm"]]))
+        assert strict_json_logs(tmp_path) == 1
 
     @pytest.mark.parametrize("argv, flag", [
         (["ttt", "--thresholds", "0.5,abc"], "--thresholds"),

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -326,6 +327,76 @@ class TestLogregKernels:
         v_f = np.asfortranarray(v)  # same values, another memory order
         assert (p.hvp_closure(theta, batch)(v_f).tobytes()
                 == reference_logreg(p, theta, batch, v_f)[2].tobytes())
+
+
+def outer_product_data(n_features, n_samples, seed, class_sep):
+    """Logreg's (x, labels), built as they were with an n x d ``np.outer`` beside x."""
+    rng = np.random.default_rng([seed, 211])
+    direction = rng.standard_normal(n_features)
+    direction /= np.linalg.norm(direction)
+    labels = np.where(np.arange(n_samples) % 2 == 0, 1.0, -1.0)
+    rng.shuffle(labels)
+    x = rng.standard_normal((n_samples, n_features))
+    x += np.outer(labels * (class_sep / 2.0), direction)
+    return x, labels
+
+
+class TestLogregData:
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 12), n=st.integers(2, 80), seed=st.integers(0, 2**40),
+           reg=st.sampled_from([0.0, 1e-2, 3.0]),
+           class_sep=st.one_of(st.sampled_from([0.0, -0.0, -3.5, 2.0, 1e150, 5e-324]),
+                               st.floats(-1e150, 1e150)))
+    def test_x_equals_outer_product_construction(self, d, n, seed, reg, class_sep):
+        p = logreg(d, n, seed=seed, reg=reg, class_sep=class_sep)
+        x, labels = outer_product_data(d, n, seed, class_sep)
+        assert p.x.tobytes() == x.tobytes() and p.x.flags.c_contiguous
+        assert p.y.tobytes() == labels.tobytes()
+        gram_top = float(np.linalg.eigvalsh(x.T @ x)[-1])
+        assert p.meta.smoothness_L == gram_top / (4.0 * n) + reg
+
+    @pytest.mark.parametrize("class_sep", [1e200, -1e200, 1.7976931348623157e308])
+    def test_overflowing_class_sep_raises_as_before(self, class_sep):
+        with pytest.raises(ContractViolationError) as info:
+            logreg(5, 40, seed=1, class_sep=class_sep)
+        assert str(info.value) == f"problem 'logreg': class_sep {class_sep!r} overflows X^T X"
+
+
+def traced_peak(fn):
+    """``fn()`` and the most bytes it held traced at once beyond what was held before.
+
+    NumPy reports its buffers to tracemalloc, so array temporaries count."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestLogregMemory:
+    MB = 2**20
+
+    def test_construction_makes_no_copy_of_the_data(self):
+        logreg(3, 20)  # first-call work (imports, LAPACK set-up) outside the trace
+        p, peak = traced_peak(lambda: logreg(100, 4000))
+        assert p.x.nbytes == 3_200_000
+        assert peak <= p.x.nbytes + 0.25 * self.MB, peak
+
+    def test_hvp_block_holds_one_n_by_j_temporary(self):
+        p = logreg(100, 4000)
+        hvp = p.hvp_closure(p.initial_point(0))
+        v = np.random.default_rng(0).standard_normal((100, 8))
+        want = hvp(v)
+        got, peak = traced_peak(lambda: hvp(v))
+        assert got.tobytes() == want.tobytes()
+        block = 4000 * 8 * 8  # one n x j float64 block
+        assert peak <= 1.25 * block + 64 * 1024, peak
 
 
 class TestLossAndGrad:

@@ -10,8 +10,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cao import runlog
 from cao.optim import StepRecord
 from cao.runlog import RunLogWriter, _dumps, normalized_bytes, read_runlog
+
+CODED = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
+
+
+def coded(value):
+    """``value`` with each non-finite float replaced by the string a log holds for it."""
+    if isinstance(value, dict):
+        return {k: coded(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [coded(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
+    return value
+
+
+def uncoded(value):
+    """A value read from a log, with the strings of non-finite floats turned back into floats."""
+    if type(value) is str:
+        return CODED.get(value, value)
+    if type(value) is list:
+        return [uncoded(x) for x in value]
+    if type(value) is dict:
+        return {k: uncoded(v) for k, v in value.items()}
+    return value
+
+
+def strict_loads(line):
+    """``json.loads`` that rejects the bare ``Infinity``, ``-Infinity`` and ``NaN`` tokens."""
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(line, parse_constant=reject)
 
 
 def reference_line(rec: StepRecord) -> str:
@@ -30,7 +64,8 @@ def reference_line(rec: StepRecord) -> str:
     payload.update(pyify(dataclasses.asdict(rec)))
     if payload.get("eval_loss") is None:
         payload.pop("eval_loss", None)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(coded(payload), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
 
 
 RECORDS = {
@@ -94,11 +129,12 @@ def test_write_record_equals_sorted_encoder(tmp_path_factory, rec):
     payload = {"type": "step", **vars(rec)}
     if rec.eval_loss is None:
         del payload["eval_loss"]
-    assert line == _dumps(payload) + "\n"
-    back = json.loads(line)
+    assert line == _dumps(coded(payload)) + "\n"
+    back = strict_loads(line)
     assert back.pop("type") == "step"
     assert back.keys() == payload.keys() - {"type"}
     for key, value in back.items():
+        value = uncoded(value)
         want = getattr(rec, key)
         if key == "eigvals":
             assert len(value) == len(want)
@@ -108,10 +144,13 @@ def test_write_record_equals_sorted_encoder(tmp_path_factory, rec):
 
 
 def plain_value(x) -> str:
-    """A step field: Python scalars written directly, anything else by ``_dumps``."""
+    """A step field: Python scalars written directly, non-finite floats as strings,
+    anything else by ``_dumps``."""
     t = type(x)
     if t is float and math.isfinite(x):
         return float.__repr__(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        return json.dumps(coded(x))
     if t is bool:
         return "true" if x else "false"
     if t is int:
@@ -220,7 +259,9 @@ class TestPartFile:
 
 
 def reference_read(path):
-    """The per-line reader: one ``json.loads`` per non-blank line."""
+    """The per-line reader: one ``json.loads`` per non-blank line, then the coded
+    non-finite floats of the summary, and of the steps if the summary is missing or
+    says diverged, turned back into floats."""
     header, records, summary = None, [], None
     with open(path) as fh:
         for line in fh:
@@ -237,6 +278,10 @@ def reference_read(path):
                 summary = obj
     if header is None:
         raise ValueError(f"{path}: missing header line")
+    if summary is not None:
+        summary = uncoded(summary)
+    if summary is None or summary.get("diverged") is True:
+        records = uncoded(records)
     return header, records, summary
 
 
@@ -261,15 +306,22 @@ BLANK_LINES = st.sampled_from(["", " ", "\t", "  \t ", "\x0c"])
 @settings(max_examples=150, deadline=None)
 @given(records=st.lists(STEP_RECORDS, max_size=50),
        final_loss=st.one_of(st.none(), FLOATS),
+       diverged=st.sampled_from([None, False, True]),
        blanks=st.lists(st.tuples(st.integers(0, 60), BLANK_LINES), max_size=8))
-def test_read_runlog_equals_per_line_reader(tmp_path_factory, records, final_loss, blanks):
+def test_read_runlog_equals_per_line_reader(tmp_path_factory, records, final_loss, diverged,
+                                            blanks):
     path = tmp_path_factory.mktemp("read") / "run.log"
     with RunLogWriter(path) as writer:
         writer.write_header(HEADER)
         for rec in records:
             writer.write_record(rec)
         if final_loss is not None:
-            writer.write_summary({"steps_done": len(records), "final_loss": final_loss})
+            summary = {"steps_done": len(records), "final_loss": final_loss}
+            if diverged is not None:
+                summary["diverged"] = diverged
+            writer.write_summary(summary)
+    for line in path.read_text().splitlines():
+        strict_loads(line)
     lines = path.read_text().split("\n")
     for at, blank in blanks:
         lines.insert(at, blank)
@@ -345,3 +397,73 @@ def test_reads_leave_the_collector_as_they_found_it(tmp_path):
                 assert gc.isenabled() is enabled
     finally:
         gc.enable()
+
+
+
+DIVERGENT_STEPS = ("eval-loss", "k5-eigvals", "failed-refresh", "divergence")
+
+
+def write_divergent_log(path, summary):
+    with RunLogWriter(path) as writer:
+        writer.write_header(HEADER)
+        for name in DIVERGENT_STEPS:
+            writer.write_record(RECORDS[name])
+        if summary is not None:
+            writer.write_summary(summary)
+
+
+@pytest.mark.parametrize("summary, want_summary", [
+    (None, None),
+    ({"steps_done": 3, "diverged": True, "hvp_calls": np.int64(4)},
+     {"steps_done": 3, "diverged": True, "hvp_calls": 4}),
+    ({"steps_done": 4, "diverged": False, "final_loss": np.float64(-math.inf)},
+     {"steps_done": 4, "diverged": False, "final_loss": -math.inf}),
+], ids=["cut", "diverged", "numpy-final-loss"])
+def test_non_finite_floats_are_written_as_strict_json(tmp_path, summary, want_summary):
+    path = tmp_path / "run.log"
+    write_divergent_log(path, summary)
+    lines = path.read_text().splitlines()
+    for line in lines:
+        strict_loads(line)
+    assert lines[3].count('"Infinity"') == 1 and lines[3].count('"NaN"') == 1
+    assert lines[4].count('"Infinity"') == 2
+    _, records, got_summary = read_runlog(path)
+    assert same_tree(got_summary, want_summary and dict(sorted(want_summary.items())))
+    want = []
+    for name in DIVERGENT_STEPS:
+        rec = {k: v for k, v in sorted(vars(RECORDS[name]).items()) if v is not None}
+        rec["eigvals"] = list(rec["eigvals"])
+        want.append(rec)
+    if summary is not None and not summary["diverged"]:
+        # a finished run that did not diverge wrote finite steps: they are not searched
+        want = [{k: coded(v) for k, v in rec.items()} for rec in want]
+    assert same_tree(records, want)
+
+
+def test_older_logs_with_bare_tokens_read_and_normalize_alike(tmp_path):
+    new, old = tmp_path / "new.log", tmp_path / "old.log"
+    write_divergent_log(new, {"steps_done": 4, "diverged": True, "final_loss": math.nan})
+    # the same values as an older writer wrote them, with json's bare tokens
+    old.write_text("".join(
+        json.dumps(uncoded(json.loads(line)), sort_keys=True, separators=(",", ":")) + "\n"
+        for line in new.read_text().splitlines()))
+    assert "Infinity" in old.read_text() and '"Infinity"' not in old.read_text()
+    assert same_tree(read_runlog(old), read_runlog(new))
+    assert normalized_bytes(old) == normalized_bytes(new)
+    for line in normalized_bytes(new).decode().splitlines():
+        strict_loads(line)
+
+
+def test_finished_log_that_did_not_diverge_takes_no_extra_pass(tmp_path, monkeypatch):
+    path = tmp_path / "run.log"
+    with RunLogWriter(path) as writer:
+        writer.write_header(HEADER)
+        for _ in range(5):
+            writer.write_record(RECORDS["eval-loss"])
+        writer.write_summary({"steps_done": 5, "diverged": False, "final_loss": math.inf})
+    searched = []
+    real = runlog._uncode
+    monkeypatch.setattr(runlog, "_uncode", lambda obj: (searched.append(obj), real(obj))[1])
+    _, records, summary = read_runlog(path)
+    assert searched == [summary] and summary["final_loss"] == math.inf
+    assert len(records) == 5

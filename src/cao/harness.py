@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, OptimizerSpec, parse_config
-from .errors import ConfigError, ContractViolationError, DivergenceError
+from .errors import ConfigError, ContractViolationError, DivergenceError, NumericOverflowError
 from .optim import make_runner
 from .problems import FULL_BATCH, Batch, from_config
 from .runlog import RunLogWriter, read_runlog
@@ -72,6 +72,12 @@ def run_single(problem, spec: OptimizerSpec, opt_index: int, seed: int, schedule
     ``_series`` picks from the log's records: the (step, eval_loss) pairs if
     any step was evaluated, else the (step, loss) pair of every record,
     including the one a divergence leaves.
+
+    A full-set loss that overflows ends the run as diverged, with no
+    ``final_loss`` in the summary. An eval that overflows does so before its
+    step is taken: that step writes no record, and the series ends at the
+    last evaluated step before it. A final loss that overflows leaves every
+    record and the series as they are.
     """
     theta0 = problem.initial_point(seed)
     runner = make_runner(spec.kind, theta0, spec.params, seed)
@@ -95,7 +101,11 @@ def run_single(problem, spec: OptimizerSpec, opt_index: int, seed: int, schedule
             for t, batch in enumerate(schedule):
                 eval_loss = None
                 if minibatch and t % cfg.eval_every == 0:
-                    eval_loss = problem.loss(runner.theta)
+                    try:
+                        eval_loss = problem.loss(runner.theta)
+                    except NumericOverflowError:
+                        summary["diverged"] = True
+                        break
                 t0 = time.perf_counter()
                 rec = runner.step(problem, batch, epoch=t // steps_per_epoch)
                 rec.wall = time.perf_counter() - t0
@@ -115,7 +125,10 @@ def run_single(problem, spec: OptimizerSpec, opt_index: int, seed: int, schedule
                 losses.append((rec.step, rec.loss))
             summary["diverged"] = True
         if not summary["diverged"]:
-            summary["final_loss"] = problem.loss(runner.theta)
+            try:
+                summary["final_loss"] = problem.loss(runner.theta)
+            except NumericOverflowError:
+                summary["diverged"] = True
         summary["hvp_calls"] = runner.hvp_calls
         summary["wall_total"] = time.perf_counter() - t_start
         writer.write_summary(summary)

@@ -9,11 +9,24 @@ A log is written to ``<name>.part`` and renamed to its name when the writer
 closes cleanly, so a run that fails or is killed leaves no file that looks
 finished.
 
-``read_runlog`` decodes all non-blank lines with one ``json.loads`` and checks
-that they are as many objects as lines, in the layout above, each with a known
-"type". Any fault raises ``ValueError`` naming the file and the first bad line:
-not JSON on its own, not an object, no or an unknown "type", a step or summary
-before the header, a second header or summary, a line after the summary.
+``read_runlog`` decodes the first non-blank line, the header, with
+``json.loads``, and the step and summary lines with one ``orjson.loads`` of the
+lines joined into a JSON array. Where orjson rejects that text, ``json.loads``
+decodes it: orjson rejects the bare ``NaN``/``Infinity`` tokens of older logs, a
+number past the double range (which ``json`` reads as infinite) and a lone
+surrogate escape. Where orjson accepts a log its values equal ``json``'s, floats
+bit for bit, with one exception: an int outside [-2**63, 2**64) reads as the
+nearest float. The header keeps such ints, as config values are unbounded; no
+cao writer puts one in a step or summary line (they hold counts), so only a
+hand-edited log can. orjson 3.8 has no nesting limit and overflows the C stack on
+a deep enough value, so a body with a line of 1000 characters (``_SHALLOW``) or
+more goes to ``json`` directly.
+
+The decoded values must be as many objects as lines, in the layout above, each
+with a known "type". Any fault raises ``ValueError`` naming the file and the
+first bad line: not JSON on its own, not an object, no or an unknown "type", a
+step or summary before the header, a second header or summary, a line after the
+summary.
 
 Every line is strict JSON: a non-finite float is written as the string
 "Infinity", "-Infinity" or "NaN". ``read_runlog`` turns such strings in the
@@ -36,6 +49,8 @@ import os
 from pathlib import Path
 from typing import NoReturn
 
+import orjson
+
 from .optim import StepRecord
 
 LOG_FORMAT_VERSION = 1
@@ -48,6 +63,7 @@ _int_repr = int.__repr__
 _isfinite = math.isfinite
 _BOOL = ("false", "true")  # indexed by an exact bool
 _CODED = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
+_SHALLOW = 1000  # a body with a line at least this long is decoded by json
 
 
 def _coded(x: float) -> str:
@@ -205,11 +221,23 @@ def _decode(path):
     with open(path) as fh:
         text = fh.read()
     lines = list(filter(None, map(str.strip, text.split("\n"))))
+    body = "[" + ",".join(lines[1:]) + "]"
+    # a line of n characters nests at most n / 2 deep: below _SHALLOW, orjson,
+    # which has no nesting limit, stays well inside json's recursion limit
+    shallow = max(map(len, lines[1:]), default=0) < _SHALLOW
     # the values hold no cycles: a collection during the decode only promotes them
     collecting = gc.isenabled()
     gc.disable()
     try:
-        values = json.loads("[" + ",".join(lines) + "]")
+        # the header with json: orjson reads an int past 64 bits as a float
+        values = [json.loads(lines[0])] if lines else []
+        # json decodes the array in this frame, one above _reject's line by line
+        # decode: the array's extra level then weighs what _reject's extra frame
+        # does, and a line nested near the recursion limit fails in both or neither
+        try:
+            values += orjson.loads(body) if shallow else json.loads(body)
+        except orjson.JSONDecodeError:
+            values += json.loads(body)
     except (ValueError, RecursionError):
         values = None
     finally:

@@ -1057,6 +1057,35 @@ class TestCli:
         assert list(tmp_path.rglob("*.part")) == []
         assert strict_json_logs(tmp_path) == 3
 
+    @pytest.mark.parametrize("problem, alpha, batch, steps, done", [
+        # SGD is finite through step 90 and its final iterate's loss overflows
+        ({"name": "quadratic", "spectrum": [100.0, 1.0], "seed": 0}, 0.5, {}, 91, 91),
+        # the full-set eval before step 160 overflows
+        ({"name": "logreg", "n_features": 5, "n_samples": 40, "seed": 0}, 1000.0,
+         {"batch_size": 10, "eval_every": 1}, 400, 160),
+    ], ids=["final-loss", "eval-loss"])
+    def test_full_set_loss_overflow_exit_code(self, tmp_path, problem, alpha, batch, steps,
+                                              done):
+        cfg = {"name": "ovf", "problem": problem,
+               "optimizers": [{"kind": "sgd", "label": "sgd", "alpha": alpha}],
+               "seeds": [0], "steps": steps, "threshold": 0.5, **batch}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli.main(["--out", str(tmp_path), "run", "--config", str(cfg_path)])
+        assert rc == cli.EXIT_DIVERGED
+        assert list(tmp_path.rglob("*.part")) == []
+        assert strict_json_logs(tmp_path) == 0
+        log = tmp_path / "logs" / "ovf" / "sgd" / "0.log"
+        _, records, summary = read_runlog(log)
+        assert summary["diverged"] is True and "final_loss" not in summary
+        assert summary["steps_done"] == done
+        assert [r["step"] for r in records] == list(range(done))
+        # the series the run returns is the one its log gives
+        runs = run_comparison(parse_config(cfg), tmp_path / "again")["runs"]
+        assert runs[0][3]["series"] == harness._series(records)
+        assert cli.main(["--out", str(tmp_path), "ttt", "--logs", str(log.parent)]) \
+            == cli.EXIT_OK
+
     @pytest.mark.parametrize("optimizer", [
         {"kind": "cao", "alpha": 0.1, "eta": 0.1},
         {"kind": "sgd", "alpha": 10.0},

@@ -4,16 +4,22 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cao import runlog
+from cao import cli, runlog
 from cao.optim import StepRecord
 from cao.runlog import RunLogWriter, _dumps, normalized_bytes, read_runlog
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 CODED = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
 
 
@@ -285,6 +291,22 @@ def reference_read(path):
     return header, records, summary
 
 
+def reference_normalized(path) -> bytes:
+    """``normalized_bytes`` by the per-line reader: each non-blank line through
+    ``json.loads``, the wall fields dropped and the rest written by the sorted encoder,
+    with bare non-finite tokens coded as the writer codes them."""
+    out = []
+    with open(path) as fh:
+        for line in fh:
+            if line.strip():
+                obj = json.loads(line)
+                for key in runlog.WALL_KEYS:
+                    obj.pop(key, None)
+                out.append(json.dumps(coded(obj), sort_keys=True, separators=(",", ":"),
+                                      allow_nan=False))
+    return ("\n".join(out) + "\n").encode()
+
+
 def same_tree(a, b):
     """Equal types and values, floats bit for bit with NaN equal to NaN, dict keys in order."""
     if type(a) is not type(b):
@@ -301,15 +323,32 @@ def same_tree(a, b):
 HEADER = {"seed": 0, "optimizer": {"kind": "sgd", "label": "sgd", "index": 0},
           "threshold": 0.5}
 BLANK_LINES = st.sampled_from(["", " ", "\t", "  \t ", "\x0c"])
+# hand-written step lines that json reads and orjson rejects (past the double range,
+# a lone surrogate, an older log's bare tokens), nested values on either side of
+# runlog._SHALLOW, and the ints at the edges of the 64-bit range that orjson keeps
+ODD_LINES = [
+    '{"type":"step","loss":1e400}',
+    '{"type":"step","loss":-1.7976931348623159e308,"step":1}',
+    '{"type":"step","label":"\\ud800","note":"\\udfff\\ud800"}',
+    '{"type":"step","loss":NaN,"eigvals":[Infinity,-Infinity]}',
+    '{"type":"step","nested":' + "[" * 400 + "]" * 400 + "}",
+    '{"type":"step","nested":' + '{"a":' * 200 + "1" + "}" * 200 + "}",
+    '{"type":"step","step":18446744073709551615,"epoch":-9223372036854775808}',
+]
 
 
 @settings(max_examples=150, deadline=None)
 @given(records=st.lists(STEP_RECORDS, max_size=50),
        final_loss=st.one_of(st.none(), FLOATS),
        diverged=st.sampled_from([None, False, True]),
-       blanks=st.lists(st.tuples(st.integers(0, 60), BLANK_LINES), max_size=8))
+       blanks=st.lists(st.tuples(st.integers(0, 60), BLANK_LINES), max_size=8),
+       odd=st.lists(st.tuples(st.integers(0, 50), st.sampled_from(ODD_LINES)), max_size=3))
+@example(records=[RECORDS["eval-loss"]], final_loss=0.5, diverged=True, blanks=[],
+         odd=[(0, line) for line in ODD_LINES if len(line) < runlog._SHALLOW])
+@example(records=[], final_loss=None, diverged=None, blanks=[],
+         odd=[(0, line) for line in ODD_LINES])
 def test_read_runlog_equals_per_line_reader(tmp_path_factory, records, final_loss, diverged,
-                                            blanks):
+                                            blanks, odd):
     path = tmp_path_factory.mktemp("read") / "run.log"
     with RunLogWriter(path) as writer:
         writer.write_header(HEADER)
@@ -323,13 +362,75 @@ def test_read_runlog_equals_per_line_reader(tmp_path_factory, records, final_los
     for line in path.read_text().splitlines():
         strict_loads(line)
     lines = path.read_text().split("\n")
+    for at, line in odd:  # between the header and the summary
+        lines.insert(1 + at % (len(records) + 1), line)
     for at, blank in blanks:
         lines.insert(at, blank)
     path.write_text("\n".join(lines))
     got = read_runlog(path)
     assert same_tree(got, reference_read(path))
-    assert len(got[1]) == len(records)
+    assert normalized_bytes(path) == reference_normalized(path)
+    assert len(got[1]) == len(records) + len(odd)
     assert (got[2] is None) == (final_loss is None)
+
+
+def test_ints_past_64_bits_read_as_floats_in_steps_and_summary_only(tmp_path):
+    # the header keeps any int (config values are unbounded, seeds among them); in
+    # the steps and the summary, which cao writes with counts only, an int outside
+    # [-2**63, 2**64) reads as the nearest float
+    path = tmp_path / "run.log"
+    big = {"type": "header", **HEADER, "seed": 2**70, "config": {"seeds": [2**70, -2**63 - 1]}}
+    path.write_text(_dumps(big) + "\n"
+                    + '{"type":"step","step":18446744073709551616,"epoch":18446744073709551615}\n'
+                    + '{"type":"summary","hvp_calls":-9223372036854775809,"steps_done":1}\n')
+    header, records, summary = read_runlog(path)
+    assert header["seed"] == 2**70 and type(header["seed"]) is int
+    assert header["config"]["seeds"] == [2**70, -2**63 - 1]
+    assert same_tree(records, [{"step": 2.0**64, "epoch": 2**64 - 1}])
+    assert same_tree(summary, {"hvp_calls": -(2.0**63), "steps_done": 1})
+
+
+@pytest.mark.parametrize("depth", [1500, 100_000])
+def test_deeply_nested_step_line_is_rejected_as_json_rejects_it(tmp_path, depth):
+    # orjson 3.8 reads the first and overflows the C stack on the second; a child
+    # process keeps such a crash to this test
+    path = tmp_path / "run.log"
+    nested = '{"a":' * depth + "1" + "}" * depth
+    path.write_text(_dumps({"type": "header", **HEADER}) + "\n"
+                    + '{"type":"step","nested":' + nested + "}\n")
+    script = ("import sys\nfrom cao.runlog import normalized_bytes, read_runlog\n"
+              "for read in (read_runlog, normalized_bytes):\n"
+              "    try:\n"
+              "        read(sys.argv[1])\n"
+              "    except ValueError as exc:\n"
+              "        print(exc)\n")
+    done = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"{path}: line 2: maximum recursion depth exceeded"
+                                        " while decoding a JSON object from a unicode string"] * 2
+
+
+def test_lines_nested_near_the_recursion_limit_read_or_name_their_line(tmp_path):
+    # the joined decode and _reject's line by line decode reach json's recursion
+    # limit at the same depth, so no depth gives "missing header line"
+    path = tmp_path / "run.log"
+    path.touch()
+    header = _dumps({"type": "header", **HEADER}) + "\n"
+    outcomes = set()
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 250, limit):
+        # each text is longer than the last: overwritten in place, never cut to zero
+        with open(path, "r+") as fh:
+            fh.write(header + '{"type":"step","n":' + "[" * depth + "]" * depth + "}\n")
+        try:
+            read_runlog(path)
+            outcomes.add("read")
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: line 2: maximum recursion depth"), depth
+            outcomes.add("named")
+    assert outcomes == {"read", "named"}
 
 
 def test_log_cut_at_every_byte(tmp_path):
@@ -339,10 +440,13 @@ def test_log_cut_at_every_byte(tmp_path):
         for name in ("eval-loss", "divergence", "failed-refresh"):
             writer.write_record(RECORDS[name])
         writer.write_summary({"steps_done": 3, "final_loss": float("inf")})
-    data = full.read_bytes()
+    # and two step lines that only the json fallback reads
+    lines = full.read_bytes().split(b"\n")
+    lines[2:2] = [ODD_LINES[0].encode(), ODD_LINES[2].encode()]
+    data = b"\n".join(lines)
     path = tmp_path / "cut.log"
     path.write_bytes(data)
-    # cut the one file in place: rewriting it from zero 705 times costs seconds on
+    # cut the one file in place: rewriting it from zero once per prefix costs seconds on
     # file systems that flush a file truncated to zero when it is closed
     for end in range(len(data), -1, -1):
         os.truncate(path, end)
@@ -377,12 +481,21 @@ def test_normalized_bytes_keeps_the_type_and_drops_wall_fields(tmp_path):
     assert normalized_bytes(path) == ("\n".join(want) + "\n").encode()
 
 
-def test_reads_leave_the_collector_as_they_found_it(tmp_path):
+def test_reads_leave_the_collector_as_they_found_it(tmp_path, monkeypatch):
     good, cut = tmp_path / "good.log", tmp_path / "cut.log"
     with RunLogWriter(good) as writer:
         writer.write_header(HEADER)
         writer.write_record(RECORDS["eval-loss"])
     cut.write_text(good.read_text()[:-20])
+    # and pause it while the body decodes
+    collecting = []
+
+    def loads(body):
+        collecting.append(gc.isenabled())
+        return orjson.loads(body)
+
+    monkeypatch.setattr(runlog, "orjson",
+                        SimpleNamespace(loads=loads, JSONDecodeError=orjson.JSONDecodeError))
     try:
         for enabled in (True, False):
             if enabled:
@@ -397,6 +510,7 @@ def test_reads_leave_the_collector_as_they_found_it(tmp_path):
                 assert gc.isenabled() is enabled
     finally:
         gc.enable()
+    assert collecting == [False] * 8
 
 
 
@@ -467,3 +581,20 @@ def test_finished_log_that_did_not_diverge_takes_no_extra_pass(tmp_path, monkeyp
     _, records, summary = read_runlog(path)
     assert searched == [summary] and summary["final_loss"] == math.inf
     assert len(records) == 5
+
+
+def test_seeds_past_64_bits_run_and_summarize(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    seeds = [2**70, 2**70 + 1]
+    cfg_path.write_text(json.dumps({
+        "name": "big-seeds", "problem": {"name": "quadratic", "spectrum": [4.0, 1.0]},
+        "optimizers": [{"kind": "sgd", "label": "sgd", "alpha": 0.1},
+                       {"kind": "adam", "label": "adam", "alpha": 0.1}],
+        "seeds": seeds, "steps": 5, "threshold": 0.5,
+    }))
+    assert cli.main(["--out", str(tmp_path), "run", "--config", str(cfg_path)]) == 0
+    logs = tmp_path / "logs" / "big-seeds"
+    assert cli.main(["--out", str(tmp_path), "ttt", "--logs", str(logs)]) == 0
+    for label in ("sgd", "adam"):
+        got = [read_runlog(logs / label / f"{seed}.log")[0]["seed"] for seed in seeds]
+        assert got == seeds and {type(seed) for seed in got} == {int}

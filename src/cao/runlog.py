@@ -10,17 +10,19 @@ closes cleanly, so a run that fails or is killed leaves no file that looks
 finished.
 
 ``read_runlog`` decodes the first non-blank line, the header, with
-``json.loads``, and the step and summary lines with one ``orjson.loads`` of the
-lines joined into a JSON array. Where orjson rejects that text, ``json.loads``
-decodes it: orjson rejects the bare ``NaN``/``Infinity`` tokens of older logs, a
-number past the double range (which ``json`` reads as infinite) and a lone
-surrogate escape. Where orjson accepts a log its values equal ``json``'s, floats
-bit for bit, with one exception: an int outside [-2**63, 2**64) reads as the
-nearest float. The header keeps such ints, as config values are unbounded; no
-cao writer puts one in a step or summary line (they hold counts), so only a
-hand-edited log can. orjson 3.8 has no nesting limit and overflows the C stack on
-a deep enough value, so a body with a line of 1000 characters (``_SHALLOW``) or
-more goes to ``json`` directly.
+``json.loads``, and the step and summary lines with one ``orjson.loads`` each.
+Where orjson rejects a line, one ``json.loads`` of all those lines joined into a
+JSON array decodes them: orjson rejects the bare ``NaN``/``Infinity`` tokens of
+older logs, a number past the double range (which ``json`` reads as infinite)
+and a lone surrogate escape. Where orjson accepts a log its values equal
+``json``'s, floats bit for bit, with one exception: an int outside
+[-2**63, 2**64) reads as the nearest float. The header keeps such ints, as
+config values are unbounded; no cao writer puts one in a step or summary line
+(they hold counts), so only a hand-edited log can. orjson 3.8 has no nesting
+limit and overflows the C stack on a deep enough value. A line of n characters
+nests at most n / 2 deep on its own, so orjson only decodes lines one at a time,
+and a body with a line of 1000 characters (``_SHALLOW``) or more goes to
+``json`` directly.
 
 The decoded values must be as many objects as lines, in the layout above, each
 with a known "type". Any fault raises ``ValueError`` naming the file and the
@@ -221,9 +223,8 @@ def _decode(path):
     with open(path) as fh:
         text = fh.read()
     lines = list(filter(None, map(str.strip, text.split("\n"))))
-    body = "[" + ",".join(lines[1:]) + "]"
-    # a line of n characters nests at most n / 2 deep: below _SHALLOW, orjson,
-    # which has no nesting limit, stays well inside json's recursion limit
+    # orjson, which has no nesting limit, decodes one line at a time: a line of n
+    # characters nests at most n / 2 deep, below _SHALLOW well inside json's limit
     shallow = max(map(len, lines[1:]), default=0) < _SHALLOW
     # the values hold no cycles: a collection during the decode only promotes them
     collecting = gc.isenabled()
@@ -231,13 +232,19 @@ def _decode(path):
     try:
         # the header with json: orjson reads an int past 64 bits as a float
         values = [json.loads(lines[0])] if lines else []
-        # json decodes the array in this frame, one above _reject's line by line
-        # decode: the array's extra level then weighs what _reject's extra frame
-        # does, and a line nested near the recursion limit fails in both or neither
-        try:
-            values += orjson.loads(body) if shallow else json.loads(body)
-        except orjson.JSONDecodeError:
-            values += json.loads(body)
+        body = None
+        if shallow:
+            try:
+                body = list(map(orjson.loads, lines[1:]))
+            except orjson.JSONDecodeError:
+                pass  # json decides
+        if body is None:
+            # json decodes the array in this frame, one above _reject's line by
+            # line decode: up to Python 3.11, where json counts its nesting against
+            # the recursion limit, the array's extra level weighs what _reject's
+            # extra frame does, and a line nested near the limit fails in both or neither
+            body = json.loads("[" + ",".join(lines[1:]) + "]")
+        values += body
     except (ValueError, RecursionError):
         values = None
     finally:

@@ -112,11 +112,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """The checked config in the UTF-8 JSON file ``path``.
+
+    A file that cannot be read or decoded is a ``ConfigError`` naming it.
+    """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: unreadable config ({exc})") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return parse_config(doc)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .config import ExperimentConfig, OptimizerSpec, parse_config
 from .errors import ConfigError, ContractViolationError, DivergenceError, NumericOverflowError
 from .optim import make_runner
 from .problems import FULL_BATCH, Batch, from_config
-from .runlog import RunLogWriter, read_runlog
+from .runlog import RunLogWriter, collector_paused, read_runlog
 
 UNREACHED = "unreached"
 
@@ -232,24 +233,34 @@ def _group_logs(log_paths):
     run left behind (a line cut short, or no summary line) or one that breaks
     the layout of ``cao.runlog`` is an error naming the file,
     and so are a header without the keys that group its run and two logs of
-    the same label and seed. Returns (groups, labels, the logs' threshold).
+    the same label and seed. Returns (groups, labels, recorded): the
+    (path, threshold) of each log whose header records a threshold, in path
+    order.
+
+    The cyclic collector stays paused from each log's read until its records
+    are reduced to the series and dropped: they hold no cycles and are freed
+    by refcount, so a collection in between would only traverse and promote
+    them. It is back as it was found before the next log is read.
     """
-    runs, threshold = [], None
+    runs, recorded = [], []
     for path in sorted(str(p) for p in log_paths):
-        try:
-            header, records, summary = read_runlog(path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{path}: unreadable log ({exc})") from None
-        if summary is None:
-            raise ConfigError(f"{path}: incomplete log, no summary line")
-        _check_header(path, header)
-        optimizer = header["optimizer"]
-        threshold = header.get("threshold", threshold)
-        runs.append((path, optimizer["label"], optimizer["index"], _entry(
-            header["seed"], _series(records), summary, optimizer["kind"],
-            optimizer.get("k", 1), header.get("steps_per_epoch", 1))))
+        with collector_paused():
+            try:
+                header, records, summary = read_runlog(path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"{path}: unreadable log ({exc})") from None
+            if summary is None:
+                raise ConfigError(f"{path}: incomplete log, no summary line")
+            _check_header(path, header)
+            optimizer = header["optimizer"]
+            if header.get("threshold") is not None:
+                recorded.append((path, header["threshold"]))
+            runs.append((path, optimizer["label"], optimizer["index"], _entry(
+                header["seed"], _series(records), summary, optimizer["kind"],
+                optimizer.get("k", 1), header.get("steps_per_epoch", 1))))
+            del records
     groups, labels = _group(runs)
-    return groups, labels, threshold
+    return groups, labels, recorded
 
 
 def _first_hit(series, threshold):
@@ -297,12 +308,18 @@ def time_to_threshold(log_paths, threshold: float | None = None) -> dict:
 
     Runs that never reach it are excluded from the mean and counted. The
     speedup row divides each baseline mean by the first curvature-adaptive
-    optimizer's mean.
+    optimizer's mean. With no ``threshold`` given the logs' recorded one is
+    used; logs that record different ones are an error naming two of them.
     """
-    groups, labels, header_threshold = _group_logs(log_paths)
-    threshold = header_threshold if threshold is None else threshold
+    groups, labels, recorded = _group_logs(log_paths)
     if threshold is None:
-        raise ConfigError("no threshold given and none recorded in the logs")
+        if not recorded:
+            raise ConfigError("no threshold given and none recorded in the logs")
+        path, threshold = recorded[0]
+        other = next(((p, t) for p, t in recorded if t != threshold), None)
+        if other is not None:
+            raise ConfigError(f"{path} records threshold {threshold!r} and {other[0]}"
+                              f" records {other[1]!r}; choose one with --threshold")
     return _ttt_table(groups, labels, threshold)
 
 
@@ -344,45 +361,43 @@ def threshold_sweep(log_paths, thresholds) -> str:
 def emit_plot_data(log_paths, out_path) -> Path:
     """Loss-versus-step mean and std bands across seeds, one column pair per optimizer.
 
-    All optimizers must carry the same number of seeds; a lone seed adds a
-    trailing single-seed flag column.
+    All optimizers must carry the same number of seeds and every run the same
+    step grid; a grid that differs is an error naming its label, its seed and
+    both step counts. A lone seed adds a trailing single-seed flag column.
     """
     groups, labels, _ = _group_logs(log_paths)
     seed_counts = {label: len(groups[label]) for label in labels}
     if len(set(seed_counts.values())) != 1:
         raise ConfigError(f"seed count mismatch across optimizers: {seed_counts}")
     single_seed = next(iter(seed_counts.values())) == 1
-    per_label = {}
-    steps_ref = None
+    columns, ref = [], None  # ref: (label, seed, steps) of the first run
     for label in labels:
-        series = [run["series"] for run in groups[label]]
-        steps = [s for s, _ in series[0]]
-        for ser in series:
-            if [s for s, _ in ser] != steps:
-                raise ConfigError(f"step grids differ across seeds for {label!r}")
-        if steps_ref is None:
-            steps_ref = steps
-        elif steps != steps_ref:
-            raise ConfigError("step grids differ across optimizers")
-        values = np.array([[v for _, v in ser] for ser in series])
-        per_label[label] = (values.mean(axis=0), values.std(axis=0))
+        values = []
+        for run in groups[label]:
+            steps = [step for step, _ in run["series"]]
+            if ref is None:
+                ref = (label, run["seed"], steps)
+                columns.append(list(map(str, steps)))
+            elif steps != ref[2]:
+                ref_label, ref_seed, ref_steps = ref
+                across = "seeds for" if label == ref_label else "optimizers:"
+                raise ConfigError(
+                    f"step grids differ across {across} {label!r} seed {run['seed']} has"
+                    f" {len(steps)} steps, {ref_label!r} seed {ref_seed} has {len(ref_steps)}")
+            values.append([value for _, value in run["series"]])
+        values = np.array(values)
+        for a in (values.mean(axis=0), values.std(axis=0)):
+            columns.append(list(map(repr, a.tolist())))
+    header = ["step"]
+    suffix = "†" if single_seed else ""
+    for label in labels:
+        header += [f"{label}{suffix}:mean", f"{label}{suffix}:std"]
+    if single_seed:
+        header.append("single_seed")
+        columns.append(repeat("1"))
+    lines = ["# " + "\t".join(header), *map("\t".join, zip(*columns))]
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    cols = ["step"]
-    for label in labels:
-        suffix = "†" if single_seed else ""
-        cols += [f"{label}{suffix}:mean", f"{label}{suffix}:std"]
-    if single_seed:
-        cols.append("single_seed")
-    lines = ["# " + "\t".join(cols)]
-    for i, step in enumerate(steps_ref):
-        row = [str(step)]
-        for label in labels:
-            mean, std = per_label[label]
-            row += [repr(float(mean[i])), repr(float(std[i]))]
-        if single_seed:
-            row.append("1")
-        lines.append("\t".join(row))
     out_path.write_text("\n".join(lines) + "\n")
     return out_path
 

@@ -24,6 +24,11 @@ nests at most n / 2 deep on its own, so orjson only decodes lines one at a time,
 and a body with a line of 1000 characters (``_SHALLOW``) or more goes to
 ``json`` directly.
 
+The cyclic collector is paused (``collector_paused``) while the lines decode:
+the decoded values hold no cycles, so a collection then would only traverse
+and promote them. ``harness._group_logs`` holds the same pause over each log
+from its read until its records are reduced and dropped.
+
 The decoded values must be as many objects as lines, in the layout above, each
 with a known "type". Any fault raises ``ValueError`` naming the file and the
 first bad line: not JSON on its own, not an object, no or an unknown "type", a
@@ -48,6 +53,7 @@ import gc
 import json
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NoReturn
 
@@ -218,6 +224,18 @@ def _reject(path, text) -> NoReturn:
     raise ValueError(f"{path}: missing header line")
 
 
+@contextmanager
+def collector_paused():
+    """Keep the cyclic collector off in the block, then leave it as it was found."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def _decode(path):
     """(objects, types) of a log's non-blank lines, each object with its "type" popped."""
     with open(path) as fh:
@@ -227,29 +245,26 @@ def _decode(path):
     # characters nests at most n / 2 deep, below _SHALLOW well inside json's limit
     shallow = max(map(len, lines[1:]), default=0) < _SHALLOW
     # the values hold no cycles: a collection during the decode only promotes them
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        # the header with json: orjson reads an int past 64 bits as a float
-        values = [json.loads(lines[0])] if lines else []
-        body = None
-        if shallow:
-            try:
-                body = list(map(orjson.loads, lines[1:]))
-            except orjson.JSONDecodeError:
-                pass  # json decides
-        if body is None:
-            # json decodes the array in this frame, one above _reject's line by
-            # line decode: up to Python 3.11, where json counts its nesting against
-            # the recursion limit, the array's extra level weighs what _reject's
-            # extra frame does, and a line nested near the limit fails in both or neither
-            body = json.loads("[" + ",".join(lines[1:]) + "]")
-        values += body
-    except (ValueError, RecursionError):
-        values = None
-    finally:
-        if collecting:
-            gc.enable()
+    with collector_paused():
+        try:
+            # the header with json: orjson reads an int past 64 bits as a float
+            values = [json.loads(lines[0])] if lines else []
+            body = None
+            if shallow:
+                try:
+                    body = list(map(orjson.loads, lines[1:]))
+                except orjson.JSONDecodeError:
+                    pass  # json decides
+            if body is None:
+                # json decodes the array in this frame, one above _reject's line by
+                # line decode: up to Python 3.11, where json counts its nesting
+                # against the recursion limit, the array's extra level weighs what
+                # _reject's extra frame does, and a line nested near the limit
+                # fails in both or neither
+                body = json.loads("[" + ",".join(lines[1:]) + "]")
+            values += body
+        except (ValueError, RecursionError):
+            values = None
     if values is None or len(values) != len(lines) \
             or not {dict}.issuperset(map(type, values)):
         _reject(path, text)

@@ -1,4 +1,6 @@
+import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cao import cli, harness, optim
 from cao.config import load_config, parse_config
@@ -281,6 +285,118 @@ class TestPlotData:
         synthetic_log(tmp_path / "sgd/0.log", "sgd", 1, 0, hit_step=20)
         with pytest.raises(ConfigError):
             emit_plot_data(sorted(tmp_path.rglob("*.log")), tmp_path / "x.tsv")
+
+    @pytest.mark.parametrize("case, steps, message", [
+        ("seed-count", {("cao-k1", 0): 80, ("cao-k1", 1): 80, ("sgd", 0): 80},
+         "seed count mismatch across optimizers: {'cao-k1': 2, 'sgd': 1}"),
+        ("seed-grid", {("cao-k1", 0): 80, ("cao-k1", 1): 60, ("sgd", 0): 80, ("sgd", 1): 80},
+         "step grids differ across seeds for 'cao-k1' seed 1 has 60 steps,"
+         " 'cao-k1' seed 0 has 80"),
+        ("optimizer-grid", {("cao-k1", 0): 80, ("cao-k1", 1): 80, ("sgd", 0): 80,
+                            ("sgd", 1): 81},
+         "step grids differ across optimizers: 'sgd' seed 1 has 81 steps,"
+         " 'cao-k1' seed 0 has 80"),
+    ], ids=["seed-count", "seed-grid", "optimizer-grid"])
+    def test_refusal_exit_code(self, tmp_path, case, steps, message, capsys):
+        for (label, seed), count in steps.items():
+            synthetic_log(tmp_path / "logs" / label / f"{seed}.log", label,
+                          int(label == "sgd"), seed, hit_step=10, steps=count)
+        rc = cli.main(["--out", str(tmp_path / "out"), "plotdata", "--logs",
+                       str(tmp_path / "logs"), "--name", case])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_divergent_run_named(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "name": "div",
+            "problem": {"name": "quadratic", "spectrum": [100.0, 1.0], "seed": 1},
+            "optimizers": [{"kind": "cao", "label": "cao-k1", "alpha": 0.01, "k": 1},
+                           {"kind": "sgd", "alpha": 0.5}],
+            "seeds": [0, 1],
+            "steps": 200,
+            "threshold": 0.1,
+        }))
+        assert cli.main(["--out", str(tmp_path), "run", "--config",
+                         str(cfg_path)]) == cli.EXIT_DIVERGED
+        capsys.readouterr()
+        rc = cli.main(["--out", str(tmp_path), "plotdata", "--logs",
+                       str(tmp_path / "logs" / "div")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: step grids differ across optimizers: 'sgd' seed 0 has 92 steps,"
+            " 'cao-k1' seed 0 has 200\n")
+
+
+def row_by_row_plot_data(log_paths) -> bytes:
+    """The file ``emit_plot_data`` writes, built cell by cell as it once was."""
+    groups, labels, _ = harness._group_logs(log_paths)
+    single_seed = len(groups[labels[0]]) == 1
+    per_label = {}
+    steps_ref = None
+    for label in labels:
+        series = [run["series"] for run in groups[label]]
+        steps_ref = [s for s, _ in series[0]]
+        values = np.array([[v for _, v in ser] for ser in series])
+        per_label[label] = (values.mean(axis=0), values.std(axis=0))
+    cols = ["step"]
+    for label in labels:
+        suffix = "†" if single_seed else ""
+        cols += [f"{label}{suffix}:mean", f"{label}{suffix}:std"]
+    if single_seed:
+        cols.append("single_seed")
+    lines = ["# " + "\t".join(cols)]
+    for i, step in enumerate(steps_ref):
+        row = [str(step)]
+        for label in labels:
+            mean, std = per_label[label]
+            row += [repr(float(mean[i])), repr(float(std[i]))]
+        if single_seed:
+            row.append("1")
+        lines.append("\t".join(row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+PLOT_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.5e-320,
+                     2.2250738585072009e-308, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def plot_runs(draw):
+    """{(label, seed): losses} over one step grid, with 1 to 3 seeds and 1 or 2 labels."""
+    grid = sorted(draw(st.sets(st.integers(0, 10**6), max_size=8)))
+    seeds = range(draw(st.integers(1, 3)))
+    labels = ("cao-k1", "sgd")[:draw(st.integers(1, 2))]
+    runs = {(label, seed): draw(st.lists(PLOT_VALUES, min_size=len(grid),
+                                         max_size=len(grid)))
+            for label in labels for seed in seeds}
+    return grid, runs
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=plot_runs())
+def test_plot_data_equals_row_by_row_build(tmp_path_factory, drawn):
+    grid, runs = drawn
+    root = tmp_path_factory.mktemp("plot")
+    for (label, seed), losses in runs.items():
+        # "diverged", so the reader turns the coded non-finite losses back into floats
+        with RunLogWriter(root / label / f"{seed}.log") as w:
+            w.write_header({"optimizer": {"kind": label.split("-")[0], "label": label,
+                                          "index": int(label == "sgd")},
+                            "seed": seed, "threshold": 0.5})
+            for step, loss in zip(grid, losses):
+                w.write_record(StepRecord(step=step, epoch=0, loss=loss, grad_norm=1.0,
+                                          update_norm=1.0))
+            w.write_summary({"steps_done": len(grid), "diverged": True})
+    logs = sorted(root.rglob("*.log"))
+    with np.errstate(all="ignore"):  # mean and std of infinities and huge values
+        want = row_by_row_plot_data(logs)
+        got = emit_plot_data(logs, root / "out" / "loss.tsv").read_bytes()
+    assert got == want
 
 
 class TestDerivedExperiments:
@@ -652,6 +768,112 @@ class TestRepeatedRuns:
         assert not (tmp_path / "figures-data").exists()
 
 
+def seeds_and_thresholds(root, thresholds):
+    """One cao-k1 log per seed under ``root``, each recording its own threshold;
+    ``thresholds`` maps seed to threshold."""
+    for seed, threshold in thresholds.items():
+        synthetic_log(root / "cao-k1" / f"{seed}.log", "cao-k1", 0, seed, hit_step=10 + seed,
+                      threshold=threshold)
+
+
+class TestRecordedThresholds:
+    def test_mixed_thresholds_named(self, tmp_path, capsys):
+        seeds_and_thresholds(tmp_path / "oa", {0: 0.5})
+        seeds_and_thresholds(tmp_path / "ob", {1: 0.5, 2: 0.05})
+        first, other = tmp_path / "oa/cao-k1/0.log", tmp_path / "ob/cao-k1/2.log"
+        with pytest.raises(ConfigError) as info:
+            time_to_threshold([other, first, tmp_path / "ob/cao-k1/1.log"])
+        assert str(info.value) == (f"{first} records threshold 0.5 and {other} records 0.05;"
+                                   " choose one with --threshold")
+        rc = cli.main(["--out", str(tmp_path / "out"), "ttt", "--logs",
+                       str(tmp_path / "oa"), str(tmp_path / "ob")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {info.value}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_override_and_other_summaries_read_mixed_logs(self, tmp_path):
+        seeds_and_thresholds(tmp_path / "oa", {0: 0.5})
+        seeds_and_thresholds(tmp_path / "ob", {1: 0.05})
+        logs = [str(tmp_path / "oa"), str(tmp_path / "ob")]
+        out = str(tmp_path / "out")
+        assert cli.main(["--out", out, "ttt", "--logs", *logs, "--threshold", "0.5",
+                         "--name", "mixed"]) == cli.EXIT_OK
+        # both seeds judged at 0.5: seed 1's loss falls to 0.05 by step 11
+        table = (tmp_path / "out/tables/mixed-time-to-threshold.txt").read_text()
+        assert "threshold=0.5\n" in table and table.endswith("\t0\t10,9\n")
+        assert cli.main(["--out", out, "ttt", "--logs", *logs, "--thresholds", "0.05,0.5",
+                         "--name", "mixed"]) == cli.EXIT_OK
+        assert cli.main(["--out", out, "plotdata", "--logs", *logs,
+                         "--name", "mixed"]) == cli.EXIT_OK
+
+    def test_equal_thresholds_need_no_override(self, tmp_path):
+        seeds_and_thresholds(tmp_path, {0: 0.5, 1: 0.5, 2: 0.5})
+        table = time_to_threshold(sorted(tmp_path.rglob("*.log")))
+        assert table["threshold"] == 0.5
+        assert table["optimizers"]["cao-k1"]["hits"] == {0: 10, 1: 11, 2: 12}
+
+
+@pytest.fixture
+def collector():
+    """Leaves the collector enabled, as the rest of the suite expects it."""
+    yield
+    gc.enable()
+
+
+class TestCollectorPause:
+    def test_off_while_each_log_is_reduced(self, tmp_path, monkeypatch, collector):
+        for seed in (0, 1):
+            synthetic_log(tmp_path / f"cao-k1/{seed}.log", "cao-k1", 0, seed, hit_step=10)
+            synthetic_log(tmp_path / f"sgd/{seed}.log", "sgd", 1, seed, hit_step=20)
+        reads, reductions = [], []
+        read, series = harness.read_runlog, harness._series
+
+        def spy_read(path):
+            reads.append(gc.isenabled())
+            return read(path)
+
+        def spy_series(records):
+            reductions.append(gc.isenabled())
+            return series(records)
+
+        monkeypatch.setattr(harness, "read_runlog", spy_read)
+        monkeypatch.setattr(harness, "_series", spy_series)
+        gc.enable()
+        time_to_threshold(sorted(tmp_path.rglob("*.log")))
+        # paused from each read until its records are reduced
+        assert reads == [False] * 4
+        assert reductions == [False] * 4
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case", ["ok", "unreadable", "no-summary", "header-key",
+                                      "repeated", "mixed-thresholds"])
+    def test_left_as_found(self, tmp_path, case, enabled, collector):
+        seeds_and_thresholds(tmp_path, {0: 0.5, 1: 0.5})
+        logs = sorted(tmp_path.rglob("*.log"))
+        if case == "unreadable":
+            logs.append(tmp_path / "missing.log")
+        elif case == "no-summary":
+            cut_log(logs[1])
+        elif case == "header-key":
+            lines = logs[1].read_text().splitlines(keepends=True)
+            header = json.loads(lines[0])
+            del header["seed"]
+            logs[1].write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        elif case == "repeated":
+            logs.append(logs[0])
+        elif case == "mixed-thresholds":
+            seeds_and_thresholds(tmp_path / "b", {2: 0.1})
+            logs.append(tmp_path / "b/cao-k1/2.log")
+        (gc.enable if enabled else gc.disable)()
+        if case == "ok":
+            time_to_threshold(logs)
+        else:
+            with pytest.raises(ConfigError):
+                time_to_threshold(logs)
+        assert gc.isenabled() is enabled
+
+
 class TestConfigParsing:
     def test_load_and_roundtrip(self, tmp_path):
         doc = tiny_config().to_dict()
@@ -885,6 +1107,28 @@ class TestCli:
         missing = tmp_path / "nope.json"
         rc = cli.main(["run", "--config", str(missing)])
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["run", "ablate-k", "sweep"])
+    @pytest.mark.parametrize("case, message", [
+        ("missing", "config file not found: {path}\n"),
+        ("directory", "{path}: unreadable config ([Errno 21] Is a directory: '{path}')\n"),
+        ("not-utf8", "{path}: unreadable config ('utf-8' codec can't decode byte 0xff"),
+        ("nested", "{path}: invalid JSON (maximum recursion depth exceeded"),
+    ], ids=["missing", "directory", "not-utf8", "nested"])
+    def test_unreadable_config_exits_before_any_run(self, tmp_path, command, case, message,
+                                                    capsys):
+        path = tmp_path / "cfg.json"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not-utf8":
+            path.write_bytes(b'{"name": "\xff"}')
+        elif case == "nested":
+            path.write_text("[" * 100000 + "]" * 100000)
+        rc = cli.main(["--out", str(tmp_path), command, "--config", str(path)])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "logs").exists()
+        assert capsys.readouterr().err.startswith(
+            "config error: " + message.format(path=path))
 
     def test_divergence_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -35,6 +36,11 @@ def _collect_logs(logs_arg):
     if not paths:
         raise ConfigError(f"no log files under {logs_arg}")
     return paths
+
+
+def _default_name(args):
+    # made absolute first, so that "." and ".." give the directory's own name
+    return args.name or Path(os.path.abspath(args.logs[0])).name
 
 
 def _parse_list(text, flag, cast):
@@ -77,7 +83,7 @@ def _cmd_ttt(args):
     if args.threshold is not None:
         _finite_thresholds([args.threshold], "--threshold")
     logs = _collect_logs(args.logs)
-    name = args.name or Path(args.logs[0]).name
+    name = _default_name(args)
     if args.thresholds:
         thresholds = _finite_thresholds(
             _parse_list(args.thresholds, "--thresholds", float), "--thresholds")
@@ -109,7 +115,7 @@ def _cmd_sweep(args):
 
 def _cmd_plotdata(args):
     logs = _collect_logs(args.logs)
-    name = args.name or Path(args.logs[0]).name
+    name = _default_name(args)
     out = Path(args.out) / "figures-data" / f"{name}-loss.tsv"
     harness.emit_plot_data(logs, out)
     print(f"wrote {out}")

@@ -386,8 +386,9 @@ def emit_plot_data(log_paths, out_path) -> Path:
                     f" {len(steps)} steps, {ref_label!r} seed {ref_seed} has {len(ref_steps)}")
             values.append([value for _, value in run["series"]])
         values = np.array(values)
-        for a in (values.mean(axis=0), values.std(axis=0)):
-            columns.append(list(map(repr, a.tolist())))
+        with np.errstate(all="ignore"):  # seeds at inf together: a nan std, written as is
+            bands = values.mean(axis=0), values.std(axis=0)
+        columns += (list(map(repr, a.tolist())) for a in bands)
     header = ["step"]
     suffix = "†" if single_seed else ""
     for label in labels:

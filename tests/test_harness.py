@@ -328,6 +328,24 @@ class TestPlotData:
             "config error: step grids differ across optimizers: 'sgd' seed 0 has 92 steps,"
             " 'cao-k1' seed 0 has 200\n")
 
+    def test_seeds_at_inf_together_write_nan_std_without_a_warning(self, tmp_path, capsys):
+        # inf - inf in the std is nan; under pytest's error::RuntimeWarning filter a
+        # warning raised here would fail the command
+        for seed, first in enumerate((2.0, 1.5)):
+            with RunLogWriter(tmp_path / "logs" / "sgd" / f"{seed}.log") as w:
+                w.write_header({"optimizer": {"kind": "sgd", "label": "sgd", "index": 0},
+                                "seed": seed, "threshold": 0.5})
+                for step, loss in enumerate((first, math.inf)):
+                    w.write_record(StepRecord(step=step, epoch=0, loss=loss, grad_norm=1.0,
+                                              update_norm=1.0))
+                w.write_summary({"steps_done": 2, "diverged": True})
+        rc = cli.main(["--out", str(tmp_path / "out"), "plotdata", "--logs",
+                       str(tmp_path / "logs"), "--name", "inf"])
+        assert rc == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out" / "figures-data" / "inf-loss.tsv").read_text() == (
+            "# step\tsgd:mean\tsgd:std\n0\t1.75\t0.25\n1\tinf\tnan\n")
+
 
 def row_by_row_plot_data(log_paths) -> bytes:
     """The file ``emit_plot_data`` writes, built cell by cell as it once was."""
@@ -1071,6 +1089,20 @@ class TestCli:
                        str(tmp_path / "logs" / "tiny"), "--name", "tiny"])
         assert rc == cli.EXIT_OK
         assert (tmp_path / "figures-data" / "tiny-loss.tsv").exists()
+
+    @pytest.mark.parametrize("logs", [".", ".."])
+    def test_relative_logs_dir_names_the_outputs(self, tmp_path, monkeypatch, logs):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(steps=20, seeds=(0,)).to_dict()))
+        assert cli.main(["--out", str(tmp_path), "run", "--config", str(cfg_path)]) == 0
+        monkeypatch.chdir(tmp_path / "logs" / "tiny" / ("sgd" if logs == ".." else ""))
+        out = str(tmp_path / "out")
+        assert cli.main(["--out", out, "ttt", "--logs", logs]) == cli.EXIT_OK
+        assert cli.main(["--out", out, "plotdata", "--logs", logs]) == cli.EXIT_OK
+        table = (tmp_path / "out" / "tables" / "tiny-time-to-threshold.txt").read_text()
+        assert table.startswith("# time-to-threshold  experiment=tiny  ")
+        assert sorted(p.name for p in (tmp_path / "out").rglob("*.*")) == [
+            "tiny-loss.tsv", "tiny-time-to-threshold.txt"]
 
     def test_log_level_is_set_on_every_call(self, tmp_path):
         # a k = 3 sketch of this small mlp finds negative curvature and logs it at INFO

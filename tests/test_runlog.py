@@ -54,24 +54,53 @@ def strict_loads(line):
     return json.loads(line, parse_constant=reject)
 
 
-def reference_line(rec: StepRecord) -> str:
-    """A step line as a deep copy through ``dataclasses.asdict`` writes it."""
+def plain(value):
+    """``value`` as a log holds it: NumPy scalars as their ``.item()``, tuples as lists."""
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if hasattr(value, "item"):
+        return value.item()
+    return value
 
-    def pyify(value):
-        if isinstance(value, dict):
-            return {k: pyify(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [pyify(v) for v in value]
-        if hasattr(value, "item"):
-            return value.item()
-        return value
 
-    payload = {"type": "step"}
-    payload.update(pyify(dataclasses.asdict(rec)))
-    if payload.get("eval_loss") is None:
-        payload.pop("eval_loss", None)
-    return json.dumps(coded(payload), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False) + "\n"
+def reference_payload(rec: StepRecord) -> dict:
+    """A step record's fields from a deep copy through ``dataclasses.asdict``, in key
+    order and as a log holds them, with a None eval_loss left out."""
+    payload = {"type": "step", **plain(dataclasses.asdict(rec))}
+    if payload["eval_loss"] is None:
+        del payload["eval_loss"]
+    return dict(sorted(payload.items()))
+
+
+def sorted_encoder_line(payload: dict) -> str:
+    """``payload`` coded and written by ``json``'s sorted, compact, strict encoder."""
+    return json.dumps(coded(payload), sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+HEADER = {"seed": 0, "optimizer": {"kind": "sgd", "label": "sgd", "index": 0},
+          "threshold": 0.5}
+
+
+def write_step_log(path, rec):
+    """A log at ``path`` of the header and ``rec``, with no summary."""
+    with RunLogWriter(path) as writer:
+        writer.write_header(HEADER)
+        writer.write_record(rec)
+
+
+def check_step_line(path, rec):
+    """The step line of ``write_step_log(path, rec)`` is strict JSON; ``json`` and
+    orjson each read it back field by field as ``reference_payload(rec)``, same types
+    and same bits; ``normalized_bytes`` writes it as ``json`` writes the coded record."""
+    want = reference_payload(rec)
+    _, line, end = path.read_text().split("\n")
+    assert end == ""
+    for back in (strict_loads(line), orjson.loads(line)):
+        assert same_tree(uncoded(back), want)
+    del want["wall"]
+    assert normalized_bytes(path).decode().split("\n")[1] == sorted_encoder_line(want)
 
 
 RECORDS = {
@@ -96,9 +125,8 @@ RECORDS = {
 def test_write_record_matches_deep_copy_reference(tmp_path, name):
     rec = RECORDS[name]
     path = tmp_path / "run.log"
-    with RunLogWriter(path) as writer:
-        writer.write_record(rec)
-    assert path.read_text() == reference_line(rec)
+    write_step_log(path, rec)
+    check_step_line(path, rec)
     # the record is left as it was
     assert "eval_loss" in vars(rec)
 
@@ -118,86 +146,15 @@ STEP_RECORDS = st.builds(
 )
 
 
-def same_value(a, b):
-    if isinstance(a, float):
-        return np.float64(a).tobytes() == np.float64(b).tobytes() or (
-            math.isnan(a) and math.isnan(b))
-    return a == b
-
-
 @settings(max_examples=300, deadline=None)
 @given(rec=STEP_RECORDS)
 def test_write_record_equals_sorted_encoder(tmp_path_factory, rec):
     path = tmp_path_factory.mktemp("prop") / "run.log"
-    with RunLogWriter(path) as writer:
-        writer.write_record(rec)
-    line = path.read_text()
-    payload = {"type": "step", **vars(rec)}
-    if rec.eval_loss is None:
-        del payload["eval_loss"]
-    assert line == _dumps(coded(payload)) + "\n"
-    back = strict_loads(line)
-    assert back.pop("type") == "step"
-    assert back.keys() == payload.keys() - {"type"}
-    for key, value in back.items():
-        value = uncoded(value)
-        want = getattr(rec, key)
-        if key == "eigvals":
-            assert len(value) == len(want)
-            assert all(same_value(a, b) for a, b in zip(want, value))
-        else:
-            assert type(value) is type(want) and same_value(want, value)
+    write_step_log(path, rec)
+    check_step_line(path, rec)
 
 
-def plain_value(x) -> str:
-    """A step field: Python scalars written directly, non-finite floats as strings,
-    anything else by ``_dumps``."""
-    t = type(x)
-    if t is float and math.isfinite(x):
-        return float.__repr__(x)
-    if isinstance(x, float) and not math.isfinite(x):
-        return json.dumps(coded(x))
-    if t is bool:
-        return "true" if x else "false"
-    if t is int:
-        return int.__repr__(x)
-    if t is tuple:
-        return "[" + ",".join(map(plain_value, x)) + "]"
-    return _dumps(x)
-
-
-def plain_line(rec: StepRecord) -> str:
-    """Reference step line: every field through ``plain_value``, in key order."""
-    v = plain_value
-    eval_loss = "" if rec.eval_loss is None else f'"eval_loss":{v(rec.eval_loss)},'
-    return (f'{{"clamped":{v(rec.clamped)},"eigvals":{v(rec.eigvals)},'
-            f'"epoch":{v(rec.epoch)},{eval_loss}"grad_norm":{v(rec.grad_norm)},'
-            f'"loss":{v(rec.loss)},"refresh_failed":{v(rec.refresh_failed)},'
-            f'"refreshed":{v(rec.refreshed)},"step":{v(rec.step)},"type":"step",'
-            f'"update_norm":{v(rec.update_norm)},"wall":{v(rec.wall)}}}\n')
-
-
-def outcome(write, rec):
-    """The line ``write`` gives for ``rec``, or the type and text of what it raises."""
-    try:
-        return write(rec)
-    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
-        return type(exc), str(exc)
-
-
-def written_line(path):
-    """A writer of one record to a fresh log at ``path``; returns the log's text."""
-
-    def write(rec):
-        with RunLogWriter(path) as writer:
-            writer.write_record(rec)
-        return path.read_text()
-
-    return write
-
-
-# NumPy scalars a caller might put in a record; np.float64 is a float subclass
-# that json writes, the others make json raise
+# NumPy scalars a caller might put in a record; each is written as its .item()
 NUMPY_FLOATS = st.one_of(FLOATS.map(np.float64), st.sampled_from([np.float32(0.5)]))
 MIXED_FLOATS = st.one_of(FLOATS, NUMPY_FLOATS)
 MIXED_FLAGS = st.one_of(st.booleans(), st.booleans().map(np.bool_))
@@ -216,7 +173,8 @@ MIXED_RECORDS = st.builds(
 @given(rec=MIXED_RECORDS)
 def test_write_record_with_numpy_fields_equals_field_by_field(tmp_path_factory, rec):
     path = tmp_path_factory.mktemp("mixed") / "run.log"
-    assert outcome(written_line(path), rec) == outcome(plain_line, rec)
+    write_step_log(path, rec)
+    check_step_line(path, rec)
 
 
 @pytest.mark.parametrize("fields", [
@@ -229,10 +187,23 @@ def test_write_record_with_numpy_fields_equals_field_by_field(tmp_path_factory, 
         "float32-eval-loss-first", "int64-step"])
 def test_write_record_numpy_scalars(tmp_path, fields):
     rec = dataclasses.replace(RECORDS["eval-loss"], **fields)
-    got = outcome(written_line(tmp_path / "run.log"), rec)
-    assert got == outcome(plain_line, rec)
-    # a NumPy bool, float32 or int64 is no JSON value; a float64 is written as a float
-    assert isinstance(got, str) == all(type(v) is np.float64 for v in fields.values())
+    path = tmp_path / "run.log"
+    write_step_log(path, rec)
+    check_step_line(path, rec)
+    # each reads back as the Python type of its .item()
+    [back] = read_runlog(path)[1]
+    assert all(type(back[key]) is type(value.item()) for key, value in fields.items())
+
+
+@pytest.mark.parametrize("fields", [
+    {"step": 2**64}, {"epoch": -2**63 - 1}, {"step": np.int64(1), "epoch": 2**70},
+], ids=["step", "epoch", "after-a-numpy-scalar"])
+def test_write_record_int_past_64_bits_raises(tmp_path, fields):
+    # orjson would read such an int back as a float, so the line is not written
+    path = tmp_path / "run.log"
+    with pytest.raises(TypeError):
+        write_step_log(path, dataclasses.replace(RECORDS["eval-loss"], **fields))
+    assert len((tmp_path / "run.log.part").read_text().splitlines()) == 1
 
 
 class TestPartFile:
@@ -320,8 +291,6 @@ def same_tree(a, b):
     return a == b
 
 
-HEADER = {"seed": 0, "optimizer": {"kind": "sgd", "label": "sgd", "index": 0},
-          "threshold": 0.5}
 BLANK_LINES = st.sampled_from(["", " ", "\t", "  \t ", "\x0c"])
 # hand-written step lines that json reads and orjson rejects (past the double range,
 # a lone surrogate, an older log's bare tokens), nested values on either side of
@@ -425,8 +394,8 @@ def test_deeply_nested_step_line_is_rejected_as_json_rejects_it(tmp_path, lines)
 
 
 def test_lines_nested_near_the_recursion_limit_read_or_name_their_line(tmp_path):
-    # the joined decode and _reject's line by line decode reach json's recursion
-    # limit at the same depth, so no depth gives "missing header line"
+    # one json decode per line reads a line nested near json's recursion limit or
+    # names it, so no depth gives "missing header line"
     path = tmp_path / "run.log"
     path.touch()
     header = _dumps({"type": "header", **HEADER}) + "\n"
@@ -579,6 +548,27 @@ def test_older_logs_with_bare_tokens_read_and_normalize_alike(tmp_path):
     assert normalized_bytes(old) == normalized_bytes(new)
     for line in normalized_bytes(new).decode().splitlines():
         strict_loads(line)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=st.lists(STEP_RECORDS, max_size=20), diverged=st.booleans())
+@example(records=list(RECORDS.values()), diverged=True)
+def test_logs_with_json_spelled_step_lines_read_and_normalize_alike(tmp_path_factory,
+                                                                    records, diverged):
+    new = tmp_path_factory.mktemp("spelling") / "new.log"
+    old = new.with_name("old.log")
+    with RunLogWriter(new) as writer:
+        writer.write_header(HEADER)
+        for rec in records:
+            writer.write_record(rec)
+        writer.write_summary({"steps_done": len(records), "diverged": diverged})
+    # the same log with each step line as json's sorted encoder writes it, floats
+    # spelled by float.__repr__ (1.25e-05 where orjson writes 0.0000125)
+    lines = new.read_text().splitlines()
+    lines[1:-1] = map(sorted_encoder_line, map(reference_payload, records))
+    old.write_text("".join(line + "\n" for line in lines))
+    assert same_tree(read_runlog(old), read_runlog(new))
+    assert normalized_bytes(old) == normalized_bytes(new)
 
 
 def test_finished_log_that_did_not_diverge_takes_no_extra_pass(tmp_path, monkeypatch):

@@ -108,8 +108,9 @@ def run_single(problem, spec: OptimizerSpec, opt_index: int, seed: int, schedule
                         summary["diverged"] = True
                         break
                 t0 = time.perf_counter()
-                rec = runner.step(problem, batch, epoch=t // steps_per_epoch)
+                rec = runner.step(problem, batch)
                 rec.wall = time.perf_counter() - t0
+                rec.epoch = t // steps_per_epoch
                 rec.eval_loss = eval_loss
                 writer.write_record(rec)
                 losses.append((rec.step, rec.loss))
@@ -122,6 +123,7 @@ def run_single(problem, spec: OptimizerSpec, opt_index: int, seed: int, schedule
             # no eval_loss in this record: it is set only once a step returns
             rec = exc.record
             if rec is not None:
+                rec.epoch = rec.step // steps_per_epoch
                 writer.write_record(rec)
                 losses.append((rec.step, rec.loss))
             summary["diverged"] = True
@@ -155,6 +157,9 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None) -> dict:
         problem = from_config(cfg.problem)
     except ContractViolationError as exc:
         raise ConfigError(str(exc)) from None
+    except (MemoryError, ValueError) as exc:  # a section too large to build
+        raise ConfigError(f"problem {cfg.problem.get('name')!r} cannot be built:"
+                          f" {type(exc).__name__}: {exc}") from None
     for _, spec, _ in tasks:
         if spec.params.get("k", 0) > problem.dim:
             raise ConfigError(f"optimizer {spec.label!r}: k = {spec.params['k']} exceeds"

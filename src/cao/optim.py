@@ -1,18 +1,18 @@
 """Stepping loops: the curvature-adaptive optimizer plus SGD and Adam baselines.
 
 Every step has the same skeleton, run under one ``np.errstate`` that silences
-overflow and invalid-value warnings. ``_loss_and_grad`` evaluates the batch
-and adds coupled weight decay to the gradient; the rule turns the gradient
-into a direction ``d``; ``_update`` clips ``d``, records the step (a
-non-finite loss, gradient norm or update norm raises ``DivergenceError``
-carrying that record) and returns ``theta - lr * d``. A gradient or
-direction whose norm overflows thus ends the run at its own step.
+overflow and invalid-value warnings. ``_loss_and_grad`` evaluates the batch;
+the rule turns the gradient into a direction ``d``; ``_update`` clips ``d``,
+records the step (a non-finite loss, gradient norm or update norm raises
+``DivergenceError`` carrying that record) and returns ``theta - lr * d``. A
+gradient or direction whose norm overflows thus ends the run at its own step.
 The rules differ only in the direction: SGD takes the
 heavy-ball buffer, Adam the bias-corrected moment ratio, and the
 curvature-adaptive step (``cao_step``) the damped low-rank inverse of a
 rank-k Hessian sketch applied to the gradient, refreshing the sketch from
 Hessian-vector products every ``m`` steps. With k = 0 it takes the gradient
-itself, which makes it bit-identical to momentum-free SGD.
+itself, which makes it bit-identical to momentum-free SGD. A step knows
+nothing of epochs: the harness sets each record's ``epoch``.
 
 ``KINDS`` gives each optimizer kind's state class and config knobs, each
 with a type and a range; ``make_runner`` checks a config entry against it and
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, Knob, NumericOverflowError, all_finite, check_knobs
+from .errors import DivergenceError, Knob, NumericOverflowError, check_knobs
 from .precondition import DampedPreconditioner, precondition
 from .problems import Batch, Problem
 from .sketch import LanczosConfig, Sketch, block_lanczos
@@ -40,8 +40,9 @@ class CaoConfig:
     """All knobs of the curvature-adaptive loop.
 
     ``k0_eta_scaled`` switches the k = 0 limit from a plain gradient step to
-    the 1/eta-scaled variant (useful as an ablation baseline). A refresh
-    sketches the Hessian of the current batch.
+    the 1/eta-scaled variant (useful as an ablation baseline): the damped
+    inverse of the empty sketch. A refresh sketches the Hessian of the
+    current batch.
     """
 
     alpha: float
@@ -49,7 +50,6 @@ class CaoConfig:
     m: int = 400
     eta: float = 0.1
     clip_c: float = 0.0
-    weight_decay: float = 0.0
     t_pow: int = 10
     warm_steps: int = 0
     k0_eta_scaled: bool = False
@@ -94,10 +94,10 @@ class AdamState:
 @dataclass
 class StepRecord:
     step: int
-    epoch: int
     loss: float
     grad_norm: float
     update_norm: float
+    epoch: int = 0
     refreshed: bool = False
     eigvals: tuple = ()
     clamped: bool = False
@@ -110,28 +110,19 @@ def _refresh_seed(base: int, step: int) -> int:
     return int(np.random.SeedSequence([int(base), int(step)]).generate_state(1)[0])
 
 
-def _loss_and_grad(problem, theta, batch, step, epoch, weight_decay=0.0):
-    """Loss and gradient with coupled weight decay added to the gradient.
+def _loss_and_grad(problem, theta, batch, step):
+    """Loss and gradient of the batch, both finite.
 
-    A numeric blow-up, in the problem or in the decayed gradient, becomes a
-    DivergenceError with a diagnostic record. Called inside the step's
-    ``np.errstate``, so an overflowing decay term is not warned about.
+    A numeric blow-up in the problem becomes a DivergenceError with a
+    diagnostic record.
     """
     try:
-        loss, grad = problem.loss_and_grad(theta, batch)
+        return problem.loss_and_grad(theta, batch)
     except NumericOverflowError as exc:
-        record = StepRecord(step=step, epoch=epoch, loss=float("inf"),
-                            grad_norm=float("inf"), update_norm=0.0)
+        record = StepRecord(step=step, loss=float("inf"), grad_norm=float("inf"),
+                            update_norm=0.0)
         raise DivergenceError(f"iterate blew up at step {step}: {exc}",
                               record=record) from exc
-    if weight_decay:
-        grad = grad + weight_decay * theta
-        if not all_finite(grad):
-            record = StepRecord(step=step, epoch=epoch, loss=loss,
-                                grad_norm=_norm(grad), update_norm=0.0)
-            raise DivergenceError(f"non-finite decayed gradient at step {step}",
-                                  record=record)
-    return loss, grad
 
 
 def _norm(v) -> float:
@@ -147,7 +138,7 @@ def _clip(d, c):
     return d
 
 
-def _update(theta, step, epoch, loss, grad, d, lr, clip, **flags):
+def _update(theta, step, loss, grad, d, lr, clip, **flags):
     """Clip the direction, record the step and move; returns (new theta, record).
 
     Called inside the step's ``np.errstate``: a divergent step's norm
@@ -156,18 +147,21 @@ def _update(theta, step, epoch, loss, grad, d, lr, clip, **flags):
     carrying the record instead of moving.
     """
     d = _clip(d, clip)
-    record = StepRecord(step=step, epoch=epoch, loss=loss, grad_norm=_norm(grad),
-                        update_norm=_norm(d), **flags)
+    record = StepRecord(step=step, loss=loss, grad_norm=_norm(grad), update_norm=_norm(d),
+                        **flags)
     if not (math.isfinite(loss) and math.isfinite(record.grad_norm)
             and math.isfinite(record.update_norm)):
         raise DivergenceError(f"non-finite loss or norm at step {step}", record=record)
     return theta - lr * d, record
 
 
-def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
-             epoch: int = 0):
+def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig):
     """One curvature-adaptive update; returns (new state, record).
 
+    The direction is the damped inverse of the current sketch applied to the
+    gradient, or the gradient itself while there is no sketch: with k = 0,
+    or before the first successful refresh. A k = 0 run with
+    ``k0_eta_scaled`` holds the empty sketch, whose damped inverse is 1/eta.
     Refresh happens when k > 0, the step index is past ``warm_steps``, and
     either no sketch exists yet or the index is a multiple of ``m``. A failed
     refresh (non-finite products) keeps the previous sketch, and with it the
@@ -179,6 +173,8 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
     """
     theta = state.theta
     sketch = state.sketch
+    if sketch is None and cfg.k == 0 and cfg.k0_eta_scaled:
+        sketch = Sketch.empty(problem.dim)
     pc = state.precond
     hvp_calls = state.hvp_calls
     refreshed = False
@@ -210,51 +206,41 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig,
         hvp_calls += calls
 
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch,
-                                    cfg.weight_decay)
+        loss, grad = _loss_and_grad(problem, theta, batch, state.step)
         if sketch is not None and (pc is None or pc.sketch is not sketch
                                    or pc.eta != cfg.eta):
             pc = DampedPreconditioner(sketch, cfg.eta)
-
-        clamped = False
-        if cfg.k == 0:
-            d = grad / cfg.eta if cfg.k0_eta_scaled else grad
-        elif sketch is None:
-            d = grad  # refresh never succeeded yet; fall back to a plain step
-        else:
-            d = precondition(grad, pc)
-            clamped = pc.clamped
-
-        theta, record = _update(theta, state.step, epoch, loss, grad, d, cfg.alpha,
-                                cfg.clip_c, refreshed=refreshed,
+        d = grad if sketch is None else precondition(grad, pc)
+        theta, record = _update(theta, state.step, loss, grad, d, cfg.alpha, cfg.clip_c,
+                                refreshed=refreshed,
                                 eigvals=() if sketch is None else pc.eigvals,
-                                clamped=clamped, refresh_failed=refresh_failed)
+                                clamped=sketch is not None and pc.clamped,
+                                refresh_failed=refresh_failed)
     return CaoState(theta=theta, step=state.step + 1, sketch=sketch,
                     hvp_calls=hvp_calls, precond=pc), record
 
 
 def sgd_step(state: SgdState, problem: Problem, batch: Batch, lr: float,
-             momentum: float = 0.0, weight_decay: float = 0.0, clip: float = 0.0,
-             epoch: int = 0):
+             momentum: float = 0.0, clip: float = 0.0):
     """Heavy-ball SGD: buf <- momentum * buf + g, step along the (clipped) buffer."""
     theta = state.theta
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch, weight_decay)
+        loss, grad = _loss_and_grad(problem, theta, batch, state.step)
         buf = np.zeros_like(theta) if state.velocity is None else state.velocity
         # a sum on the first step too: `buf = grad` would keep a -0.0 that the
         # sum turns into +0.0, and change the saved velocity's bits
         buf = momentum * buf + grad
-        theta, record = _update(theta, state.step, epoch, loss, grad, buf, lr, clip)
+        theta, record = _update(theta, state.step, loss, grad, buf, lr, clip)
     return SgdState(theta=theta, velocity=buf, step=state.step + 1), record
 
 
 def adam_step(state: AdamState, problem: Problem, batch: Batch, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-              weight_decay: float = 0.0, clip: float = 0.0, epoch: int = 0):
-    """Bias-corrected Adam with coupled decay."""
+              clip: float = 0.0):
+    """Bias-corrected Adam."""
     theta = state.theta
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, grad = _loss_and_grad(problem, theta, batch, state.step, epoch, weight_decay)
+        loss, grad = _loss_and_grad(problem, theta, batch, state.step)
         m1 = np.zeros_like(theta) if state.m1 is None else state.m1
         m2 = np.zeros_like(theta) if state.m2 is None else state.m2
         t = state.step + 1
@@ -263,7 +249,7 @@ def adam_step(state: AdamState, problem: Problem, batch: Batch, lr: float,
         m1_hat = m1 / (1.0 - beta1**t)
         m2_hat = m2 / (1.0 - beta2**t)
         d = m1_hat / (np.sqrt(m2_hat) + eps)
-        theta, record = _update(theta, state.step, epoch, loss, grad, d, lr, clip)
+        theta, record = _update(theta, state.step, loss, grad, d, lr, clip)
     return AdamState(theta=theta, m1=m1, m2=m2, step=t), record
 
 
@@ -276,13 +262,11 @@ _NONNEGATIVE, _UNIT = Knob(float, 0), Knob(float, 0, 1)
 # each optimizer kind: its state class and its config knobs besides kind and label
 KINDS = {
     "cao": (CaoState, {"alpha": _ALPHA, "k": Knob(int, 0), "m": Knob(int, 1),
-                       "eta": _POSITIVE, "clip_c": _NONNEGATIVE,
-                       "weight_decay": _NONNEGATIVE, "t_pow": Knob(int, 1),
+                       "eta": _POSITIVE, "clip_c": _NONNEGATIVE, "t_pow": Knob(int, 1),
                        "warm_steps": Knob(int, 0), "k0_eta_scaled": Knob(bool)}),
-    "sgd": (SgdState, {"alpha": _ALPHA, "momentum": _UNIT, "weight_decay": _NONNEGATIVE,
-                       "clip": _NONNEGATIVE}),
+    "sgd": (SgdState, {"alpha": _ALPHA, "momentum": _UNIT, "clip": _NONNEGATIVE}),
     "adam": (AdamState, {"alpha": _ALPHA, "beta1": _UNIT, "beta2": _UNIT, "eps": _POSITIVE,
-                         "weight_decay": _NONNEGATIVE, "clip": _NONNEGATIVE}),
+                         "clip": _NONNEGATIVE}),
 }
 
 
@@ -300,9 +284,8 @@ class Runner:
     def hvp_calls(self) -> int:
         return getattr(self.state, "hvp_calls", 0)
 
-    def step(self, problem, batch, epoch=0) -> StepRecord:
-        self.state, rec = self.step_fn(self.state, problem, batch, epoch=epoch,
-                                       **self.params)
+    def step(self, problem, batch) -> StepRecord:
+        self.state, rec = self.step_fn(self.state, problem, batch, **self.params)
         return rec
 
 

@@ -187,6 +187,39 @@ class TestRunComparison:
         assert list(tmp_path.rglob("*.part")) == []
         assert strict_json_logs(tmp_path) == 1
 
+    def test_minibatch_records_log_their_epoch(self, tmp_path):
+        cfg = parse_config({
+            "name": "epochs",
+            "problem": {"name": "logreg", "n_features": 5, "n_samples": 40, "seed": 0},
+            "optimizers": [{"kind": "cao", "alpha": 0.1, "k": 1, "m": 5, "t_pow": 2},
+                           {"kind": "sgd", "alpha": 0.1}],
+            "seeds": [0],
+            "steps": 14,
+            "batch_size": 10,
+            "threshold": 0.1,
+        })
+        for path in run_comparison(cfg, tmp_path)["logs"]:
+            header, records, _ = read_runlog(path)
+            assert header["steps_per_epoch"] == 4
+            assert [r["step"] for r in records] == list(range(14))
+            assert [r["epoch"] for r in records] == [r["step"] // 4 for r in records]
+
+    def test_divergence_record_logs_its_epoch(self, tmp_path):
+        # full batch: one step per epoch, so each epoch is its step
+        cfg = parse_config({
+            "name": "diverge",
+            "problem": {"name": "quadratic", "spectrum": [100.0, 1.0], "seed": 1},
+            "optimizers": [{"kind": "sgd", "alpha": 10.0}],
+            "seeds": [0],
+            "steps": 500,
+            "threshold": 0.1,
+        })
+        header, records, summary = read_runlog(run_comparison(cfg, tmp_path)["logs"][0])
+        assert header["steps_per_epoch"] == 1 and summary["diverged"]
+        # the last record is the divergence's: one past the last step taken
+        assert records[-1]["step"] == summary["steps_done"] > 1
+        assert [r["epoch"] for r in records] == [r["step"] for r in records]
+
     def test_failed_run_leaves_only_a_part_file(self, tmp_path, monkeypatch):
         def interrupted(state, *args, **kwargs):
             if state.step == 5:
@@ -947,7 +980,7 @@ class TestConfigParsing:
             "k-float", "t-pow-float", "m-float", "warm-steps-float", "k-as-bool",
             "alpha-as-bool", "nan-eta", "k0-eta-scaled-as-string", "k0-eta-scaled-as-int"])
     def test_bad_knob(self, kind, knobs):
-        with pytest.raises(ConfigError, match=f"'{kind}-x'"):
+        with pytest.raises(ConfigError, match=f"'{kind}-x'") as excinfo:
             parse_config({
                 "name": "x",
                 "problem": {"name": "rosenbrock", "n": 2},
@@ -955,6 +988,8 @@ class TestConfigParsing:
                                 **knobs}],
                 "seeds": [0], "steps": 1, "threshold": 0.1,
             })
+        # the message names the knob, also one no kind takes (weight_decay)
+        assert all(key in str(excinfo.value) for key in knobs)
 
     @pytest.mark.parametrize("seeds, repeated", [([0, 0], 0), ([3, 1, 2, 1, 3], 1)])
     def test_repeated_seeds(self, seeds, repeated):
@@ -967,10 +1002,9 @@ class TestConfigParsing:
             "name": "x",
             "problem": {"name": "rosenbrock", "n": 2},
             "optimizers": [
-                {"kind": "sgd", "alpha": 1, "momentum": 0, "weight_decay": 0.0,
-                 "clip": 0},
+                {"kind": "sgd", "alpha": 1, "momentum": 0, "clip": 0},
                 {"kind": "adam", "alpha": 1e-3, "beta1": 0.0, "beta2": 0.0,
-                 "eps": 1e-300, "weight_decay": 0, "clip": 0.0},
+                 "eps": 1e-300, "clip": 0.0},
             ],
             "seeds": [0], "steps": 1, "threshold": 0.1,
         })
@@ -1218,6 +1252,8 @@ class TestCli:
           for knobs in ({"k": 1.5}, {"t_pow": 2.5}, {"m": 2.5}, {"warm_steps": 0.5},
                         {"k": True}, {"alpha": True}, {"eta": float("nan")},
                         {"k0_eta_scaled": "no"}, {"k0_eta_scaled": 1}, {"alpha": 10**400})],
+        *[({"optimizers": [{"kind": kind, "alpha": 0.1, "weight_decay": 0.0}]},
+           "unknown keys ['weight_decay']") for kind in ("cao", "sgd", "adam")],
         *[({"name": name}, "name must be") for name in ("..", ".", "", "a/b", "a\0b", 3)],
         *[({"optimizers": [{"kind": "sgd", "label": label, "alpha": 0.1}]},
            "optimizer #0: label must be")
@@ -1232,6 +1268,7 @@ class TestCli:
             "cao-k-float", "cao-t-pow-float", "cao-m-float", "cao-warm-steps-float",
             "cao-k-as-bool", "cao-alpha-as-bool", "cao-nan-eta",
             "cao-k0-eta-scaled-as-string", "cao-k0-eta-scaled-as-int", "cao-alpha-huge-int",
+            "cao-weight-decay", "sgd-weight-decay", "adam-weight-decay",
             "name-dotdot", "name-dot", "name-empty", "name-slash", "name-nul",
             "name-not-string", "label-dotdot", "label-dot", "label-empty", "label-slash",
             "label-nul", "label-null", "label-not-string",
@@ -1255,6 +1292,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert named in err
         assert "problem: problem" not in err
+
+    @pytest.mark.parametrize("command", ["run", "ablate-k", "sweep"])
+    @pytest.mark.parametrize("n_samples, refused", [(10**20, None), (20, MemoryError)],
+                             ids=["n-samples-past-any-array", "memory-error"])
+    def test_oversized_problem_exits_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                    command, n_samples, refused):
+        # nothing is allocated: 10**20 rows fail NumPy's size check, and the
+        # patched builder raises what NumPy raises on a refused allocation
+        if refused is not None:
+            def builder(**params):
+                raise refused("Unable to allocate 8.00 TiB")
+
+            monkeypatch.setitem(_PROBLEMS, "mlp", (builder, _PROBLEMS["mlp"][1]))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "name": "big",
+            "problem": {"name": "mlp", "widths": [3, 4, 2], "n_samples": n_samples},
+            "optimizers": [{"kind": "cao", "alpha": 0.1, "k": 1}],
+            "seeds": [0],
+            "steps": 5,
+            "threshold": 0.1,
+        }))
+        rc = cli.main(["--out", str(tmp_path), command, "--config", str(cfg_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "logs").exists()
+        err = capsys.readouterr().err
+        assert "problem 'mlp' cannot be built" in err
+        assert ("MemoryError" if refused else "ValueError") in err
 
     @pytest.mark.parametrize("command", ["run", "ablate-k", "sweep"])
     def test_name_and_label_cannot_leave_out(self, tmp_path, command, capsys):
@@ -1310,29 +1375,6 @@ class TestCli:
         assert not (tmp_path / "logs").exists()
         assert named in capsys.readouterr().err
 
-    def test_weight_decay_overflow_exit_code(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "name": "decay",
-            # the seed-0 start has an entry of 1.87, so 1e308 times it overflows at step 0
-            "problem": {"name": "quadratic", "spectrum": [4.0, 1.0, 1.0, 1.0], "seed": 1},
-            "optimizers": [{"kind": kind, "alpha": 0.1, "weight_decay": 1e308}
-                           for kind in ("cao", "sgd", "adam")],
-            "seeds": [0],
-            "steps": 20,
-            "threshold": 0.1,
-        }))
-        rc = cli.main(["--out", str(tmp_path), "run", "--config", str(cfg_path)])
-        assert rc == cli.EXIT_DIVERGED
-        for kind in ("cao", "sgd", "adam"):
-            _, records, summary = read_runlog(tmp_path / "logs" / "decay" / kind / "0.log")
-            assert summary["diverged"] and "final_loss" not in summary
-            assert [r["step"] for r in records] == [0]
-            assert records[0]["grad_norm"] == float("inf")
-            assert records[0]["update_norm"] == 0.0
-        assert list(tmp_path.rglob("*.part")) == []
-        assert strict_json_logs(tmp_path) == 3
-
     @pytest.mark.parametrize("problem, alpha, batch, steps, done", [
         # SGD is finite through step 90 and its final iterate's loss overflows
         ({"name": "quadratic", "spectrum": [100.0, 1.0], "seed": 0}, 0.5, {}, 91, 91),
@@ -1368,13 +1410,13 @@ class TestCli:
         {"kind": "adam", "alpha": 0.01},
     ], ids=["cao", "sgd", "adam"])
     def test_huge_finite_gradient_exit_code(self, tmp_path, optimizer):
-        # the decayed gradient stays finite (about 6e307), but the gradient norm,
+        # the loss and gradient stay finite (about 1e300), but the gradient norm,
         # the preconditioned direction or Adam's squared gradient overflows
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "name": "huge",
-            "problem": {"name": "quadratic", "spectrum": [4.0, 1.0], "seed": 0},
-            "optimizers": [{**optimizer, "weight_decay": 1e308}],
+            "problem": {"name": "quadratic", "spectrum": [1e300, 1.0], "seed": 0},
+            "optimizers": [optimizer],
             "seeds": [0],
             "steps": 20,
             "threshold": 0.1,

@@ -37,11 +37,16 @@ class TestCaoStep:
 
     def test_k0_eta_scaled_variant(self):
         p = quadratic([4.0, 1.0], seed=1)
-        theta0 = p.initial_point(0)
+        theta = p.initial_point(0)
         cfg = CaoConfig(alpha=0.05, k=0, eta=0.5, k0_eta_scaled=True)
-        state, _ = cao_step(CaoState(theta=theta0.copy()), p, FULL_BATCH, cfg)
-        expected = theta0 - 0.05 * (p.grad(theta0) / 0.5)
-        np.testing.assert_array_equal(state.theta, expected)
+        state = CaoState(theta=theta.copy())
+        for step in range(5):
+            state, rec = cao_step(state, p, FULL_BATCH, cfg)
+            theta = theta - 0.05 * (p.grad(theta) / 0.5)
+            assert state.theta.tobytes() == theta.tobytes()
+            assert rec.step == step and rec.eigvals == ()
+            assert not rec.clamped and not rec.refreshed and not rec.refresh_failed
+        assert state.hvp_calls == 0
 
     def test_exact_sketch_approaches_newton(self):
         p = QuadraticProblem([2.0, 8.0], rotate=False)
@@ -215,14 +220,6 @@ class TestCaoStep:
         assert rec_resumed == rec_cont
         assert resumed.theta.tobytes() == cont.theta.tobytes()
 
-    def test_weight_decay_coupled(self):
-        p = quadratic([4.0, 1.0], seed=8)
-        theta0 = p.initial_point(1)
-        cfg = CaoConfig(alpha=0.1, k=0, weight_decay=0.5)
-        state, _ = cao_step(CaoState(theta=theta0.copy()), p, FULL_BATCH, cfg)
-        expected = theta0 - 0.1 * (p.grad(theta0) + 0.5 * theta0)
-        np.testing.assert_array_equal(state.theta, expected)
-
     def test_divergence_raises_with_record(self):
         p = quadratic([100.0, 1.0], seed=9)
         cfg = CaoConfig(alpha=10.0, k=0)
@@ -285,11 +282,10 @@ class TestCaoStep:
         cfg = CaoConfig(alpha=0.05, k=1, m=2, eta=1.0, t_pow=2)
         state, records = make_state(p), []
         for batch in schedule:
-            state, rec = cao_step(state, p, batch, cfg, epoch=3)
+            state, rec = cao_step(state, p, batch, cfg)
             records.append(rec)
         assert len(records) == 4
         assert [r.step for r in records] == [0, 1, 2, 3]
-        assert all(r.epoch == 3 for r in records)
 
     def test_deterministic_trajectory(self):
         p = quadratic([6.0, 2.0, 1.0], seed=10)
@@ -435,24 +431,6 @@ class TestNorm:
         with np.errstate(over="ignore"):
             assert (np.float64(_norm(v)).tobytes()
                     == np.float64(np.linalg.norm(v)).tobytes())
-
-
-class TestWeightDecayOverflow:
-    @pytest.mark.parametrize("kind, params", [
-        ("cao", {"k": 1, "m": 5, "t_pow": 2}), ("cao", {"k": 0}), ("sgd", {}), ("adam", {}),
-    ], ids=["cao-k1", "cao-k0", "sgd", "adam"])
-    def test_overflow_is_a_divergence(self, kind, params):
-        # 1e308 * 4.0 overflows; no RuntimeWarning may escape either
-        p = quadratic([4.0, 1.0], seed=1)
-        theta0 = np.full(2, 4.0)
-        runner = make_runner(kind, theta0, {"alpha": 0.1, "weight_decay": 1e308, **params},
-                             seed=0)
-        with pytest.raises(DivergenceError, match="decayed gradient at step 0") as excinfo:
-            runner.step(p, FULL_BATCH)
-        rec = excinfo.value.record
-        assert (rec.step, rec.epoch, rec.update_norm) == (0, 0, 0.0)
-        assert rec.loss == p.loss(theta0)
-        assert rec.grad_norm == float("inf")
 
 
 class TestRunner:

@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Run the benchmark in alternating pairs: a parent revision against the working tree.
+
+Usage:
+    python3 scripts/bench_pairs.py --parent REV --workload W --pairs N --seed S \\
+        [--seconds T] [--save FILE]
+
+The parent side is ``git archive REV`` unpacked into a temporary directory; the
+change side is this working tree. Each pair runs ``perfbench/run.py --workload W
+--seed S --seconds T --trace 0`` once in each tree, one after the other: odd
+pairs run the parent first, even pairs the change. Every run is printed. Then,
+for each end-to-end metric that ``BENCHMARK.json`` declares, both sides' median
+and quartiles (``numpy.percentile``, linear interpolation) and the pairs the
+change won; a tie counts for neither side. The claim rule holds for a metric
+when the change wins at least 9 pairs in 10 and its median is better than the
+parent's by more than the parent's interquartile range.
+
+A run that exits non-zero or reports an incorrect repetition stops the script
+with exit code 1. The temporary tree is removed on every exit, and every run
+has ended before the next starts. ``--save`` writes the runs and the summary
+as JSON.
+"""
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+QUARTILES = "numpy.percentile, linear interpolation"
+
+
+def end_to_end_metrics(root=ROOT) -> list:
+    """The ``end_to_end`` entries of ``BENCHMARK.json``: name, unit, better, bound."""
+    return json.loads((Path(root) / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def summarize(parent_runs, change_runs, metrics) -> dict:
+    """Per metric: both sides' median and quartiles, the change's wins, and the claim rule.
+
+    ``parent_runs`` and ``change_runs`` hold one mapping from metric name to
+    value per pair, in pair order. ``metrics`` are ``BENCHMARK.json``-style
+    entries; ``better`` is ``"higher"`` or ``"lower"``. A pair where both
+    sides are equal is a tie and counts for neither.
+    """
+    if len(parent_runs) != len(change_runs) or not parent_runs:
+        raise ValueError("need the same non-zero number of parent and change runs")
+    summary = {}
+    for metric in metrics:
+        name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+        parent = np.array([run[name] for run in parent_runs], dtype=np.float64)
+        change = np.array([run[name] for run in change_runs], dtype=np.float64)
+        wins = int(np.sum(sign * (change - parent) > 0))
+        ties = int(np.sum(change == parent))
+        p_low, p_median, p_high = np.percentile(parent, [25, 50, 75])
+        c_low, c_median, c_high = np.percentile(change, [25, 50, 75])
+        gain = sign * (c_median - p_median)
+        summary[name] = {
+            "better": metric["better"],
+            "parent_median": float(p_median),
+            "change_median": float(c_median),
+            "parent_quartiles": [float(p_low), float(p_high)],
+            "change_quartiles": [float(c_low), float(c_high)],
+            "ratio": float(c_median / p_median) if p_median else None,
+            "change_wins": wins,
+            "ties": ties,
+            "pairs": len(parent),
+            "claim_holds": bool(10 * wins >= 9 * len(parent) and gain > p_high - p_low),
+        }
+    return summary
+
+
+def format_summary(summary: dict) -> str:
+    lines = [f"# {'metric':12s} {'better':6s} {'parent median [q1, q3]':>36s}"
+             f" {'change median [q1, q3]':>36s} {'ratio':>7s} wins ties claim"]
+    for name, row in summary.items():
+        sides = [f"{row[f'{side}_median']:.6g} [{row[f'{side}_quartiles'][0]:.6g},"
+                 f" {row[f'{side}_quartiles'][1]:.6g}]" for side in ("parent", "change")]
+        ratio = "-" if row["ratio"] is None else f"{row['ratio']:.4f}"
+        lines.append(f"{name:14s} {row['better']:6s} {sides[0]:>36s} {sides[1]:>36s}"
+                     f" {ratio:>7s} {row['change_wins']:2d}/{row['pairs']:<2d}"
+                     f" {row['ties']:4d} {'holds' if row['claim_holds'] else 'no'}")
+    return "\n".join(lines)
+
+
+def unpack(rev: str, dest: Path) -> None:
+    """``git archive rev`` of this repository, extracted into ``dest``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             stdout=subprocess.PIPE, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_side(tree: Path, args) -> dict:
+    """One benchmark run in ``tree``; returns the result line of ``perfbench/run.py``."""
+    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True,
+                          check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: perfbench/run.py exited with {proc.returncode}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        raise RuntimeError(f"{tree}: {result['failed']} of {result['attempted']}"
+                           " repetitions failed their checks")
+    return result
+
+
+def run_pairs(args, parent_tree: Path, metrics) -> tuple:
+    """Alternating runs; returns (runs as printed, parent values, change values)."""
+    runs, values = [], {"parent": [], "change": []}
+    for pair in range(1, args.pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        for side in order:
+            result = run_side(parent_tree if side == "parent" else ROOT, args)
+            row = {m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}
+            values[side].append(row)
+            runs.append({"workload": args.workload, "pair": pair, "side": side, **row})
+            shown = "  ".join(f"{name}={value:.6g}" for name, value in row.items())
+            print(f"pair {pair:2d} {side:6s}  {shown}", flush=True)
+    return runs, values["parent"], values["change"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--save", default=None, help="JSON file for the runs and summary")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    metrics = end_to_end_metrics()
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent_tree = Path(tmp)
+        unpack(args.parent, parent_tree)
+        try:
+            runs, parent, change = run_pairs(args, parent_tree, metrics)
+        except RuntimeError as exc:
+            print(f"bench_pairs: {exc}", file=sys.stderr)
+            return 1
+    summary = summarize(parent, change, metrics)
+    print(format_summary(summary))
+    if args.save:
+        command = (f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed}"
+                   f" --seconds {args.seconds:g} --trace 0")
+        Path(args.save).write_text(json.dumps({
+            "parent": args.parent, "workload": args.workload,
+            "order": "odd pairs run the parent first, even pairs the change first",
+            "command": command, "quartiles": QUARTILES, "summary": summary, "runs": runs,
+        }, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

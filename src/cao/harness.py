@@ -14,6 +14,7 @@ entries and equal the tables rebuilt from a re-read of their logs.
 from __future__ import annotations
 
 import hashlib
+import logging
 import time
 from dataclasses import replace
 from itertools import repeat
@@ -23,9 +24,11 @@ import numpy as np
 
 from .config import ExperimentConfig, OptimizerSpec, parse_config
 from .errors import ConfigError, ContractViolationError, DivergenceError, NumericOverflowError
-from .optim import make_runner
+from .optim import CaoConfig, make_runner
 from .problems import FULL_BATCH, Batch, from_config
 from .runlog import RunLogWriter, collector_paused, read_runlog
+
+log = logging.getLogger(__name__)
 
 UNREACHED = "unreached"
 
@@ -117,8 +120,10 @@ def run_single(problem, spec: OptimizerSpec, opt_index: int, seed: int, schedule
                 if eval_loss is not None:
                     evals.append((rec.step, eval_loss))
                 summary["steps_done"] = t + 1
-                summary["clamp_steps"] += int(rec.clamped)
-                summary["refreshes"] += int(rec.refreshed)
+                if rec.clamped:
+                    summary["clamp_steps"] += 1
+                if rec.refreshed:
+                    summary["refreshes"] += 1
         except DivergenceError as exc:
             # no eval_loss in this record: it is set only once a step returns
             rec = exc.record
@@ -147,9 +152,10 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None) -> dict:
 
     ``tasks`` lists the runs of one seed as (config the log records, optimizer,
     index) triples; by default each optimizer of ``cfg`` with its own index.
-    The problem is built once for all of them. Returns the log paths, whether
-    any run diverged, and per run a (path, label, index, entry) tuple for
-    ``_group``.
+    The problem is built once for all of them, and before the first run the
+    HVPs each curvature-adaptive task plans per run are logged at INFO.
+    Returns the log paths, whether any run diverged, and per run a (path,
+    label, index, entry) tuple for ``_group``.
     """
     if tasks is None:
         tasks = [(cfg, spec, idx) for idx, spec in enumerate(cfg.optimizers)]
@@ -164,6 +170,14 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None) -> dict:
         if spec.params.get("k", 0) > problem.dim:
             raise ConfigError(f"optimizer {spec.label!r}: k = {spec.params['k']} exceeds"
                               f" the problem dimension {problem.dim}")
+    for run_cfg, spec, _ in tasks:
+        if spec.kind == "cao":
+            cao = CaoConfig(**spec.params)
+            refreshes = cao.planned_refreshes(run_cfg.steps)
+            per_refresh = (cao.t_pow + 1) * cao.k
+            log.info("%s plans %d HVPs per run if every refresh succeeds:"
+                     " %d refreshes of (t_pow + 1) * k = %d",
+                     spec.label, refreshes * per_refresh, refreshes, per_refresh)
     logs, runs, diverged = [], [], False
     for seed in cfg.seeds:
         schedule, spe, digest = build_schedule(problem.num_samples, cfg.batch_size,

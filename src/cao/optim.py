@@ -59,6 +59,16 @@ class CaoConfig:
         check_knobs(KINDS, "cao", {key: value for key, value in vars(self).items()
                                    if key != "sketch_seed"}, "optimizer kind")
 
+    def planned_refreshes(self, steps: int) -> int:
+        """Refreshes in a run of ``steps`` steps if every one succeeds.
+
+        One at ``warm_steps``, then one at each later multiple of ``m`` below
+        ``steps``; none with k = 0. Each costs ``(t_pow + 1) * k`` HVPs.
+        """
+        if self.k == 0 or self.warm_steps >= steps:
+            return 0
+        return 1 + (steps - 1) // self.m - self.warm_steps // self.m
+
 
 @dataclass
 class CaoState:
@@ -138,19 +148,23 @@ def _clip(d, c):
     return d
 
 
-def _update(theta, step, loss, grad, d, lr, clip, **flags):
+def _update(theta, step, loss, grad, d, lr, clip, refreshed=False, eigvals=(),
+            clamped=False, refresh_failed=False):
     """Clip the direction, record the step and move; returns (new theta, record).
 
     Called inside the step's ``np.errstate``: a divergent step's norm
     overflows to inf, which is the value its record should carry. A
     non-finite loss, gradient norm or update norm raises ``DivergenceError``
-    carrying the record instead of moving.
+    carrying the record instead of moving. The flags after ``clip`` are the
+    record's sketch fields, which only ``cao_step`` sets.
     """
     d = _clip(d, clip)
-    record = StepRecord(step=step, loss=loss, grad_norm=_norm(grad), update_norm=_norm(d),
-                        **flags)
-    if not (math.isfinite(loss) and math.isfinite(record.grad_norm)
-            and math.isfinite(record.update_norm)):
+    grad_norm, update_norm = _norm(grad), _norm(d)
+    # positional, in field order (epoch 0: the harness sets it): keywords cost a third
+    # of a microsecond more per step
+    record = StepRecord(step, loss, grad_norm, update_norm, 0, refreshed, eigvals, clamped,
+                        refresh_failed)
+    if not (math.isfinite(loss) and math.isfinite(grad_norm) and math.isfinite(update_norm)):
         raise DivergenceError(f"non-finite loss or norm at step {step}", record=record)
     return theta - lr * d, record
 

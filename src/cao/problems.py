@@ -131,16 +131,9 @@ class Problem:
             return self.x, self.y
         return self.x[batch.indices], self.y[batch.indices]
 
-    @staticmethod
-    def _check_finite(value, what):
-        # a loss is a Python float, which needs no NumPy call to check
-        if isinstance(value, float):
-            finite = math.isfinite(value)
-        else:
-            finite = all_finite(value)
-        if not finite:
-            raise NumericOverflowError(f"non-finite {what}")
-        return value
+    def _non_finite(self, what) -> NumericOverflowError:
+        """The error for a non-finite ``what``, its message formatted only to raise it."""
+        return NumericOverflowError(f"non-finite {what} on {self.meta.name}")
 
     # -- public interface ---------------------------------------------------
 
@@ -149,7 +142,8 @@ class Problem:
         batch = self._check_batch(batch)
         with np.errstate(over="ignore", invalid="ignore"):
             value = float(self._loss(theta, batch))
-        self._check_finite(value, f"loss on {self.meta.name}")
+        if not math.isfinite(value):
+            raise self._non_finite("loss")
         return value
 
     def grad(self, theta, batch: Batch = FULL_BATCH) -> np.ndarray:
@@ -157,7 +151,8 @@ class Problem:
         batch = self._check_batch(batch)
         with np.errstate(over="ignore", invalid="ignore"):
             g = self._loss_and_grad(theta, batch)[1]
-        self._check_finite(g, f"gradient on {self.meta.name}")
+        if not all_finite(g):
+            raise self._non_finite("gradient")
         return g
 
     def loss_and_grad(self, theta, batch: Batch = FULL_BATCH):
@@ -167,8 +162,10 @@ class Problem:
         with np.errstate(over="ignore", invalid="ignore"):
             value, g = self._loss_and_grad(theta, batch)
             value = float(value)
-        self._check_finite(value, f"loss on {self.meta.name}")
-        self._check_finite(g, f"gradient on {self.meta.name}")
+        if not math.isfinite(value):
+            raise self._non_finite("loss")
+        if not all_finite(g):
+            raise self._non_finite("gradient")
         return value, g
 
     def _loss(self, theta, batch):
@@ -200,10 +197,12 @@ class Problem:
                 raise ContractViolationError(
                     f"{self.meta.name}: direction block shape {v.shape} != ({self.dim}, j)"
                 )
-            self._check_finite(v, "hvp direction")
+            if not all_finite(v):
+                raise NumericOverflowError("non-finite hvp direction")
             with np.errstate(over="ignore", invalid="ignore"):
                 hv = kernel(v)
-            self._check_finite(hv, f"hvp on {self.meta.name}")
+            if not all_finite(hv):
+                raise self._non_finite("hvp")
             return hv
 
         return apply
@@ -271,8 +270,13 @@ class QuadraticProblem(Problem):
         if rotate:
             rng = np.random.default_rng([seed, 101])
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            a = (q * spectrum) @ q.T
-            self.matrix = (a + a.T) / 2.0  # exact symmetric storage
+            with np.errstate(over="ignore", invalid="ignore"):
+                a = (q * spectrum) @ q.T
+                self.matrix = (a + a.T) / 2.0  # exact symmetric storage
+            if not all_finite(self.matrix):
+                raise ContractViolationError(
+                    f"problem 'quadratic': spectrum entry {float(np.max(spectrum))!r}"
+                    f" overflows the matrix Q diag(spectrum) Q^T")
         else:
             self.matrix = np.diag(spectrum)
         self.spectrum = np.sort(spectrum)[::-1].copy()
@@ -494,12 +498,19 @@ class MlpProblem(Problem):
         self.widths = tuple(widths)
         d, h, c = self.widths
         rng = np.random.default_rng([seed, 307])
-        means = rng.standard_normal((c, d)) * class_sep
-        y = np.arange(n_samples) % c
-        rng.shuffle(y)
-        x = means[y] + rng.standard_normal((n_samples, d))
-        if input_gain != 1.0:
-            x = x * np.geomspace(input_gain, 1.0, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = rng.standard_normal((c, d)) * class_sep
+            y = np.arange(n_samples) % c
+            rng.shuffle(y)
+            x = means[y] + rng.standard_normal((n_samples, d))
+            if not all_finite(x):
+                raise ContractViolationError(
+                    f"problem 'mlp': class_sep {class_sep!r} overflows the inputs")
+            if input_gain != 1.0:
+                x = x * np.geomspace(input_gain, 1.0, d)
+        if not all_finite(x):
+            raise ContractViolationError(f"problem 'mlp': input_gain {input_gain!r} with"
+                                         f" class_sep {class_sep!r} overflows the inputs")
         self.x = x
         self.y = y
         self.num_samples = n_samples

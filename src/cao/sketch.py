@@ -3,7 +3,9 @@
 The sketch is built by subspace iteration + Rayleigh-Ritz on LAPACK (``qr``,
 ``eigh``): an orthonormal n x k block is pushed through a block closure
 ``V -> H V`` and re-orthonormalized ``iters`` times, then the projected k x k
-matrix is diagonalized (``block_lanczos`` below). The closure receives the
+matrix is diagonalized (``block_lanczos`` below). A k = 1 build calls
+neither in the usual case: one column is normalized by a division, and a
+1 x 1 projected matrix is its own eigenvalue. The closure receives the
 whole n x k block once per iteration and must return the n x k product, so
 exactly ``iters + 1`` closure calls, ``(iters + 1) * k`` Hessian-vector
 products, are made per build. Column signs are fixed once per build, on the
@@ -150,6 +152,13 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None) -> Sketch:
     signed eigenvalue, descending. A non-finite product aborts the build
     with ``NumericOverflowError`` so the caller can keep a previous sketch.
 
+    For k = 1 the projected matrix is 1 x 1 and LAPACK is not called: its
+    symmetric eigensolver returns exactly ``A(1,1)`` and the eigenvector 1
+    for order 1, so the eigenvalue is the projected entry and the basis the
+    signed block ``v`` itself, plus 0.0, as the product ``v @ [[1.0]]``
+    would give it (BLAS adds each product to +0.0, which turns a -0.0 entry
+    into +0.0). The bits are those of the general path.
+
     Signs are normalized twice per build: on the block that enters
     Rayleigh-Ritz and on the returned basis. The start block and the
     iterates before the last keep the signs orthonormalization leaves. That
@@ -191,9 +200,14 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None) -> Sketch:
     w = apply_block(v)
     projected = v.T @ w
     projected = (projected + projected.T) / 2.0  # kill rounding asymmetry
-    vals, small_vecs = np.linalg.eigh(projected)
-    vals = vals[::-1]  # signed value, descending
-    basis = _positive_first(v @ small_vecs[:, ::-1])  # deterministic output signs
+    if cfg.k == 1:
+        # LAPACK's order-1 answer without the call: eigenvalue A(1,1), eigenvector 1.
+        # v is signed already; `+ 0.0` is what the product v @ [[1.0]] does to it
+        vals, basis = projected[0], v + 0.0
+    else:
+        vals, small_vecs = np.linalg.eigh(projected)
+        vals = vals[::-1]  # signed value, descending
+        basis = _positive_first(v @ small_vecs[:, ::-1])  # deterministic output signs
     sk = Sketch(vals, basis)
     if sk.has_negative:
         log.info("sketch contains negative curvature estimates: %s", vals)

@@ -1,4 +1,7 @@
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,4 +34,23 @@ def arrays(draw):
 @settings(max_examples=150, deadline=None)
 @given(arrays())
 def test_all_finite_equals_isfinite_all(a):
-    assert bool(all_finite(a)) is bool(np.isfinite(a).all())
+    want = bool(np.isfinite(a).all())
+    assert bool(all_finite(a)) is want
+    # the sum of squares overflows or turns NaN silently: no flag is checked
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert bool(all_finite(a)) is want
+
+
+@pytest.mark.parametrize("a, want", [
+    (np.array([1e200, -1e200, 3.0]), True),  # squares overflow: the exact count decides
+    (np.array([1.7976931348623157e308] * 4), True),
+    (np.array([1e200, np.nan]), False),
+    (np.array([np.inf, -np.inf]), False),  # a NaN sum
+    (np.array([5e-324, -0.0]), True),
+    (np.empty((0, 3)), True),
+])
+def test_all_finite_past_an_overflowing_sum(a, want):
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert bool(all_finite(a)) is want

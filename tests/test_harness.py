@@ -1,11 +1,13 @@
 import gc
 import json
+import logging
 import math
 import os
 import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +128,22 @@ class TestBuildSchedule:
 
 
 class TestRunComparison:
+    @pytest.mark.parametrize("stem, refreshes", [("quad_speedup", 30), ("mlp_speedup", 16)])
+    def test_hvp_plan_logged_at_info(self, tmp_path, caplog, stem, refreshes):
+        cfg = load_config(ROOT / "configs" / f"{stem}.json")
+        cao_k1 = cfg.optimizers[0]
+        assert (cao_k1.label, cao_k1.params["k"], cao_k1.params["t_pow"]) == ("cao-k1", 1, 10)
+        cfg = replace(cfg, optimizers=(cao_k1,), seeds=(0,))  # the plan is per run
+        with caplog.at_level(logging.INFO, logger="cao.harness"):
+            result = run_comparison(cfg, tmp_path)
+        planned = refreshes * 11
+        assert [r.getMessage() for r in caplog.records if r.name == "cao.harness"] == [
+            f"cao-k1 plans {planned} HVPs per run if every refresh succeeds:"
+            f" {refreshes} refreshes of (t_pow + 1) * k = 11"]
+        _, records, summary = read_runlog(result["logs"][0])
+        assert summary["hvp_calls"] == planned
+        assert summary["refreshes"] == sum(r["refreshed"] for r in records) == refreshes
+
     def test_layout_and_schedule_sharing(self, tmp_path):
         cfg = tiny_config()
         result = run_comparison(cfg, tmp_path)
@@ -1066,6 +1084,18 @@ BAD_PROBLEMS = [
      "n_samples >= n_classes"),
 ]
 
+# sections that pass every knob but whose data overflows the float range
+OVERFLOWING_PROBLEMS = [
+    ("quadratic-spectrum-overflows", {"name": "quadratic", "spectrum": [1.7e308, 1.0]},
+     "spectrum entry 1.7e+308 overflows"),
+    ("mlp-class-sep-overflows", {"name": "mlp", "widths": [3, 4, 2], "n_samples": 20,
+                                 "class_sep": 1e308}, "class_sep 1e+308 overflows"),
+    ("mlp-input-gain-overflows", {"name": "mlp", "widths": [3, 4, 2], "n_samples": 20,
+                                  "class_sep": 1e300, "input_gain": 1e300},
+     "input_gain 1e+300 with class_sep 1e+300 overflows"),
+]
+BAD_PROBLEMS += OVERFLOWING_PROBLEMS
+
 # every problem section that reproduce.py and the benchmark run, and spectra as
 # the theory suite passes them: np.geomspace arrays
 GOOD_PROBLEMS = [
@@ -1161,6 +1191,10 @@ class TestCli:
         assert len(printed) == len(calls)
         info = "INFO cao.sketch: sketch contains negative curvature estimates"
         assert [info in text for text in printed] == [False, True, False, True, False, True]
+        # one refresh, at step 0, of (t_pow + 1) * k = 9 HVPs
+        plan = ("INFO cao.harness: cao plans 9 HVPs per run if every refresh succeeds:"
+                " 1 refreshes of (t_pow + 1) * k = 9\n")
+        assert [plan in text for text in printed] == [False, True, False, True, False, True]
         assert printed[0] == printed[2] == printed[4] == ""
 
     def test_unknown_log_level_is_a_usage_error(self, capsys):
@@ -1320,6 +1354,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "problem 'mlp' cannot be built" in err
         assert ("MemoryError" if refused else "ValueError") in err
+
+    @pytest.mark.parametrize("command", ["run", "ablate-k", "sweep"])
+    @pytest.mark.parametrize("section, named", [case[1:] for case in OVERFLOWING_PROBLEMS],
+                             ids=[case[0] for case in OVERFLOWING_PROBLEMS])
+    def test_overflowing_data_exits_before_any_run(self, tmp_path, capsys, command, section,
+                                                   named):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "name": "huge", "problem": section,
+            "optimizers": [{"kind": "cao", "alpha": 0.1, "k": 1}],
+            "seeds": [0], "steps": 5, "threshold": 0.1,
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--out", str(tmp_path), command, "--config", str(cfg_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "logs").exists()
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "ablate-k", "sweep"])
     def test_name_and_label_cannot_leave_out(self, tmp_path, command, capsys):

@@ -299,6 +299,21 @@ class TestCaoStep:
         assert outs[0] == outs[1]
 
 
+class TestPlannedRefreshes:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_equals_the_refreshes_a_run_makes(self, k):
+        p = quadratic([4.0, 2.0, 1.0], seed=2)
+        for m in (1, 3, 5):
+            for warm in (0, 2, 3, 5, 7, 12):
+                cfg = CaoConfig(alpha=0.1, k=k, m=m, t_pow=2, warm_steps=warm)
+                state, refreshed = make_state(p), []
+                for steps in range(1, 12):
+                    state, rec = cao_step(state, p, FULL_BATCH, cfg)
+                    refreshed.append(rec.refreshed)
+                    assert cfg.planned_refreshes(steps) == sum(refreshed), (m, warm, steps)
+                    assert state.hvp_calls == sum(refreshed) * (cfg.t_pow + 1) * k
+
+
 class TestSgd:
     def test_momentum_zero_is_gd(self):
         p = quadratic([4.0, 1.0], seed=1)

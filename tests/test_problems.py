@@ -1,6 +1,7 @@
 import json
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -207,15 +208,17 @@ class TestHvpClosure:
                 apply(bad)
         block = np.ones((4, 3))
         block[2, 1] = np.inf
-        with pytest.raises(NumericOverflowError, match="hvp direction"):
+        with pytest.raises(NumericOverflowError, match="^non-finite hvp direction$"):
             apply(block)
         assert apply(np.ones((4, 3))).shape == (4, 3)  # still usable after a rejection
 
     def test_nonfinite_product_raises(self):
         # 1200 x^2 overflows in the Hessian's diagonal band
         apply = rosenbrock(4).hvp_closure(np.full(4, 1e200))
-        with pytest.raises(NumericOverflowError, match="hvp on rosenbrock4"):
+        with pytest.raises(NumericOverflowError, match="^non-finite hvp on rosenbrock4$"):
             apply(np.ones((4, 2)))
+        with pytest.raises(NumericOverflowError, match="^non-finite hvp on rosenbrock4$"):
+            rosenbrock(4).hvp(np.full(4, 1e200), np.ones(4))
 
     def test_point_validated_when_built(self):
         p = logreg(4, 20, seed=1)
@@ -362,6 +365,36 @@ class TestLogregData:
         assert str(info.value) == f"problem 'logreg': class_sep {class_sep!r} overflows X^T X"
 
 
+class TestOverflowingData:
+    """A section whose data overflows is refused by its constructor, naming the knob."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: quadratic([1.7e308, 1.0], seed=0),
+         "problem 'quadratic': spectrum entry 1.7e+308 overflows the matrix"
+         " Q diag(spectrum) Q^T"),
+        (lambda: mlp_synthetic([3, 4, 2], n_samples=20, class_sep=1e308),
+         "problem 'mlp': class_sep 1e+308 overflows the inputs"),
+        (lambda: mlp_synthetic([3, 4, 2], n_samples=20, class_sep=-1e308),
+         "problem 'mlp': class_sep -1e+308 overflows the inputs"),
+        (lambda: mlp_synthetic([3, 4, 2], n_samples=20, class_sep=1e300, input_gain=1e300),
+         "problem 'mlp': input_gain 1e+300 with class_sep 1e+300 overflows the inputs"),
+    ], ids=["quadratic-spectrum", "mlp-class-sep", "mlp-negative-class-sep",
+            "mlp-input-gain"])
+    def test_raises_without_a_warning(self, build, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError) as info:
+                build()
+        assert str(info.value) == message
+
+    def test_huge_finite_data_is_built(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = quadratic([1e300, 1.0], seed=0)
+            mlp = mlp_synthetic([3, 4, 2], n_samples=20, class_sep=1e300)
+        assert np.isfinite(p.matrix).all() and np.isfinite(mlp.x).all()
+
+
 def traced_peak(fn):
     """``fn()`` and the most bytes it held traced at once beyond what was held before.
 
@@ -416,8 +449,11 @@ class TestLossAndGrad:
 
     @pytest.mark.parametrize("problem", all_problems()[:3], ids=lambda p: p.meta.name)
     def test_nonfinite_loss_raises(self, problem):
-        with pytest.raises(NumericOverflowError, match="non-finite loss"):
+        message = f"^non-finite loss on {problem.meta.name}$"
+        with pytest.raises(NumericOverflowError, match=message):
             problem.loss_and_grad(np.full(problem.dim, 1e200))
+        with pytest.raises(NumericOverflowError, match=message):
+            problem.loss(np.full(problem.dim, 1e200))
 
     def test_nonfinite_gradient_raises(self):
         class InfGrad(cao.Problem):
@@ -426,8 +462,10 @@ class TestLossAndGrad:
             def _loss_and_grad(self, theta, batch):
                 return 0.0, np.array([np.inf, 0.0])
 
-        with pytest.raises(NumericOverflowError, match="non-finite gradient"):
+        with pytest.raises(NumericOverflowError, match="^non-finite gradient on inf-grad$"):
             InfGrad().loss_and_grad(np.zeros(2))
+        with pytest.raises(NumericOverflowError, match="^non-finite gradient on inf-grad$"):
+            InfGrad().grad(np.zeros(2))
 
     def test_validates_inputs(self):
         with pytest.raises(ContractViolationError):

@@ -9,6 +9,8 @@ from cao.sketch import (
     RANK_DEFICIENCY_TOL,
     LanczosConfig,
     Sketch,
+    _orthonormalize,
+    _positive_first,
     block_lanczos,
     qr_orthonormalize,
     sketch_residual,
@@ -330,6 +332,64 @@ class TestSignsFixedOncePerBuild:
             cfg = LanczosConfig(k=k, iters=4, seed=seed)
             self.assert_same(block_lanczos(hvp, problem.dim, cfg, v0=v0),
                              signed_every_iterate(hvp, problem.dim, cfg, v0))
+
+
+def eigh_rayleigh_ritz(hvp, n, cfg):
+    """The build as it was with LAPACK's ``eigh`` at every k, the order-1 case included."""
+    rng = np.random.default_rng(cfg.seed)
+    with np.errstate(over="ignore"):
+        v = _orthonormalize(rng.standard_normal((n, cfg.k)), rng)
+        for _ in range(cfg.iters - 1):
+            v = _orthonormalize(hvp(v), rng)
+        v = _positive_first(_orthonormalize(hvp(v), rng))
+    projected = v.T @ hvp(v)
+    projected = (projected + projected.T) / 2.0
+    vals, small_vecs = np.linalg.eigh(projected)
+    return vals[::-1], _positive_first(v @ small_vecs[:, ::-1])
+
+
+class TestOrderOneRayleighRitz:
+    """At k = 1 the build skips ``eigh`` and keeps every bit of the ``eigh`` build."""
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_random_symmetric(self, n):
+        for seed in range(3):
+            a = np.random.default_rng([n, seed]).standard_normal((n, n))
+            h = (a + a.T) / 2.0
+            for iters in (1, 2, 5):
+                cfg = LanczosConfig(k=1, iters=iters, seed=seed)
+                hvp = lambda v: h @ v  # noqa: E731
+                TestSignsFixedOncePerBuild.assert_same(block_lanczos(hvp, n, cfg),
+                                                       eigh_rayleigh_ritz(hvp, n, cfg))
+
+    @pytest.mark.parametrize("entry", [-0.0, 0.0, -3.5, 5e-324, 1e300, -1e300])
+    def test_one_by_one(self, entry):
+        for seed in range(3):
+            cfg = LanczosConfig(k=1, iters=3, seed=seed)
+            hvp = lambda v: entry * v  # noqa: E731
+            sketch = block_lanczos(hvp, 1, cfg)
+            TestSignsFixedOncePerBuild.assert_same(sketch, eigh_rayleigh_ritz(hvp, 1, cfg))
+            assert sketch.basis.tolist() == [[1.0]]
+
+    def test_zero_entries_of_either_sign(self):
+        # a diagonal closure keeps exact zeros, which the signed block holds as
+        # -0.0 where their column was flipped; the eigh build's product makes them +0.0
+        d = np.array([3.0, 0.0, -2.0, 0.0, 1.0, 0.0])
+        hvp = lambda v: d[:, None] * v  # noqa: E731
+        for seed in range(8):
+            cfg = LanczosConfig(k=1, iters=2, seed=seed)
+            TestSignsFixedOncePerBuild.assert_same(block_lanczos(hvp, d.size, cfg),
+                                                   eigh_rayleigh_ritz(hvp, d.size, cfg))
+
+    def test_no_lapack_eigensolver_at_k1(self, monkeypatch):
+        def refused(a):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        h = gapped_symmetric(n=12)
+        block_lanczos(lambda v: h @ v, 12, LanczosConfig(k=1, iters=3))
+        with pytest.raises(AssertionError, match="eigh called"):
+            block_lanczos(lambda v: h @ v, 12, LanczosConfig(k=2, iters=3))
 
 
 class TestSketchResidual:

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate every benchmark artifact: runs, tables, figure data, theory reports.
 
-Usage: python scripts/reproduce.py [--out runs]
+Usage: python scripts/reproduce.py [--out runs] [--jobs N]
 
 Everything is seeded; rerunning produces byte-identical logs and summaries
-(wall-clock fields aside).
+(wall-clock fields aside), for any ``--jobs``. ``--jobs`` goes to ``run``,
+``ablate-k`` and ``sweep``; without it they take the CLI's default, the usable
+CPUs.
 """
 
 import argparse
@@ -26,12 +28,15 @@ def run(argv):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="runs")
+    parser.add_argument("--jobs", default=None,
+                        help="worker processes for the runs of each command")
     args = parser.parse_args()
     out = args.out
+    jobs = [] if args.jobs is None else ["--jobs", args.jobs]
 
     for stem in ("quad_speedup", "mlp_speedup"):
         cfg = str(CONFIG_DIR / f"{stem}.json")
-        run(["--out", out, "run", "--config", cfg])
+        run(["--out", out, "run", "--config", cfg, *jobs])
     for exp in ("quad-skew-speedup", "mlp-speedup"):
         logs = str(Path(out) / "logs" / exp)
         run(["--out", out, "ttt", "--logs", logs, "--name", exp])
@@ -41,9 +46,9 @@ def main():
          "--name", "quad-skew-speedup", "--thresholds", "0.3,0.4,0.5,0.7,1.0"])
     # rank ablation and damping/refresh sensitivity on the quadratic benchmark
     quad_cfg = str(CONFIG_DIR / "quad_speedup.json")
-    run(["--out", out, "ablate-k", "--config", quad_cfg, "--ks", "0,1,3,5"])
+    run(["--out", out, "ablate-k", "--config", quad_cfg, "--ks", "0,1,3,5", *jobs])
     run(["--out", out, "sweep", "--config", quad_cfg,
-         "--etas", "0.5,1.0,2.0", "--ms", "25,50,100"])
+         "--etas", "0.5,1.0,2.0", "--ms", "25,50,100", *jobs])
     # analysis checks
     run(["--out", out, "theory"])
     print(f"done; outputs under {out}/")

@@ -60,9 +60,24 @@ def _finite_thresholds(values, flag):
     return values
 
 
+def _jobs(text):
+    """The ``--jobs`` worker count: the usable CPUs if not given, else an integer >= 1."""
+    if text is None:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count() or 1
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ConfigError(f"--jobs: expected an integer >= 1, got {text!r}")
+    return jobs
+
+
 def _cmd_run(args):
+    jobs = _jobs(args.jobs)
     cfg = load_config(args.config)
-    result = harness.run_comparison(cfg, args.out)
+    result = harness.run_comparison(cfg, args.out, jobs=jobs)
     for path in result["logs"]:
         print(path)
     if result["diverged"]:
@@ -97,8 +112,9 @@ def _cmd_ttt(args):
 
 def _cmd_ablate_k(args):
     ks = _parse_list(args.ks, "--ks", int)
+    jobs = _jobs(args.jobs)
     cfg = load_config(args.config)
-    result = harness.k_ablation(cfg, ks=ks, out_root=args.out)
+    result = harness.k_ablation(cfg, ks=ks, out_root=args.out, jobs=jobs)
     name = result["name"]
     _write_table(args, name, harness.format_ttt(result["table"], name=name))
     return EXIT_DIVERGED if result["diverged"] else EXIT_OK
@@ -107,8 +123,9 @@ def _cmd_ablate_k(args):
 def _cmd_sweep(args):
     etas = _parse_list(args.etas, "--etas", float)
     ms = _parse_list(args.ms, "--ms", int)
+    jobs = _jobs(args.jobs)
     cfg = load_config(args.config)
-    result = harness.sensitivity_sweep(cfg, etas, ms, out_root=args.out)
+    result = harness.sensitivity_sweep(cfg, etas, ms, out_root=args.out, jobs=jobs)
     _write_table(args, result["name"], harness.format_sweep(result))
     return EXIT_DIVERGED if result["diverged"] else EXIT_OK
 
@@ -154,8 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="same as --log-level INFO")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    jobs_help = ("worker processes for the independent runs (default: the usable CPUs);"
+                 " every output is the same for any value")
     p = sub.add_parser("run", help="run a multi-optimizer comparison from a config")
     p.add_argument("--config", required=True)
+    p.add_argument("--jobs", default=None, help=jobs_help)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("ttt", help="time-to-threshold table from logs")
@@ -171,12 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate-k", help="re-run the config across sketch ranks")
     p.add_argument("--config", required=True)
     p.add_argument("--ks", default="0,1,3,5")
+    p.add_argument("--jobs", default=None, help=jobs_help)
     p.set_defaults(func=_cmd_ablate_k)
 
     p = sub.add_parser("sweep", help="damping x refresh-interval sensitivity grid")
     p.add_argument("--config", required=True)
     p.add_argument("--etas", default="1e-3,1e-2,1e-1")
     p.add_argument("--ms", default="200,400,800")
+    p.add_argument("--jobs", default=None, help=jobs_help)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("plotdata", help="emit loss-vs-step mean/std bands from logs")

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import time
 from dataclasses import replace
 from itertools import repeat
+from operator import contains
 from pathlib import Path
 
 import numpy as np
@@ -147,15 +149,94 @@ def _log_path(out_root, exp_name, label, seed) -> Path:
     return Path(out_root) / "logs" / exp_name / label / f"{seed}.log"
 
 
-def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None) -> dict:
+def pool_size(jobs: int, n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` independent runs at ``jobs``; 1 means in process.
+
+    ``jobs`` must be an integer >= 1. There are never more workers than
+    tasks, and there are none where the platform cannot fork.
+    """
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
+    return min(jobs, n_tasks) if hasattr(os, "fork") else 1
+
+
+class _Captured(logging.Handler):
+    """The records of one run in a pool worker, for the parent to re-emit."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+_forked = None  # in a pool worker: (execute, _Captured handler), set by _adopt
+
+
+def _adopt(execute) -> None:
+    """Pool worker initializer: ``execute`` arrives by fork, not pickle."""
+    global _forked
+    handler = _Captured()
+    cao_log = logging.getLogger(__package__)
+    cao_log.handlers = [handler]
+    cao_log.propagate = False  # the parent prints them
+    _forked = (execute, handler)
+
+
+def _execute_captured(i):
+    """In a pool worker: ``execute(i)`` and the log records it made."""
+    execute, handler = _forked
+    handler.records = []
+    return execute(i), handler.records
+
+
+def _run_all(execute, n_tasks: int, jobs: int):
+    """``execute(i)`` for every task index i, results in task order.
+
+    One worker (see ``pool_size``) runs them in process, one after another.
+    Otherwise a pool of forked workers runs them; each run's ``cao.*`` log
+    records are re-emitted in the parent, in task order. If a task raises,
+    the tasks not yet started are cancelled, the running ones finish, and
+    the first failing task's exception, in task order, is raised. No worker
+    is left when this returns or raises.
+    """
+    workers = pool_size(jobs, n_tasks)
+    if workers <= 1:
+        return map(execute, range(n_tasks))
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                               initializer=_adopt, initargs=(execute,))
+    try:
+        futures = [pool.submit(_execute_captured, i) for i in range(n_tasks)]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for fut in futures:
+            fut.cancel()  # a task not yet started: none is left unless one raised
+        results = []
+        for fut in futures:
+            result, records = fut.result()
+            for rec in records:
+                logging.getLogger(rec.name).handle(rec)
+            results.append(result)
+        return results
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None, jobs: int = 1) -> dict:
     """All (seed, optimizer) runs of a config; schedules shared within a seed.
 
     ``tasks`` lists the runs of one seed as (config the log records, optimizer,
     index) triples; by default each optimizer of ``cfg`` with its own index.
-    The problem is built once for all of them, and before the first run the
-    HVPs each curvature-adaptive task plans per run are logged at INFO.
-    Returns the log paths, whether any run diverged, and per run a (path,
-    label, index, entry) tuple for ``_group``.
+    The problem is built once for all of them, each seed's schedule once, and
+    before the first run the HVPs each curvature-adaptive task plans per run
+    are logged at INFO. The runs form one list, seed-major, then task; with
+    ``jobs`` above 1 they run on a pool of up to ``jobs`` forked workers (see
+    ``_run_all``), which inherit the problem and the schedules. Every output
+    is the same for any ``jobs``. Returns the log paths, whether any run
+    diverged, and per run a (path, label, index, entry) tuple for ``_group``.
     """
     if tasks is None:
         tasks = [(cfg, spec, idx) for idx, spec in enumerate(cfg.optimizers)]
@@ -178,19 +259,26 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None) -> dict:
             log.info("%s plans %d HVPs per run if every refresh succeeds:"
                      " %d refreshes of (t_pow + 1) * k = %d",
                      spec.label, refreshes * per_refresh, refreshes, per_refresh)
+    schedules = {seed: build_schedule(problem.num_samples, cfg.batch_size, cfg.steps, seed)
+                 for seed in cfg.seeds}
+    plan = [(seed, run_cfg, spec, idx,
+             str(_log_path(out_root, run_cfg.name, spec.label, seed)))
+            for seed in cfg.seeds for run_cfg, spec, idx in tasks]
+
+    def execute(i):
+        seed, run_cfg, spec, idx, path = plan[i]
+        schedule, spe, digest = schedules[seed]
+        return run_single(problem, spec, idx, seed, schedule, spe, run_cfg, path,
+                          schedule_hash=digest)
+
     logs, runs, diverged = [], [], False
-    for seed in cfg.seeds:
-        schedule, spe, digest = build_schedule(problem.num_samples, cfg.batch_size,
-                                               cfg.steps, seed)
-        for run_cfg, spec, idx in tasks:
-            path = str(_log_path(out_root, run_cfg.name, spec.label, seed))
-            summary, series = run_single(problem, spec, idx, seed, schedule, spe, run_cfg,
-                                         path, schedule_hash=digest)
-            logs.append(path)
-            runs.append((path, spec.label, idx,
-                         _entry(seed, series, summary, spec.kind,
-                                spec.params.get("k", 1), spe)))
-            diverged |= summary["diverged"]
+    for (seed, _, spec, idx, path), (summary, series) in zip(
+            plan, _run_all(execute, len(plan), jobs)):
+        logs.append(path)
+        runs.append((path, spec.label, idx,
+                     _entry(seed, series, summary, spec.kind, spec.params.get("k", 1),
+                            schedules[seed][1])))
+        diverged |= summary["diverged"]
     return {"logs": logs, "diverged": diverged, "runs": runs}
 
 
@@ -200,7 +288,7 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None) -> dict:
 
 def _series(records):
     """(step, loss) pairs used for threshold scans; prefers full-set eval losses."""
-    key = "eval_loss" if any("eval_loss" in r for r in records) else "loss"
+    key = "eval_loss" if any(map(contains, records, repeat("eval_loss"))) else "loss"
     return [(r["step"], r[key]) for r in records if key in r]
 
 
@@ -445,12 +533,12 @@ def _derived(cfg: ExperimentConfig, name: str, entries) -> ExperimentConfig:
     return parse_config({**cfg.to_dict(), "name": name, "optimizers": entries})
 
 
-def k_ablation(cfg: ExperimentConfig, ks=(0, 1, 3, 5), out_root=".") -> dict:
-    """Re-run the config's curvature-adaptive optimizer across ranks."""
+def k_ablation(cfg: ExperimentConfig, ks=(0, 1, 3, 5), out_root=".", jobs: int = 1) -> dict:
+    """Re-run the config's curvature-adaptive optimizer across ranks, on up to ``jobs`` workers."""
     template = _first_cao_spec(cfg)
     ablate_cfg = _derived(cfg, f"{cfg.name}-ablate-k", [
         {"kind": "cao", "label": f"cao-k{k}", **template.params, "k": int(k)} for k in ks])
-    result = run_comparison(ablate_cfg, out_root)
+    result = run_comparison(ablate_cfg, out_root, jobs=jobs)
     groups, labels = _group(result["runs"])
     table = _ttt_table(groups, labels, cfg.threshold)
     finals = {label: _final_loss_mean(groups[label]) for label in labels}
@@ -460,12 +548,13 @@ def k_ablation(cfg: ExperimentConfig, ks=(0, 1, 3, 5), out_root=".") -> dict:
             "table": table, "summary": summary_rows, "name": ablate_cfg.name}
 
 
-def sensitivity_sweep(cfg: ExperimentConfig, etas, ms, out_root=".") -> dict:
+def sensitivity_sweep(cfg: ExperimentConfig, etas, ms, out_root=".", jobs: int = 1) -> dict:
     """Grid over damping and refresh interval for the curvature-adaptive entry.
 
     Each cell reports first-hit, final loss, clamp events, HVP count and a
     divergence flag. All cells run in one comparison, each logged as a config
-    of its own: its one optimizer at index 0.
+    of its own: its one optimizer at index 0, on up to ``jobs`` workers (see
+    ``run_comparison``).
     """
     template = _first_cao_spec(cfg)
     # every cell is checked before the first one runs
@@ -473,7 +562,8 @@ def sensitivity_sweep(cfg: ExperimentConfig, etas, ms, out_root=".") -> dict:
         {"kind": "cao", "label": f"cao-eta{eta:g}-m{m}", **template.params,
          "eta": float(eta), "m": int(m)} for eta in etas for m in ms])
     result = run_comparison(grid_cfg, out_root, tasks=[
-        (replace(grid_cfg, optimizers=(spec,)), spec, 0) for spec in grid_cfg.optimizers])
+        (replace(grid_cfg, optimizers=(spec,)), spec, 0) for spec in grid_cfg.optimizers],
+        jobs=jobs)
     groups, _ = _group(result["runs"])
     cells = []
     for spec in grid_cfg.optimizers:

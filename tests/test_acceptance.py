@@ -268,6 +268,15 @@ def test_11_reproducibility(comparison_runs, tmp_path):
     assert len(first) == len(second) == 9
     for a, b in zip(first, second):
         assert normalized_bytes(a) == normalized_bytes(b), (a, b)
+    # the same runs on a pool of two workers write the same logs
+    pooled = run_comparison(entry["cfg"], tmp_path / "jobs2", jobs=2)
+    assert not pooled["diverged"]
+    third = sorted(pooled["logs"])
+    assert len(third) == 9
+    for a, c in zip(first, third):
+        assert normalized_bytes(a) == normalized_bytes(c), (a, c)
+    assert [run[3]["series"] for run in pooled["runs"]] == \
+        [run[3]["series"] for run in rerun["runs"]]
     # summaries regenerate byte-identically from the logs alone
     from cao.harness import emit_plot_data, format_ttt
 

@@ -255,6 +255,18 @@ class TestRunComparison:
                          str(tmp_path / "logs" / "tiny")]) == cli.EXIT_OK
 
 
+class TestSeries:
+    def test_eval_losses_when_only_a_later_record_has_one(self):
+        records = [{"step": 0, "loss": 3.0}, {"step": 1, "loss": 2.0},
+                   {"step": 2, "loss": 1.5, "eval_loss": 1.25}, {"step": 3, "loss": 1.0}]
+        assert harness._series(records) == [(2, 1.25)]
+
+    def test_losses_when_no_record_has_an_eval(self):
+        records = [{"step": 0, "loss": 3.0}, {"step": 1, "loss": 2.0}]
+        assert harness._series(records) == [(0, 3.0), (1, 2.0)]
+        assert harness._series([]) == []
+
+
 class TestTimeToThreshold:
     def test_table2_format_exemplar(self, tmp_path):
         # means 56 and 19 must render a 2.95x speedup

@@ -29,7 +29,7 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="runs")
     parser.add_argument("--jobs", default=None,
-                        help="worker processes for the runs of each command")
+                        help="processes for the runs of each command, the calling one included")
     args = parser.parse_args()
     out = args.out
     jobs = [] if args.jobs is None else ["--jobs", args.jobs]

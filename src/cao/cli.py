@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="same as --log-level INFO")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    jobs_help = ("worker processes for the independent runs (default: the usable CPUs);"
-                 " every output is the same for any value")
+    jobs_help = ("processes for the independent runs, this one included (default: the"
+                 " usable CPUs); every output is the same for any value")
     p = sub.add_parser("run", help="run a multi-optimizer comparison from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--jobs", default=None, help=jobs_help)

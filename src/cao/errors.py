@@ -113,3 +113,7 @@ class DivergenceError(RuntimeError):
 
 class ConfigError(ValueError):
     """An experiment config file failed validation."""
+
+
+class WorkerError(RuntimeError):
+    """A forked worker process died, or could not send back a run's outcome."""

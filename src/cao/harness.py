@@ -13,11 +13,16 @@ entries and equal the tables rebuilt from a re-read of their logs.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import logging
 import os
+import pickle
+import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import replace
+from functools import cache
 from itertools import repeat
 from operator import contains
 from pathlib import Path
@@ -25,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, OptimizerSpec, parse_config
-from .errors import ConfigError, ContractViolationError, DivergenceError, NumericOverflowError
+from .errors import (ConfigError, ContractViolationError, DivergenceError, NumericOverflowError,
+                     WorkerError)
 from .optim import CaoConfig, make_runner
 from .problems import FULL_BATCH, Batch, from_config
 from .runlog import RunLogWriter, collector_paused, read_runlog
@@ -150,10 +156,11 @@ def _log_path(out_root, exp_name, label, seed) -> Path:
 
 
 def pool_size(jobs: int, n_tasks: int) -> int:
-    """Worker processes for ``n_tasks`` independent runs at ``jobs``; 1 means in process.
+    """Processes, the caller included, for ``n_tasks`` independent runs at ``jobs``.
 
-    ``jobs`` must be an integer >= 1. There are never more workers than
-    tasks, and there are none where the platform cannot fork.
+    ``jobs`` must be an integer >= 1. There are never more processes than
+    tasks, and only the caller where the platform cannot fork; 1 means the
+    runs go in process and nothing is forked.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
@@ -161,7 +168,7 @@ def pool_size(jobs: int, n_tasks: int) -> int:
 
 
 class _Captured(logging.Handler):
-    """The records of one run in a pool worker, for the parent to re-emit."""
+    """The ``cao.*`` log records of one run, for the caller to re-emit in task order."""
 
     def __init__(self):
         super().__init__()
@@ -171,58 +178,187 @@ class _Captured(logging.Handler):
         self.records.append(record)
 
 
-_forked = None  # in a pool worker: (execute, _Captured handler), set by _adopt
-
-
-def _adopt(execute) -> None:
-    """Pool worker initializer: ``execute`` arrives by fork, not pickle."""
-    global _forked
-    handler = _Captured()
+@contextmanager
+def _capturing():
+    """Inside the block ``cao.*`` records go to the yielded ``_Captured``, not up."""
     cao_log = logging.getLogger(__package__)
-    cao_log.handlers = [handler]
-    cao_log.propagate = False  # the parent prints them
-    _forked = (execute, handler)
+    saved = cao_log.handlers, cao_log.propagate
+    handler = _Captured()
+    cao_log.handlers, cao_log.propagate = [handler], False
+    try:
+        yield handler
+    finally:
+        cao_log.handlers, cao_log.propagate = saved
 
 
-def _execute_captured(i):
-    """In a pool worker: ``execute(i)`` and the log records it made."""
-    execute, handler = _forked
-    handler.records = []
-    return execute(i), handler.records
+@cache
+def _openblas_threads():
+    """The loaded OpenBLAS's (get, set) thread-count functions, or None if none is found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and "/" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get, put = (getattr(handle, f"{prefix}_{op}_num_threads{suffix}", None)
+                        for op in ("get", "set"))
+            if get and put:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS at one thread inside the block, where it can be set; restored after."""
+    blas = _openblas_threads()
+    before = blas[0]() if blas else 1
+    if before != 1:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if before != 1:
+            blas[1](before)
+
+
+def _claim(execute, queue: int) -> list:
+    """Run the tasks this process claims from the ``queue`` file until none is left.
+
+    The queue holds 4-byte task indices, and every process reads it through
+    one shared offset, so each read claims the next index. Returns one
+    (index, failed, result or exception, cao.* records) per claimed task. A
+    failure seeks the queue to its end, which cancels every claim not yet
+    made, in every process. Its exception, ``KeyboardInterrupt`` included,
+    is kept as the outcome, for ``_run_all`` to raise in task order.
+    """
+    outcomes = []
+    with _capturing() as handler:
+        while len(claim := os.read(queue, 4)) == 4:
+            i = int.from_bytes(claim, "little")
+            handler.records = []
+            try:
+                outcomes.append((i, False, execute(i), handler.records))
+            except BaseException as exc:
+                os.lseek(queue, 0, os.SEEK_END)
+                outcomes.append((i, True, exc, handler.records))
+                break
+    return outcomes
+
+
+def _child(execute, queue: int, pipe: int):
+    """A forked child: claim tasks, write the pickled outcomes to ``pipe``, exit.
+
+    It never returns; the exit status is 0 only once every outcome is
+    written. An exception that does not survive pickling is sent as a
+    ``WorkerError`` naming it.
+    """
+    status = 1
+    try:
+        outcomes = _claim(execute, queue)
+        if outcomes and outcomes[-1][1]:  # only the last claim can have failed
+            i, _, exc, records = outcomes[-1]
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception as why:
+                outcomes[-1] = (i, True, WorkerError(
+                    f"task {i} raised {type(exc).__name__}: {exc}, which cannot be sent"
+                    f" from its worker process ({type(why).__name__}: {why})"), records)
+        with open(pipe, "wb") as fh:
+            fh.write(pickle.dumps(outcomes))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(children) -> tuple[list, list]:
+    """Every child's outcomes and the exits of those that sent none.
+
+    ``children`` holds (pid, pipe read end) pairs. Each pipe is read to its
+    end and closed and each child waited for, even if this is interrupted.
+    """
+    outcomes, dead, waited = [], [], 0
+    try:
+        for pid, r in children:
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            waited += 1
+            if code == 0:
+                outcomes += pickle.loads(data)
+            else:
+                dead.append(f"worker process {pid} "
+                            + (f"was killed by signal {-code}" if code < 0
+                               else f"exited with status {code}"))
+    finally:
+        for _, r in children:
+            os.close(r)  # a child still writing gets a broken pipe and exits
+        for pid, _ in children[waited:]:
+            os.waitpid(pid, 0)
+    return outcomes, dead
 
 
 def _run_all(execute, n_tasks: int, jobs: int):
     """``execute(i)`` for every task index i, results in task order.
 
-    One worker (see ``pool_size``) runs them in process, one after another.
-    Otherwise a pool of forked workers runs them; each run's ``cao.*`` log
-    records are re-emitted in the parent, in task order. If a task raises,
-    the tasks not yet started are cancelled, the running ones finish, and
-    the first failing task's exception, in task order, is raised. No worker
-    is left when this returns or raises.
+    With one process (see ``pool_size``) the tasks run in process, one after
+    another, lazily. Otherwise the caller forks ``pool_size - 1`` children
+    and every process, the caller too, claims task indices from one shared
+    queue until it is empty; OpenBLAS runs at one thread meanwhile. Each
+    run's ``cao.*`` log records are re-emitted by the caller in task order.
+    If a task raises, no task starts after it, the running ones finish, and
+    the first failure in task order is raised, after the records of the
+    tasks before it and its own. A child that dies gives a ``WorkerError``
+    with its exit status and the tasks left without a result. No child is
+    left when this returns or raises.
     """
-    workers = pool_size(jobs, n_tasks)
-    if workers <= 1:
+    processes = pool_size(jobs, n_tasks)
+    if processes <= 1:
         return map(execute, range(n_tasks))
-    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-    from multiprocessing import get_context
-
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
-                               initializer=_adopt, initargs=(execute,))
-    try:
-        futures = [pool.submit(_execute_captured, i) for i in range(n_tasks)]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        for fut in futures:
-            fut.cancel()  # a task not yet started: none is left unless one raised
-        results = []
-        for fut in futures:
-            result, records = fut.result()
-            for rec in records:
-                logging.getLogger(rec.name).handle(rec)
-            results.append(result)
-        return results
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with _one_blas_thread(), tempfile.TemporaryFile() as queue_file:
+        queue_file.write(np.arange(n_tasks, dtype="<u4").tobytes())
+        queue_file.seek(0)
+        queue = queue_file.fileno()
+        children = []
+        try:
+            for _ in range(processes - 1):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:  # with no read end kept, writing to a pipe the caller
+                    # closed fails at once instead of blocking
+                    for fd in (r, *(earlier for _, earlier in children)):
+                        os.close(fd)
+                    _child(execute, queue, w)
+                os.close(w)
+                children.append((pid, r))
+            outcomes = _claim(execute, queue)
+        finally:
+            os.lseek(queue, 0, os.SEEK_END)  # no run starts after a failure or Ctrl-C
+            theirs, dead = _reap(children)
+    done = {i: outcome for i, *outcome in outcomes + theirs}
+    results = []
+    for i in range(n_tasks):
+        if i not in done:
+            missing = ", ".join(str(j) for j in range(i, n_tasks) if j not in done)
+            raise WorkerError(f"{'; '.join(dead)}; tasks without a result: {missing}")
+        failed, value, records = done[i]
+        for rec in records:
+            logging.getLogger(rec.name).handle(rec)
+        if failed:
+            raise value
+        results.append(value)
+    return results
 
 
 def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None, jobs: int = 1) -> dict:
@@ -233,10 +369,11 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None, jobs: int = 
     The problem is built once for all of them, each seed's schedule once, and
     before the first run the HVPs each curvature-adaptive task plans per run
     are logged at INFO. The runs form one list, seed-major, then task; with
-    ``jobs`` above 1 they run on a pool of up to ``jobs`` forked workers (see
-    ``_run_all``), which inherit the problem and the schedules. Every output
-    is the same for any ``jobs``. Returns the log paths, whether any run
-    diverged, and per run a (path, label, index, entry) tuple for ``_group``.
+    ``jobs`` above 1 the caller and up to ``jobs - 1`` forked children run
+    it (see ``_run_all``), and the children inherit the problem and the
+    schedules. Every output is the same for any ``jobs``. Returns the log
+    paths, whether any run diverged, and per run a (path, label, index,
+    entry) tuple for ``_group``.
     """
     if tasks is None:
         tasks = [(cfg, spec, idx) for idx, spec in enumerate(cfg.optimizers)]

@@ -1,9 +1,9 @@
-"""Runs of one command on a fork pool (``--jobs``): same outputs, failures and interrupts."""
+"""Runs of one command on forked processes (``--jobs``): same outputs, failures and interrupts."""
 
+import contextlib
 import importlib.util
 import json
 import logging
-import multiprocessing
 import os
 import random
 import signal
@@ -17,14 +17,13 @@ import pytest
 
 from cao import cli, harness, optim
 from cao.config import parse_config
-from cao.errors import ConfigError
+from cao.errors import ConfigError, WorkerError
 from cao.harness import build_schedule, run_comparison
 from cao.runlog import read_runlog
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-# BLAS at one thread, as the benchmark runs it: two workers with a thread per core
-# each take ten times as long on the logreg config (README "Parallel runs")
+# BLAS at one thread, as the benchmark runs it (test_blas_pinned_while_forked runs two)
 ONE_BLAS_THREAD = {**ENV, **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                                   "MKL_NUM_THREADS")}}
 
@@ -85,12 +84,10 @@ class TestPoolSize:
 
     @pytest.mark.parametrize("jobs, seeds", [(1, (0, 1, 2)), (4, (0,))])
     def test_no_pool_for_one_worker(self, tmp_path, monkeypatch, jobs, seeds):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
+        def no_fork():
+            raise AssertionError("a process was forked")
 
-        import concurrent.futures
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         cfg = small_config(seeds=seeds)
         cfg = replace(cfg, optimizers=cfg.optimizers[:1])
         result = run_comparison(cfg, tmp_path, jobs=jobs)
@@ -190,6 +187,24 @@ def test_log_records_reach_caplog_in_task_order(tmp_path, caplog):
     assert sum("rank-deficient column" in message for message in messages) > 3
 
 
+def assert_no_child():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def wait_for(path, timeout=30.0):
+    """Poll until ``path`` exists: a handshake between the caller and a child."""
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} did not appear"
+        time.sleep(0.002)
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 def patch_step(monkeypatch, name, actions):
     """Patch ``optim.<name>`` to act at ``(seed, step)`` on that seed's batch.
 
@@ -209,6 +224,42 @@ def patch_step(monkeypatch, name, actions):
     monkeypatch.setattr(optim, name, patched)
 
 
+def patch_steps(monkeypatch, act):
+    """Patch the cao and sgd steps to call ``act(state)`` before every step."""
+    for name in ("cao_step", "sgd_step"):
+        def patched(state, *args, _step=getattr(optim, name), **kwargs):
+            act(state)
+            return _step(state, *args, **kwargs)
+
+        monkeypatch.setattr(optim, name, patched)
+
+
+@pytest.mark.parametrize("jobs", [2, 4])  # 4: more processes than the cores of most hosts
+def test_many_tasks_each_run_once(tmp_path, monkeypatch, jobs):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    claims = os.open(tmp_path / "claims", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def execute(i):
+        os.write(claims, b"%d\n" % i)
+        return i * i
+
+    try:
+        assert harness._run_all(execute, 20000, jobs) == [i * i for i in range(20000)]
+    finally:
+        os.close(claims)
+    assert len(forks) == jobs - 1
+    assert_no_child()
+    # a claim lost or made twice shows here, though the results are keyed by index
+    assert sorted(map(int, (tmp_path / "claims").read_text().split())) == list(range(20000))
+
+
 class TestFailures:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_task_raises_as_in_process(self, tmp_path, monkeypatch, jobs):
@@ -216,7 +267,7 @@ class TestFailures:
         patch_step(monkeypatch, "sgd_step", {(1, 5): ValueError("step failed on seed 1")})
         with pytest.raises(ValueError, match=r"^step failed on seed 1$"):
             run_comparison(small_config(), tmp_path, jobs=jobs)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         logs = tmp_path / "logs" / "par"
         for done in ("cao-k1/0.log", "sgd/0.log", "cao-k1/1.log"):
             assert read_runlog(logs / done)[2] is not None
@@ -233,7 +284,7 @@ class TestFailures:
         for jobs in (1, 2):
             with pytest.raises(ValueError, match=r"^late, seed 0$"):
                 run_comparison(small_config(), tmp_path / str(jobs), jobs=jobs)
-            assert multiprocessing.active_children() == []
+            assert_no_child()
 
     def test_tasks_not_started_are_cancelled(self, tmp_path, monkeypatch):
         # the first of 12 tasks waits while the second fails at once; the other 10
@@ -242,10 +293,117 @@ class TestFailures:
         patch_step(monkeypatch, "sgd_step", {(0, 0): ValueError("step failed on seed 0")})
         with pytest.raises(ValueError, match=r"^step failed on seed 0$"):
             run_comparison(small_config(seeds=range(6), steps=300), tmp_path, jobs=2)
-        assert multiprocessing.active_children() == []
-        # besides the first task, only the one the failed worker took next and
-        # those the pool had queued (workers + 1) run
-        assert len(list(tmp_path.rglob("*.log"))) <= 5
+        assert_no_child()
+        # the failure cancels every claim not yet made: only the waiting task ends
+        logs = tmp_path / "logs" / "par"
+        assert sorted(p.relative_to(logs).as_posix() for p in logs.rglob("*.log*")) == [
+            "cao-k1/0.log", "sgd/0.log.part"]
+
+    def test_killed_child_names_its_status_and_lost_tasks(self, tmp_path, monkeypatch):
+        parent, claimed = os.getpid(), tmp_path / "child-claimed"
+
+        def act(state):
+            if os.getpid() == parent:
+                wait_for(claimed)
+            elif state.step == 0:
+                claimed.touch()
+            elif state.step == 5:
+                os._exit(9)
+
+        patch_steps(monkeypatch, act)
+        with pytest.raises(WorkerError, match=r"^worker process \d+ exited with status 9;"
+                                              r" tasks without a result: \d$") as caught:
+            run_comparison(small_config(), tmp_path, jobs=2)
+        assert_no_child()
+        # the child died in its first task; the caller ran every other one
+        lost = int(str(caught.value).rsplit(" ", 1)[1])
+        logs = tmp_path / "logs" / "par"
+        plan = [f"{label}/{seed}.log" for seed in range(3) for label in ("cao-k1", "sgd")]
+        assert sorted(p.relative_to(logs).as_posix() for p in logs.rglob("*.log")) == sorted(
+            plan[:lost] + plan[lost + 1:])
+        for path in logs.rglob("*.log"):
+            assert read_runlog(path)[2] is not None
+        assert [p.relative_to(logs).as_posix() for p in logs.rglob("*.part")] == [
+            plan[lost] + ".part"]
+
+    def test_exception_that_cannot_be_pickled(self, tmp_path, monkeypatch):
+        class Local(Exception):  # a local class: pickle cannot find it by name
+            pass
+
+        parent, claimed = os.getpid(), tmp_path / "child-claimed"
+
+        def act(state):
+            if os.getpid() == parent:
+                wait_for(claimed)
+            else:
+                claimed.touch()
+                raise Local("not sendable")
+
+        patch_steps(monkeypatch, act)
+        with pytest.raises(WorkerError, match=(
+                r"^task \d raised Local: not sendable, which cannot be sent from its worker"
+                r" process \((AttributeError|PicklingError): .*\)$")):
+            run_comparison(small_config(), tmp_path, jobs=2)
+        assert_no_child()
+
+    def test_caller_failure_lets_the_child_run_finish(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        started, raised = tmp_path / "child-started", tmp_path / "caller-raised"
+
+        def act(state):
+            if os.getpid() == parent and state.step == 0:
+                wait_for(started)  # the child is mid-run
+                raised.touch()
+                raise ValueError("caller failed")
+            if os.getpid() != parent and state.step == 1 and not started.exists():
+                started.touch()
+                wait_for(raised)
+
+        patch_steps(monkeypatch, act)
+        with pytest.raises(ValueError, match=r"^caller failed$"):
+            run_comparison(small_config(seeds=range(6), steps=30), tmp_path, jobs=2)
+        assert_no_child()
+        # the child's run finished and no run started after it: one log, one cut log
+        logs = sorted(p.suffix for p in tmp_path.rglob("*.log*"))
+        assert logs == [".log", ".part"]
+        for path in tmp_path.rglob("*.log"):
+            assert read_runlog(path)[2] is not None
+
+    def test_open_files_are_the_same_after_a_forked_call(self, tmp_path, monkeypatch):
+        before = open_fds()
+        run_comparison(small_config(), tmp_path / "ok", jobs=2)
+        assert open_fds() == before
+        patch_step(monkeypatch, "sgd_step", {(1, 5): ValueError("step failed on seed 1")})
+        with pytest.raises(ValueError):
+            run_comparison(small_config(), tmp_path / "failed", jobs=2)
+        assert open_fds() == before
+        assert_no_child()
+
+    def test_interrupt_while_collecting_leaves_no_process(self):
+        # the caller stops after the first child's results, while the second child
+        # still writes a payload larger than its pipe holds
+        code = ("import os, pickle, time\n"
+                "from cao import harness\n"
+                "def interrupted(data):\n"
+                "    raise KeyboardInterrupt\n"
+                "pickle.loads = interrupted\n"
+                "try:\n"
+                "    harness._run_all(lambda i: time.sleep(0.05) or bytes(200000), 6, 3)\n"
+                "except KeyboardInterrupt:\n"
+                "    print('interrupted')\n"
+                "try:\n"
+                "    os.waitpid(-1, os.WNOHANG)\n"
+                "except ChildProcessError:\n"
+                "    print('no child')\n")
+        child = subprocess.Popen([sys.executable, "-c", code], env=ENV, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            out, err = child.communicate(timeout=30)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+        assert (child.returncode, out) == (0, "interrupted\nno child\n"), err
 
     @pytest.mark.parametrize("seed", range(2))
     def test_interrupted_sweep_leaves_no_process(self, tmp_path, seed):
@@ -281,11 +439,59 @@ class TestFailures:
             done.stderr
 
 
-def test_importing_the_cli_loads_no_pool():
+def test_importing_the_cli_loads_no_pool(tmp_path):
     code = ("import sys, cao.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith("
-            "('multiprocessing', 'concurrent'))))")
-    done = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True,
-                          text=True, timeout=60)
+            "def pools():\n"
+            "    return sorted(m for m in sys.modules if m.startswith("
+            "('multiprocessing', 'concurrent')))\n"
+            "print(pools())\n"
+            "rc = cao.cli.main(['--out', sys.argv[1], 'run', '--config', sys.argv[2],"
+            " '--jobs', '2'])\n"
+            "print(rc, pools())")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path),
+                           str(ROOT / "configs" / "quad_speedup.json")],
+                          env=ONE_BLAS_THREAD, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.stdout.splitlines()[0] == "[]"
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert len(list(tmp_path.rglob("*.log"))) == 9
+
+
+# the OpenBLAS thread count inside every run the caller makes, and around the commands
+BLAS_SIDES = """
+import json, sys
+from cao import cli, harness
+blas = harness._openblas_threads()
+if blas is None:
+    print("null")
+    sys.exit()
+seen, run_single = set(), harness.run_single
+def traced(*args, **kwargs):
+    seen.add(blas[0]())
+    return run_single(*args, **kwargs)
+harness.run_single = traced
+out, cfg = sys.argv[1:]
+before, inside = blas[0](), {}
+for jobs in ("1", "2"):
+    seen.clear()
+    rc = cli.main(["--out", out + "/jobs" + jobs, "ablate-k", "--config", cfg, "--ks", "1,8",
+                   "--jobs", jobs])
+    inside[jobs] = [rc, sorted(seen)]
+print(json.dumps({"before": before, "after": blas[0](), "inside": inside}))
+"""
+
+
+def test_blas_pinned_while_forked(tmp_path, compare_outputs):
+    env = {**ENV, "OPENBLAS_NUM_THREADS": "2"}
+    for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    done = subprocess.run([sys.executable, "-c", BLAS_SIDES, str(tmp_path),
+                           str(ROOT / "perfbench" / "configs" / "logreg_sketch.json")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    if seen is None:
+        pytest.skip("no OpenBLAS thread-count functions found")
+    assert seen == {"before": 2, "after": 2, "inside": {"1": [0, [2]], "2": [0, [1]]}}
+    assert compare_outputs.compare(tmp_path / "jobs1", tmp_path / "jobs2") == []
+    assert len(list(tmp_path.rglob("*.log"))) == 12

@@ -2,23 +2,27 @@
 """Run the benchmark in alternating pairs: a parent revision against the working tree.
 
 Usage:
-    python3 scripts/bench_pairs.py --parent REV --workload W --pairs N --seed S \\
-        [--seconds T] [--save FILE]
+    python3 scripts/bench_pairs.py --parent REV --workload W[,W...]|all --pairs N \\
+        --seed S [--seconds T] [--save FILE]
 
 The parent side is ``git archive REV`` unpacked into a temporary directory; the
-change side is this working tree. Each pair runs ``perfbench/run.py --workload W
---seed S --seconds T --trace 0`` once in each tree, one after the other: odd
-pairs run the parent first, even pairs the change. Every run is printed. Then,
-for each end-to-end metric that ``BENCHMARK.json`` declares, both sides' median
-and quartiles (``numpy.percentile``, linear interpolation) and the pairs the
-change won; a tie counts for neither side. The claim rule holds for a metric
-when the change wins at least 9 pairs in 10 and its median is better than the
-parent's by more than the parent's interquartile range.
+change side is this working tree. ``--workload`` names one workload of
+``BENCHMARK.json``, a comma-separated list of them, or ``all`` for every one in
+its order; a name it does not declare stops the script with exit code 1 before
+any run. The workloads go one after the other, each with the same seed and the
+same pair order. Each pair runs ``perfbench/run.py --workload W --seed S
+--seconds T --trace 0`` once in each tree, one after the other: odd pairs run
+the parent first, even pairs the change. Every run is printed. Then, per
+workload and for each end-to-end metric that ``BENCHMARK.json`` declares, both
+sides' median and quartiles (``numpy.percentile``, linear interpolation) and
+the pairs the change won; a tie counts for neither side. The claim rule holds
+for a metric when the change wins at least 9 pairs in 10 and its median is
+better than the parent's by more than the parent's interquartile range.
 
 A run that exits non-zero or reports an incorrect repetition stops the script
 with exit code 1. The temporary tree is removed on every exit, and every run
-has ended before the next starts. ``--save`` writes the runs and the summary
-as JSON.
+has ended before the next starts. ``--save`` writes every workload's runs and
+summary as JSON.
 """
 
 import argparse
@@ -40,6 +44,25 @@ QUARTILES = "numpy.percentile, linear interpolation"
 def end_to_end_metrics(root=ROOT) -> list:
     """The ``end_to_end`` entries of ``BENCHMARK.json``: name, unit, better, bound."""
     return json.loads((Path(root) / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def workloads(text: str, root=ROOT) -> list:
+    """The workloads ``--workload`` names, in its order; ``all`` is every declared one.
+
+    Raises ``ValueError`` naming each entry that ``BENCHMARK.json`` does not
+    declare, or a repeated one.
+    """
+    declared = [w["name"] for w in
+                json.loads((Path(root) / "BENCHMARK.json").read_text())["workloads"]]
+    if text == "all":
+        return declared
+    names = text.split(",")
+    unknown = [name for name in names if name not in declared]
+    if unknown:
+        raise ValueError(f"unknown workloads {unknown}; declared: {', '.join(declared)}, all")
+    if len(set(names)) != len(names):
+        raise ValueError(f"a workload is named twice in {text!r}")
+    return names
 
 
 def summarize(parent_runs, change_runs, metrics) -> dict:
@@ -98,10 +121,15 @@ def unpack(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_side(tree: Path, args) -> dict:
+def command(workload: str, args) -> list:
+    """The arguments of one ``perfbench/run.py`` run, after the script's path."""
+    return ["--workload", workload, "--seed", str(args.seed), "--seconds", f"{args.seconds:g}",
+            "--trace", "0"]
+
+
+def run_side(tree: Path, workload: str, args) -> dict:
     """One benchmark run in ``tree``; returns the result line of ``perfbench/run.py``."""
-    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), *command(workload, args)]
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True,
                           check=False)
@@ -114,25 +142,26 @@ def run_side(tree: Path, args) -> dict:
     return result
 
 
-def run_pairs(args, parent_tree: Path, metrics) -> tuple:
-    """Alternating runs; returns (runs as printed, parent values, change values)."""
+def run_pairs(args, workload: str, parent_tree: Path, metrics) -> tuple:
+    """Alternating runs of ``workload``; returns (runs as printed, parent values, change values)."""
     runs, values = [], {"parent": [], "change": []}
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
-            result = run_side(parent_tree if side == "parent" else ROOT, args)
+            result = run_side(parent_tree if side == "parent" else ROOT, workload, args)
             row = {m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}
             values[side].append(row)
-            runs.append({"workload": args.workload, "pair": pair, "side": side, **row})
+            runs.append({"workload": workload, "pair": pair, "side": side, **row})
             shown = "  ".join(f"{name}={value:.6g}" for name, value in row.items())
-            print(f"pair {pair:2d} {side:6s}  {shown}", flush=True)
+            print(f"{workload} pair {pair:2d} {side:6s}  {shown}", flush=True)
     return runs, values["parent"], values["change"]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload of BENCHMARK.json, a comma-separated list, or all")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=20.0)
@@ -140,24 +169,32 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    try:
+        names = workloads(args.workload)
+    except ValueError as exc:
+        print(f"bench_pairs: --workload: {exc}", file=sys.stderr)
+        return 1
     metrics = end_to_end_metrics()
+    runs, summaries = [], {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_tree = Path(tmp)
         unpack(args.parent, parent_tree)
         try:
-            runs, parent, change = run_pairs(args, parent_tree, metrics)
+            for workload in names:
+                done, parent, change = run_pairs(args, workload, parent_tree, metrics)
+                runs += done
+                summaries[workload] = summarize(parent, change, metrics)
+                print(f"## {workload}\n{format_summary(summaries[workload])}", flush=True)
         except RuntimeError as exc:
             print(f"bench_pairs: {exc}", file=sys.stderr)
             return 1
-    summary = summarize(parent, change, metrics)
-    print(format_summary(summary))
     if args.save:
-        command = (f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed}"
-                   f" --seconds {args.seconds:g} --trace 0")
         Path(args.save).write_text(json.dumps({
-            "parent": args.parent, "workload": args.workload,
+            "parent": args.parent, "workloads": names,
             "order": "odd pairs run the parent first, even pairs the change first",
-            "command": command, "quartiles": QUARTILES, "summary": summary, "runs": runs,
+            "commands": {w: " ".join(["python3 perfbench/run.py", *command(w, args)])
+                         for w in names},
+            "quartiles": QUARTILES, "summary": summaries, "runs": runs,
         }, indent=1) + "\n")
     return 0
 

@@ -95,6 +95,10 @@ def _write_table(args, name, text):
 
 
 def _cmd_ttt(args):
+    if args.threshold is not None and args.thresholds is not None:
+        raise ConfigError("--threshold and --thresholds cannot be given together:"
+                          " --threshold sets the one threshold of the table,"
+                          " --thresholds the grid of the sweep")
     if args.threshold is not None:
         _finite_thresholds([args.threshold], "--threshold")
     logs = _collect_logs(args.logs)

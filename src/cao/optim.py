@@ -230,8 +230,7 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig):
                                 eigvals=() if sketch is None else pc.eigvals,
                                 clamped=sketch is not None and pc.clamped,
                                 refresh_failed=refresh_failed)
-    return CaoState(theta=theta, step=state.step + 1, sketch=sketch,
-                    hvp_calls=hvp_calls, precond=pc), record
+    return CaoState(theta, state.step + 1, sketch, hvp_calls, pc), record
 
 
 def sgd_step(state: SgdState, problem: Problem, batch: Batch, lr: float,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericOverflowError, all_finite
+from .errors import ContractViolationError, NumericOverflowError, all_finite, dot_ready
 from .sketch import Sketch
 
 FLOOR = 1e-8
@@ -22,10 +22,11 @@ FLOOR = 1e-8
 class DampedPreconditioner:
     """The damped inverse of one sketch.
 
-    ``denominators``, ``clamped`` and ``eigvals`` (the sketch's eigenvalues as
-    a tuple of floats, the form a step record carries) are derived once here,
-    so a preconditioner built per sketch serves every step until the next
-    refresh.
+    ``denominators``, ``clamped``, ``eigvals`` (the sketch's eigenvalues as
+    a tuple of floats, the form a step record carries) and ``dot`` (the
+    basis may go to ``ndarray.dot``: ``dot_ready`` and more than one row)
+    are derived once here, so a preconditioner built per sketch serves
+    every step until the next refresh.
     """
 
     sketch: Sketch
@@ -33,6 +34,7 @@ class DampedPreconditioner:
     denominators: np.ndarray = field(init=False, repr=False, compare=False)
     clamped: bool = field(init=False, repr=False, compare=False)
     eigvals: tuple = field(init=False, repr=False, compare=False)
+    dot: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.eta < np.inf:
@@ -43,6 +45,8 @@ class DampedPreconditioner:
         object.__setattr__(self, "clamped",
                            bool(self.sketch.k and np.any(shifted < FLOOR)))
         object.__setattr__(self, "eigvals", tuple(self.sketch.eigvals.tolist()))
+        basis = self.sketch.basis
+        object.__setattr__(self, "dot", basis.shape[0] > 1 and dot_ready(basis))
 
 
 def _check_g(g, pc):
@@ -56,12 +60,24 @@ def _check_g(g, pc):
 
 
 def precondition(g, pc: DampedPreconditioner) -> np.ndarray:
-    """Apply the damped inverse to g in O(nk)."""
+    """Apply the damped inverse to g in O(nk).
+
+    The products are those of ``coef = basis.T @ g`` and
+    ``basis @ (coef / denominators) + (g - basis @ coef) / eta``, bit for
+    bit. They go through ``ndarray.dot`` when ``pc.dot`` and ``g`` is
+    ``dot_ready``: all three for k >= 2, only the first for k = 1, whose
+    one-entry ``coef`` keeps the other two on ``@``.
+    """
     g = _check_g(g, pc)
     if pc.sketch.k == 0:
         return g / pc.eta
     basis = pc.sketch.basis
-    coef = basis.T @ g
+    if pc.dot and dot_ready(g):
+        coef = basis.T.dot(g)
+        if coef.size > 1:  # a one-entry coef would make .dot a scalar product
+            return basis.dot(coef / pc.denominators) + (g - basis.dot(coef)) / pc.eta
+    else:
+        coef = basis.T @ g
     return basis @ (coef / pc.denominators) + (g - basis @ coef) / pc.eta
 
 

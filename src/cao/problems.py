@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ContractViolationError, DegenerateStepError, Knob, NumericOverflowError,
-                     OracleUnavailableError, all_finite, check_knobs)
+                     OracleUnavailableError, all_finite, check_knobs, dot_ready)
 
 DENSE_ORACLE_CAP = 500
 
@@ -257,6 +257,11 @@ class QuadraticProblem(Problem):
 
     Q is a seeded random orthogonal matrix, so the spectrum is exact by
     construction: L = max(spectrum), mu = min(spectrum), f* = 0.
+
+    The products with the matrix give the bits of ``A @ theta``,
+    ``theta @ g`` and ``A @ V``. They go through ``ndarray.dot`` when n > 1,
+    which is decided here (the matrix is built C-ordered), and the
+    ``theta`` or block ``V`` of the call is ``dot_ready``.
     """
 
     def __init__(self, spectrum, seed: int = 0, name: str = "quadratic",
@@ -280,6 +285,7 @@ class QuadraticProblem(Problem):
         else:
             self.matrix = np.diag(spectrum)
         self.spectrum = np.sort(spectrum)[::-1].copy()
+        self._dot = n > 1
         self.meta = ProblemMeta(
             dim=n,
             name=name,
@@ -289,11 +295,17 @@ class QuadraticProblem(Problem):
         )
 
     def _loss_and_grad(self, theta, batch):
+        if self._dot and dot_ready(theta):
+            g = self.matrix.dot(theta)
+            return 0.5 * float(theta.dot(g)), g
         g = self.matrix @ theta
         return 0.5 * float(theta @ g), g
 
     def _linearize(self, theta, batch):
-        return lambda v: self.matrix @ v
+        matrix = self.matrix
+        if self._dot:
+            return lambda v: matrix.dot(v) if dot_ready(v) else matrix @ v
+        return lambda v: matrix @ v
 
 
 quadratic = QuadraticProblem

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,84 @@ class TestSummarize:
     def test_unequal_pair_counts_refused(self, bench_pairs):
         with pytest.raises(ValueError, match="same non-zero number"):
             bench_pairs.summarize(runs([1], [1]), [], METRICS)
+
+
+DECLARED = ["quad-sweep", "mlp-minibatch", "logreg-sketch", "logs-summarize"]
+
+
+class TestWorkloads:
+    def test_all_is_every_declared_workload_in_order(self, bench_pairs):
+        assert bench_pairs.workloads("all") == DECLARED
+
+    def test_list_keeps_its_order(self, bench_pairs):
+        assert bench_pairs.workloads("logs-summarize,quad-sweep") == ["logs-summarize",
+                                                                      "quad-sweep"]
+        assert bench_pairs.workloads("mlp-minibatch") == ["mlp-minibatch"]
+
+    @pytest.mark.parametrize("text", ["quad", "quad-sweep,", "all,quad-sweep", "",
+                                      "quad-sweep,quad-sweep"])
+    def test_bad_names_refused(self, bench_pairs, text):
+        with pytest.raises(ValueError, match="unknown workloads|named twice"):
+            bench_pairs.workloads(text)
+
+
+class FakeRuns:
+    """Stands in for ``unpack`` and ``run_side``: records each call, runs nothing."""
+
+    def __init__(self, bench_pairs, monkeypatch):
+        self.calls = []
+        monkeypatch.setattr(bench_pairs, "unpack", lambda rev, dest: self.calls.append("unpack"))
+        monkeypatch.setattr(bench_pairs, "run_side", self.run_side)
+        self.root = bench_pairs.ROOT
+
+    def run_side(self, tree, workload, args):
+        side = "change" if tree == self.root else "parent"
+        self.calls.append((workload, side))
+        # the change is 10% faster on quad-sweep and equal elsewhere
+        steps = 110.0 if side == "change" and workload == "quad-sweep" else 100.0
+        values = {"steps_per_s": steps, "setup_s": 0.05, "peak_rss_mb": 40.0, "ok_share": 1.0}
+        return {"metrics": {name: {"value": value} for name, value in values.items()},
+                "correct": True}
+
+
+class TestMain:
+    def test_bad_workload_exits_before_any_run(self, bench_pairs, monkeypatch, capsys):
+        fake = FakeRuns(bench_pairs, monkeypatch)
+        rc = bench_pairs.main(["--parent", "HEAD", "--workload", "quad-sweep,quad",
+                               "--pairs", "2", "--seed", "1"])
+        assert rc == 1
+        assert fake.calls == []
+        assert "unknown workloads ['quad']" in capsys.readouterr().err
+
+    def test_each_workload_same_order_one_summary_and_one_save(self, bench_pairs,
+                                                              monkeypatch, capsys, tmp_path):
+        fake = FakeRuns(bench_pairs, monkeypatch)
+        save = tmp_path / "pairs.json"
+        rc = bench_pairs.main(["--parent", "HEAD", "--workload", "quad-sweep,logs-summarize",
+                               "--pairs", "3", "--seed", "7", "--seconds", "2",
+                               "--save", str(save)])
+        assert rc == 0
+        order = ["parent", "change", "change", "parent", "parent", "change"]
+        assert fake.calls == (["unpack"] + [("quad-sweep", side) for side in order]
+                              + [("logs-summarize", side) for side in order])
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("## ")] == [
+            "## quad-sweep", "## logs-summarize"]
+        saved = json.loads(save.read_text())
+        assert saved["workloads"] == ["quad-sweep", "logs-summarize"]
+        assert saved["commands"]["logs-summarize"] == (
+            "python3 perfbench/run.py --workload logs-summarize --seed 7 --seconds 2"
+            " --trace 0")
+        assert list(saved["summary"]) == ["quad-sweep", "logs-summarize"]
+        quad, logs = (saved["summary"][w]["steps_per_s"] for w in saved["workloads"])
+        assert (quad["change_wins"], quad["ratio"]) == (3, 1.1)
+        assert (logs["change_wins"], logs["ties"]) == (0, 3)
+        assert [(r["workload"], r["pair"], r["side"]) for r in saved["runs"]][:3] == [
+            ("quad-sweep", 1, "parent"), ("quad-sweep", 1, "change"), ("quad-sweep", 2, "change")]
+        assert len(saved["runs"]) == 12
+
+    def test_all_runs_every_declared_workload(self, bench_pairs, monkeypatch):
+        fake = FakeRuns(bench_pairs, monkeypatch)
+        assert bench_pairs.main(["--parent", "HEAD", "--workload", "all", "--pairs", "1",
+                                 "--seed", "3"]) == 0
+        assert [call[0] for call in fake.calls[1::2]] == DECLARED

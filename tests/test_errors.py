@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cao.errors import all_finite
+from cao.errors import all_finite, dot_ready
+from layouts import BLOCK_LAYOUTS, VECTOR_LAYOUTS, bits, laid_out, with_specials
 
 SPECIAL = [np.nan, np.inf, -np.inf, 1.7976931348623157e308, -1.7976931348623157e308,
            5e-324, -5e-324, 2.2250738585072014e-308, 1.5e-310, 0.0, -0.0]
@@ -54,3 +55,57 @@ def test_all_finite_past_an_overflowing_sum(a, want):
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         assert bool(all_finite(a)) is want
+
+
+# the operand shapes of the products that the step and the refresh send to ndarray.dot;
+# "T" marks a left operand used transposed, as ``basis.T`` and ``v.T`` are
+PRODUCTS = {
+    "A @ v": lambda n, k: ((n, n), "", (n,)),
+    "v @ v": lambda n, k: ((n,), "", (n,)),
+    "B.T @ v": lambda n, k: ((n, k), "T", (n,)),
+    "B @ c": lambda n, k: ((n, k), "", (k,)),
+    "A @ V": lambda n, k: ((n, n), "", (n, k)),
+    "B.T @ V": lambda n, k: ((n, k), "T", (n, k)),
+}
+
+
+def operand(rng, shape, layout, share):
+    layouts = VECTOR_LAYOUTS if len(shape) == 1 else BLOCK_LAYOUTS
+    return laid_out(with_specials(rng, shape, share), layouts[layout % len(layouts)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(product=st.sampled_from(sorted(PRODUCTS)), n=st.integers(1, 120), k=st.integers(1, 8),
+       layouts=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       share=st.sampled_from([0.0, 0.05, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_dot_ready_operands_give_the_bits_of_matmul(product, n, k, layouts, share, seed):
+    rng = np.random.default_rng(seed)
+    left_shape, transposed, right_shape = PRODUCTS[product](n, k)
+    a = operand(rng, left_shape, layouts[0], share)
+    a = a.T if transposed else a
+    b = operand(rng, right_shape, layouts[1], share)
+    with np.errstate(all="ignore"):
+        want = a @ b
+        if dot_ready(a) and dot_ready(b) and a.shape[-1] > 1:
+            assert bits(a.dot(b)) == bits(want)
+
+
+def test_dot_ready_refuses_the_layouts_that_round_otherwise():
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((40, 3))
+    for basis in (rows[::2], rows[20:][::-1], laid_out(rows[:20], "unaligned")):
+        assert not dot_ready(basis)
+    g = rng.standard_normal(20)
+    assert not dot_ready(g[::-1]) and dot_ready(g) and dot_ready(rows.T)
+    assert not dot_ready(np.ones(3)[::2]) and not dot_ready(laid_out(g, "unaligned"))
+    assert dot_ready(np.frombuffer(g.tobytes())) and not dot_ready(np.empty((3, 6))[:, ::2])
+    # each refused layout does round otherwise on these draws
+    assert bits(rows[::2].T @ g) != bits(rows[::2].T.dot(g))
+    assert bits(rows[:20].T @ g[::-1]) != bits(rows[:20].T.dot(g[::-1]))
+    # a sum of one term: .dot keeps the -0.0 product that BLAS adds to +0.0
+    one, zero = np.array([[2.0]]), np.array([-0.0])
+    assert bits(one @ zero) == bits([0.0]) and bits(one.dot(zero)) == bits([-0.0])
+    # an outer product, whose -5e-324 * 5e-324 underflows to -0.0
+    column, row = np.array([[-5e-324], [1.0]]), np.array([[5e-324, 1.0]])
+    assert bits(column @ row) == bits([[0.0, -5e-324], [5e-324, 1.0]])
+    assert bits(column.dot(row)) == bits([[-0.0, -5e-324], [5e-324, 1.0]])

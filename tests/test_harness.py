@@ -1532,6 +1532,25 @@ class TestCli:
         assert f"config error: {flag}: thresholds must be finite numbers, got {bad}" in err
         assert not (tmp_path / "tables").exists()
 
+    @pytest.mark.parametrize("order", ["threshold-first", "thresholds-first"])
+    def test_threshold_and_thresholds_together_exit_code(self, tmp_path, order, monkeypatch,
+                                                        capsys):
+        synthetic_log(tmp_path / "in" / "cao-k1/0.log", "cao-k1", 0, 0, hit_step=10)
+        reads = []
+        monkeypatch.setattr(harness, "read_runlog",
+                            lambda *a, **kw: reads.append(a) or read_runlog(*a, **kw))
+        flags = [["--threshold", "0.3"], ["--thresholds", "0.05,0.5"]]
+        if order == "thresholds-first":
+            flags.reverse()
+        rc = cli.main(["--out", str(tmp_path), "ttt", "--logs", str(tmp_path / "in"),
+                       *flags[0], *flags[1]])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --threshold and --thresholds cannot be given"
+                              " together")
+        assert reads == []
+        assert not (tmp_path / "tables").exists()
+
     def test_theory_negative_seed_exit_code(self, tmp_path, capsys):
         rc = cli.main(["--out", str(tmp_path), "theory", "--seed", "-1"])
         assert rc == cli.EXIT_CONFIG

@@ -11,6 +11,7 @@ from cao.precondition import (
     quadratic_form,
 )
 from cao.sketch import Sketch, qr_orthonormalize
+from layouts import BLOCK_LAYOUTS, FINITE_SPECIAL, VECTOR_LAYOUTS, bits, laid_out, with_specials
 
 
 def random_case(seed, n_max=200, k_max=8, allow_negative=True, dense_comparable=False):
@@ -186,3 +187,73 @@ class TestValidation:
         pc = DampedPreconditioner(Sketch.empty(2), eta=1.0)
         with pytest.raises(NumericOverflowError):
             precondition(np.array([np.nan, 0.0]), pc)
+
+
+def matmul_precondition(g, pc):
+    """``precondition`` as it was, all in ``@``."""
+    g = np.asarray(g, dtype=np.float64)
+    if pc.sketch.k == 0:
+        return g / pc.eta
+    basis = pc.sketch.basis
+    coef = basis.T @ g
+    return basis @ (coef / pc.denominators) + (g - basis @ coef) / pc.eta
+
+
+def signed_unit_basis(rng, n, k):
+    """k distinct signed unit columns: orthonormal, and every other entry a zero of either sign."""
+    basis = np.zeros((n, k)) * rng.choice([1.0, -1.0], size=(n, k))
+    basis[rng.permutation(n)[:k], np.arange(k)] = rng.choice([1.0, -1.0], size=k)
+    return basis
+
+
+class TestDotProducts:
+    """``precondition``'s ``.dot`` products keep every bit of the ``@`` form."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 120), k=st.integers(1, 8), unit=st.booleans(),
+           layouts=st.tuples(st.sampled_from(BLOCK_LAYOUTS), st.sampled_from(VECTOR_LAYOUTS)),
+           share=st.sampled_from([0.0, 0.05, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_any_basis_layout_and_gradient(self, n, k, unit, layouts, share, seed):
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        basis = (signed_unit_basis(rng, n, k) if unit
+                 else qr_orthonormalize(rng.standard_normal((n, k)), rng))
+        vals = np.sort(rng.uniform(-1.0, 10.0, size=k))[::-1]
+        pc = DampedPreconditioner(Sketch(vals, laid_out(basis, layouts[0])),
+                                  float(rng.uniform(0.05, 2.0)))
+        # a non-finite gradient is refused before any product
+        g = laid_out(with_specials(rng, (n,), share, FINITE_SPECIAL), layouts[1])
+        with np.errstate(all="ignore"):  # huge entries overflow, as inside a step
+            assert bits(precondition(g, pc)) == bits(matmul_precondition(g, pc))
+
+    @pytest.mark.parametrize("basis_layout", BLOCK_LAYOUTS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_every_basis_and_gradient_layout(self, basis_layout, k):
+        for n in (8, 20, 50, 97):
+            rng = np.random.default_rng([n, k])
+            basis = laid_out(qr_orthonormalize(rng.standard_normal((n, k)), rng), basis_layout)
+            pc = DampedPreconditioner(Sketch(np.arange(k, 0, -1.0), basis), 0.1)
+            assert pc.dot is (basis_layout in ("C", "F"))
+            for layout in VECTOR_LAYOUTS:
+                g = laid_out(rng.standard_normal(n), layout)
+                assert bits(precondition(g, pc)) == bits(matmul_precondition(g, pc))
+
+    def test_one_row(self):
+        for entry in (1.0, -1.0):
+            pc = DampedPreconditioner(Sketch(np.array([2.0]), np.array([[entry]])), 0.5)
+            assert not pc.dot
+            for g in (-0.0, 0.0, 5e-324, -3.0):
+                assert bits(precondition([g], pc)) == bits(matmul_precondition([g], pc))
+
+    def test_rank_one_on_signed_zeros(self):
+        # k = 1 keeps basis @ (coef / den) and basis @ coef, whose one-entry coef
+        # .dot would take as a scalar; zeros of either sign in the basis and in g
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            pc = DampedPreconditioner(Sketch(np.array([float(rng.uniform(-1, 5))]),
+                                             signed_unit_basis(rng, n, 1)),
+                                      float(rng.uniform(0.05, 2.0)))
+            assert pc.dot
+            g = with_specials(rng, (n,), 0.7, FINITE_SPECIAL[np.abs(FINITE_SPECIAL) < 1e100])
+            assert bits(precondition(g, pc)) == bits(matmul_precondition(g, pc))

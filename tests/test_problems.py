@@ -33,6 +33,7 @@ from cao.problems import (
     rosenbrock,
 )
 from cao.harness import build_schedule
+from layouts import BLOCK_LAYOUTS, FINITE_SPECIAL, VECTOR_LAYOUTS, bits, laid_out, with_specials
 
 MLP_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "mlp_speedup.json"
 
@@ -77,6 +78,78 @@ class TestQuadratic:
         assert p.meta.smoothness_L == 7.0
         assert p.meta.pl_mu == 1.0
         assert p.meta.f_star == 0.0
+
+
+def matmul_loss_and_grad(matrix, theta):
+    """The quadratic's kernel as it was, all in ``@``."""
+    g = matrix @ theta
+    return 0.5 * float(theta @ g), g
+
+
+class TestQuadraticProducts:
+    """The quadratic's ``.dot`` products keep every bit of the ``@`` forms."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 120), j=st.integers(1, 8), rotate=st.booleans(),
+           layouts=st.tuples(st.sampled_from(VECTOR_LAYOUTS), st.sampled_from(BLOCK_LAYOUTS)),
+           share=st.sampled_from([0.0, 0.05, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_kernels_on_any_entries_and_layout(self, n, j, rotate, layouts, share, seed):
+        rng = np.random.default_rng(seed)
+        p = quadratic(np.linspace(1.0, 2.0, n), seed=seed % 1000, rotate=rotate)
+        assert p.matrix.flags.c_contiguous
+        # entries written in place, so the layout the constructor chose stays
+        p.matrix[...] = with_specials(rng, (n, n), share)
+        theta = laid_out(with_specials(rng, (n,), share), layouts[0])
+        block = laid_out(with_specials(rng, (n, j), share), layouts[1])
+        with np.errstate(all="ignore"):  # as the public methods call the kernels
+            loss, g = p._loss_and_grad(theta, FULL_BATCH)
+            want_loss, want_g = matmul_loss_and_grad(p.matrix, theta)
+            assert bits(g) == bits(want_g) and bits(loss) == bits(want_loss)
+            assert bits(p._linearize(theta, FULL_BATCH)(block)) == bits(p.matrix @ block)
+
+    @pytest.mark.parametrize("layout", VECTOR_LAYOUTS)
+    def test_loss_and_grad_on_any_theta(self, layout):
+        for n in (2, 7, 50, 97):
+            p = quadratic(np.linspace(1.0, 10.0, n), seed=n)
+            for seed in range(4):
+                theta = laid_out(with_specials(np.random.default_rng(seed), (n,), 0.2,
+                                               FINITE_SPECIAL[np.abs(FINITE_SPECIAL) < 1e100]),
+                                 layout)
+                loss, g = p.loss_and_grad(theta)
+                want_loss, want_g = matmul_loss_and_grad(p.matrix, theta)
+                assert bits(g) == bits(want_g) and bits(loss) == bits(want_loss)
+                assert bits(p.grad(theta)) == bits(want_g)
+
+    @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+    def test_hvp_closure_on_any_block(self, layout):
+        for n in (2, 7, 50, 97):
+            p = quadratic(np.linspace(1.0, 10.0, n), seed=n)
+            apply = p.hvp_closure(p.initial_point(0))
+            for j in (1, 2, 3, 8):
+                block = laid_out(np.random.default_rng([n, j]).standard_normal((n, j)), layout)
+                assert bits(apply(block)) == bits(p.matrix @ block)
+
+    def test_dense_hessian_and_hvp(self):
+        for n in (1, 2, 9, 50):
+            p = quadratic(np.linspace(1.0, 10.0, n), seed=n)
+            eye = np.eye(n)
+            want = np.column_stack([(p.matrix @ eye[:, j:j + 1])[:, 0] for j in range(n)])
+            assert bits(p.dense_hessian(np.zeros(n))) == bits(want)
+            v = p.initial_point(1)
+            assert bits(p.hvp(np.zeros(n), v)) == bits((p.matrix @ v[:, None])[:, 0])
+
+    @pytest.mark.parametrize("rotate", [True, False])
+    def test_one_entry_spectrum(self, rotate):
+        # a sum of one term: .dot would keep the -0.0 products that BLAS adds to +0.0
+        p = quadratic([2.0], rotate=rotate)
+        for theta in ([-0.0], [0.0], [-5e-324], [3.0]):
+            loss, g = p.loss_and_grad(np.array(theta))
+            want_loss, want_g = matmul_loss_and_grad(p.matrix, np.array(theta))
+            assert bits(g) == bits(want_g) and bits(loss) == bits(want_loss)
+            hv = p.hvp_closure(np.zeros(1))(np.array([theta]))
+            assert bits(hv) == bits(p.matrix @ np.array([theta]))
+        loss, g = p.loss_and_grad(np.array([-0.0]))
+        assert bits(g) == bits([0.0]) and bits(loss) == bits(0.0)
 
 
 class TestRosenbrock:

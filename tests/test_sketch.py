@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cao import Batch, logreg, mlp_synthetic, quadratic, rosenbrock
-from cao.errors import ContractViolationError, NumericOverflowError
+from cao.errors import ContractViolationError, NumericOverflowError, dot_ready
 from cao.sketch import (
+    ORTHO_TOL,
     RANK_DEFICIENCY_TOL,
     LanczosConfig,
     Sketch,
@@ -15,6 +16,7 @@ from cao.sketch import (
     qr_orthonormalize,
     sketch_residual,
 )
+from layouts import BLOCK_LAYOUTS, FINITE_SPECIAL, bits, laid_out, with_specials
 
 
 def counting_closure(h):
@@ -113,6 +115,52 @@ class TestSketchType:
         basis = np.eye(4)[:, :2]
         with pytest.raises(ContractViolationError):
             Sketch(np.array([1.0, 2.0]), basis)
+
+
+def gram_refuses(basis):
+    """``Sketch``'s test of a one-column basis as it was: the whole 1 x 1 Gram matrix."""
+    return np.max(np.abs(basis.T @ basis - np.eye(1))) > ORTHO_TOL
+
+
+def assert_gram_verdict(basis):
+    if gram_refuses(basis):
+        with pytest.raises(ContractViolationError, match="not orthonormal"):
+            Sketch(np.array([1.0]), basis)
+    else:
+        Sketch(np.array([1.0]), basis)
+
+
+class TestRankOneCheck:
+    """At k = 1, ``Sketch`` checks the basis with one dot product, as the Gram matrix did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 120), layout=st.sampled_from(BLOCK_LAYOUTS),
+           scale=st.sampled_from([1.0, 1.0 + 0.9 * ORTHO_TOL, 1.0 - 0.9 * ORTHO_TOL,
+                                  1.0 + 1.1 * ORTHO_TOL, 0.99, 2.0, 0.0, 1e-200, 1e200,
+                                  np.inf, np.nan]),
+           share=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
+    def test_same_verdict_and_value_as_the_gram_matrix(self, n, layout, scale, share, seed):
+        rng = np.random.default_rng(seed)
+        col = with_specials(rng, (n, 1), share, FINITE_SPECIAL[np.abs(FINITE_SPECIAL) < 1])
+        norm = np.linalg.norm(col)
+        with np.errstate(all="ignore"):
+            col = laid_out(col / norm * np.sqrt(scale) if norm else col, layout)
+            if dot_ready(col):  # the layouts the one dot product is taken on
+                flat = col.ravel()
+                assert bits(flat.dot(flat)) == bits((col.T @ col)[0, 0])
+            assert_gram_verdict(col)
+
+    @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+    def test_a_column_on_the_tolerance(self, layout):
+        # squared norm 1 + ORTHO_TOL within rounding: the Gram product of the column laid
+        # out reversed and a dot product of it round to opposite sides of the tolerance
+        col = np.array([float.fromhex(x) for x in (
+            "0x1.4a8b269e2a5b3p-3", "0x1.0b9c6550b2548p-2", "-0x1.c74379b85007ap-2",
+            "-0x1.fcd0e4e1e5237p-3", "-0x1.4f98c4af6f339p-3", "-0x1.c1c268c9bb079p-2",
+            "0x1.4e5f213861d64p-1")])[:, None]
+        flat = col.ravel()
+        assert not gram_refuses(laid_out(col, "reversed")) and abs(flat.dot(flat) - 1) > ORTHO_TOL
+        assert_gram_verdict(laid_out(col, layout))
 
 
 class TestBlockLanczos:
@@ -407,3 +455,32 @@ class TestSketchResidual:
     def test_empty_sketch_gives_spectral_norm(self):
         h = np.diag([5.0, 2.0, -6.0])
         assert sketch_residual(Sketch.empty(3), h) == pytest.approx(6.0)
+
+
+class TestProjectionProducts:
+    """The Rayleigh-Ritz projection ``v.T.dot(w)`` keeps every bit of ``v.T @ w``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 60), k=st.integers(1, 8), iters=st.integers(1, 3),
+           layout=st.sampled_from(BLOCK_LAYOUTS), share=st.sampled_from([0.0, 0.2]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_any_product_layout(self, n, k, iters, layout, share, seed):
+        k = min(k, n)
+        a = with_specials(np.random.default_rng(seed), (n, n), share,
+                          FINITE_SPECIAL[np.abs(FINITE_SPECIAL) < 1])
+        h = (a + a.T) / 2.0
+        hvp = lambda v: laid_out(h @ v, layout)  # noqa: E731
+        cfg = LanczosConfig(k=k, iters=iters, seed=seed % 1000)
+        TestSignsFixedOncePerBuild.assert_same(block_lanczos(hvp, n, cfg),
+                                               eigh_rayleigh_ritz(hvp, n, cfg))
+
+    @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_closure_output_laid_out_any_way(self, layout, k):
+        for n in (12, 30, 97):
+            h = gapped_symmetric(n=n, seed=k)
+            hvp = lambda v: laid_out(h @ v, layout)  # noqa: E731
+            for seed in range(3):
+                cfg = LanczosConfig(k=k, iters=3, seed=seed)
+                TestSignsFixedOncePerBuild.assert_same(block_lanczos(hvp, n, cfg),
+                                                       eigh_rayleigh_ritz(hvp, n, cfg))

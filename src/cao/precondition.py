@@ -8,11 +8,12 @@ the orthogonal complement by 1/eta. Denominators are clamped from below at
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericOverflowError, all_finite, dot_ready
+from .errors import ContractViolationError, NumericOverflowError, all_finite, matmul_by
 from .sketch import Sketch
 
 FLOOR = 1e-8
@@ -23,10 +24,10 @@ class DampedPreconditioner:
     """The damped inverse of one sketch.
 
     ``denominators``, ``clamped``, ``eigvals`` (the sketch's eigenvalues as
-    a tuple of floats, the form a step record carries) and ``dot`` (the
-    basis may go to ``ndarray.dot``: ``dot_ready`` and more than one row)
-    are derived once here, so a preconditioner built per sketch serves
-    every step until the next refresh.
+    a tuple of floats, the form a step record carries), ``project`` (the map
+    ``g -> basis.T @ g``) and ``expand`` (``c -> basis @ c``), both through
+    ``errors.matmul_by``, are derived once here, so a preconditioner built
+    per sketch serves every step until the next refresh.
     """
 
     sketch: Sketch
@@ -34,7 +35,8 @@ class DampedPreconditioner:
     denominators: np.ndarray = field(init=False, repr=False, compare=False)
     clamped: bool = field(init=False, repr=False, compare=False)
     eigvals: tuple = field(init=False, repr=False, compare=False)
-    dot: bool = field(init=False, repr=False, compare=False)
+    project: Callable = field(init=False, repr=False, compare=False)
+    expand: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.eta < np.inf:
@@ -46,7 +48,11 @@ class DampedPreconditioner:
                            bool(self.sketch.k and np.any(shifted < FLOOR)))
         object.__setattr__(self, "eigvals", tuple(self.sketch.eigvals.tolist()))
         basis = self.sketch.basis
-        object.__setattr__(self, "dot", basis.shape[0] > 1 and dot_ready(basis))
+        object.__setattr__(self, "project", matmul_by(basis.T))
+        object.__setattr__(self, "expand", matmul_by(basis))
+
+    def __reduce__(self):  # every other field is derived, two of them closures
+        return DampedPreconditioner, (self.sketch, self.eta)
 
 
 def _check_g(g, pc):
@@ -64,21 +70,15 @@ def precondition(g, pc: DampedPreconditioner) -> np.ndarray:
 
     The products are those of ``coef = basis.T @ g`` and
     ``basis @ (coef / denominators) + (g - basis @ coef) / eta``, bit for
-    bit. They go through ``ndarray.dot`` when ``pc.dot`` and ``g`` is
-    ``dot_ready``: all three for k >= 2, only the first for k = 1, whose
-    one-entry ``coef`` keeps the other two on ``@``.
+    bit, through ``pc.project`` and ``pc.expand``. For k = 1 the two
+    products with the one-entry ``coef`` stay on ``@``: ``.dot`` keeps a
+    -0.0 that BLAS turns into +0.0, and the sum does not always cancel it.
     """
     g = _check_g(g, pc)
     if pc.sketch.k == 0:
         return g / pc.eta
-    basis = pc.sketch.basis
-    if pc.dot and dot_ready(g):
-        coef = basis.T.dot(g)
-        if coef.size > 1:  # a one-entry coef would make .dot a scalar product
-            return basis.dot(coef / pc.denominators) + (g - basis.dot(coef)) / pc.eta
-    else:
-        coef = basis.T @ g
-    return basis @ (coef / pc.denominators) + (g - basis @ coef) / pc.eta
+    coef = pc.project(g)
+    return pc.expand(coef / pc.denominators) + (g - pc.expand(coef)) / pc.eta
 
 
 def quadratic_form(g, pc: DampedPreconditioner) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ContractViolationError, DegenerateStepError, Knob, NumericOverflowError,
-                     OracleUnavailableError, all_finite, check_knobs, dot_ready)
+                     OracleUnavailableError, all_finite, check_knobs, matmul, matmul_by)
 
 DENSE_ORACLE_CAP = 500
 
@@ -258,10 +258,8 @@ class QuadraticProblem(Problem):
     Q is a seeded random orthogonal matrix, so the spectrum is exact by
     construction: L = max(spectrum), mu = min(spectrum), f* = 0.
 
-    The products with the matrix give the bits of ``A @ theta``,
-    ``theta @ g`` and ``A @ V``. They go through ``ndarray.dot`` when n > 1,
-    which is decided here (the matrix is built C-ordered), and the
-    ``theta`` or block ``V`` of the call is ``dot_ready``.
+    The products ``A @ theta``, ``theta @ g`` and ``A @ V`` go through
+    ``errors.matmul``, the matrix's share of its rule decided once here.
     """
 
     def __init__(self, spectrum, seed: int = 0, name: str = "quadratic",
@@ -285,7 +283,7 @@ class QuadraticProblem(Problem):
         else:
             self.matrix = np.diag(spectrum)
         self.spectrum = np.sort(spectrum)[::-1].copy()
-        self._dot = n > 1
+        self._times_matrix = matmul_by(self.matrix)
         self.meta = ProblemMeta(
             dim=n,
             name=name,
@@ -294,18 +292,19 @@ class QuadraticProblem(Problem):
             f_star=0.0,
         )
 
+    def __getstate__(self):  # the product map is a closure; pickle the matrix it is made from
+        return {key: value for key, value in self.__dict__.items() if key != "_times_matrix"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._times_matrix = matmul_by(self.matrix)
+
     def _loss_and_grad(self, theta, batch):
-        if self._dot and dot_ready(theta):
-            g = self.matrix.dot(theta)
-            return 0.5 * float(theta.dot(g)), g
-        g = self.matrix @ theta
-        return 0.5 * float(theta @ g), g
+        g = self._times_matrix(theta)
+        return 0.5 * float(matmul(theta, g)), g
 
     def _linearize(self, theta, batch):
-        matrix = self.matrix
-        if self._dot:
-            return lambda v: matrix.dot(v) if dot_ready(v) else matrix @ v
-        return lambda v: matrix @ v
+        return self._times_matrix
 
 
 quadratic = QuadraticProblem

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ContractViolationError, Knob, NumericOverflowError, OracleUnavailableError,
-                     all_finite, check_knobs, dot_ready)
+                     all_finite, check_knobs, matmul)
 
 log = logging.getLogger(__name__)
 
@@ -36,9 +36,8 @@ class Sketch:
 
     ``eigvals`` is sorted descending by signed value and may contain negative
     entries. k = 0 denotes the empty sketch. Construction checks both: the
-    order, and that the Gram matrix is within ``ORTHO_TOL`` of the identity.
-    For k = 1 and a ``dot_ready`` basis, as every build returns, the Gram
-    matrix is the column's squared norm, taken as one dot product.
+    order, and that the Gram matrix is within ``ORTHO_TOL`` of the identity;
+    for k = 1 the 1 x 1 Gram matrix is compared with 1 as a scalar.
     """
 
     eigvals: np.ndarray
@@ -53,15 +52,13 @@ class Sketch:
             raise ContractViolationError(
                 f"basis shape {basis.shape} inconsistent with {vals.size} eigenvalues"
             )
-        if vals.size == 1 and dot_ready(basis):
-            col = basis.ravel()  # its squared norm has the bits of the 1 x 1 Gram matrix
-            if abs(col.dot(col) - 1.0) > ORTHO_TOL:
-                raise ContractViolationError("basis columns are not orthonormal")
-        elif vals.size:
-            if np.any(np.diff(vals) > 0):
-                raise ContractViolationError("eigvals must be sorted descending")
-            gram = basis.T @ basis
-            if np.max(np.abs(gram - np.eye(vals.size))) > ORTHO_TOL:
+        if vals.size > 1 and np.any(np.diff(vals) > 0):
+            raise ContractViolationError("eigvals must be sorted descending")
+        if vals.size:
+            gram = matmul(basis.T, basis)
+            off = (abs(gram[0, 0] - 1.0) if vals.size == 1
+                   else np.max(np.abs(gram - np.eye(vals.size))))
+            if off > ORTHO_TOL:
                 raise ContractViolationError("basis columns are not orthonormal")
 
     @property
@@ -205,8 +202,7 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None) -> Sketch:
             v = _orthonormalize(apply_block(v), rng)
         v = _positive_first(_orthonormalize(apply_block(v), rng))  # enters Rayleigh-Ritz
     w = apply_block(v)
-    # v is a fresh contiguous array; the closure's w may be laid out any way
-    projected = v.T.dot(w) if n > 1 and dot_ready(w) else v.T @ w
+    projected = matmul(v.T, w)
     projected = (projected + projected.T) / 2.0  # kill rounding asymmetry
     if cfg.k == 1:
         # LAPACK's order-1 answer without the call: eigenvalue A(1,1), eigenvector 1.

@@ -1,6 +1,6 @@
 """Arrays with chosen entries and memory layouts, for the bit-for-bit product tests.
 
-``ndarray.dot`` gives the bits of ``@`` only for some layouts (``cao.errors.dot_ready``),
+``ndarray.dot`` gives the bits of ``@`` only for some layouts (``cao.errors.matmul``),
 so the tests run every changed product on each layout here and compare bytes.
 """
 

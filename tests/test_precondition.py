@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,7 +235,6 @@ class TestDotProducts:
             rng = np.random.default_rng([n, k])
             basis = laid_out(qr_orthonormalize(rng.standard_normal((n, k)), rng), basis_layout)
             pc = DampedPreconditioner(Sketch(np.arange(k, 0, -1.0), basis), 0.1)
-            assert pc.dot is (basis_layout in ("C", "F"))
             for layout in VECTOR_LAYOUTS:
                 g = laid_out(rng.standard_normal(n), layout)
                 assert bits(precondition(g, pc)) == bits(matmul_precondition(g, pc))
@@ -241,19 +242,51 @@ class TestDotProducts:
     def test_one_row(self):
         for entry in (1.0, -1.0):
             pc = DampedPreconditioner(Sketch(np.array([2.0]), np.array([[entry]])), 0.5)
-            assert not pc.dot
             for g in (-0.0, 0.0, 5e-324, -3.0):
                 assert bits(precondition([g], pc)) == bits(matmul_precondition([g], pc))
 
     def test_rank_one_on_signed_zeros(self):
-        # k = 1 keeps basis @ (coef / den) and basis @ coef, whose one-entry coef
-        # .dot would take as a scalar; zeros of either sign in the basis and in g
+        # zeros of either sign in the basis and in g, through the k = 1 products
         rng = np.random.default_rng(3)
         for _ in range(200):
             n = int(rng.integers(2, 9))
             pc = DampedPreconditioner(Sketch(np.array([float(rng.uniform(-1, 5))]),
                                              signed_unit_basis(rng, n, 1)),
                                       float(rng.uniform(0.05, 2.0)))
-            assert pc.dot
             g = with_specials(rng, (n,), 0.7, FINITE_SPECIAL[np.abs(FINITE_SPECIAL) < 1e100])
             assert bits(precondition(g, pc)) == bits(matmul_precondition(g, pc))
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_pickle_round_trip(self, k):
+        rng = np.random.default_rng(k)
+        basis = qr_orthonormalize(rng.standard_normal((20, k)), rng) if k else np.empty((20, 0))
+        pc = DampedPreconditioner(Sketch(np.arange(k, 0, -1.0), basis), 0.1)
+        copy = pickle.loads(pickle.dumps(pc))
+        g = rng.standard_normal(20)
+        assert copy.eta == pc.eta and bits(copy.sketch.basis) == bits(pc.sketch.basis)
+        assert bits(precondition(g, copy)) == bits(precondition(g, pc))
+
+    def test_rank_one_underflow_keeps_the_sign_of_zero(self):
+        # k = 1: basis.dot(coef / den) and basis.dot(coef) sum over one term, so .dot
+        # keeps the -0.0 of -5e-324 * 0.2 where BLAS gives +0.0, and (g - basis @ coef)
+        # / eta is -0.0 too (-5e-324 / 2 rounds to -0.0), so the sum keeps the sign
+        pc = DampedPreconditioner(Sketch(np.array([3.0]), np.array([[1.0], [-5e-324]])), 2.0)
+        g = np.array([1.0, -1e-323])
+        assert bits(precondition(g, pc)) == bits(matmul_precondition(g, pc)) == bits([0.2, 0.0])
+        basis, coef = pc.sketch.basis, pc.sketch.basis.T.dot(g)
+        all_dot = basis.dot(coef / pc.denominators) + (g - basis.dot(coef)) / pc.eta
+        assert bits(all_dot) == bits([0.2, -0.0])
+
+    def test_rank_one_underflow_draws(self):
+        # the same on random draws: a unit column with subnormal entries, a large eta
+        rng = np.random.default_rng(4)
+        pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-160, -1e-160])
+        for _ in range(400):
+            n = int(rng.integers(2, 5))
+            basis = np.concatenate([[rng.choice([1.0, -1.0])], rng.choice(pool, n - 1)])
+            pc = DampedPreconditioner(
+                Sketch(np.array([float(rng.choice([-1.0, 0.0, 3.0]))]), basis[:, None]),
+                float(rng.choice([2.0, 1e100, 1e200])))
+            g = rng.choice(np.concatenate([pool, [1.0, -1.0, 0.5]]), n)
+            with np.errstate(all="ignore"):
+                assert bits(precondition(g, pc)) == bits(matmul_precondition(g, pc))

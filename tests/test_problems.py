@@ -1,4 +1,5 @@
 import json
+import pickle
 import sys
 import tracemalloc
 import warnings
@@ -150,6 +151,17 @@ class TestQuadraticProducts:
             assert bits(hv) == bits(p.matrix @ np.array([theta]))
         loss, g = p.loss_and_grad(np.array([-0.0]))
         assert bits(g) == bits([0.0]) and bits(loss) == bits(0.0)
+
+
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_pickle_round_trip(self, n):
+        p = quadratic(np.linspace(1.0, 10.0, n), seed=n)
+        q = pickle.loads(pickle.dumps(p))
+        theta, block = p.initial_point(0), np.eye(n)[:, :1]
+        assert bits(q.loss_and_grad(theta)[1]) == bits(p.loss_and_grad(theta)[1])
+        assert bits(q.hvp_closure(theta)(block)) == bits(p.hvp_closure(theta)(block))
+        q.matrix[...] = 0.0  # the copy's products use the copy's matrix
+        assert bits(q.grad(theta)) == bits(np.zeros(n))
 
 
 class TestRosenbrock:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cao import Batch, logreg, mlp_synthetic, quadratic, rosenbrock
-from cao.errors import ContractViolationError, NumericOverflowError, dot_ready
+from cao.errors import ContractViolationError, NumericOverflowError, matmul
 from cao.sketch import (
     ORTHO_TOL,
     RANK_DEFICIENCY_TOL,
@@ -131,7 +131,7 @@ def assert_gram_verdict(basis):
 
 
 class TestRankOneCheck:
-    """At k = 1, ``Sketch`` checks the basis with one dot product, as the Gram matrix did."""
+    """At k = 1, ``Sketch`` compares its 1 x 1 Gram matrix with 1, as the general check did."""
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 120), layout=st.sampled_from(BLOCK_LAYOUTS),
@@ -145,9 +145,7 @@ class TestRankOneCheck:
         norm = np.linalg.norm(col)
         with np.errstate(all="ignore"):
             col = laid_out(col / norm * np.sqrt(scale) if norm else col, layout)
-            if dot_ready(col):  # the layouts the one dot product is taken on
-                flat = col.ravel()
-                assert bits(flat.dot(flat)) == bits((col.T @ col)[0, 0])
+            assert bits(matmul(col.T, col)) == bits(col.T @ col)
             assert_gram_verdict(col)
 
     @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
@@ -458,7 +456,7 @@ class TestSketchResidual:
 
 
 class TestProjectionProducts:
-    """The Rayleigh-Ritz projection ``v.T.dot(w)`` keeps every bit of ``v.T @ w``."""
+    """The Rayleigh-Ritz projection ``matmul(v.T, w)`` keeps every bit of ``v.T @ w``."""
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 60), k=st.integers(1, 8), iters=st.integers(1, 3),

@@ -4,7 +4,9 @@
 Usage: python scripts/reproduce.py [--out runs] [--jobs N]
 
 Everything is seeded; rerunning produces byte-identical logs and summaries
-(wall-clock fields aside), for any ``--jobs``. ``--jobs`` goes to ``run``,
+(wall-clock fields aside), for any ``--jobs`` and any BLAS thread count the
+environment sets, since every run goes at one OpenBLAS thread (where no
+OpenBLAS is found, each command warns). ``--jobs`` goes to ``run``,
 ``ablate-k`` and ``sweep``; without it they take the CLI's default, the usable
 CPUs.
 """

@@ -159,8 +159,8 @@ def pool_size(jobs: int, n_tasks: int) -> int:
     """Processes, the caller included, for ``n_tasks`` independent runs at ``jobs``.
 
     ``jobs`` must be an integer >= 1. There are never more processes than
-    tasks, and only the caller where the platform cannot fork; 1 means the
-    runs go in process and nothing is forked.
+    tasks, and only the caller where the platform cannot fork; at 1 nothing
+    is forked.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
@@ -216,8 +216,11 @@ def _openblas_threads():
 
 @contextmanager
 def _one_blas_thread():
-    """OpenBLAS at one thread inside the block, where it can be set; restored after."""
+    """OpenBLAS at one thread inside the block, restored after; a warning where it cannot be set."""
     blas = _openblas_threads()
+    if blas is None:
+        log.warning("no OpenBLAS thread count to set: the runs use the BLAS's own"
+                    " threads, and their outputs may depend on how many it uses")
     before = blas[0]() if blas else 1
     if before != 1:
         blas[1](1)
@@ -304,14 +307,14 @@ def _reap(children) -> tuple[list, list]:
     return outcomes, dead
 
 
-def _run_all(execute, n_tasks: int, jobs: int):
+def _run_all(execute, n_tasks: int, jobs: int) -> list:
     """``execute(i)`` for every task index i, results in task order.
 
-    With one process (see ``pool_size``) the tasks run in process, one after
-    another, lazily. Otherwise the caller forks ``pool_size - 1`` children
-    and every process, the caller too, claims task indices from one shared
-    queue until it is empty; OpenBLAS runs at one thread meanwhile. Each
-    run's ``cao.*`` log records are re-emitted by the caller in task order.
+    The caller forks ``pool_size - 1`` children, none at one process, and
+    every process, the caller too, claims task indices from one shared queue
+    until it is empty; OpenBLAS runs at one thread meanwhile, so the results
+    do not depend on ``jobs``. Each run's ``cao.*`` log records are
+    re-emitted by the caller in task order once every run is done.
     If a task raises, no task starts after it, the running ones finish, and
     the first failure in task order is raised, after the records of the
     tasks before it and its own. A child that dies gives a ``WorkerError``
@@ -319,8 +322,6 @@ def _run_all(execute, n_tasks: int, jobs: int):
     left when this returns or raises.
     """
     processes = pool_size(jobs, n_tasks)
-    if processes <= 1:
-        return map(execute, range(n_tasks))
     with _one_blas_thread(), tempfile.TemporaryFile() as queue_file:
         queue_file.write(np.arange(n_tasks, dtype="<u4").tobytes())
         queue_file.seek(0)
@@ -368,9 +369,9 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None, jobs: int = 
     index) triples; by default each optimizer of ``cfg`` with its own index.
     The problem is built once for all of them, each seed's schedule once, and
     before the first run the HVPs each curvature-adaptive task plans per run
-    are logged at INFO. The runs form one list, seed-major, then task; with
-    ``jobs`` above 1 the caller and up to ``jobs - 1`` forked children run
-    it (see ``_run_all``), and the children inherit the problem and the
+    are logged at INFO. The runs form one list, seed-major, then task, which
+    the caller and up to ``jobs - 1`` forked children run at one OpenBLAS
+    thread (see ``_run_all``); the children inherit the problem and the
     schedules. Every output is the same for any ``jobs``. Returns the log
     paths, whether any run diverged, and per run a (path, label, index,
     entry) tuple for ``_group``.

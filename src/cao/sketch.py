@@ -35,9 +35,10 @@ class Sketch:
     """Top-k eigenvalue estimates and an orthonormal basis of their directions.
 
     ``eigvals`` is sorted descending by signed value and may contain negative
-    entries. k = 0 denotes the empty sketch. Construction checks both: the
-    order, and that the Gram matrix is within ``ORTHO_TOL`` of the identity;
-    for k = 1 the 1 x 1 Gram matrix is compared with 1 as a scalar.
+    entries. k = 0 denotes the empty sketch. Construction checks both: that
+    the eigenvalues are finite and in order, and that the Gram matrix is
+    within ``ORTHO_TOL`` of the identity, which a non-finite basis entry
+    fails; for k = 1 the 1 x 1 Gram matrix is compared with 1 as a scalar.
     """
 
     eigvals: np.ndarray
@@ -52,13 +53,15 @@ class Sketch:
             raise ContractViolationError(
                 f"basis shape {basis.shape} inconsistent with {vals.size} eigenvalues"
             )
-        if vals.size > 1 and np.any(np.diff(vals) > 0):
-            raise ContractViolationError("eigvals must be sorted descending")
         if vals.size:
+            if not all_finite(vals):
+                raise ContractViolationError(f"eigvals must be finite, got {vals}")
+            if vals.size > 1 and np.any(np.diff(vals) > 0):
+                raise ContractViolationError("eigvals must be sorted descending")
             gram = matmul(basis.T, basis)
             off = (abs(gram[0, 0] - 1.0) if vals.size == 1
                    else np.max(np.abs(gram - np.eye(vals.size))))
-            if off > ORTHO_TOL:
+            if not off <= ORTHO_TOL:  # NaN, from a NaN entry, fails too
                 raise ContractViolationError("basis columns are not orthonormal")
 
     @property

@@ -23,7 +23,8 @@ from cao.runlog import read_runlog
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-# BLAS at one thread, as the benchmark runs it (test_blas_pinned_while_forked runs two)
+# BLAS at one thread from the start, as the benchmark runs it; the runs themselves are
+# pinned to one at any --jobs (test_blas_pinned_while_forked starts at two)
 ONE_BLAS_THREAD = {**ENV, **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                                   "MKL_NUM_THREADS")}}
 
@@ -164,6 +165,21 @@ def test_outputs_equal_across_executors(tmp_path, compare_outputs, case):
         assert stderr[2].count("INFO cao.sketch: sketch contains negative curvature") > 1
     assert compare_outputs.compare(out / "jobs1", out / "jobs2") == []
     assert list(out.rglob("*.part")) == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_warning_where_blas_cannot_be_pinned(tmp_path, monkeypatch, caplog, jobs):
+    monkeypatch.setattr(harness, "_openblas_threads", lambda: None)
+    for call in ("first", "second"):
+        caplog.clear()
+        with caplog.at_level(logging.INFO):
+            result = run_comparison(small_config(), tmp_path / call, jobs=jobs)
+        assert [(name, message) for name, level, message in caplog.record_tuples
+                if level >= logging.WARNING] == [(
+                    "cao.harness", "no OpenBLAS thread count to set: the runs use the BLAS's"
+                    " own threads, and their outputs may depend on how many it uses")]
+        assert len(result["logs"]) == 6
+        assert all(read_runlog(path)[2] is not None for path in result["logs"])
 
 
 def test_log_records_reach_caplog_in_task_order(tmp_path, caplog):
@@ -457,7 +473,8 @@ def test_importing_the_cli_loads_no_pool(tmp_path):
     assert len(list(tmp_path.rglob("*.log"))) == 9
 
 
-# the OpenBLAS thread count inside every run the caller makes, and around the commands
+# the OpenBLAS thread count inside every run the caller makes, at --jobs 1 and 2: one, and
+# the environment's two around the commands
 BLAS_SIDES = """
 import json, sys
 from cao import cli, harness
@@ -481,17 +498,44 @@ print(json.dumps({"before": before, "after": blas[0](), "inside": inside}))
 """
 
 
-def test_blas_pinned_while_forked(tmp_path, compare_outputs):
+def two_blas_threads():
+    """The environment for a subprocess whose OpenBLAS starts at two threads."""
     env = {**ENV, "OPENBLAS_NUM_THREADS": "2"}
     for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.pop(var, None)
+    return env
+
+
+def test_blas_pinned_while_forked(tmp_path, compare_outputs):
     done = subprocess.run([sys.executable, "-c", BLAS_SIDES, str(tmp_path),
                            str(ROOT / "perfbench" / "configs" / "logreg_sketch.json")],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=two_blas_threads(), capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
     if seen is None:
         pytest.skip("no OpenBLAS thread-count functions found")
-    assert seen == {"before": 2, "after": 2, "inside": {"1": [0, [2]], "2": [0, [1]]}}
+    assert seen == {"before": 2, "after": 2, "inside": {"1": [0, [1]], "2": [0, [1]]}}
     assert compare_outputs.compare(tmp_path / "jobs1", tmp_path / "jobs2") == []
     assert len(list(tmp_path.rglob("*.log"))) == 12
+
+
+@pytest.mark.skipif(harness._openblas_threads() is None,
+                    reason="no OpenBLAS thread-count functions found")
+def test_outputs_equal_at_two_blas_threads(tmp_path, compare_outputs):
+    # full-batch products long enough that OpenBLAS splits them across its two
+    # threads, which rounds otherwise than one thread does
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "name": "logreg-wide",
+        "problem": {"name": "logreg", "n_features": 100, "n_samples": 8000, "seed": 5},
+        "optimizers": [{"kind": "sgd", "label": "sgd", "alpha": 1.0}],
+        "seeds": [0, 1], "steps": 10, "batch_size": 0, "threshold": 0.36,
+    }))
+    for jobs in ("1", "2"):
+        done = subprocess.run([sys.executable, "-m", "cao.cli", "--out", str(tmp_path / jobs),
+                               "run", "--config", str(cfg), "--jobs", jobs],
+                              env=two_blas_threads(), capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+    assert len(list(tmp_path.rglob("*.log"))) == 4
+    assert compare_outputs.compare(tmp_path / "1", tmp_path / "2") == []

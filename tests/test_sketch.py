@@ -116,10 +116,29 @@ class TestSketchType:
         with pytest.raises(ContractViolationError):
             Sketch(np.array([1.0, 2.0]), basis)
 
+    @pytest.mark.parametrize("vals, basis, match", [
+        ([2.0], [[np.nan], [0.0]], "not orthonormal"),
+        ([2.0], [[np.inf], [0.0]], "not orthonormal"),
+        ([2.0, 1.0], [[1.0, 0.0], [0.0, np.nan], [0.0, 0.0]], "not orthonormal"),
+        ([np.nan], [[1.0], [0.0]], "eigvals must be finite"),
+        ([2.0, np.nan], np.eye(3)[:, :2], "eigvals must be finite"),
+        ([np.nan, 2.0], np.eye(3)[:, :2], "eigvals must be finite"),
+        ([np.inf, 1.0], np.eye(3)[:, :2], "eigvals must be finite"),
+        ([1.0, -np.inf], np.eye(3)[:, :2], "eigvals must be finite"),
+    ], ids=["nan-basis", "inf-basis", "nan-basis-k2", "nan-eigval", "nan-last-eigval",
+            "nan-first-eigval", "inf-eigval", "minus-inf-eigval"])
+    def test_rejects_non_finite(self, vals, basis, match):
+        with pytest.raises(ContractViolationError, match=match):
+            Sketch(np.array(vals), np.array(basis))
+
+    def test_huge_finite_eigenvalues_build(self):
+        # squares that overflow are no reason to refuse
+        assert Sketch(np.array([1e300, -1e300]), np.eye(2)).k == 2
+
 
 def gram_refuses(basis):
-    """``Sketch``'s test of a one-column basis as it was: the whole 1 x 1 Gram matrix."""
-    return np.max(np.abs(basis.T @ basis - np.eye(1))) > ORTHO_TOL
+    """``Sketch``'s test of a one-column basis on the whole 1 x 1 Gram matrix; NaN refuses."""
+    return not np.max(np.abs(basis.T @ basis - np.eye(1))) <= ORTHO_TOL
 
 
 def assert_gram_verdict(basis):

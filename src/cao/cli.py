@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import harness, theory
+from . import executor, harness, theory
 from .config import load_config
 from .errors import ConfigError
 
@@ -63,8 +63,7 @@ def _finite_thresholds(values, flag):
 def _jobs(text):
     """The ``--jobs`` worker count: the usable CPUs if not given, else an integer >= 1."""
     if text is None:
-        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-            else os.cpu_count() or 1
+        return executor.usable_cpus()
     try:
         jobs = int(text)
     except ValueError:

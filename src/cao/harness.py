@@ -13,25 +13,21 @@ entries and equal the tables rebuilt from a re-read of their logs.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import logging
-import os
-import pickle
-import tempfile
 import time
-from contextlib import contextmanager
 from dataclasses import replace
-from functools import cache
 from itertools import repeat
 from operator import contains
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from . import __version__
 from .config import ExperimentConfig, OptimizerSpec, parse_config
-from .errors import (ConfigError, ContractViolationError, DivergenceError, NumericOverflowError,
-                     WorkerError)
+from .errors import ConfigError, ContractViolationError, DivergenceError, NumericOverflowError
+from .executor import run_all
 from .optim import CaoConfig, make_runner
 from .problems import FULL_BATCH, Batch, from_config
 from .runlog import RunLogWriter, collector_paused, read_runlog
@@ -41,21 +37,29 @@ log = logging.getLogger(__name__)
 UNREACHED = "unreached"
 
 
-def _package_version() -> str:
-    from . import __version__
+class Schedule(NamedTuple):
+    """One seed's batch order, shared by every run of the seed."""
+    batches: list
+    steps_per_epoch: int
+    digest: str  # what the log header records as ``schedule_hash``
 
-    return __version__
+
+class Task(NamedTuple):
+    """One run: the config its log header records, its optimizer and index, its seed."""
+    cfg: ExperimentConfig
+    spec: OptimizerSpec
+    index: int
+    seed: int
 
 
-def build_schedule(num_samples: int, batch_size: int, steps: int, seed: int):
-    """Shared batch order for one seed: shuffled passes, re-seeded per epoch.
+def build_schedule(num_samples: int, batch_size: int, steps: int, seed: int) -> Schedule:
+    """The ``Schedule`` of one seed: shuffled passes, re-seeded per epoch.
 
-    Returns (schedule, steps_per_epoch, hash). ``batch_size`` 0 or a
-    sample-free problem gives a full-batch schedule.
+    ``batch_size`` 0 or a sample-free problem gives a full-batch schedule.
     """
     if batch_size == 0 or num_samples == 0:
         digest = hashlib.sha256(b"full-batch").hexdigest()[:16]
-        return [FULL_BATCH] * steps, 1, digest
+        return Schedule([FULL_BATCH] * steps, 1, digest)
     if batch_size > num_samples:
         raise ConfigError(f"batch_size {batch_size} exceeds num_samples {num_samples}")
     steps_per_epoch = num_samples // batch_size
@@ -71,19 +75,15 @@ def build_schedule(num_samples: int, batch_size: int, steps: int, seed: int):
             if len(schedule) == steps:
                 break
         epoch += 1
-    return schedule, steps_per_epoch, hasher.hexdigest()[:16]
+    return Schedule(schedule, steps_per_epoch, hasher.hexdigest()[:16])
 
 
-def run_single(problem, spec: OptimizerSpec, opt_index: int, seed: int, schedule,
-               steps_per_epoch: int, cfg: ExperimentConfig, log_path,
-               schedule_hash: str | None = None):
-    """One (optimizer, seed) run; writes the log and returns (summary, series).
+def run_single(problem, task: Task, schedule: Schedule, *, log_path):
+    """One ``task`` on ``schedule``, its seed's; writes the log and returns (summary, series).
 
-    ``schedule_hash`` is the digest ``build_schedule`` returned for
-    ``schedule``; it goes into the log header. ``series`` is what
-    ``_series`` picks from the log's records: the (step, eval_loss) pairs if
-    any step was evaluated, else the (step, loss) pair of every record,
-    including the one a divergence leaves.
+    ``series`` is what ``_series`` picks from the log's records: the (step,
+    eval_loss) pairs if any step was evaluated, else the (step, loss) pair of
+    every record, including the one a divergence leaves.
 
     A full-set loss that overflows ends the run as diverged, with no
     ``final_loss`` in the summary. An eval that overflows does so before its
@@ -91,6 +91,8 @@ def run_single(problem, spec: OptimizerSpec, opt_index: int, seed: int, schedule
     last evaluated step before it. A final loss that overflows leaves every
     record and the series as they are.
     """
+    cfg, spec, index, seed = task
+    batches, steps_per_epoch, digest = schedule
     theta0 = problem.initial_point(seed)
     runner = make_runner(spec.kind, theta0, spec.params, seed)
     minibatch = cfg.batch_size > 0 and problem.num_samples > 0
@@ -101,16 +103,16 @@ def run_single(problem, spec: OptimizerSpec, opt_index: int, seed: int, schedule
         writer.write_header({
             "experiment": cfg.name,
             "config": cfg.to_dict(),
-            "optimizer": {"kind": spec.kind, "label": spec.label, "index": opt_index,
+            "optimizer": {"kind": spec.kind, "label": spec.label, "index": index,
                           **spec.params},
             "seed": seed,
             "steps_per_epoch": steps_per_epoch,
-            "schedule_hash": schedule_hash,
+            "schedule_hash": digest,
             "threshold": cfg.threshold,
-            "package_version": _package_version(),
+            "package_version": __version__,
         })
         try:
-            for t, batch in enumerate(schedule):
+            for t, batch in enumerate(batches):
                 eval_loss = None
                 if minibatch and t % cfg.eval_every == 0:
                     try:
@@ -151,233 +153,21 @@ def run_single(problem, spec: OptimizerSpec, opt_index: int, seed: int, schedule
     return summary, evals or losses
 
 
-def _log_path(out_root, exp_name, label, seed) -> Path:
-    return Path(out_root) / "logs" / exp_name / label / f"{seed}.log"
-
-
-def pool_size(jobs: int, n_tasks: int) -> int:
-    """Processes, the caller included, for ``n_tasks`` independent runs at ``jobs``.
-
-    ``jobs`` must be an integer >= 1. There are never more processes than
-    tasks, and only the caller where the platform cannot fork; at 1 nothing
-    is forked.
-    """
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
-    return min(jobs, n_tasks) if hasattr(os, "fork") else 1
-
-
-class _Captured(logging.Handler):
-    """The ``cao.*`` log records of one run, for the caller to re-emit in task order."""
-
-    def __init__(self):
-        super().__init__()
-        self.records = []
-
-    def emit(self, record):
-        self.records.append(record)
-
-
-@contextmanager
-def _capturing():
-    """Inside the block ``cao.*`` records go to the yielded ``_Captured``, not up."""
-    cao_log = logging.getLogger(__package__)
-    saved = cao_log.handlers, cao_log.propagate
-    handler = _Captured()
-    cao_log.handlers, cao_log.propagate = [handler], False
-    try:
-        yield handler
-    finally:
-        cao_log.handlers, cao_log.propagate = saved
-
-
-@cache
-def _openblas_threads():
-    """The loaded OpenBLAS's (get, set) thread-count functions, or None if none is found."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and "/" in line})
-    except OSError:
-        return None
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get, put = (getattr(handle, f"{prefix}_{op}_num_threads{suffix}", None)
-                        for op in ("get", "set"))
-            if get and put:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """OpenBLAS at one thread inside the block, restored after; a warning where it cannot be set."""
-    blas = _openblas_threads()
-    if blas is None:
-        log.warning("no OpenBLAS thread count to set: the runs use the BLAS's own"
-                    " threads, and their outputs may depend on how many it uses")
-    before = blas[0]() if blas else 1
-    if before != 1:
-        blas[1](1)
-    try:
-        yield
-    finally:
-        if before != 1:
-            blas[1](before)
-
-
-def _claim(execute, queue: int) -> list:
-    """Run the tasks this process claims from the ``queue`` file until none is left.
-
-    The queue holds 4-byte task indices, and every process reads it through
-    one shared offset, so each read claims the next index. Returns one
-    (index, failed, result or exception, cao.* records) per claimed task. A
-    failure seeks the queue to its end, which cancels every claim not yet
-    made, in every process. Its exception, ``KeyboardInterrupt`` included,
-    is kept as the outcome, for ``_run_all`` to raise in task order.
-    """
-    outcomes = []
-    with _capturing() as handler:
-        while len(claim := os.read(queue, 4)) == 4:
-            i = int.from_bytes(claim, "little")
-            handler.records = []
-            try:
-                outcomes.append((i, False, execute(i), handler.records))
-            except BaseException as exc:
-                os.lseek(queue, 0, os.SEEK_END)
-                outcomes.append((i, True, exc, handler.records))
-                break
-    return outcomes
-
-
-def _child(execute, queue: int, pipe: int):
-    """A forked child: claim tasks, write the pickled outcomes to ``pipe``, exit.
-
-    It never returns; the exit status is 0 only once every outcome is
-    written. An exception that does not survive pickling is sent as a
-    ``WorkerError`` naming it.
-    """
-    status = 1
-    try:
-        outcomes = _claim(execute, queue)
-        if outcomes and outcomes[-1][1]:  # only the last claim can have failed
-            i, _, exc, records = outcomes[-1]
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception as why:
-                outcomes[-1] = (i, True, WorkerError(
-                    f"task {i} raised {type(exc).__name__}: {exc}, which cannot be sent"
-                    f" from its worker process ({type(why).__name__}: {why})"), records)
-        with open(pipe, "wb") as fh:
-            fh.write(pickle.dumps(outcomes))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _reap(children) -> tuple[list, list]:
-    """Every child's outcomes and the exits of those that sent none.
-
-    ``children`` holds (pid, pipe read end) pairs. Each pipe is read to its
-    end and closed and each child waited for, even if this is interrupted.
-    """
-    outcomes, dead, waited = [], [], 0
-    try:
-        for pid, r in children:
-            with open(r, "rb", closefd=False) as fh:
-                data = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            waited += 1
-            if code == 0:
-                outcomes += pickle.loads(data)
-            else:
-                dead.append(f"worker process {pid} "
-                            + (f"was killed by signal {-code}" if code < 0
-                               else f"exited with status {code}"))
-    finally:
-        for _, r in children:
-            os.close(r)  # a child still writing gets a broken pipe and exits
-        for pid, _ in children[waited:]:
-            os.waitpid(pid, 0)
-    return outcomes, dead
-
-
-def _run_all(execute, n_tasks: int, jobs: int) -> list:
-    """``execute(i)`` for every task index i, results in task order.
-
-    The caller forks ``pool_size - 1`` children, none at one process, and
-    every process, the caller too, claims task indices from one shared queue
-    until it is empty; OpenBLAS runs at one thread meanwhile, so the results
-    do not depend on ``jobs``. Each run's ``cao.*`` log records are
-    re-emitted by the caller in task order once every run is done.
-    If a task raises, no task starts after it, the running ones finish, and
-    the first failure in task order is raised, after the records of the
-    tasks before it and its own. A child that dies gives a ``WorkerError``
-    with its exit status and the tasks left without a result. No child is
-    left when this returns or raises.
-    """
-    processes = pool_size(jobs, n_tasks)
-    with _one_blas_thread(), tempfile.TemporaryFile() as queue_file:
-        queue_file.write(np.arange(n_tasks, dtype="<u4").tobytes())
-        queue_file.seek(0)
-        queue = queue_file.fileno()
-        children = []
-        try:
-            for _ in range(processes - 1):
-                r, w = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(r)
-                    os.close(w)
-                    raise
-                if pid == 0:  # with no read end kept, writing to a pipe the caller
-                    # closed fails at once instead of blocking
-                    for fd in (r, *(earlier for _, earlier in children)):
-                        os.close(fd)
-                    _child(execute, queue, w)
-                os.close(w)
-                children.append((pid, r))
-            outcomes = _claim(execute, queue)
-        finally:
-            os.lseek(queue, 0, os.SEEK_END)  # no run starts after a failure or Ctrl-C
-            theirs, dead = _reap(children)
-    done = {i: outcome for i, *outcome in outcomes + theirs}
-    results = []
-    for i in range(n_tasks):
-        if i not in done:
-            missing = ", ".join(str(j) for j in range(i, n_tasks) if j not in done)
-            raise WorkerError(f"{'; '.join(dead)}; tasks without a result: {missing}")
-        failed, value, records = done[i]
-        for rec in records:
-            logging.getLogger(rec.name).handle(rec)
-        if failed:
-            raise value
-        results.append(value)
-    return results
-
-
 def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None, jobs: int = 1) -> dict:
     """All (seed, optimizer) runs of a config; schedules shared within a seed.
 
-    ``tasks`` lists the runs of one seed as (config the log records, optimizer,
-    index) triples; by default each optimizer of ``cfg`` with its own index.
-    The problem is built once for all of them, each seed's schedule once, and
-    before the first run the HVPs each curvature-adaptive task plans per run
-    are logged at INFO. The runs form one list, seed-major, then task, which
-    the caller and up to ``jobs - 1`` forked children run at one OpenBLAS
-    thread (see ``_run_all``); the children inherit the problem and the
-    schedules. Every output is the same for any ``jobs``. Returns the log
-    paths, whether any run diverged, and per run a (path, label, index,
-    entry) tuple for ``_group``.
+    ``tasks`` lists the runs as ``Task`` values, seed-major; by default each
+    seed of ``cfg``, then each optimizer with its own index. The problem is
+    built once for all of them, each seed's schedule once, and before the
+    first run the HVPs each curvature-adaptive task plans per run are logged
+    at INFO. ``executor.run_all`` runs the tasks on up to ``jobs`` processes,
+    whose children inherit the problem and the schedules; every output is the
+    same for any ``jobs``. Returns the log paths, whether any run diverged,
+    and per run a (path, label, index, entry) tuple for ``_group``.
     """
     if tasks is None:
-        tasks = [(cfg, spec, idx) for idx, spec in enumerate(cfg.optimizers)]
+        tasks = [Task(cfg, spec, index, seed) for seed in cfg.seeds
+                 for index, spec in enumerate(cfg.optimizers)]
     try:
         problem = from_config(cfg.problem)
     except ContractViolationError as exc:
@@ -385,12 +175,12 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None, jobs: int = 
     except (MemoryError, ValueError) as exc:  # a section too large to build
         raise ConfigError(f"problem {cfg.problem.get('name')!r} cannot be built:"
                           f" {type(exc).__name__}: {exc}") from None
-    for _, spec, _ in tasks:
+    for _, spec, _, _ in tasks:
         if spec.params.get("k", 0) > problem.dim:
             raise ConfigError(f"optimizer {spec.label!r}: k = {spec.params['k']} exceeds"
                               f" the problem dimension {problem.dim}")
-    for run_cfg, spec, _ in tasks:
-        if spec.kind == "cao":
+    for run_cfg, spec, _, seed in tasks:
+        if spec.kind == "cao" and seed == tasks[0].seed:  # one line per optimizer
             cao = CaoConfig(**spec.params)
             refreshes = cao.planned_refreshes(run_cfg.steps)
             per_refresh = (cao.t_pow + 1) * cao.k
@@ -399,23 +189,18 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None, jobs: int = 
                      spec.label, refreshes * per_refresh, refreshes, per_refresh)
     schedules = {seed: build_schedule(problem.num_samples, cfg.batch_size, cfg.steps, seed)
                  for seed in cfg.seeds}
-    plan = [(seed, run_cfg, spec, idx,
-             str(_log_path(out_root, run_cfg.name, spec.label, seed)))
-            for seed in cfg.seeds for run_cfg, spec, idx in tasks]
+    logs = [str(Path(out_root, "logs", t.cfg.name, t.spec.label, f"{t.seed}.log"))
+            for t in tasks]
 
     def execute(i):
-        seed, run_cfg, spec, idx, path = plan[i]
-        schedule, spe, digest = schedules[seed]
-        return run_single(problem, spec, idx, seed, schedule, spe, run_cfg, path,
-                          schedule_hash=digest)
+        return run_single(problem, tasks[i], schedules[tasks[i].seed], log_path=logs[i])
 
-    logs, runs, diverged = [], [], False
-    for (seed, _, spec, idx, path), (summary, series) in zip(
-            plan, _run_all(execute, len(plan), jobs)):
-        logs.append(path)
-        runs.append((path, spec.label, idx,
+    runs, diverged = [], False
+    for (_, spec, index, seed), path, (summary, series) in zip(
+            tasks, logs, run_all(execute, len(tasks), jobs)):
+        runs.append((path, spec.label, index,
                      _entry(seed, series, summary, spec.kind, spec.params.get("k", 1),
-                            schedules[seed][1])))
+                            schedules[seed].steps_per_epoch)))
         diverged |= summary["diverged"]
     return {"logs": logs, "diverged": diverged, "runs": runs}
 
@@ -508,20 +293,13 @@ def _group_logs(log_paths):
     return groups, labels, recorded
 
 
-def _first_hit(series, threshold):
-    for step, value in series:
-        if value <= threshold:
-            return step
-    return None
-
-
 def _ttt_table(groups, labels, threshold) -> dict:
     """First-hit table over grouped runs (see ``time_to_threshold``)."""
     table = {"threshold": threshold, "optimizers": {}, "speedups": {}}
     for label in labels:
         hits, epochs = {}, []
         for run in groups[label]:
-            hit = _first_hit(run["series"], threshold)
+            hit = next((step for step, value in run["series"] if value <= threshold), None)
             hits[run["seed"]] = hit
             if hit is not None:
                 epochs.append(hit // run["steps_per_epoch"])
@@ -659,31 +437,24 @@ def _final_loss_mean(runs):
     return float(np.mean(finals)) if finals else None
 
 
-def _first_cao_spec(cfg: ExperimentConfig) -> OptimizerSpec:
-    for spec in cfg.optimizers:
-        if spec.kind == "cao":
-            return spec
-    raise ConfigError("config has no curvature-adaptive optimizer entry")
-
-
-def _derived(cfg: ExperimentConfig, name: str, entries) -> ExperimentConfig:
-    """``cfg`` renamed, with ``entries`` as its optimizers, checked as a config file is."""
-    return parse_config({**cfg.to_dict(), "name": name, "optimizers": entries})
+def _derived(cfg: ExperimentConfig, name: str, variants) -> ExperimentConfig:
+    """``cfg`` renamed, its optimizers its first curvature-adaptive entry with each of
+    ``variants`` (a label and the params it sets), checked as a config file is."""
+    template = next((spec for spec in cfg.optimizers if spec.kind == "cao"), None)
+    if template is None:
+        raise ConfigError("config has no curvature-adaptive optimizer entry")
+    return parse_config({**cfg.to_dict(), "name": name, "optimizers": [
+        {"kind": "cao", **template.params, **variant} for variant in variants]})
 
 
 def k_ablation(cfg: ExperimentConfig, ks=(0, 1, 3, 5), out_root=".", jobs: int = 1) -> dict:
     """Re-run the config's curvature-adaptive optimizer across ranks, on up to ``jobs`` workers."""
-    template = _first_cao_spec(cfg)
-    ablate_cfg = _derived(cfg, f"{cfg.name}-ablate-k", [
-        {"kind": "cao", "label": f"cao-k{k}", **template.params, "k": int(k)} for k in ks])
+    ablate_cfg = _derived(cfg, f"{cfg.name}-ablate-k",
+                          [{"label": f"cao-k{k}", "k": int(k)} for k in ks])
     result = run_comparison(ablate_cfg, out_root, jobs=jobs)
     groups, labels = _group(result["runs"])
-    table = _ttt_table(groups, labels, cfg.threshold)
-    finals = {label: _final_loss_mean(groups[label]) for label in labels}
-    summary_rows = {label: {"first_hit": table["optimizers"][label], "final_loss_mean": final}
-                    for label, final in finals.items() if final is not None}
     return {"logs": result["logs"], "diverged": result["diverged"],
-            "table": table, "summary": summary_rows, "name": ablate_cfg.name}
+            "table": _ttt_table(groups, labels, cfg.threshold), "name": ablate_cfg.name}
 
 
 def sensitivity_sweep(cfg: ExperimentConfig, etas, ms, out_root=".", jobs: int = 1) -> dict:
@@ -694,14 +465,13 @@ def sensitivity_sweep(cfg: ExperimentConfig, etas, ms, out_root=".", jobs: int =
     of its own: its one optimizer at index 0, on up to ``jobs`` workers (see
     ``run_comparison``).
     """
-    template = _first_cao_spec(cfg)
     # every cell is checked before the first one runs
     grid_cfg = _derived(cfg, f"{cfg.name}-sweep", [
-        {"kind": "cao", "label": f"cao-eta{eta:g}-m{m}", **template.params,
-         "eta": float(eta), "m": int(m)} for eta in etas for m in ms])
+        {"label": f"cao-eta{eta:g}-m{m}", "eta": float(eta), "m": int(m)}
+        for eta in etas for m in ms])
     result = run_comparison(grid_cfg, out_root, tasks=[
-        (replace(grid_cfg, optimizers=(spec,)), spec, 0) for spec in grid_cfg.optimizers],
-        jobs=jobs)
+        Task(replace(grid_cfg, optimizers=(spec,)), spec, 0, seed)
+        for seed in grid_cfg.seeds for spec in grid_cfg.optimizers], jobs=jobs)
     groups, _ = _group(result["runs"])
     cells = []
     for spec in grid_cfg.optimizers:

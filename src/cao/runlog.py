@@ -7,7 +7,7 @@ Layout of a log file, blank and whitespace-only lines aside:
 
 A log is written to ``<name>.part`` and renamed to its name when the writer
 closes cleanly, so a run that fails or is killed leaves no file that looks
-finished.
+finished. The writer locks the ``.part``, so two processes never write one log.
 
 Every line is strict JSON: a non-finite float is written as the string
 "Infinity", "-Infinity" or "NaN", and a NumPy scalar as its ``.item()``. Header
@@ -49,6 +49,7 @@ byte.
 
 from __future__ import annotations
 
+import fcntl
 import gc
 import json
 import math
@@ -58,6 +59,7 @@ from pathlib import Path
 
 import orjson
 
+from .errors import ConfigError
 from .optim import StepRecord
 
 LOG_FORMAT_VERSION = 1
@@ -91,16 +93,30 @@ def _pyify(value):
 class RunLogWriter:
     """One log, written to ``<path>.part`` and renamed to ``path`` by a clean close.
 
-    A log already at ``path`` is removed on open, so a run that fails leaves no
-    finished-looking file there, not even an older run's.
+    The writer owns the ``.part`` by an exclusive ``flock`` until it closes, and
+    only the owner renames. A second writer of the same log raises ``ConfigError``
+    naming it before it changes a byte; a ``.part`` whose owner was killed, and its
+    lock with it, is taken over. The owner empties it and removes a log at ``path``,
+    so a run that fails leaves no finished-looking file there, not even an older run's.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._part = self.path.with_name(self.path.name + ".part")
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self._part, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            owned = os.fstat(fd)
+            if not os.path.samestat(owned, os.stat(self._part)):
+                raise FileNotFoundError  # renamed to its log by the owner before the lock
+        except (BlockingIOError, FileNotFoundError):
+            os.close(fd)
+            raise ConfigError(f"{self.path}: another process is writing this run's log") from None
+        if owned.st_size:  # a dead owner's bytes; ext4 writes back a truncated file at close
+            os.ftruncate(fd, 0)
         self.path.unlink(missing_ok=True)
-        self._fh = open(self._part, "wb")
+        self._fh = open(fd, "wb")
 
     def write_header(self, header: dict) -> None:
         payload = {"type": "header", "version": LOG_FORMAT_VERSION}
@@ -127,10 +143,11 @@ class RunLogWriter:
         self._fh.write(_dumps(payload).encode() + b"\n")
 
     def close(self) -> None:
-        """Close and move the log to its final name."""
+        """Move the log to its final name, then close it, which gives up the ``.part``."""
         if not self._fh.closed:
-            self._fh.close()
+            self._fh.flush()
             os.replace(self._part, self.path)
+            self._fh.close()
 
     def __enter__(self):
         return self

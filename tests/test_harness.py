@@ -553,7 +553,7 @@ class TestOneParsePerLog:
                             out_root=tmp_path)
         assert len(result["logs"]) == 12
         assert parses == {}
-        assert set(result["summary"]) == {"cao-k0", "cao-k1", "cao-k3", "cao-k5"}
+        assert set(result["table"]["optimizers"]) == {"cao-k0", "cao-k1", "cao-k3", "cao-k5"}
 
     def test_sensitivity_sweep(self, tmp_path, parses):
         sensitivity_sweep(tiny_config(steps=40, seeds=(0, 1)), etas=(0.5, 1.0),
@@ -625,9 +625,6 @@ class TestDerivedTablesFromRuns:
         rebuilt = harness._ttt_table(groups, labels, cfg.threshold)
         assert format_ttt(result["table"], name=result["name"]) == \
             format_ttt(rebuilt, name=result["name"])
-        finals = {label: harness._final_loss_mean(groups[label]) for label in labels}
-        assert {label: row["final_loss_mean"] for label, row in result["summary"].items()} \
-            == {label: final for label, final in finals.items() if final is not None}
 
     def test_sweep_equals_its_logs(self, tmp_path, cfg):
         result = sensitivity_sweep(cfg, etas=(0.1, 1.0), ms=(5, 20), out_root=tmp_path)
@@ -1550,6 +1547,38 @@ class TestCli:
                               " together")
         assert reads == []
         assert not (tmp_path / "tables").exists()
+
+    @pytest.mark.parametrize("case, argv, message", [
+        ("no-logs", ["ttt", "--logs", "{inputs}"], "no log files under ["),
+        ("config-list", ["run", "--config", "{cfg}"], "config document must be a JSON object"),
+        ("no-cao", ["ablate-k", "--config", "{cfg}"],
+         "config has no curvature-adaptive optimizer entry"),
+        ("no-cao", ["sweep", "--config", "{cfg}"],
+         "config has no curvature-adaptive optimizer entry"),
+        ("no-threshold", ["ttt", "--logs", "{inputs}"],
+         "no threshold given and none recorded in the logs"),
+    ], ids=["ttt-no-logs", "config-list", "ablate-k-no-cao", "sweep-no-cao",
+            "ttt-no-threshold"])
+    def test_exit_code_3_writes_nothing(self, tmp_path, case, argv, message, capsys):
+        inputs, cfg_path, out = tmp_path / "in", tmp_path / "cfg.json", tmp_path / "out"
+        (inputs / "sgd").mkdir(parents=True)
+        out.mkdir()
+        if case == "no-logs":
+            (inputs / "sgd" / "0.log.part").write_text("")  # only .log files are read
+        elif case == "config-list":
+            cfg_path.write_text("[]")
+        elif case == "no-cao":
+            cfg = tiny_config(steps=5)
+            cfg_path.write_text(json.dumps(replace(cfg, optimizers=cfg.optimizers[1:]).to_dict()))
+        else:
+            log = inputs / "sgd" / "0.log"
+            synthetic_log(log, "sgd", 0, 0, hit_step=10)
+            header, rest = log.read_text().split("\n", 1)
+            log.write_text(json.dumps({**json.loads(header), "threshold": None}) + "\n" + rest)
+        argv = [arg.format(inputs=inputs, cfg=cfg_path) for arg in argv]
+        assert cli.main(["--out", str(out), *argv]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert list(out.iterdir()) == []
 
     def test_theory_negative_seed_exit_code(self, tmp_path, capsys):
         rc = cli.main(["--out", str(tmp_path), "theory", "--seed", "-1"])

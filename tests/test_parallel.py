@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from cao import cli, harness, optim
+from cao import cli, executor, optim
 from cao.config import parse_config
 from cao.errors import ConfigError, WorkerError
 from cao.harness import build_schedule, run_comparison
@@ -56,16 +56,16 @@ class TestPoolSize:
         (1, 9, 1), (2, 1, 1), (2, 9, 2), (3, 2, 2), (100000, 2, 2), (10**30, 5, 5),
     ])
     def test_resolution(self, jobs, tasks, workers):
-        assert harness.pool_size(jobs, tasks) == workers
+        assert executor.pool_size(jobs, tasks) == workers
 
     def test_no_fork_runs_in_process(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
-        assert harness.pool_size(4, 9) == 1
+        assert executor.pool_size(4, 9) == 1
 
     @pytest.mark.parametrize("jobs", [0, -1, 1.5, "2", True, None])
     def test_bad_jobs(self, jobs):
         with pytest.raises(ConfigError, match=r"^jobs must be an integer >= 1, got "):
-            harness.pool_size(jobs, 3)
+            executor.pool_size(jobs, 3)
 
     def test_cli_default_is_the_usable_cpus(self):
         assert cli._jobs(None) == len(os.sched_getaffinity(0))
@@ -169,14 +169,14 @@ def test_outputs_equal_across_executors(tmp_path, compare_outputs, case):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_one_warning_where_blas_cannot_be_pinned(tmp_path, monkeypatch, caplog, jobs):
-    monkeypatch.setattr(harness, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(executor, "_openblas_threads", lambda: None)
     for call in ("first", "second"):
         caplog.clear()
         with caplog.at_level(logging.INFO):
             result = run_comparison(small_config(), tmp_path / call, jobs=jobs)
         assert [(name, message) for name, level, message in caplog.record_tuples
                 if level >= logging.WARNING] == [(
-                    "cao.harness", "no OpenBLAS thread count to set: the runs use the BLAS's"
+                    "cao.executor", "no OpenBLAS thread count to set: the runs use the BLAS's"
                     " own threads, and their outputs may depend on how many it uses")]
         assert len(result["logs"]) == 6
         assert all(read_runlog(path)[2] is not None for path in result["logs"])
@@ -267,7 +267,7 @@ def test_many_tasks_each_run_once(tmp_path, monkeypatch, jobs):
         return i * i
 
     try:
-        assert harness._run_all(execute, 20000, jobs) == [i * i for i in range(20000)]
+        assert executor.run_all(execute, 20000, jobs) == [i * i for i in range(20000)]
     finally:
         os.close(claims)
     assert len(forks) == jobs - 1
@@ -399,12 +399,12 @@ class TestFailures:
         # the caller stops after the first child's results, while the second child
         # still writes a payload larger than its pipe holds
         code = ("import os, pickle, time\n"
-                "from cao import harness\n"
+                "from cao import executor\n"
                 "def interrupted(data):\n"
                 "    raise KeyboardInterrupt\n"
                 "pickle.loads = interrupted\n"
                 "try:\n"
-                "    harness._run_all(lambda i: time.sleep(0.05) or bytes(200000), 6, 3)\n"
+                "    executor.run_all(lambda i: time.sleep(0.05) or bytes(200000), 6, 3)\n"
                 "except KeyboardInterrupt:\n"
                 "    print('interrupted')\n"
                 "try:\n"
@@ -477,8 +477,8 @@ def test_importing_the_cli_loads_no_pool(tmp_path):
 # the environment's two around the commands
 BLAS_SIDES = """
 import json, sys
-from cao import cli, harness
-blas = harness._openblas_threads()
+from cao import cli, executor, harness
+blas = executor._openblas_threads()
 if blas is None:
     print("null")
     sys.exit()
@@ -519,7 +519,7 @@ def test_blas_pinned_while_forked(tmp_path, compare_outputs):
     assert len(list(tmp_path.rglob("*.log"))) == 12
 
 
-@pytest.mark.skipif(harness._openblas_threads() is None,
+@pytest.mark.skipif(executor._openblas_threads() is None,
                     reason="no OpenBLAS thread-count functions found")
 def test_outputs_equal_at_two_blas_threads(tmp_path, compare_outputs):
     # full-batch products long enough that OpenBLAS splits them across its two

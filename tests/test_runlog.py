@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cao import cli, runlog
+from cao.errors import ConfigError
 from cao.optim import StepRecord
 from cao.runlog import RunLogWriter, _dumps, normalized_bytes, read_runlog
 
@@ -233,6 +234,93 @@ class TestPartFile:
         writer.close()
         writer.close()
         assert (tmp_path / "0.log").read_text() == ""
+
+
+# a `cao run` that stops in its first step, with its run's .part open, until a line comes in
+HOLDER = """
+import sys
+from cao import cli, optim
+step = optim.sgd_step
+
+def held(state, *args, **kwargs):
+    if state.step == 0:
+        print("writing", flush=True)
+        sys.stdin.readline()
+    return step(state, *args, **kwargs)
+
+optim.sgd_step = held
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestOneWriterPerLog:
+    """Two commands that write the same run: a second writer exits 3, a dead one is replaced."""
+
+    @pytest.fixture
+    def command(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "name": "own",
+            "problem": {"name": "logreg", "n_features": 6, "n_samples": 48, "seed": 5},
+            "optimizers": [{"kind": "sgd", "alpha": 0.5}],
+            "seeds": [0], "steps": 20, "batch_size": 12, "threshold": 0.5,
+        }))
+        return ["--out", str(tmp_path / "out"), "run", "--config", str(cfg), "--jobs", "1"]
+
+    @pytest.fixture
+    def holder(self, command):
+        """A holding process that has its run's ``.part`` open; killed at the end."""
+        proc = subprocess.Popen([sys.executable, "-c", HOLDER, *command],
+                                env={**os.environ, "PYTHONPATH": str(SRC)}, text=True,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == "writing\n", proc.stderr.read()
+            yield proc
+        finally:
+            proc.kill()
+            proc.communicate()
+
+    def test_second_writer_exits_3_and_the_owner_finishes(self, tmp_path, command, holder,
+                                                           capsys):
+        log = tmp_path / "out" / "logs" / "own" / "sgd" / "0.log"
+        assert cli.main(command) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {log}: another process is writing this run's log\n")
+        out, err = holder.communicate("go on\n", timeout=120)
+        assert holder.returncode == 0, err
+        assert out.splitlines() == [str(log)]
+        header, records, summary = read_runlog(log)
+        assert (len(records), summary["steps_done"]) == (20, 20)
+        assert [p.name for p in tmp_path.rglob("*.log*")] == ["0.log"]
+
+    def test_killed_writers_part_is_taken_over(self, tmp_path, command, holder):
+        holder.kill()
+        holder.wait()
+        log = tmp_path / "out" / "logs" / "own" / "sgd" / "0.log"
+        assert [p.name for p in tmp_path.rglob("*.log*")] == ["0.log.part"]
+        # what it left: more bytes than the new log, ending in a line cut short
+        log.with_name("0.log.part").write_text('{"type":"step","loss":' + "1" * 100000)
+        assert cli.main(command) == cli.EXIT_OK
+        assert read_runlog(log)[2]["steps_done"] == 20
+        assert [p.name for p in tmp_path.rglob("*.log*")] == ["0.log"]
+
+    def test_log_renamed_before_the_lock_is_left_alone(self, tmp_path, monkeypatch):
+        # the owner renames its .part between a second writer's open and its lock
+        path = tmp_path / "0.log"
+        owner = RunLogWriter(path)
+        owner.write_header({"seed": 0})
+        flock = runlog.fcntl.flock
+
+        def owner_finishes_first(fd, operation):
+            owner.close()
+            flock(fd, operation)
+
+        monkeypatch.setattr(runlog.fcntl, "flock", owner_finishes_first)
+        with pytest.raises(ConfigError, match="another process is writing this run's log$"):
+            RunLogWriter(path)
+        assert read_runlog(path)[0]["seed"] == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["0.log"]
 
 
 def reference_read(path):

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: run, ttt, ablate-k, sweep, plotdata, theory. Exit codes:
-0 success, 1 failed theory check, 2 divergence detected, 3 config error.
+0 success, 1 failed theory check, 2 divergence detected, 3 config error,
+4 a worker process died (the logs of the runs that finished stay).
 ``--log-level`` (``-v`` is INFO) sets the level of the logging records printed
 to stderr, on every call of ``main``; the default is WARNING.
 """
@@ -17,12 +18,13 @@ from pathlib import Path
 
 from . import executor, harness, theory
 from .config import load_config
-from .errors import ConfigError
+from .errors import ConfigError, WorkerError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_DIVERGED = 2
 EXIT_CONFIG = 3
+EXIT_WORKER = 4
 
 
 def _collect_logs(logs_arg):
@@ -225,6 +227,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

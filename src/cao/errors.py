@@ -76,9 +76,9 @@ def matmul_by(a):
 class Knob(NamedTuple):
     """The type and range of one config value, for ``check_knobs``.
 
-    ``type`` is ``int``, ``float`` (a finite number), ``bool``, ``str`` or
-    ``dict``; a bool is never a number. A number lies from ``low`` (included
-    if ``closed``) up to ``high`` (excluded). ``many`` asks for a non-empty list.
+    ``type`` is ``int``, ``float`` (a finite number) or ``dict``; a bool is
+    never a number. A number lies from ``low`` (included if ``closed``) up to
+    ``high`` (excluded). ``many`` asks for a non-empty list.
     """
 
     type: type
@@ -104,8 +104,7 @@ class Knob(NamedTuple):
         if self.many:
             return f"a non-empty list, each entry {self._replace(many=False).wanted()}"
         if self.type is not float:
-            return {int: f"an integer >= {self.low}", bool: "a boolean", str: "a string",
-                    dict: "an object"}[self.type]
+            return {int: f"an integer >= {self.low}", dict: "an object"}[self.type]
         if (self.low, self.high) == (-math.inf, math.inf):
             return "finite"
         return f"finite and in {'[' if self.closed else '('}{self.low:g}, {self.high:g})"

@@ -39,9 +39,8 @@ log = logging.getLogger(__name__)
 class CaoConfig:
     """All knobs of the curvature-adaptive loop.
 
-    ``k0_eta_scaled`` switches the k = 0 limit from a plain gradient step to
-    the 1/eta-scaled variant (useful as an ablation baseline): the damped
-    inverse of the empty sketch. A refresh sketches the Hessian of the
+    k = 0 is the plain gradient step: no sketch is ever built, so ``eta``,
+    ``m`` and ``t_pow`` do not act. A refresh sketches the Hessian of the
     current batch.
     """
 
@@ -52,7 +51,6 @@ class CaoConfig:
     clip_c: float = 0.0
     t_pow: int = 10
     warm_steps: int = 0
-    k0_eta_scaled: bool = False
     sketch_seed: int = 0
 
     def __post_init__(self):
@@ -174,21 +172,17 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig):
 
     The direction is the damped inverse of the current sketch applied to the
     gradient, or the gradient itself while there is no sketch: with k = 0,
-    or before the first successful refresh. A k = 0 run with
-    ``k0_eta_scaled`` holds the empty sketch, whose damped inverse is 1/eta.
-    Refresh happens when k > 0, the step index is past ``warm_steps``, and
-    either no sketch exists yet or the index is a multiple of ``m``. A failed
-    refresh (non-finite products) keeps the previous sketch, and with it the
-    previous preconditioner, and is flagged in the record. The preconditioner
-    is built once per sketch. ``hvp_calls`` grows by one per column of every
-    block sent to the Hessian, so a successful refresh adds exactly
-    ``(t_pow + 1) * k`` and a failed one the columns submitted up to and
-    including the failing block.
+    or before the first successful refresh. Refresh happens when k > 0, the
+    step index is past ``warm_steps``, and either no sketch exists yet or the
+    index is a multiple of ``m``. A failed refresh (non-finite products)
+    keeps the previous sketch, and with it the previous preconditioner, and
+    is flagged in the record. The preconditioner is built once per sketch.
+    ``hvp_calls`` grows by one per column of every block sent to the
+    Hessian, so a successful refresh adds exactly ``(t_pow + 1) * k`` and a
+    failed one the columns submitted up to and including the failing block.
     """
     theta = state.theta
     sketch = state.sketch
-    if sketch is None and cfg.k == 0 and cfg.k0_eta_scaled:
-        sketch = Sketch.empty(problem.dim)
     pc = state.precond
     hvp_calls = state.hvp_calls
     refreshed = False
@@ -276,7 +270,7 @@ _NONNEGATIVE, _UNIT = Knob(float, 0), Knob(float, 0, 1)
 KINDS = {
     "cao": (CaoState, {"alpha": _ALPHA, "k": Knob(int, 0), "m": Knob(int, 1),
                        "eta": _POSITIVE, "clip_c": _NONNEGATIVE, "t_pow": Knob(int, 1),
-                       "warm_steps": Knob(int, 0), "k0_eta_scaled": Knob(bool)}),
+                       "warm_steps": Knob(int, 0)}),
     "sgd": (SgdState, {"alpha": _ALPHA, "momentum": _UNIT, "clip": _NONNEGATIVE}),
     "adam": (AdamState, {"alpha": _ALPHA, "beta1": _UNIT, "beta2": _UNIT, "eps": _POSITIVE,
                          "clip": _NONNEGATIVE}),

@@ -44,8 +44,7 @@ class DampedPreconditioner:
         shifted = self.sketch.eigvals + self.eta
         object.__setattr__(self, "denominators", np.maximum(shifted, FLOOR))
         # True when any captured direction hit the floor (negative curvature)
-        object.__setattr__(self, "clamped",
-                           bool(self.sketch.k and np.any(shifted < FLOOR)))
+        object.__setattr__(self, "clamped", bool(np.any(shifted < FLOOR)))
         object.__setattr__(self, "eigvals", tuple(self.sketch.eigvals.tolist()))
         basis = self.sketch.basis
         object.__setattr__(self, "project", matmul_by(basis.T))
@@ -73,10 +72,10 @@ def precondition(g, pc: DampedPreconditioner) -> np.ndarray:
     bit, through ``pc.project`` and ``pc.expand``. For k = 1 the two
     products with the one-entry ``coef`` stay on ``@``: ``.dot`` keeps a
     -0.0 that BLAS turns into +0.0, and the sum does not always cancel it.
+    The empty sketch (k = 0) takes the same formula: ``g / eta``, but for a
+    -0.0 entry, which the sum with the empty expansion's +0.0 turns +0.0.
     """
     g = _check_g(g, pc)
-    if pc.sketch.k == 0:
-        return g / pc.eta
     coef = pc.project(g)
     return pc.expand(coef / pc.denominators) + (g - pc.expand(coef)) / pc.eta
 
@@ -84,8 +83,6 @@ def precondition(g, pc: DampedPreconditioner) -> np.ndarray:
 def quadratic_form(g, pc: DampedPreconditioner) -> float:
     """<g, P g> via the eigen-basis closed form; strictly positive for g != 0."""
     g = _check_g(g, pc)
-    if pc.sketch.k == 0:
-        return float(g @ g) / pc.eta
     coef = pc.sketch.basis.T @ g
     perp_sq = float(g @ g) - float(coef @ coef)
     return float(np.sum(coef**2 / pc.denominators)) + max(perp_sq, 0.0) / pc.eta

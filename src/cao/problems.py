@@ -266,8 +266,7 @@ class QuadraticProblem(Problem):
                  rotate: bool = True):
         if isinstance(spectrum, np.ndarray):
             spectrum = spectrum.tolist()  # a scalar or 2-d array is then not a list of numbers
-        check_knobs(_PROBLEMS, "quadratic", {"spectrum": spectrum, "seed": seed, "label": name},
-                    "problem")
+        check_knobs(_PROBLEMS, "quadratic", {"spectrum": spectrum, "seed": seed}, "problem")
         spectrum = np.array(spectrum, dtype=np.float64)
         n = spectrum.size
         if rotate:
@@ -654,10 +653,8 @@ mlp_synthetic = MlpProblem
 # constructor checks its own arguments against its entry
 _SEED = Knob(int, 0)
 _PROBLEMS = {
-    "quadratic": (lambda spectrum, seed=0, label="quadratic":
-                  quadratic(spectrum, seed=seed, name=label),
-                  {"spectrum": Knob(float, 0, closed=False, required=True, many=True),
-                   "seed": _SEED, "label": Knob(str)}),
+    "quadratic": (quadratic, {"spectrum": Knob(float, 0, closed=False, required=True, many=True),
+                              "seed": _SEED}),
     "rosenbrock": (rosenbrock, {"n": Knob(int, 2, required=True)}),
     "logreg": (logreg, {"n_features": Knob(int, 1, required=True),
                         "n_samples": Knob(int, 2, required=True), "seed": _SEED,

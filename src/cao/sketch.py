@@ -230,11 +230,8 @@ def sketch_residual(sketch: Sketch, dense_h) -> float:
     n = h.shape[0]
     if h.shape != (n, n):
         raise OracleUnavailableError("sketch_residual needs the square dense Hessian")
-    if sketch.k == 0:
-        m = (h + h.T) / 2.0
-    else:
-        proj = np.eye(n) - sketch.basis @ sketch.basis.T
-        m = proj @ h @ proj
-        m = (m + m.T) / 2.0
+    proj = np.eye(n) - sketch.basis @ sketch.basis.T
+    m = proj @ h @ proj
+    m = (m + m.T) / 2.0
     vals = np.linalg.eigvalsh(m)
     return float(max(abs(vals[0]), abs(vals[-1])))

@@ -228,12 +228,13 @@ def check_pl_contraction(problem: QuadraticProblem, k: int = 1, eta: float = 1.0
 
     Runs full-batch steps and measures rho_r = (f_{r+1} - f*) / (f_r - f*)
     across refresh windows of length m; passes when every usable ratio is
-    below 1 and the measured gamma = 1 - max rho clears ``GAMMA_MIN``. k = 0
-    runs the 1/eta-scaled variant.
+    below 1 and the measured gamma = 1 - max rho clears ``GAMMA_MIN``.
 
     The stepsize widens with the captured curvature: alpha =
     min(CONTRACTION_C * eta / sketch_residual, ALPHA_CAP), where the
-    residual is measured at the start via the dense oracle. Windows whose
+    residual is measured at the start via the dense oracle. k = 0, the
+    gradient step, runs at alpha / eta, the step of the damped inverse of
+    the empty sketch, 1 / eta; the report keeps alpha. Windows whose
     starting gap is below ``WINDOW_FLOOR`` are excluded.
     """
     if problem.meta.pl_mu is None or problem.meta.f_star is None:
@@ -247,7 +248,7 @@ def check_pl_contraction(problem: QuadraticProblem, k: int = 1, eta: float = 1.0
         probe = Sketch.empty(problem.dim)
     lam_perp = sketch_residual(probe, problem.dense_hessian(theta0))
     alpha = min(CONTRACTION_C * eta / max(lam_perp, 1e-12), ALPHA_CAP)
-    cfg = CaoConfig(alpha=alpha, k=k, m=m, eta=eta, sketch_seed=seed, k0_eta_scaled=True)
+    cfg = CaoConfig(alpha=alpha if k else alpha / eta, k=k, m=m, eta=eta, sketch_seed=seed)
     steps = m * num_windows
     state, records = _run_cao(problem, cfg, theta0, steps)
     refresh_f = [records[r * m].loss for r in range(num_windows)]
@@ -282,7 +283,7 @@ def check_pl_contraction(problem: QuadraticProblem, k: int = 1, eta: float = 1.0
 def measure_gamma_over_ranks(problem: QuadraticProblem, ks=(0, 1, 3), seeds=(0, 1, 2),
                              eta: float = 1.0, m: int = REFRESH_M,
                              num_windows: int = 6) -> dict:
-    """Measured gamma per (k, seed); k = 0 runs the 1/eta-scaled variant."""
+    """Measured gamma per (k, seed); k = 0 takes alpha / eta (see ``check_pl_contraction``)."""
     gammas = {}
     for k in ks:
         for seed in seeds:

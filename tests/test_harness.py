@@ -966,7 +966,8 @@ class TestConfigParsing:
 
     def test_unknown_optimizer_key(self):
         for kind, key in (("sgd", "bogus"), ("sgd", "beta1"), ("cao", "floor"),
-                          ("cao", "sketch_batch_size"), ("cao", "sketch_seed")):
+                          ("cao", "sketch_batch_size"), ("cao", "sketch_seed"),
+                          ("cao", "k0_eta_scaled")):
             with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
                 parse_config({
                     "name": "x",
@@ -997,7 +998,6 @@ class TestConfigParsing:
         ("adam", {"clip": -0.5}), ("cao", {"k": 1.5}), ("cao", {"t_pow": 2.5}),
         ("cao", {"m": 2.5}), ("cao", {"warm_steps": 0.5}), ("cao", {"k": True}),
         ("cao", {"alpha": True}), ("cao", {"eta": float("nan")}),
-        ("cao", {"k0_eta_scaled": "no"}), ("cao", {"k0_eta_scaled": 1}),
     ], ids=["negative-k", "infinite-eta", "infinite-alpha", "k-as-string",
             "sgd-negative-alpha", "sgd-zero-alpha", "sgd-momentum-one", "sgd-negative-momentum",
             "sgd-momentum-as-string", "sgd-momentum-null", "sgd-negative-decay",
@@ -1005,7 +1005,7 @@ class TestConfigParsing:
             "adam-negative-beta1", "adam-zero-eps", "adam-alpha-as-bool",
             "adam-infinite-alpha", "adam-negative-decay", "adam-negative-clip",
             "k-float", "t-pow-float", "m-float", "warm-steps-float", "k-as-bool",
-            "alpha-as-bool", "nan-eta", "k0-eta-scaled-as-string", "k0-eta-scaled-as-int"])
+            "alpha-as-bool", "nan-eta"])
     def test_bad_knob(self, kind, knobs):
         with pytest.raises(ConfigError, match=f"'{kind}-x'") as excinfo:
             parse_config({
@@ -1069,8 +1069,6 @@ BAD_PROBLEMS = [
      "seed must be an integer"),
     ("problem-seed-as-bool", {"name": "quadratic", "spectrum": [4.0, 1.0], "seed": True},
      "seed must be an integer"),
-    ("quadratic-label-not-string", {"name": "quadratic", "spectrum": [4.0, 1.0], "label": 7},
-     "label must be a string"),
     ("spectrum-nan", {"name": "quadratic", "spectrum": [4.0, float("nan")]}, "spectrum"),
     ("logreg-reg-nan", {"name": "logreg", "n_features": 3, "n_samples": 20,
                         "reg": float("nan")}, "reg"),
@@ -1293,10 +1291,13 @@ class TestCli:
                            {"kind": "cao", "label": "bad-cao", "alpha": 0.1, **knobs}]},
            "bad-cao")
           for knobs in ({"k": 1.5}, {"t_pow": 2.5}, {"m": 2.5}, {"warm_steps": 0.5},
-                        {"k": True}, {"alpha": True}, {"eta": float("nan")},
-                        {"k0_eta_scaled": "no"}, {"k0_eta_scaled": 1}, {"alpha": 10**400})],
+                        {"k": True}, {"alpha": True}, {"eta": float("nan")}, {"alpha": 10**400})],
         *[({"optimizers": [{"kind": kind, "alpha": 0.1, "weight_decay": 0.0}]},
            "unknown keys ['weight_decay']") for kind in ("cao", "sgd", "adam")],
+        ({"optimizers": [{"kind": "cao", "alpha": 0.1, "k": 0, "k0_eta_scaled": True}]},
+         "unknown keys ['k0_eta_scaled']"),
+        ({"problem": {"name": "quadratic", "spectrum": [4.0, 1.0], "label": "q"}},
+         "unknown keys ['label']"),
         *[({"name": name}, "name must be") for name in ("..", ".", "", "a/b", "a\0b", 3)],
         *[({"optimizers": [{"kind": "sgd", "label": label, "alpha": 0.1}]},
            "optimizer #0: label must be")
@@ -1309,9 +1310,9 @@ class TestCli:
             "threshold-huge-int", "eval-every-not-int",
             "batch-size-not-int", "optimizers-not-list", "k-above-dim", "cao-infinite-eta",
             "cao-k-float", "cao-t-pow-float", "cao-m-float", "cao-warm-steps-float",
-            "cao-k-as-bool", "cao-alpha-as-bool", "cao-nan-eta",
-            "cao-k0-eta-scaled-as-string", "cao-k0-eta-scaled-as-int", "cao-alpha-huge-int",
+            "cao-k-as-bool", "cao-alpha-as-bool", "cao-nan-eta", "cao-alpha-huge-int",
             "cao-weight-decay", "sgd-weight-decay", "adam-weight-decay",
+            "cao-k0-eta-scaled-unknown", "quadratic-label-unknown",
             "name-dotdot", "name-dot", "name-empty", "name-slash", "name-nul",
             "name-not-string", "label-dotdot", "label-dot", "label-empty", "label-slash",
             "label-nul", "label-null", "label-not-string",

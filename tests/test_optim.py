@@ -35,19 +35,6 @@ class TestCaoStep:
         assert state.theta.tobytes() == expected.tobytes()
         assert not rec.refreshed and rec.eigvals == ()
 
-    def test_k0_eta_scaled_variant(self):
-        p = quadratic([4.0, 1.0], seed=1)
-        theta = p.initial_point(0)
-        cfg = CaoConfig(alpha=0.05, k=0, eta=0.5, k0_eta_scaled=True)
-        state = CaoState(theta=theta.copy())
-        for step in range(5):
-            state, rec = cao_step(state, p, FULL_BATCH, cfg)
-            theta = theta - 0.05 * (p.grad(theta) / 0.5)
-            assert state.theta.tobytes() == theta.tobytes()
-            assert rec.step == step and rec.eigvals == ()
-            assert not rec.clamped and not rec.refreshed and not rec.refresh_failed
-        assert state.hvp_calls == 0
-
     def test_exact_sketch_approaches_newton(self):
         p = QuadraticProblem([2.0, 8.0], rotate=False)
         theta0 = np.array([1.0, 1.0])
@@ -536,7 +523,6 @@ class TestConfigValidation:
         with pytest.raises(ContractViolationError):
             CaoConfig(alpha=0.1, t_pow=0)
         for knobs in ({"k": 1.5}, {"t_pow": 2.5}, {"m": 2.5}, {"warm_steps": 0.5},
-                      {"k": True}, {"alpha": True}, {"eta": np.nan},
-                      {"k0_eta_scaled": "no"}, {"k0_eta_scaled": 1}):
+                      {"k": True}, {"alpha": True}, {"eta": np.nan}):
             with pytest.raises(ContractViolationError, match=f"{next(iter(knobs))} must be"):
                 CaoConfig(**{"alpha": 0.1, **knobs})

@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from cao import cli, executor, optim
 from cao.config import parse_config
 from cao.errors import ConfigError, WorkerError
 from cao.harness import build_schedule, run_comparison
-from cao.runlog import read_runlog
+from cao.runlog import normalized_bytes, read_runlog
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -423,15 +424,10 @@ class TestFailures:
 
     @pytest.mark.parametrize("seed", range(2))
     def test_interrupted_sweep_leaves_no_process(self, tmp_path, seed):
-        cfg_path = tmp_path / "cfg.json"
-        doc = json.loads((ROOT / "configs" / "quad_speedup.json").read_text())
-        cfg_path.write_text(json.dumps({**doc, "steps": 6000}))  # a sweep of about 2 s
-        child = subprocess.Popen(
-            [sys.executable, "-m", "cao.cli", "--out", str(tmp_path), "sweep", "--config",
-             str(cfg_path), "--etas", "0.5,1.0,2.0", "--ms", "25,50,100", "--jobs", "2"],
-            env=ENV, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            start_new_session=True)
-        time.sleep(random.Random(seed).uniform(0.2, 0.8))
+        # 27 runs of about 0.15 s on two processes; the interrupt comes once 1 to 3
+        # have finished, so it lands mid-run and the logs stay small
+        child = start_sweep(tmp_path, "--etas", "0.5,1.0,2.0", "--ms", "25,50,100")
+        wait_for_logs(child, tmp_path, random.Random(seed).randint(1, 3))
         os.killpg(child.pid, signal.SIGINT)
         try:
             _, err = child.communicate(timeout=60)
@@ -442,17 +438,122 @@ class TestFailures:
         assert child.returncode in (0, -signal.SIGINT, 1), err
         with pytest.raises(ProcessLookupError):
             os.killpg(child.pid, 0)
-        for path in tmp_path.rglob("*.log"):
+        assert_logs_summarize(tmp_path)
+
+    def test_killed_sweep_group_is_run_again(self, tmp_path):
+        # six runs of about 30 ms on two processes, all killed once the first log is
+        # written: the other process is then mid-run, and the rerun takes its .part over
+        cfg_path = tmp_path / "cfg.json"
+        doc = json.loads((ROOT / "configs" / "quad_speedup.json").read_text())
+        cfg_path.write_text(json.dumps({**doc, "steps": 300}))
+        grid = ("--etas", "0.5,2.0", "--ms", "25")
+        out = tmp_path / "out"
+        child = start_sweep(out, *grid, config=cfg_path)
+        try:
+            wait_for_logs(child, out, 1)
+        finally:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+        assert child.returncode == -signal.SIGKILL
+        assert_logs_summarize(out)
+        for root in (out, tmp_path / "uninterrupted"):
+            child = start_sweep(root, *grid, config=cfg_path)
+            _, err = child.communicate(timeout=60)
+            assert child.returncode == 0, err
+        assert list(out.rglob("*.part")) == []
+        logs = sorted(p.relative_to(out) for p in out.rglob("*.log"))
+        assert len(logs) == 6
+        reference = tmp_path / "uninterrupted"
+        assert [normalized_bytes(out / p) for p in logs] == [
+            normalized_bytes(reference / p) for p in logs]
+
+    def test_dead_worker_exits_4_and_keeps_finished_logs(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config().to_dict()))
+        out = tmp_path / "out"
+        child = subprocess.Popen(
+            [sys.executable, "-c", DEAD_WORKER, str(out), str(cfg_path), str(tmp_path)],
+            env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            _, err = child.communicate(timeout=60)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+        assert child.returncode == cli.EXIT_WORKER, err
+        # one line, no traceback; a warning record may come before it
+        lines = [line for line in err.splitlines() if not line.startswith("WARNING ")]
+        assert len(lines) == 1, err
+        assert re.fullmatch(r"worker error: worker process \d+ exited with status 9;"
+                            r" tasks without a result: \d", lines[0]), err
+        # the child died in its first task; the caller ran every other one
+        lost = int(lines[0].rsplit(" ", 1)[1])
+        logs = out / "logs" / "par"
+        plan = [f"{label}/{seed}.log" for seed in range(3) for label in ("cao-k1", "sgd")]
+        assert sorted(p.relative_to(logs).as_posix() for p in logs.rglob("*.log")) == sorted(
+            plan[:lost] + plan[lost + 1:])
+        for path in logs.rglob("*.log"):
             assert read_runlog(path)[2] is not None
-        for part in tmp_path.rglob("*.part"):  # a run cut short, never beside its log
-            assert not part.with_suffix("").exists()
-        done = subprocess.run(
-            [sys.executable, "-m", "cao.cli", "--out", str(tmp_path / "t"), "ttt",
-             "--logs", str(tmp_path / "logs")],
-            env=ENV, capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0 or (done.returncode == cli.EXIT_CONFIG
-                                        and done.stderr.startswith("config error: ")), \
-            done.stderr
+
+
+# ``cao run --jobs 2`` whose forked child exits with status 9 mid-run, once the caller
+# waits in its own first step
+DEAD_WORKER = """
+import os, sys, time
+from pathlib import Path
+from cao import cli, optim
+out, cfg, scratch = sys.argv[1:]
+parent, claimed = os.getpid(), Path(scratch) / "child-claimed"
+def act(state):
+    if os.getpid() == parent:
+        deadline = time.monotonic() + 30
+        while not claimed.exists() and time.monotonic() < deadline:
+            time.sleep(0.002)
+    elif state.step == 0:
+        claimed.touch()
+    elif state.step == 5:
+        os._exit(9)
+for name in ("cao_step", "sgd_step"):
+    def patched(state, *args, _step=getattr(optim, name), **kwargs):
+        act(state)
+        return _step(state, *args, **kwargs)
+    setattr(optim, name, patched)
+sys.exit(cli.main(["--out", out, "run", "--config", cfg, "--jobs", "2"]))
+"""
+
+
+def start_sweep(out, *grid, config=ROOT / "configs" / "quad_speedup.json"):
+    """``cao sweep --jobs 2`` into ``out``, in a process group of its own."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "cao.cli", "--out", str(out), "sweep", "--config", str(config),
+         *grid, "--jobs", "2"],
+        env=ENV, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+
+
+def wait_for_logs(child, root, count, timeout=60.0):
+    """Poll until ``count`` finished logs exist under ``root``, while ``child`` runs."""
+    deadline = time.monotonic() + timeout
+    while len(list(root.rglob("*.log"))) < count:
+        assert child.poll() is None, f"the command ended first: {child.stderr.read()}"
+        assert time.monotonic() < deadline, f"{count} logs did not appear"
+        time.sleep(0.002)
+
+
+def assert_logs_summarize(root):
+    """Every log under ``root`` reads, no .part sits beside its log, and ``ttt`` runs."""
+    for path in root.rglob("*.log"):
+        assert read_runlog(path)[2] is not None
+    for part in root.rglob("*.part"):  # a run cut short, never beside its log
+        assert not part.with_suffix("").exists()
+    done = subprocess.run(
+        [sys.executable, "-m", "cao.cli", "--out", str(root / "t"), "ttt",
+         "--logs", str(root / "logs")],
+        env=ENV, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 or (done.returncode == cli.EXIT_CONFIG
+                                    and done.stderr.startswith("config error: ")), \
+        done.stderr
 
 
 def test_importing_the_cli_loads_no_pool(tmp_path):

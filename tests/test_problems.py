@@ -873,8 +873,7 @@ class TestFromConfig:
             from_config(section)
 
     def test_every_documented_key_accepted(self):
-        from_config({"name": "quadratic", "spectrum": [4.0, 1.0], "seed": 2,
-                     "label": "q"})
+        from_config({"name": "quadratic", "spectrum": [4.0, 1.0], "seed": 2})
         from_config({"name": "logreg", "n_features": 3, "n_samples": 20, "seed": 1,
                      "reg": 0.1, "class_sep": 1.0})
         from_config({"name": "mlp", "widths": [3, 4, 2], "seed": 1, "n_samples": 12,

@@ -223,6 +223,11 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger().setLevel(args.log_level)
     try:
+        out = args.out  # its nearest existing ancestor must be a directory
+        while not os.path.lexists(out):
+            out = os.path.dirname(out) or "."
+        if not os.path.isdir(out):
+            raise ConfigError(f"--out {args.out}: {out} is not a directory")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

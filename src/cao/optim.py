@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DivergenceError, Knob, NumericOverflowError, check_knobs
 from .precondition import DampedPreconditioner, precondition
 from .problems import Batch, Problem
-from .sketch import LanczosConfig, Sketch, block_lanczos
+from .sketch import LanczosConfig, block_lanczos
 
 log = logging.getLogger(__name__)
 
@@ -70,16 +70,14 @@ class CaoConfig:
 
 @dataclass
 class CaoState:
-    """Iterate, step index, current sketch and HVP count.
+    """Iterate, step index, HVP count and the preconditioner of the last refresh.
 
-    ``precond`` caches the damped inverse of ``sketch``; it is derived state,
-    rebuilt by ``cao_step`` whenever it does not match the sketch and the
-    config (after a successful refresh, or on a state built without one).
+    ``precond`` is None until the first successful refresh; it carries its
+    sketch as ``precond.sketch``.
     """
 
     theta: np.ndarray
     step: int = 0
-    sketch: Sketch | None = None
     hvp_calls: int = 0
     precond: DampedPreconditioner | None = None
 
@@ -170,28 +168,21 @@ def _update(theta, step, loss, grad, d, lr, clip, refreshed=False, eigvals=(),
 def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig):
     """One curvature-adaptive update; returns (new state, record).
 
-    The direction is the damped inverse of the current sketch applied to the
-    gradient, or the gradient itself while there is no sketch: with k = 0,
-    or before the first successful refresh. Refresh happens when k > 0, the
-    step index is past ``warm_steps``, and either no sketch exists yet or the
-    index is a multiple of ``m``. A failed refresh (non-finite products)
-    keeps the previous sketch, and with it the previous preconditioner, and
-    is flagged in the record. The preconditioner is built once per sketch.
+    The direction is the state's preconditioner applied to the gradient, or
+    the gradient itself while there is none: with k = 0, or before the first
+    successful refresh. Refresh happens when k > 0, the step index is past
+    ``warm_steps``, and either no preconditioner exists yet or the index is a
+    multiple of ``m``. A successful refresh builds the damped inverse of its
+    sketch once, with the config's ``eta``; a failed one (non-finite
+    products) keeps the previous preconditioner and is flagged in the record.
     ``hvp_calls`` grows by one per column of every block sent to the
     Hessian, so a successful refresh adds exactly ``(t_pow + 1) * k`` and a
     failed one the columns submitted up to and including the failing block.
     """
-    theta = state.theta
-    sketch = state.sketch
-    pc = state.precond
-    hvp_calls = state.hvp_calls
-    refreshed = False
-    refresh_failed = False
+    theta, pc, hvp_calls = state.theta, state.precond, state.hvp_calls
+    sketch, refresh_failed = None, False
 
-    due = cfg.k > 0 and state.step >= cfg.warm_steps and (
-        sketch is None or state.step % cfg.m == 0
-    )
-    if due:
+    if cfg.k > 0 and state.step >= cfg.warm_steps and (pc is None or state.step % cfg.m == 0):
         hvp = problem.hvp_closure(theta, batch)  # one linearization per refresh
         calls = 0
 
@@ -206,7 +197,6 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig):
                              seed=_refresh_seed(cfg.sketch_seed, state.step))
         try:
             sketch = block_lanczos(counted, problem.dim, lcfg)
-            refreshed = True
         except NumericOverflowError:
             log.warning("sketch refresh failed at step %d; keeping previous sketch",
                         state.step)
@@ -215,16 +205,15 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig):
 
     with np.errstate(over="ignore", invalid="ignore"):
         loss, grad = _loss_and_grad(problem, theta, batch, state.step)
-        if sketch is not None and (pc is None or pc.sketch is not sketch
-                                   or pc.eta != cfg.eta):
+        if sketch is not None:
             pc = DampedPreconditioner(sketch, cfg.eta)
-        d = grad if sketch is None else precondition(grad, pc)
+        d = grad if pc is None else precondition(grad, pc)
         theta, record = _update(theta, state.step, loss, grad, d, cfg.alpha, cfg.clip_c,
-                                refreshed=refreshed,
-                                eigvals=() if sketch is None else pc.eigvals,
-                                clamped=sketch is not None and pc.clamped,
+                                refreshed=sketch is not None,
+                                eigvals=() if pc is None else pc.eigvals,
+                                clamped=pc is not None and pc.clamped,
                                 refresh_failed=refresh_failed)
-    return CaoState(theta, state.step + 1, sketch, hvp_calls, pc), record
+    return CaoState(theta, state.step + 1, hvp_calls, pc), record
 
 
 def sgd_step(state: SgdState, problem: Problem, batch: Batch, lr: float,

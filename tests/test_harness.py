@@ -1581,6 +1581,31 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "{cfg}"], ["ttt", "--logs", "{logs}"],
+        ["ablate-k", "--config", "{cfg}"], ["sweep", "--config", "{cfg}", "--ms", "10"],
+        ["plotdata", "--logs", "{logs}"], ["theory"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("out", ["afile", "afile/out", "afile/out/deeper", "afile/../out"])
+    def test_out_under_a_file_exits_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                   argv, out):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(steps=5, seeds=(0,)).to_dict()))
+        synthetic_log(tmp_path / "in" / "sgd" / "0.log", "sgd", 0, 0, hit_step=10)
+        (tmp_path / "afile").write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        started = []
+        for module, name in ((harness, "run_single"), (harness, "read_runlog"),
+                             (cli.theory, "run_theory_suite")):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **kw: started.append(name))
+        argv = [arg.format(cfg=cfg_path, logs=tmp_path / "in") for arg in argv]
+        rc = cli.main(["--out", str(tmp_path / out), *argv])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: --out {tmp_path / out}: {tmp_path / 'afile'} is not a directory\n")
+        assert started == []
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_theory_negative_seed_exit_code(self, tmp_path, capsys):
         rc = cli.main(["--out", str(tmp_path), "theory", "--seed", "-1"])
         assert rc == cli.EXIT_CONFIG

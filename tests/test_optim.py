@@ -25,6 +25,16 @@ def make_state(problem, seed=0):
     return CaoState(theta=problem.initial_point(seed))
 
 
+class NanHvpQuadratic(QuadraticProblem):
+    """A quadratic whose Hessian products come back NaN while ``fail`` is set."""
+
+    fail = False
+
+    def _linearize(self, theta, batch):
+        kernel = super()._linearize(theta, batch)
+        return lambda v: np.full(v.shape, np.nan) if self.fail else kernel(v)
+
+
 class TestCaoStep:
     def test_k0_is_plain_gradient_descent(self):
         p = quadratic([4.0, 1.0], seed=1)
@@ -69,7 +79,7 @@ class TestCaoStep:
         p = quadratic([3.0, 1.0], seed=5)
         cfg = CaoConfig(alpha=1e-3, k=1, m=7, eta=1.0, t_pow=2)
         state, rec = cao_step(make_state(p), p, FULL_BATCH, cfg)
-        assert rec.refreshed and state.sketch is not None
+        assert rec.refreshed and state.precond is not None
 
     def test_warm_steps_delay_first_refresh(self):
         p = quadratic([3.0, 1.0], seed=5)
@@ -97,12 +107,12 @@ class TestCaoStep:
         cfg = CaoConfig(alpha=1e-3, k=1, m=10, eta=1.0, t_pow=2)
         state = make_state(p)
         state, _ = cao_step(state, p, FULL_BATCH, cfg)
-        first = state.sketch
+        first = state.precond
         for _ in range(9):
             state, rec = cao_step(state, p, FULL_BATCH, cfg)
-            assert state.sketch is first and not rec.refreshed
+            assert state.precond is first and not rec.refreshed
         state, rec = cao_step(state, p, FULL_BATCH, cfg)
-        assert rec.refreshed and state.sketch is not first
+        assert rec.refreshed and state.precond.sketch is not first.sketch
 
     def test_one_sketch_per_refresh(self, monkeypatch):
         built = []
@@ -122,7 +132,7 @@ class TestCaoStep:
             state, rec = cao_step(state, p, FULL_BATCH, cfg)
             if rec.refreshed:
                 refreshes.append(step)
-                assert len(built) == 1 and built[0] is state.sketch
+                assert len(built) == 1 and built[0] is state.precond.sketch
             else:
                 assert built == []
         assert refreshes == [0, 4, 8]
@@ -148,15 +158,14 @@ class TestCaoStep:
             previous = state.precond
             state, rec = cao_step(state, p, FULL_BATCH, cfg)
             pc = state.precond
-            assert pc.sketch is state.sketch
             if rec.refreshed:
                 assert pc is not previous
                 built.append(t)
             else:
                 assert pc is previous
-            fresh = DampedPreconditioner(state.sketch, cfg.eta)
+            fresh = DampedPreconditioner(pc.sketch, cfg.eta)
             assert rec.clamped == fresh.clamped
-            assert rec.eigvals == tuple(float(x) for x in state.sketch.eigvals)
+            assert rec.eigvals == tuple(float(x) for x in pc.sketch.eigvals)
             assert pc.eigvals == rec.eigvals
             assert pc.denominators.tobytes() == fresh.denominators.tobytes()
             clamped.append(rec.clamped)
@@ -164,14 +173,7 @@ class TestCaoStep:
         assert any(clamped)
 
     def test_failed_refresh_keeps_preconditioner(self):
-        class FlakyQuadratic(QuadraticProblem):
-            fail = False
-
-            def _linearize(self, theta, batch):
-                kernel = super()._linearize(theta, batch)
-                return lambda v: np.full(v.shape, np.nan) if self.fail else kernel(v)
-
-        p = FlakyQuadratic(np.linspace(1.0, 5.0, 6), seed=3)
+        p = NanHvpQuadratic(np.linspace(1.0, 5.0, 6), seed=3)
         cfg = CaoConfig(alpha=1e-3, k=2, m=3, eta=1.0, t_pow=2)
         state = make_state(p)
         for _ in range(3):
@@ -189,23 +191,49 @@ class TestCaoStep:
         assert rec.refreshed and state.precond is not kept
 
     def test_checkpointed_state_rebuilds_preconditioner(self):
-        # a state rebuilt from stored fields: a copy of the sketch, no preconditioner
+        # a loader's state: copies of the stored fields, the preconditioner rebuilt from
+        # the stored sketch with the run's eta
         p = quadratic([6.0, 3.0, 1.0], seed=14)
         cfg = CaoConfig(alpha=0.01, k=2, m=10, eta=0.5, t_pow=3)
         state = make_state(p, 2)
         for _ in range(3):
             state, _ = cao_step(state, p, FULL_BATCH, cfg)
-        loaded = CaoState(theta=state.theta.copy(), step=state.step,
-                          sketch=Sketch(state.sketch.eigvals.copy(), state.sketch.basis.copy()),
-                          hvp_calls=state.hvp_calls)
-        assert state.precond is not None and loaded.precond is None
-        cont, rec_cont = cao_step(state, p, FULL_BATCH, cfg)
-        resumed, rec_resumed = cao_step(loaded, p, FULL_BATCH, cfg)
-        assert cont.precond is state.precond
-        assert resumed.precond.sketch is loaded.sketch
-        assert resumed.hvp_calls == cont.hvp_calls
-        assert rec_resumed == rec_cont
-        assert resumed.theta.tobytes() == cont.theta.tobytes()
+        stored = state.precond.sketch
+        loaded = CaoState(theta=state.theta.copy(), step=state.step, hvp_calls=state.hvp_calls,
+                          precond=DampedPreconditioner(
+                              Sketch(stored.eigvals.copy(), stored.basis.copy()), cfg.eta))
+        for _ in range(12):  # across the refresh at step 10
+            state, rec_cont = cao_step(state, p, FULL_BATCH, cfg)
+            loaded, rec_resumed = cao_step(loaded, p, FULL_BATCH, cfg)
+            assert rec_resumed == rec_cont
+            assert loaded.theta.tobytes() == state.theta.tobytes()
+            assert (loaded.step, loaded.hvp_calls) == (state.step, state.hvp_calls)
+            for field in ("eigvals", "basis"):
+                assert (getattr(loaded.precond.sketch, field).tobytes()
+                        == getattr(state.precond.sketch, field).tobytes())
+        assert state.hvp_calls == 2 * (cfg.t_pow + 1) * cfg.k
+
+    def test_one_preconditioner_per_successful_refresh(self, monkeypatch):
+        built = []
+        derive = DampedPreconditioner.__post_init__
+
+        def counting(self):
+            built.append(self)
+            derive(self)
+
+        monkeypatch.setattr(DampedPreconditioner, "__post_init__", counting)
+        p = NanHvpQuadratic(np.linspace(1.0, 5.0, 6), seed=3)
+        for k, flags in ((2, ["refreshed", "", "", "refresh_failed", "", "", "refreshed", ""]),
+                         (0, [""] * 8)):
+            cfg = CaoConfig(alpha=1e-3, k=k, m=3, eta=1.0, t_pow=2)
+            state = make_state(p)
+            for step, flag in enumerate(flags):
+                built.clear()
+                p.fail = step == 3
+                state, rec = cao_step(state, p, FULL_BATCH, cfg)
+                assert (rec.refreshed, rec.refresh_failed) == (flag == "refreshed",
+                                                              flag == "refresh_failed")
+                assert built == ([state.precond] if rec.refreshed else [])
 
     def test_divergence_raises_with_record(self):
         p = quadratic([100.0, 1.0], seed=9)
@@ -231,7 +259,7 @@ class TestCaoStep:
         theta0 = np.array([1.0, -1.0])
         state, rec = cao_step(CaoState(theta=theta0.copy()), p, FULL_BATCH, cfg)
         assert rec.refresh_failed and not rec.refreshed
-        assert state.sketch is None
+        assert state.precond is None
         # fell back to the plain gradient direction
         np.testing.assert_array_equal(state.theta, theta0 - 0.1 * (2.0 * theta0))
 
@@ -254,12 +282,12 @@ class TestCaoStep:
         state = make_state(p)
         for _ in range(5):
             state, rec = cao_step(state, p, FULL_BATCH, cfg)
-        previous = state.sketch
+        previous = state.precond
         assert previous is not None and state.hvp_calls == (cfg.t_pow + 1) * cfg.k
         p.fail_on = p.blocks + 2  # the second block of the next refresh
         state, rec = cao_step(state, p, FULL_BATCH, cfg)
         assert rec.refresh_failed and not rec.refreshed
-        assert state.sketch is previous
+        assert state.precond is previous
         # every column submitted is counted, the failing block's included
         assert state.hvp_calls == (cfg.t_pow + 1) * cfg.k + 2 * cfg.k
 

@@ -103,6 +103,14 @@ def mlp_every_3(tmp_path):
     return path
 
 
+def quad_300_steps(tmp_path):
+    # the shipped quad config cut to 300 steps: still refreshes at m 25, 50 and 100
+    doc = json.loads((ROOT / "configs" / "quad_speedup.json").read_text())
+    path = tmp_path / "quad-300.json"
+    path.write_text(json.dumps({**doc, "steps": 300}))
+    return path
+
+
 def diverging_quad(tmp_path):
     path = tmp_path / "boom.json"
     path.write_text(json.dumps({
@@ -116,7 +124,7 @@ def diverging_quad(tmp_path):
 
 # config, then the commands each side runs, then every command's exit code
 EXECUTOR_CASES = {
-    "quad": (lambda tmp: ROOT / "configs" / "quad_speedup.json",
+    "quad": (quad_300_steps,
              ["run", "ablate-k --ks 0,1,3", "sweep --etas 0.5,2.0 --ms 25,100"],
              [0, 0, 0]),
     "mlp-eval-every-3": (mlp_every_3,

@@ -1,4 +1,4 @@
-"""The README's knob tables list exactly the knobs the code takes."""
+"""The README lists exactly the knobs the code takes, and every module of `src/cao`."""
 
 import re
 from pathlib import Path
@@ -46,3 +46,15 @@ def test_problem_table_lists_every_key_and_marks_the_required():
     assert sorted(rows) == sorted(_PROBLEMS)
     for name, (_, knobs) in _PROBLEMS.items():
         assert rows[name] == {key: knob.required for key, knob in knobs.items()}, name
+
+
+def test_layout_lists_every_module():
+    lines = README.read_text().splitlines()
+    start = lines.index("src/cao/") + 1
+    listed = set()
+    for line in lines[start:]:
+        if not line.startswith("  "):
+            break
+        listed.update(re.findall(r"^  (\w+\.py) ", line))
+    modules = {path.name for path in (README.parent / "src" / "cao").glob("*.py")}
+    assert listed == modules - {"__init__.py"}

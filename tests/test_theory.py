@@ -168,3 +168,12 @@ def test_full_suite_passes():
     reports = run_theory_suite(seed=0)
     failed = [r.check for r in reports if not r.passed]
     assert failed == []
+
+
+@pytest.mark.parametrize("seed", [0, 5], ids=["reused-runs", "fresh-runs"])
+def test_suite_reports_the_gammas_of_measure_gamma_over_ranks(seed):
+    # at seed 0 the suite reuses its seed-0 contraction runs; at seed 5 it reuses none
+    report = run_theory_suite(seed=seed)[-1]
+    assert report.check == "gamma_monotone_in_k[quad-skew]"
+    gammas = measure_gamma_over_ranks(suite_quadratics()[1], ks=(0, 1, 3), seeds=(0, 1, 2))
+    assert report.measured == {f"gamma_k{k}_seed{s}": g for (k, s), g in gammas.items()}

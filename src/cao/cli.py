@@ -201,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="damping x refresh-interval sensitivity grid")
     p.add_argument("--config", required=True)
-    p.add_argument("--etas", default="1e-3,1e-2,1e-1")
-    p.add_argument("--ms", default="200,400,800")
+    p.add_argument("--etas", default="0.5,1.0,2.0")
+    p.add_argument("--ms", default="25,50,100")
     p.add_argument("--jobs", default=None, help=jobs_help)
     p.set_defaults(func=_cmd_sweep)
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, the checks behind them, and ``matmul``."""
+"""Exception types shared across the package and the checks behind them."""
 
 import math
 import sys
@@ -28,49 +28,6 @@ def all_finite(a):
     ufunc and checks no floating-point flags.
     """
     return math.isfinite(np.vdot(a, a)) or np.count_nonzero(np.isfinite(a)) == a.size
-
-
-def dot_ready(a):
-    """True when ``a`` is laid out for ``matmul``'s ``.dot``: aligned, and C- or F-contiguous.
-
-    (``flags.farray`` is no test of layout: it reads True for some strided arrays.)
-    """
-    flags = a.flags
-    return flags.forc and flags.aligned
-
-
-def matmul(a, b):
-    """``a @ b`` for float64 arrays ``a`` and ``b`` of at most 2 dimensions, bit for bit.
-
-    The one place that decides when ``ndarray.dot`` may stand in for ``@``.
-    For such operands ``a.dot(b)`` makes the CBLAS call that ``@`` makes, with
-    the same bits, at half its dispatch cost (0.4 against 0.8 us for a
-    50 x 50 matrix times a vector), when each operand is ``dot_ready`` and
-    the product sums over more than one term (``a.shape[-1] > 1``).
-    Otherwise the two can differ, so this takes ``@``. Over one term (a
-    one-element operand, a k = 1 basis times its coefficient, an outer
-    product) ``dot`` keeps a -0.0 product that BLAS adds to +0.0, and a
-    strided, reversed or unaligned operand is rounded otherwise. The checks
-    cost about 0.2 us a call.
-    """
-    if a.shape[-1] > 1:
-        fa, fb = a.flags, b.flags  # dot_ready(a) and dot_ready(b), without two calls
-        if fa.forc and fb.forc and fa.aligned and fb.aligned:
-            return a.dot(b)
-    return a @ b
-
-
-def matmul_by(a):
-    """The map ``b -> matmul(a, b)``, with the part of the rule that ``a`` fixes decided now.
-
-    For an operand that serves many products (a problem's matrix, a
-    preconditioner's basis): an array's shape and layout never change, so
-    only the layout of ``b`` is checked per call, at about 0.07 us.
-    """
-    if a.shape[-1] > 1 and dot_ready(a):
-        dot = a.dot
-        return lambda b: dot(b) if (f := b.flags).forc and f.aligned else a @ b
-    return a.__matmul__
 
 
 class Knob(NamedTuple):

@@ -8,12 +8,11 @@ the orthogonal complement by 1/eta. Denominators are clamped from below at
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericOverflowError, all_finite, matmul_by
+from .errors import ContractViolationError, NumericOverflowError, all_finite
 from .sketch import Sketch
 
 FLOOR = 1e-8
@@ -23,11 +22,10 @@ FLOOR = 1e-8
 class DampedPreconditioner:
     """The damped inverse of one sketch.
 
-    ``denominators``, ``clamped``, ``eigvals`` (the sketch's eigenvalues as
-    a tuple of floats, the form a step record carries), ``project`` (the map
-    ``g -> basis.T @ g``) and ``expand`` (``c -> basis @ c``), both through
-    ``errors.matmul_by``, are derived once here, so a preconditioner built
-    per sketch serves every step until the next refresh.
+    ``denominators``, ``clamped`` and ``eigvals`` (the sketch's eigenvalues as
+    a tuple of floats, the form a step record carries) are derived once here,
+    so a preconditioner built per sketch serves every step until the next
+    refresh.
     """
 
     sketch: Sketch
@@ -35,8 +33,6 @@ class DampedPreconditioner:
     denominators: np.ndarray = field(init=False, repr=False, compare=False)
     clamped: bool = field(init=False, repr=False, compare=False)
     eigvals: tuple = field(init=False, repr=False, compare=False)
-    project: Callable = field(init=False, repr=False, compare=False)
-    expand: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.eta < np.inf:
@@ -46,12 +42,6 @@ class DampedPreconditioner:
         # True when any captured direction hit the floor (negative curvature)
         object.__setattr__(self, "clamped", bool(np.any(shifted < FLOOR)))
         object.__setattr__(self, "eigvals", tuple(self.sketch.eigvals.tolist()))
-        basis = self.sketch.basis
-        object.__setattr__(self, "project", matmul_by(basis.T))
-        object.__setattr__(self, "expand", matmul_by(basis))
-
-    def __reduce__(self):  # every other field is derived, two of them closures
-        return DampedPreconditioner, (self.sketch, self.eta)
 
 
 def _check_g(g, pc):
@@ -67,17 +57,13 @@ def _check_g(g, pc):
 def precondition(g, pc: DampedPreconditioner) -> np.ndarray:
     """Apply the damped inverse to g in O(nk).
 
-    The products are those of ``coef = basis.T @ g`` and
-    ``basis @ (coef / denominators) + (g - basis @ coef) / eta``, bit for
-    bit, through ``pc.project`` and ``pc.expand``. For k = 1 the two
-    products with the one-entry ``coef`` stay on ``@``: ``.dot`` keeps a
-    -0.0 that BLAS turns into +0.0, and the sum does not always cancel it.
     The empty sketch (k = 0) takes the same formula: ``g / eta``, but for a
     -0.0 entry, which the sum with the empty expansion's +0.0 turns +0.0.
     """
     g = _check_g(g, pc)
-    coef = pc.project(g)
-    return pc.expand(coef / pc.denominators) + (g - pc.expand(coef)) / pc.eta
+    basis = pc.sketch.basis
+    coef = basis.T @ g
+    return basis @ (coef / pc.denominators) + (g - basis @ coef) / pc.eta
 
 
 def quadratic_form(g, pc: DampedPreconditioner) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ContractViolationError, DegenerateStepError, Knob, NumericOverflowError,
-                     OracleUnavailableError, all_finite, check_knobs, matmul, matmul_by)
+                     OracleUnavailableError, all_finite, check_knobs)
 
 DENSE_ORACLE_CAP = 500
 
@@ -257,9 +257,6 @@ class QuadraticProblem(Problem):
 
     Q is a seeded random orthogonal matrix, so the spectrum is exact by
     construction: L = max(spectrum), mu = min(spectrum), f* = 0.
-
-    The products ``A @ theta``, ``theta @ g`` and ``A @ V`` go through
-    ``errors.matmul``, the matrix's share of its rule decided once here.
     """
 
     def __init__(self, spectrum, seed: int = 0, name: str = "quadratic",
@@ -282,7 +279,6 @@ class QuadraticProblem(Problem):
         else:
             self.matrix = np.diag(spectrum)
         self.spectrum = np.sort(spectrum)[::-1].copy()
-        self._times_matrix = matmul_by(self.matrix)
         self.meta = ProblemMeta(
             dim=n,
             name=name,
@@ -291,19 +287,12 @@ class QuadraticProblem(Problem):
             f_star=0.0,
         )
 
-    def __getstate__(self):  # the product map is a closure; pickle the matrix it is made from
-        return {key: value for key, value in self.__dict__.items() if key != "_times_matrix"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._times_matrix = matmul_by(self.matrix)
-
     def _loss_and_grad(self, theta, batch):
-        g = self._times_matrix(theta)
-        return 0.5 * float(matmul(theta, g)), g
+        g = self.matrix @ theta
+        return 0.5 * float(theta @ g), g
 
     def _linearize(self, theta, batch):
-        return self._times_matrix
+        return lambda v: self.matrix @ v
 
 
 quadratic = QuadraticProblem

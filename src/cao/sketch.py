@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ContractViolationError, Knob, NumericOverflowError, OracleUnavailableError,
-                     all_finite, check_knobs, matmul)
+                     all_finite, check_knobs)
 
 log = logging.getLogger(__name__)
 
@@ -58,7 +58,7 @@ class Sketch:
                 raise ContractViolationError(f"eigvals must be finite, got {vals}")
             if vals.size > 1 and np.any(np.diff(vals) > 0):
                 raise ContractViolationError("eigvals must be sorted descending")
-            gram = matmul(basis.T, basis)
+            gram = basis.T @ basis
             off = (abs(gram[0, 0] - 1.0) if vals.size == 1
                    else np.max(np.abs(gram - np.eye(vals.size))))
             if not off <= ORTHO_TOL:  # NaN, from a NaN entry, fails too
@@ -205,7 +205,7 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None) -> Sketch:
             v = _orthonormalize(apply_block(v), rng)
         v = _positive_first(_orthonormalize(apply_block(v), rng))  # enters Rayleigh-Ritz
     w = apply_block(v)
-    projected = matmul(v.T, w)
+    projected = v.T @ w
     projected = (projected + projected.T) / 2.0  # kill rounding asymmetry
     if cfg.k == 1:
         # LAPACK's order-1 answer without the call: eigenvalue A(1,1), eigenvector 1.

@@ -1,7 +1,6 @@
-"""Arrays with chosen entries and memory layouts, for the bit-for-bit product tests.
+"""Arrays with chosen entries and memory layouts, for the tests of the small products.
 
-``ndarray.dot`` gives the bits of ``@`` only for some layouts (``cao.errors.matmul``),
-so the tests run every changed product on each layout here and compare bytes.
+The products take any layout a caller passes, so their tests run on each layout here.
 """
 
 import numpy as np

@@ -1210,6 +1210,20 @@ class TestCli:
         assert info.value.code == 2
         assert "--log-level: invalid choice: 'TRACE'" in capsys.readouterr().err
 
+    def test_bare_sweep_runs_the_reproduce_grid(self, tmp_path):
+        # the defaults are scripts/reproduce.py's grid, every cell of which the shipped
+        # quadratic reaches
+        config = str(ROOT / "configs" / "quad_speedup.json")
+        bare, explicit = tmp_path / "bare", tmp_path / "explicit"
+        assert cli.main(["--out", str(bare), "sweep", "--config", config]) == cli.EXIT_OK
+        assert cli.main(["--out", str(explicit), "sweep", "--config", config,
+                         "--etas", "0.5,1.0,2.0", "--ms", "25,50,100"]) == cli.EXIT_OK
+        table = Path("tables") / "quad-skew-speedup-sweep.txt"
+        assert sorted(p.relative_to(bare) for p in bare.rglob("*.txt")) == [table]
+        assert (bare / table).read_bytes() == (explicit / table).read_bytes()
+        rows = (bare / table).read_text().splitlines()[2:]
+        assert len(rows) == 9 and not [row for row in rows if "unreached" in row]
+
     def test_config_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.json"
         rc = cli.main(["run", "--config", str(missing)])
@@ -1415,10 +1429,10 @@ class TestCli:
     @pytest.mark.parametrize("argv, named", [
         (["ablate-k", "--ks", "-1"], "cao-k-1"),
         (["ablate-k", "--ks", "1,9"], "cao-k9"),
-        (["sweep", "--etas", "1,-1"], "cao-eta-1-m200"),
-        (["sweep", "--ms", "5,0"], "cao-eta0.001-m0"),
+        (["sweep", "--etas", "1,-1"], "cao-eta-1-m25"),
+        (["sweep", "--ms", "5,0"], "cao-eta0.5-m0"),
         (["sweep", "--etas", "1,1.0"], "unique"),
-        (["sweep", "--etas", "inf,1"], "cao-etainf-m200"),
+        (["sweep", "--etas", "inf,1"], "cao-etainf-m25"),
     ], ids=["ablate-negative-k", "ablate-k-above-dim", "sweep-negative-eta",
             "sweep-zero-m", "sweep-repeated-cell", "sweep-infinite-eta"])
     def test_bad_derived_knob_exits_before_any_run(self, tmp_path, argv, named, capsys):

@@ -504,6 +504,33 @@ class TestFailures:
         for path in logs.rglob("*.log"):
             assert read_runlog(path)[2] is not None
 
+    def test_worker_killed_from_outside_exits_4(self, tmp_path):
+        # 27 runs of about 50 ms on two processes; the forked one is SIGKILLed once the
+        # first log is written, so it dies mid-sweep with the caller still claiming runs
+        child = start_sweep(tmp_path, "--etas", "0.5,1.0,2.0", "--ms", "25,50,100")
+        try:
+            wait_for_logs(child, tmp_path, 1)
+            workers = Path(f"/proc/{child.pid}/task/{child.pid}/children").read_text().split()
+            assert len(workers) == 1
+            os.kill(int(workers[0]), signal.SIGKILL)
+            _, err = child.communicate(timeout=60)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+        assert child.returncode == cli.EXIT_WORKER, err
+        lines = [line for line in err.splitlines() if not line.startswith("WARNING ")]
+        assert len(lines) == 1, err
+        assert re.fullmatch(rf"worker error: worker process {workers[0]} was killed by signal 9;"
+                            r" tasks without a result: \d+(, \d+)*", lines[0]), err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(child.pid, 0)
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(workers[0]), 0)
+        parts = [part.with_suffix("") for part in tmp_path.rglob("*.part")]
+        assert len(parts) == len(set(parts)) <= 1
+        assert_logs_summarize(tmp_path)
+
 
 # ``cao run --jobs 2`` whose forked child exits with status 9 mid-run, once the caller
 # waits in its own first step

@@ -81,32 +81,12 @@ class TestQuadratic:
         assert p.meta.f_star == 0.0
 
 
-def matmul_loss_and_grad(matrix, theta):
-    """The quadratic's kernel as it was, all in ``@``."""
-    g = matrix @ theta
-    return 0.5 * float(theta @ g), g
-
-
 class TestQuadraticProducts:
-    """The quadratic's ``.dot`` products keep every bit of the ``@`` forms."""
+    """The quadratic's products on any layout and on special entries.
 
-    @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(1, 120), j=st.integers(1, 8), rotate=st.booleans(),
-           layouts=st.tuples(st.sampled_from(VECTOR_LAYOUTS), st.sampled_from(BLOCK_LAYOUTS)),
-           share=st.sampled_from([0.0, 0.05, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
-    def test_kernels_on_any_entries_and_layout(self, n, j, rotate, layouts, share, seed):
-        rng = np.random.default_rng(seed)
-        p = quadratic(np.linspace(1.0, 2.0, n), seed=seed % 1000, rotate=rotate)
-        assert p.matrix.flags.c_contiguous
-        # entries written in place, so the layout the constructor chose stays
-        p.matrix[...] = with_specials(rng, (n, n), share)
-        theta = laid_out(with_specials(rng, (n,), share), layouts[0])
-        block = laid_out(with_specials(rng, (n, j), share), layouts[1])
-        with np.errstate(all="ignore"):  # as the public methods call the kernels
-            loss, g = p._loss_and_grad(theta, FULL_BATCH)
-            want_loss, want_g = matmul_loss_and_grad(p.matrix, theta)
-            assert bits(g) == bits(want_g) and bits(loss) == bits(want_loss)
-            assert bits(p._linearize(theta, FULL_BATCH)(block)) == bits(p.matrix @ block)
+    The references are the matrix itself, NumPy's own ``einsum`` loops (no
+    BLAS) and fixed values.
+    """
 
     @pytest.mark.parametrize("layout", VECTOR_LAYOUTS)
     def test_loss_and_grad_on_any_theta(self, layout):
@@ -117,9 +97,10 @@ class TestQuadraticProducts:
                                                FINITE_SPECIAL[np.abs(FINITE_SPECIAL) < 1e100]),
                                  layout)
                 loss, g = p.loss_and_grad(theta)
-                want_loss, want_g = matmul_loss_and_grad(p.matrix, theta)
-                assert bits(g) == bits(want_g) and bits(loss) == bits(want_loss)
-                assert bits(p.grad(theta)) == bits(want_g)
+                want_g = np.einsum("ij,j->i", p.matrix, theta)
+                np.testing.assert_allclose(g, want_g, rtol=1e-12, atol=1e-12)
+                assert loss == pytest.approx(0.5 * np.einsum("i,i->", theta, want_g), rel=1e-12)
+                assert bits(p.grad(theta)) == bits(g)
 
     @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
     def test_hvp_closure_on_any_block(self, layout):
@@ -128,30 +109,29 @@ class TestQuadraticProducts:
             apply = p.hvp_closure(p.initial_point(0))
             for j in (1, 2, 3, 8):
                 block = laid_out(np.random.default_rng([n, j]).standard_normal((n, j)), layout)
-                assert bits(apply(block)) == bits(p.matrix @ block)
+                np.testing.assert_allclose(apply(block), np.einsum("ij,jk->ik", p.matrix, block),
+                                           rtol=1e-12, atol=1e-12)
 
     def test_dense_hessian_and_hvp(self):
         for n in (1, 2, 9, 50):
-            p = quadratic(np.linspace(1.0, 10.0, n), seed=n)
-            eye = np.eye(n)
-            want = np.column_stack([(p.matrix @ eye[:, j:j + 1])[:, 0] for j in range(n)])
-            assert bits(p.dense_hessian(np.zeros(n))) == bits(want)
-            v = p.initial_point(1)
-            assert bits(p.hvp(np.zeros(n), v)) == bits((p.matrix @ v[:, None])[:, 0])
+            for rotate in (True, False):
+                p = quadratic(np.linspace(1.0, 10.0, n), seed=n, rotate=rotate)
+                # each column is A times a unit vector: a sum of one exact product and zeros
+                assert bits(p.dense_hessian(np.zeros(n))) == bits(p.matrix)
+                v = p.initial_point(1)
+                np.testing.assert_allclose(p.hvp(np.zeros(n), v),
+                                           np.einsum("ij,j->i", p.matrix, v), rtol=1e-12)
 
     @pytest.mark.parametrize("rotate", [True, False])
     def test_one_entry_spectrum(self, rotate):
-        # a sum of one term: .dot would keep the -0.0 products that BLAS adds to +0.0
+        # a sum of one term: BLAS adds a -0.0 product to +0.0
         p = quadratic([2.0], rotate=rotate)
-        for theta in ([-0.0], [0.0], [-5e-324], [3.0]):
+        for theta, loss_want, g_want in (([-0.0], 0.0, [0.0]), ([0.0], 0.0, [0.0]),
+                                         ([-5e-324], 0.0, [-1e-323]), ([3.0], 9.0, [6.0])):
             loss, g = p.loss_and_grad(np.array(theta))
-            want_loss, want_g = matmul_loss_and_grad(p.matrix, np.array(theta))
-            assert bits(g) == bits(want_g) and bits(loss) == bits(want_loss)
+            assert bits(g) == bits(g_want) and bits(loss) == bits(loss_want)
             hv = p.hvp_closure(np.zeros(1))(np.array([theta]))
-            assert bits(hv) == bits(p.matrix @ np.array([theta]))
-        loss, g = p.loss_and_grad(np.array([-0.0]))
-        assert bits(g) == bits([0.0]) and bits(loss) == bits(0.0)
-
+            assert bits(hv) == bits([g_want])
 
     @pytest.mark.parametrize("n", [1, 50])
     def test_pickle_round_trip(self, n):

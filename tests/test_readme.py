@@ -1,8 +1,10 @@
-"""The README lists exactly the knobs the code takes, and every module of `src/cao`."""
+"""The README lists exactly the knobs the code takes, every module of `src/cao`, and the
+CLI defaults of its synopsis."""
 
 import re
 from pathlib import Path
 
+from cao import cli
 from cao.optim import KINDS
 from cao.problems import _PROBLEMS
 
@@ -58,3 +60,16 @@ def test_layout_lists_every_module():
         listed.update(re.findall(r"^  (\w+\.py) ", line))
     modules = {path.name for path in (README.parent / "src" / "cao").glob("*.py")}
     assert listed == modules - {"__init__.py"}
+
+
+def test_cli_synopsis_shows_the_parser_defaults():
+    lines = README.read_text().splitlines()
+    start = lines.index("## CLI") + 3  # past the header, a blank line and the fence
+    shown = {}
+    for line in lines[start:lines.index("```", start)]:
+        command = line.split()[3]  # cao [--out DIR] COMMAND ...
+        for flag, value in re.findall(r"\[(--[\w-]+) ([^]\s]+)\]", line):
+            shown[command, flag] = value
+    for command, flag in (("ablate-k", "--ks"), ("sweep", "--etas"), ("sweep", "--ms")):
+        args = cli.build_parser().parse_args([command, "--config", "CFG"])
+        assert shown[command, flag] == getattr(args, flag[2:]), (command, flag)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cao import Batch, logreg, mlp_synthetic, quadratic, rosenbrock
-from cao.errors import ContractViolationError, NumericOverflowError, matmul
+from cao.errors import ContractViolationError, NumericOverflowError
 from cao.sketch import (
     ORTHO_TOL,
     RANK_DEFICIENCY_TOL,
@@ -16,7 +16,7 @@ from cao.sketch import (
     qr_orthonormalize,
     sketch_residual,
 )
-from layouts import BLOCK_LAYOUTS, FINITE_SPECIAL, bits, laid_out, with_specials
+from layouts import BLOCK_LAYOUTS, FINITE_SPECIAL, laid_out, with_specials
 
 
 def counting_closure(h):
@@ -163,9 +163,7 @@ class TestRankOneCheck:
         col = with_specials(rng, (n, 1), share, FINITE_SPECIAL[np.abs(FINITE_SPECIAL) < 1])
         norm = np.linalg.norm(col)
         with np.errstate(all="ignore"):
-            col = laid_out(col / norm * np.sqrt(scale) if norm else col, layout)
-            assert bits(matmul(col.T, col)) == bits(col.T @ col)
-            assert_gram_verdict(col)
+            assert_gram_verdict(laid_out(col / norm * np.sqrt(scale) if norm else col, layout))
 
     @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
     def test_a_column_on_the_tolerance(self, layout):
@@ -475,19 +473,23 @@ class TestSketchResidual:
 
 
 class TestProjectionProducts:
-    """The Rayleigh-Ritz projection ``matmul(v.T, w)`` keeps every bit of ``v.T @ w``."""
+    """The build on a closure whose products come laid out any way: at k = 1 with every
+    bit of the ``eigh`` build, at any k within rounding of the contiguous products'."""
+
+    @staticmethod
+    def assert_close(sketch, want):
+        np.testing.assert_allclose(sketch.eigvals, want.eigvals, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sketch.basis, want.basis, rtol=1e-9, atol=1e-9)
 
     @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(1, 60), k=st.integers(1, 8), iters=st.integers(1, 3),
-           layout=st.sampled_from(BLOCK_LAYOUTS), share=st.sampled_from([0.0, 0.2]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_any_product_layout(self, n, k, iters, layout, share, seed):
-        k = min(k, n)
+    @given(n=st.integers(1, 60), iters=st.integers(1, 3), layout=st.sampled_from(BLOCK_LAYOUTS),
+           share=st.sampled_from([0.0, 0.2]), seed=st.integers(0, 2**32 - 1))
+    def test_any_product_layout(self, n, iters, layout, share, seed):
         a = with_specials(np.random.default_rng(seed), (n, n), share,
                           FINITE_SPECIAL[np.abs(FINITE_SPECIAL) < 1])
         h = (a + a.T) / 2.0
         hvp = lambda v: laid_out(h @ v, layout)  # noqa: E731
-        cfg = LanczosConfig(k=k, iters=iters, seed=seed % 1000)
+        cfg = LanczosConfig(k=1, iters=iters, seed=seed % 1000)
         TestSignsFixedOncePerBuild.assert_same(block_lanczos(hvp, n, cfg),
                                                eigh_rayleigh_ritz(hvp, n, cfg))
 
@@ -499,5 +501,7 @@ class TestProjectionProducts:
             hvp = lambda v: laid_out(h @ v, layout)  # noqa: E731
             for seed in range(3):
                 cfg = LanczosConfig(k=k, iters=3, seed=seed)
-                TestSignsFixedOncePerBuild.assert_same(block_lanczos(hvp, n, cfg),
-                                                       eigh_rayleigh_ritz(hvp, n, cfg))
+                sketch = block_lanczos(hvp, n, cfg)
+                self.assert_close(sketch, block_lanczos(lambda v: h @ v, n, cfg))
+                if k == 1:
+                    TestSignsFixedOncePerBuild.assert_same(sketch, eigh_rayleigh_ritz(hvp, n, cfg))

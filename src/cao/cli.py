@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import executor, harness, theory
-from .config import load_config
+from .config import _path_component, load_config
 from .errors import ConfigError, WorkerError
 
 EXIT_OK = 0
@@ -41,8 +41,11 @@ def _collect_logs(logs_arg):
 
 
 def _default_name(args):
+    """``--name``, which must be one path part, or the first ``--logs`` entry's name."""
+    if args.name is not None:
+        return _path_component(args.name, "--name")
     # made absolute first, so that "." and ".." give the directory's own name
-    return args.name or Path(os.path.abspath(args.logs[0])).name
+    return Path(os.path.abspath(args.logs[0])).name
 
 
 def _parse_list(text, flag, cast):
@@ -102,8 +105,8 @@ def _cmd_ttt(args):
                           " --thresholds the grid of the sweep")
     if args.threshold is not None:
         _finite_thresholds([args.threshold], "--threshold")
-    logs = _collect_logs(args.logs)
     name = _default_name(args)
+    logs = _collect_logs(args.logs)
     if args.thresholds:
         thresholds = _finite_thresholds(
             _parse_list(args.thresholds, "--thresholds", float), "--thresholds")
@@ -136,8 +139,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_plotdata(args):
-    logs = _collect_logs(args.logs)
     name = _default_name(args)
+    logs = _collect_logs(args.logs)
     out = Path(args.out) / "figures-data" / f"{name}-loss.tsv"
     harness.emit_plot_data(logs, out)
     print(f"wrote {out}")
@@ -181,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a multi-optimizer comparison from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--jobs", default=None, help=jobs_help)
-    p.set_defaults(func=_cmd_run)
+    p.set_defaults(func=_cmd_run, writes=("logs",))
 
     p = sub.add_parser("ttt", help="time-to-threshold table from logs")
     p.add_argument("--logs", nargs="+", required=True,
@@ -191,29 +194,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", default=None,
                    help="comma-separated grid; emits one row per threshold")
     p.add_argument("--name", default=None)
-    p.set_defaults(func=_cmd_ttt)
+    p.set_defaults(func=_cmd_ttt, writes=("tables",))
 
     p = sub.add_parser("ablate-k", help="re-run the config across sketch ranks")
     p.add_argument("--config", required=True)
     p.add_argument("--ks", default="0,1,3,5")
     p.add_argument("--jobs", default=None, help=jobs_help)
-    p.set_defaults(func=_cmd_ablate_k)
+    p.set_defaults(func=_cmd_ablate_k, writes=("logs", "tables"))
 
     p = sub.add_parser("sweep", help="damping x refresh-interval sensitivity grid")
     p.add_argument("--config", required=True)
     p.add_argument("--etas", default="0.5,1.0,2.0")
     p.add_argument("--ms", default="25,50,100")
     p.add_argument("--jobs", default=None, help=jobs_help)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, writes=("logs", "tables"))
 
     p = sub.add_parser("plotdata", help="emit loss-vs-step mean/std bands from logs")
     p.add_argument("--logs", nargs="+", required=True)
     p.add_argument("--name", default=None)
-    p.set_defaults(func=_cmd_plotdata)
+    p.set_defaults(func=_cmd_plotdata, writes=("figures-data",))
 
     p = sub.add_parser("theory", help="run the analysis checks and report pass/fail")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_theory)
+    p.set_defaults(func=_cmd_theory, writes=("logs/theory",))
     return parser
 
 
@@ -223,11 +226,12 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger().setLevel(args.log_level)
     try:
-        out = args.out  # its nearest existing ancestor must be a directory
-        while not os.path.lexists(out):
-            out = os.path.dirname(out) or "."
-        if not os.path.isdir(out):
-            raise ConfigError(f"--out {args.out}: {out} is not a directory")
+        for sub in args.writes:  # the nearest existing ancestor of each must be a directory
+            out = os.path.join(args.out, sub)
+            while not os.path.lexists(out):
+                out = os.path.dirname(out) or "."
+            if not os.path.isdir(out):
+                raise ConfigError(f"--out {args.out}: {out} is not a directory")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

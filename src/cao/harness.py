@@ -94,7 +94,7 @@ def run_single(problem, task: Task, schedule: Schedule, *, log_path):
     cfg, spec, index, seed = task
     batches, steps_per_epoch, digest = schedule
     theta0 = problem.initial_point(seed)
-    runner = make_runner(spec.kind, theta0, spec.params, seed)
+    step, state = make_runner(spec.kind, theta0, spec.params, seed)
     minibatch = cfg.batch_size > 0 and problem.num_samples > 0
     summary = {"steps_done": 0, "diverged": False, "clamp_steps": 0, "refreshes": 0}
     losses, evals = [], []
@@ -116,12 +116,12 @@ def run_single(problem, task: Task, schedule: Schedule, *, log_path):
                 eval_loss = None
                 if minibatch and t % cfg.eval_every == 0:
                     try:
-                        eval_loss = problem.loss(runner.theta)
+                        eval_loss = problem.loss(state.theta)
                     except NumericOverflowError:
                         summary["diverged"] = True
                         break
                 t0 = time.perf_counter()
-                rec = runner.step(problem, batch)
+                state, rec = step(state, problem, batch)
                 rec.wall = time.perf_counter() - t0
                 rec.epoch = t // steps_per_epoch
                 rec.eval_loss = eval_loss
@@ -144,10 +144,10 @@ def run_single(problem, task: Task, schedule: Schedule, *, log_path):
             summary["diverged"] = True
         if not summary["diverged"]:
             try:
-                summary["final_loss"] = problem.loss(runner.theta)
+                summary["final_loss"] = problem.loss(state.theta)
             except NumericOverflowError:
                 summary["diverged"] = True
-        summary["hvp_calls"] = runner.hvp_calls
+        summary["hvp_calls"] = getattr(state, "hvp_calls", 0)
         summary["wall_total"] = time.perf_counter() - t_start
         writer.write_summary(summary)
     return summary, evals or losses

@@ -16,11 +16,12 @@ nothing of epochs: the harness sets each record's ``epoch``.
 
 ``KINDS`` gives each optimizer kind's state class and config knobs, each
 with a type and a range; ``make_runner`` checks a config entry against it and
-maps the entry onto a step function and its state.
+maps the entry onto a step function and its initial state.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import DivergenceError, Knob, NumericOverflowError, check_knobs
 from .precondition import DampedPreconditioner, precondition
 from .problems import Batch, Problem
-from .sketch import LanczosConfig, block_lanczos
+from .sketch import block_lanczos
 
 log = logging.getLogger(__name__)
 
@@ -193,10 +194,9 @@ def cao_step(state: CaoState, problem: Problem, batch: Batch, cfg: CaoConfig):
             calls += block.shape[1]
             return hvp(block)
 
-        lcfg = LanczosConfig(k=cfg.k, iters=cfg.t_pow,
-                             seed=_refresh_seed(cfg.sketch_seed, state.step))
         try:
-            sketch = block_lanczos(counted, problem.dim, lcfg)
+            sketch = block_lanczos(counted, problem.dim, cfg.k, cfg.t_pow,
+                                   _refresh_seed(cfg.sketch_seed, state.step))
         except NumericOverflowError:
             log.warning("sketch refresh failed at step %d; keeping previous sketch",
                         state.step)
@@ -250,7 +250,7 @@ def adam_step(state: AdamState, problem: Problem, batch: Batch, lr: float,
 
 
 # ---------------------------------------------------------------------------
-# the uniform wrapper used by the harness
+# config entries to step functions, for the harness
 
 _ALPHA, _POSITIVE = Knob(float, 0, closed=False, required=True), Knob(float, 0, closed=False)
 _NONNEGATIVE, _UNIT = Knob(float, 0), Knob(float, 0, 1)
@@ -266,33 +266,15 @@ KINDS = {
 }
 
 
-class Runner:
-    """One optimizer run: ``step_fn(state, problem, batch, **params)`` per step."""
+def make_runner(kind: str, theta0, params: dict, seed: int):
+    """``(step, state)`` of an optimizer config entry's knobs (config key names).
 
-    def __init__(self, step_fn, state, params: dict):
-        self.step_fn, self.state, self.params = step_fn, state, params
-
-    @property
-    def theta(self):
-        return self.state.theta
-
-    @property
-    def hvp_calls(self) -> int:
-        return getattr(self.state, "hvp_calls", 0)
-
-    def step(self, problem, batch) -> StepRecord:
-        self.state, rec = self.step_fn(self.state, problem, batch, **self.params)
-        return rec
-
-
-def make_runner(kind: str, theta0, params: dict, seed: int) -> Runner:
-    """Build a runner from an optimizer config entry's knobs (config key names).
-
-    ``alpha`` becomes the baselines' ``lr``; ``seed`` is the ``sketch_seed``.
-    An unknown kind, or knobs that do not fit ``KINDS[kind]``, raise
-    ``ContractViolationError``. The step function is looked up now, so a
-    wrapper put on ``cao_step``, ``sgd_step`` or ``adam_step`` sees every step
-    of the run.
+    ``state, rec = step(state, problem, batch)`` takes one step from a state
+    at a copy of ``theta0``. ``alpha`` becomes the baselines' ``lr``; ``seed``
+    is the ``sketch_seed``. An unknown kind, or knobs that do not fit
+    ``KINDS[kind]``, raise ``ContractViolationError``. The step function is
+    looked up now, so a wrapper put on ``cao_step``, ``sgd_step`` or
+    ``adam_step`` sees every step of the run.
     """
     state_class = check_knobs(KINDS, kind, params, "optimizer kind")
     if kind == "cao":
@@ -301,4 +283,4 @@ def make_runner(kind: str, theta0, params: dict, seed: int) -> Runner:
         params = dict(params)
         params["lr"] = params.pop("alpha")
     theta = np.asarray(theta0, dtype=np.float64).copy()
-    return Runner(globals()[f"{kind}_step"], state_class(theta=theta), params)
+    return functools.partial(globals()[f"{kind}_step"], **params), state_class(theta=theta)

@@ -533,10 +533,10 @@ class MlpProblem(Problem):
         b2 = theta[..., i : i + c]
         return w1, b1, w2, b2
 
-    @staticmethod
-    def _pack(w1, b1, w2, b2):
-        lead = b1.shape[:-1]
-        return np.concatenate([w1.reshape(*lead, -1), b1, w2.reshape(*lead, -1), b2],
+    def _pack(self, w1, b1, w2, b2):
+        d, h, c = self.widths
+        lead = b1.shape[:-1]  # sizes, not -1: a stack of no directions has size 0
+        return np.concatenate([w1.reshape(*lead, h * d), b1, w2.reshape(*lead, c * h), b2],
                               axis=-1)
 
     def _logits(self, theta, batch):

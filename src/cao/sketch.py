@@ -72,25 +72,9 @@ class Sketch:
     def has_negative(self) -> bool:
         return bool(self.eigvals.size and self.eigvals[-1] < 0)
 
-    @staticmethod
-    def empty(n: int) -> "Sketch":
-        return Sketch(np.empty(0), np.empty((n, 0)))
 
-
-@dataclass(frozen=True)
-class LanczosConfig:
-    """Knobs for one sketch build: rank k, iteration count, start seed."""
-
-    k: int
-    iters: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        check_knobs(_LANCZOS, "lanczos", vars(self), "sketch")
-
-
-_LANCZOS = {"lanczos": (LanczosConfig, {"k": Knob(int, 0), "iters": Knob(int, 1),
-                                        "seed": Knob(int, 0)})}
+# the knobs of one build: rank k, iteration count, start seed
+_LANCZOS = {"lanczos": (None, {"k": Knob(int, 0), "iters": Knob(int, 1), "seed": Knob(int, 0)})}
 
 
 def _positive_first(q) -> np.ndarray:
@@ -150,14 +134,18 @@ def qr_orthonormalize(m, rng=None) -> np.ndarray:
         return _positive_first(_orthonormalize(m, rng))
 
 
-def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None) -> Sketch:
+def block_lanczos(hvp_closure, n: int, k: int, iters: int = 10, seed: int = 0,
+                  v0=None) -> Sketch:
     """Estimate the top-k eigenpairs of the symmetric operator behind ``hvp_closure``.
 
     ``hvp_closure`` maps an n x k block ``V`` to ``H @ V``. The orthonormal
-    start block is pushed through it ``iters`` times, then the projected
-    k x k eigenproblem is solved and the Ritz pairs are returned sorted by
-    signed eigenvalue, descending. A non-finite product aborts the build
-    with ``NumericOverflowError`` so the caller can keep a previous sketch.
+    start block, drawn from ``seed``, is pushed through it ``iters`` times,
+    then the projected k x k eigenproblem is solved and the Ritz pairs are
+    returned sorted by signed eigenvalue, descending. A non-finite product
+    aborts the build with ``NumericOverflowError`` so the caller can keep a
+    previous sketch. A ``k``, ``iters`` or ``seed`` that does not fit
+    ``_LANCZOS``, or ``k > n``, raises ``ContractViolationError``. k = 0 takes
+    the same path on n x 0 blocks (``qr`` of n x 0, ``eigh`` of 0 x 0).
 
     For k = 1 the projected matrix is 1 x 1 and LAPACK is not called: its
     symmetric eigensolver returns exactly ``A(1,1)`` and the eigenvector 1
@@ -176,17 +164,16 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None) -> Sketch:
 
     ``v0`` overrides the seeded random start block (used by invariance tests).
     """
-    if cfg.k < 1:
-        raise ContractViolationError("block_lanczos needs k >= 1; use Sketch.empty for k = 0")
-    if cfg.k > n:
-        raise ContractViolationError(f"k = {cfg.k} exceeds dimension n = {n}")
-    rng = np.random.default_rng(cfg.seed)
+    check_knobs(_LANCZOS, "lanczos", {"k": k, "iters": iters, "seed": seed}, "sketch")
+    if k > n:
+        raise ContractViolationError(f"k = {k} exceeds dimension n = {n}")
+    rng = np.random.default_rng(seed)
     if v0 is None:
-        v0 = rng.standard_normal((n, cfg.k))
+        v0 = rng.standard_normal((n, k))
     else:
         v0 = np.asarray(v0, dtype=np.float64)
-        if v0.shape != (n, cfg.k):
-            raise ContractViolationError(f"v0 shape {v0.shape} != ({n}, {cfg.k})")
+        if v0.shape != (n, k):
+            raise ContractViolationError(f"v0 shape {v0.shape} != ({n}, {k})")
 
     def apply_block(block):
         hv = np.asarray(hvp_closure(block), dtype=np.float64)
@@ -201,13 +188,13 @@ def block_lanczos(hvp_closure, n: int, cfg: LanczosConfig, v0=None) -> Sketch:
 
     with np.errstate(over="ignore"):  # one for the build, not one per column
         v = _orthonormalize(v0, rng)
-        for _ in range(cfg.iters - 1):
+        for _ in range(iters - 1):
             v = _orthonormalize(apply_block(v), rng)
         v = _positive_first(_orthonormalize(apply_block(v), rng))  # enters Rayleigh-Ritz
     w = apply_block(v)
     projected = v.T @ w
     projected = (projected + projected.T) / 2.0  # kill rounding asymmetry
-    if cfg.k == 1:
+    if k == 1:
         # LAPACK's order-1 answer without the call: eigenvalue A(1,1), eigenvector 1.
         # v is signed already; `+ 0.0` is what the product v @ [[1.0]] does to it
         vals, basis = projected[0], v + 0.0

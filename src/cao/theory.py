@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ContractViolationError, DivergenceError, OracleUnavailableError
 from .optim import CaoConfig, CaoState, cao_step
 from .problems import FULL_BATCH, Problem, QuadraticProblem, quadratic, rosenbrock
-from .sketch import LanczosConfig, Sketch, block_lanczos, sketch_residual
+from .sketch import block_lanczos, sketch_residual
 
 DESCENT_SLACK = 1e-9
 WINDOW_FLOOR = 1e-14
@@ -241,11 +241,8 @@ def check_pl_contraction(problem: QuadraticProblem, k: int = 1, eta: float = 1.0
         raise OracleUnavailableError("contraction check needs pl_mu and f_star metadata")
     f_star = problem.meta.f_star
     theta0 = problem.initial_point(seed)
-    if k >= 1:
-        probe = block_lanczos(problem.hvp_closure(theta0, FULL_BATCH), problem.dim,
-                              LanczosConfig(k=k, iters=CaoConfig.t_pow, seed=int(seed) + 9999))
-    else:
-        probe = Sketch.empty(problem.dim)
+    probe = block_lanczos(problem.hvp_closure(theta0, FULL_BATCH), problem.dim, k,
+                          CaoConfig.t_pow, int(seed) + 9999)
     lam_perp = sketch_residual(probe, problem.dense_hessian(theta0))
     alpha = min(CONTRACTION_C * eta / max(lam_perp, 1e-12), ALPHA_CAP)
     cfg = CaoConfig(alpha=alpha if k else alpha / eta, k=k, m=m, eta=eta, sketch_seed=seed)

@@ -22,7 +22,7 @@ from cao.optim import CaoConfig, CaoState, SgdState, cao_step, sgd_step
 from cao.precondition import precondition, quadratic_form
 from cao.problems import fd_hvp, logreg, mlp_synthetic, quadratic, rosenbrock
 from cao.runlog import normalized_bytes
-from cao.sketch import LanczosConfig, block_lanczos
+from cao.sketch import block_lanczos
 from cao.theory import (
     check_pl_contraction,
     check_stationarity_rate,
@@ -71,8 +71,7 @@ def test_01_sketch_accuracy():
         dense_vals, dense_vecs = np.linalg.eigh(h)
         dense_vals, dense_vecs = dense_vals[::-1], dense_vecs[:, ::-1]
         for k in (1, 3, 5):
-            sk = block_lanczos(lambda v: h @ v, n,
-                               LanczosConfig(k=k, iters=30, seed=100 + seed))
+            sk = block_lanczos(lambda v: h @ v, n, k=k, iters=30, seed=100 + seed)
             rel = np.abs(sk.eigvals - dense_vals[:k]) / np.abs(dense_vals[:k])
             assert np.max(rel) <= 1e-6
             for i in range(k):

@@ -1043,8 +1043,8 @@ class TestConfigParsing:
         cfg = load_config(path)
         problem = from_config(cfg.problem)
         for spec in cfg.optimizers:
-            runner = make_runner(spec.kind, problem.initial_point(0), spec.params, seed=0)
-            assert runner.theta.shape == (problem.dim,)
+            _, state = make_runner(spec.kind, problem.initial_point(0), spec.params, seed=0)
+            assert state.theta.shape == (problem.dim,)
 
     def test_missing_alpha(self):
         with pytest.raises(ConfigError):
@@ -1618,6 +1618,53 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"config error: --out {tmp_path / out}: {tmp_path / 'afile'} is not a directory\n")
         assert started == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("argv, sub", [
+        (["run", "--config", "{cfg}"], "logs"), (["ttt", "--logs", "{logs}"], "tables"),
+        (["ablate-k", "--config", "{cfg}"], "logs"), (["ablate-k", "--config", "{cfg}"], "tables"),
+        (["sweep", "--config", "{cfg}", "--ms", "10"], "logs"),
+        (["sweep", "--config", "{cfg}", "--ms", "10"], "tables"),
+        (["plotdata", "--logs", "{logs}"], "figures-data"), (["theory"], "logs"),
+        (["theory"], "logs/theory"),
+    ], ids=lambda value: value if isinstance(value, str) else value[0])
+    def test_file_where_out_needs_a_directory_exits_before_any_run(
+            self, tmp_path, monkeypatch, capsys, argv, sub):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(steps=5, seeds=(0,)).to_dict()))
+        synthetic_log(tmp_path / "in" / "sgd" / "0.log", "sgd", 0, 0, hit_step=10)
+        out = tmp_path / "out"
+        (out / sub).parent.mkdir(parents=True)
+        (out / sub).write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        started = []
+        for module, name in ((harness, "run_single"), (harness, "read_runlog"),
+                             (cli.theory, "run_theory_suite")):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **kw: started.append(name))
+        argv = [arg.format(cfg=cfg_path, logs=tmp_path / "in") for arg in argv]
+        rc = cli.main(["--out", str(out), *argv])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: --out {out}: {out / sub} is not a directory\n")
+        assert started == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["ttt", "plotdata"])
+    @pytest.mark.parametrize("name", ["../../x", "a/b", "..", ""])
+    def test_name_must_be_one_path_part(self, tmp_path, monkeypatch, capsys, command, name):
+        synthetic_log(tmp_path / "in" / "sgd" / "0.log", "sgd", 0, 0, hit_step=10)
+        out = tmp_path / "a" / "out"
+        out.mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        read = []
+        monkeypatch.setattr(harness, "read_runlog", lambda *a, **kw: read.append(a))
+        rc = cli.main(["--out", str(out), command, "--logs", str(tmp_path / "in"),
+                       "--name", name])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: --name must be a non-empty string without '/' or NUL,"
+            f" and not '.' or '..', got {name!r}\n")
+        assert read == []
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_theory_negative_seed_exit_code(self, tmp_path, capsys):

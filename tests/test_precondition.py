@@ -16,6 +16,10 @@ from cao.sketch import Sketch, qr_orthonormalize
 from layouts import BLOCK_LAYOUTS, FINITE_SPECIAL, VECTOR_LAYOUTS, bits, laid_out, with_specials
 
 
+def empty_sketch(n):
+    return Sketch(np.empty(0), np.empty((n, 0)))
+
+
 def random_case(seed, n_max=200, k_max=8, allow_negative=True, dense_comparable=False):
     """Random (preconditioner, gradient) pair plus its dense clamped operator.
 
@@ -39,7 +43,7 @@ def random_case(seed, n_max=200, k_max=8, allow_negative=True, dense_comparable=
         vals = np.sort(rng.uniform(lo, 10.0, size=k))[::-1]
         sk = Sketch(vals, basis)
     else:
-        sk = Sketch.empty(n)
+        sk = empty_sketch(n)
     pc = DampedPreconditioner(sk, eta)
     g = rng.standard_normal(n)
     # dense route: eigenvalues clamped so lam + eta >= FLOOR
@@ -54,7 +58,7 @@ def random_case(seed, n_max=200, k_max=8, allow_negative=True, dense_comparable=
 
 class TestClosedFormExamples:
     def test_k0_identity_scaling(self):
-        pc = DampedPreconditioner(Sketch.empty(3), eta=1.0)
+        pc = DampedPreconditioner(empty_sketch(3), eta=1.0)
         g = np.array([1.0, -2.0, 3.0])
         np.testing.assert_array_equal(precondition(g, pc), g)
         assert quadratic_form(g, pc) == pytest.approx(float(g @ g))
@@ -96,7 +100,7 @@ class TestOperatorNormBound:
         assert np.linalg.norm(dense_map(pc), 2) == pytest.approx(10.0)
 
     def test_empty(self):
-        pc = DampedPreconditioner(Sketch.empty(4), eta=0.25)
+        pc = DampedPreconditioner(empty_sketch(4), eta=0.25)
         assert np.linalg.norm(dense_map(pc), 2) == pytest.approx(4.0)
 
     def test_negative_eigenvalue(self):
@@ -165,7 +169,7 @@ class TestStructure:
         basis = np.eye(3)[:, :1]
         pc = DampedPreconditioner(Sketch(np.array([4.0]), basis), eta=1.0)
         assert np.linalg.eigvalsh(dense_map(pc))[0] == pytest.approx(1.0 / 5.0)
-        pc = DampedPreconditioner(Sketch.empty(3), eta=0.5)
+        pc = DampedPreconditioner(empty_sketch(3), eta=0.5)
         assert np.linalg.eigvalsh(dense_map(pc))[0] == pytest.approx(2.0)
 
 
@@ -173,11 +177,11 @@ class TestValidation:
     def test_eta_must_be_positive(self):
         for eta in (0.0, np.inf, np.nan):
             with pytest.raises(ContractViolationError):
-                DampedPreconditioner(Sketch.empty(2), eta=eta)
+                DampedPreconditioner(empty_sketch(2), eta=eta)
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_wrong_gradient_shape(self, k):
-        sk = Sketch(np.array([2.0]), np.eye(3)[:, :1]) if k else Sketch.empty(3)
+        sk = Sketch(np.array([2.0]), np.eye(3)[:, :1]) if k else empty_sketch(3)
         pc = DampedPreconditioner(sk, eta=1.0)
         for bad in (np.ones(2), np.ones(4), np.ones((3, 1))):
             with pytest.raises(ContractViolationError, match="gradient shape"):
@@ -186,7 +190,7 @@ class TestValidation:
                 quadratic_form(bad, pc)
 
     def test_nonfinite_gradient(self):
-        pc = DampedPreconditioner(Sketch.empty(2), eta=1.0)
+        pc = DampedPreconditioner(empty_sketch(2), eta=1.0)
         with pytest.raises(NumericOverflowError):
             precondition(np.array([np.nan, 0.0]), pc)
 

@@ -8,7 +8,6 @@ from cao.errors import ContractViolationError, NumericOverflowError
 from cao.sketch import (
     ORTHO_TOL,
     RANK_DEFICIENCY_TOL,
-    LanczosConfig,
     Sketch,
     _orthonormalize,
     _positive_first,
@@ -103,7 +102,7 @@ class TestQrOrthonormalize:
 
 class TestSketchType:
     def test_empty(self):
-        sk = Sketch.empty(7)
+        sk = Sketch(np.empty(0), np.empty((7, 0)))
         assert sk.k == 0
         assert not sk.has_negative
 
@@ -181,23 +180,23 @@ class TestRankOneCheck:
 class TestBlockLanczos:
     def test_dominant_eigenpair(self):
         h = np.diag([5.0, 2.0, 1.0])
-        sk = block_lanczos(lambda v: h @ v, 3, LanczosConfig(k=1, iters=30, seed=0))
+        sk = block_lanczos(lambda v: h @ v, 3, k=1, iters=30, seed=0)
         assert sk.eigvals[0] == pytest.approx(5.0, rel=1e-6)
         assert abs(sk.basis[0, 0]) >= 0.999
 
     def test_degenerate_spectrum(self):
         h = np.eye(10)
-        sk = block_lanczos(lambda v: h @ v, 10, LanczosConfig(k=3, iters=10, seed=1))
+        sk = block_lanczos(lambda v: h @ v, 10, k=3, iters=10, seed=1)
         np.testing.assert_allclose(sk.eigvals, np.ones(3), rtol=1e-10)
 
     def test_negative_dominant_value_ordering(self):
         h = np.diag([-4.0, 1.0, 0.5])
         # k=1 converges to the magnitude-dominant pair, which is negative
-        sk = block_lanczos(lambda v: h @ v, 3, LanczosConfig(k=1, iters=50, seed=2))
+        sk = block_lanczos(lambda v: h @ v, 3, k=1, iters=50, seed=2)
         assert sk.eigvals[0] == pytest.approx(-4.0, rel=1e-6)
         assert sk.has_negative
         # with k=2 the signed ordering puts the negative value last
-        sk = block_lanczos(lambda v: h @ v, 3, LanczosConfig(k=2, iters=50, seed=2))
+        sk = block_lanczos(lambda v: h @ v, 3, k=2, iters=50, seed=2)
         np.testing.assert_allclose(sk.eigvals, [1.0, -4.0], rtol=1e-6)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -205,7 +204,7 @@ class TestBlockLanczos:
         h = gapped_symmetric(seed=4)
         dense_vals, dense_vecs = np.linalg.eigh(h)
         dense_vals, dense_vecs = dense_vals[::-1], dense_vecs[:, ::-1]
-        sk = block_lanczos(lambda v: h @ v, 100, LanczosConfig(k=k, iters=30, seed=7))
+        sk = block_lanczos(lambda v: h @ v, 100, k=k, iters=30, seed=7)
         rel = np.abs(sk.eigvals - dense_vals[:k]) / np.abs(dense_vals[:k])
         assert np.max(rel) <= 1e-6
         for i in range(k):
@@ -216,7 +215,7 @@ class TestBlockLanczos:
         prev = np.inf
         for iters in (1, 5, 10, 30):
             sk = block_lanczos(lambda v: h @ v, 100,
-                               LanczosConfig(k=1, iters=iters, seed=11))
+                               k=1, iters=iters, seed=11)
             resid = np.linalg.norm(h @ sk.basis[:, 0] - sk.eigvals[0] * sk.basis[:, 0])
             assert resid <= prev * (1 + 1e-9) + 1e-15
             prev = resid
@@ -226,16 +225,16 @@ class TestBlockLanczos:
         rng = np.random.default_rng(13)
         q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
         v0 = rng.standard_normal((40, 3))
-        cfg = LanczosConfig(k=3, iters=30, seed=0)
-        plain = block_lanczos(lambda v: h @ v, 40, cfg, v0=v0)
-        rotated = block_lanczos(lambda v: q @ (h @ (q.T @ v)), 40, cfg, v0=q @ v0)
+        cfg = dict(k=3, iters=30, seed=0)
+        plain = block_lanczos(lambda v: h @ v, 40, v0=v0, **cfg)
+        rotated = block_lanczos(lambda v: q @ (h @ (q.T @ v)), 40, v0=q @ v0, **cfg)
         np.testing.assert_allclose(plain.eigvals, rotated.eigvals, atol=1e-8)
 
     def test_hvp_budget(self):
         h = np.diag(np.linspace(1.0, 6.0, 20))
         for k, iters in [(1, 5), (3, 10), (5, 7)]:
             hvp, calls = counting_closure(h)
-            block_lanczos(hvp, 20, LanczosConfig(k=k, iters=iters, seed=3))
+            block_lanczos(hvp, 20, k=k, iters=iters, seed=3)
             assert calls[0] == (iters + 1) * k
 
     def test_nonfinite_product_aborts(self):
@@ -243,7 +242,7 @@ class TestBlockLanczos:
             return np.full_like(v, np.nan)
 
         with pytest.raises(NumericOverflowError):
-            block_lanczos(bad, 5, LanczosConfig(k=1, iters=3, seed=0))
+            block_lanczos(bad, 5, k=1, iters=3, seed=0)
 
     def test_nonfinite_second_block_aborts(self):
         h = np.diag([3.0, 2.0, 1.0])
@@ -254,14 +253,14 @@ class TestBlockLanczos:
             return np.full_like(v, np.nan) if calls[0] == 2 else h @ v
 
         with pytest.raises(NumericOverflowError):
-            block_lanczos(flaky, 3, LanczosConfig(k=2, iters=3, seed=0))
+            block_lanczos(flaky, 3, k=2, iters=3, seed=0)
         assert calls[0] == 2
 
     def test_determinism(self):
         h = gapped_symmetric(n=30, seed=14, top=5)
-        cfg = LanczosConfig(k=2, iters=10, seed=21)
-        a = block_lanczos(lambda v: h @ v, 30, cfg)
-        b = block_lanczos(lambda v: h @ v, 30, cfg)
+        cfg = dict(k=2, iters=10, seed=21)
+        a = block_lanczos(lambda v: h @ v, 30, **cfg)
+        b = block_lanczos(lambda v: h @ v, 30, **cfg)
         assert a.eigvals.tobytes() == b.eigvals.tobytes()
         assert a.basis.tobytes() == b.basis.tobytes()
 
@@ -272,7 +271,7 @@ class TestBlockLanczos:
         n = len(diag)
         k = data.draw(st.integers(1, n), label="k")
         h = np.diag(diag)
-        sk = block_lanczos(lambda v: h @ v, n, LanczosConfig(k=k, iters=8, seed=5))
+        sk = block_lanczos(lambda v: h @ v, n, k=k, iters=8, seed=5)
         assert np.all(np.diff(sk.eigvals) <= 0)
         np.testing.assert_allclose(sk.basis.T @ sk.basis, np.eye(k), atol=1e-10)
         # Rayleigh-Ritz: the basis diagonalizes the operator it spans
@@ -283,10 +282,11 @@ class TestBlockLanczos:
 
     def test_k_bounds(self):
         h = np.eye(3)
-        with pytest.raises(ContractViolationError):
-            block_lanczos(lambda v: h @ v, 3, LanczosConfig(k=0, iters=5, seed=0))
-        with pytest.raises(ContractViolationError):
-            block_lanczos(lambda v: h @ v, 3, LanczosConfig(k=4, iters=5, seed=0))
+        hvp, calls = counting_closure(h)
+        sk = block_lanczos(hvp, 3, k=0, iters=5, seed=0)  # k = 0: the empty sketch
+        assert sk.k == 0 and sk.basis.shape == (3, 0) and calls == [0]
+        with pytest.raises(ContractViolationError, match=r"^k = 4 exceeds dimension n = 3$"):
+            block_lanczos(lambda v: h @ v, 3, k=4, iters=5, seed=0)
 
     @pytest.mark.parametrize("knobs, key", [
         ({"k": 1.5}, "k"), ({"k": True}, "k"), ({"k": -1}, "k"),
@@ -295,12 +295,16 @@ class TestBlockLanczos:
     ], ids=["k-float", "k-as-bool", "k-negative", "iters-float", "iters-as-bool",
             "iters-zero", "seed-negative"])
     def test_config_rejects_bad_knob(self, knobs, key):
-        with pytest.raises(ContractViolationError, match=f"{key} must be an integer"):
-            LanczosConfig(**knobs)
+        def hvp(v):
+            raise AssertionError("a bad knob reached the closure")
+
+        with pytest.raises(ContractViolationError,
+                           match=f"^sketch 'lanczos': {key} must be an integer"):
+            block_lanczos(hvp, 3, **knobs)
 
     def test_full_rank_recovers_spectrum(self):
         h = gapped_symmetric(n=12, seed=15, top=4)
-        sk = block_lanczos(lambda v: h @ v, 12, LanczosConfig(k=12, iters=5, seed=1))
+        sk = block_lanczos(lambda v: h @ v, 12, k=12, iters=5, seed=1)
         np.testing.assert_allclose(sk.eigvals, np.sort(np.linalg.eigvalsh(h))[::-1],
                                    atol=1e-9)
 
@@ -309,7 +313,7 @@ class TestBlockLanczos:
         # a squared norm of about 1e400 overflows; the column is normalized by QR
         p = quadratic([1e200, 1.0], seed=0)
         with caplog.at_level("WARNING", logger="cao.sketch"):
-            sk = block_lanczos(p.hvp_closure(np.zeros(2)), 2, LanczosConfig(k=1, seed=3))
+            sk = block_lanczos(p.hvp_closure(np.zeros(2)), 2, k=1, seed=3)
             q = qr_orthonormalize(np.array([[3e200], [4e200]]))
         assert caplog.records == []
         assert abs(sk.eigvals[0] - 1e200) <= 1e-12 * 1e200
@@ -339,11 +343,11 @@ def signed_qr(m, rng):
     return signed(q)
 
 
-def signed_every_iterate(hvp, n, cfg, v0=None):
+def signed_every_iterate(hvp, n, k, iters, seed, v0=None):
     """Reference subspace iteration that fixes the signs of every iterate."""
-    rng = np.random.default_rng(cfg.seed)
-    v = signed_qr(rng.standard_normal((n, cfg.k)) if v0 is None else v0, rng)
-    for _ in range(cfg.iters):
+    rng = np.random.default_rng(seed)
+    v = signed_qr(rng.standard_normal((n, k)) if v0 is None else v0, rng)
+    for _ in range(iters):
         v = signed_qr(hvp(v), rng)
     projected = v.T @ hvp(v)
     vals, small_vecs = np.linalg.eigh((projected + projected.T) / 2.0)
@@ -363,6 +367,24 @@ SIGN_CASES = {
 }
 
 
+@pytest.mark.parametrize("case", list(SIGN_CASES))
+def test_rank_zero_on_every_problem(case):
+    """Every closure maps an n x 0 block to n x 0; a k = 0 build sends 0 columns."""
+    problem, batch = SIGN_CASES[case]
+    hvp = problem.hvp_closure(problem.initial_point(0), batch)
+    assert hvp(np.empty((problem.dim, 0))).shape == (problem.dim, 0)
+    widths = []
+
+    def counted(v):
+        widths.append(v.shape[1])
+        return hvp(v)
+
+    sketch = block_lanczos(counted, problem.dim, k=0, iters=4, seed=1)
+    assert widths == [0] * 5
+    assert sketch.k == 0 and sketch.eigvals.shape == (0,)
+    assert sketch.basis.shape == (problem.dim, 0)
+
+
 class TestSignsFixedOncePerBuild:
     """``block_lanczos`` equals, bit for bit, the loop that signs every iterate."""
 
@@ -380,9 +402,9 @@ class TestSignsFixedOncePerBuild:
         for seed in range(3):
             hvp = problem.hvp_closure(problem.initial_point(seed), batch)
             for iters in (1, 3, 10):
-                cfg = LanczosConfig(k=k, iters=iters, seed=seed)
-                self.assert_same(block_lanczos(hvp, problem.dim, cfg),
-                                 signed_every_iterate(hvp, problem.dim, cfg))
+                cfg = dict(k=k, iters=iters, seed=seed)
+                self.assert_same(block_lanczos(hvp, problem.dim, **cfg),
+                                 signed_every_iterate(hvp, problem.dim, **cfg))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     def test_rank_deficient_start(self, k):
@@ -392,17 +414,17 @@ class TestSignsFixedOncePerBuild:
         v0[:, 0] = 0.0  # a zero column, and for k > 2 a repeated one
         v0[:, -1] = -v0[:, k // 2]
         for seed in range(3):
-            cfg = LanczosConfig(k=k, iters=4, seed=seed)
-            self.assert_same(block_lanczos(hvp, problem.dim, cfg, v0=v0),
-                             signed_every_iterate(hvp, problem.dim, cfg, v0))
+            cfg = dict(k=k, iters=4, seed=seed)
+            self.assert_same(block_lanczos(hvp, problem.dim, v0=v0, **cfg),
+                             signed_every_iterate(hvp, problem.dim, v0=v0, **cfg))
 
 
-def eigh_rayleigh_ritz(hvp, n, cfg):
+def eigh_rayleigh_ritz(hvp, n, k, iters, seed):
     """The build as it was with LAPACK's ``eigh`` at every k, the order-1 case included."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):
-        v = _orthonormalize(rng.standard_normal((n, cfg.k)), rng)
-        for _ in range(cfg.iters - 1):
+        v = _orthonormalize(rng.standard_normal((n, k)), rng)
+        for _ in range(iters - 1):
             v = _orthonormalize(hvp(v), rng)
         v = _positive_first(_orthonormalize(hvp(v), rng))
     projected = v.T @ hvp(v)
@@ -420,18 +442,18 @@ class TestOrderOneRayleighRitz:
             a = np.random.default_rng([n, seed]).standard_normal((n, n))
             h = (a + a.T) / 2.0
             for iters in (1, 2, 5):
-                cfg = LanczosConfig(k=1, iters=iters, seed=seed)
+                cfg = dict(k=1, iters=iters, seed=seed)
                 hvp = lambda v: h @ v  # noqa: E731
-                TestSignsFixedOncePerBuild.assert_same(block_lanczos(hvp, n, cfg),
-                                                       eigh_rayleigh_ritz(hvp, n, cfg))
+                TestSignsFixedOncePerBuild.assert_same(block_lanczos(hvp, n, **cfg),
+                                                       eigh_rayleigh_ritz(hvp, n, **cfg))
 
     @pytest.mark.parametrize("entry", [-0.0, 0.0, -3.5, 5e-324, 1e300, -1e300])
     def test_one_by_one(self, entry):
         for seed in range(3):
-            cfg = LanczosConfig(k=1, iters=3, seed=seed)
+            cfg = dict(k=1, iters=3, seed=seed)
             hvp = lambda v: entry * v  # noqa: E731
-            sketch = block_lanczos(hvp, 1, cfg)
-            TestSignsFixedOncePerBuild.assert_same(sketch, eigh_rayleigh_ritz(hvp, 1, cfg))
+            sketch = block_lanczos(hvp, 1, **cfg)
+            TestSignsFixedOncePerBuild.assert_same(sketch, eigh_rayleigh_ritz(hvp, 1, **cfg))
             assert sketch.basis.tolist() == [[1.0]]
 
     def test_zero_entries_of_either_sign(self):
@@ -440,9 +462,9 @@ class TestOrderOneRayleighRitz:
         d = np.array([3.0, 0.0, -2.0, 0.0, 1.0, 0.0])
         hvp = lambda v: d[:, None] * v  # noqa: E731
         for seed in range(8):
-            cfg = LanczosConfig(k=1, iters=2, seed=seed)
-            TestSignsFixedOncePerBuild.assert_same(block_lanczos(hvp, d.size, cfg),
-                                                   eigh_rayleigh_ritz(hvp, d.size, cfg))
+            cfg = dict(k=1, iters=2, seed=seed)
+            TestSignsFixedOncePerBuild.assert_same(block_lanczos(hvp, d.size, **cfg),
+                                                   eigh_rayleigh_ritz(hvp, d.size, **cfg))
 
     def test_no_lapack_eigensolver_at_k1(self, monkeypatch):
         def refused(a):
@@ -450,9 +472,9 @@ class TestOrderOneRayleighRitz:
 
         monkeypatch.setattr(np.linalg, "eigh", refused)
         h = gapped_symmetric(n=12)
-        block_lanczos(lambda v: h @ v, 12, LanczosConfig(k=1, iters=3))
+        block_lanczos(lambda v: h @ v, 12, k=1, iters=3)
         with pytest.raises(AssertionError, match="eigh called"):
-            block_lanczos(lambda v: h @ v, 12, LanczosConfig(k=2, iters=3))
+            block_lanczos(lambda v: h @ v, 12, k=2, iters=3)
 
 
 class TestSketchResidual:
@@ -469,7 +491,7 @@ class TestSketchResidual:
 
     def test_empty_sketch_gives_spectral_norm(self):
         h = np.diag([5.0, 2.0, -6.0])
-        assert sketch_residual(Sketch.empty(3), h) == pytest.approx(6.0)
+        assert sketch_residual(Sketch(np.empty(0), np.empty((3, 0))), h) == pytest.approx(6.0)
 
 
 class TestProjectionProducts:
@@ -489,9 +511,9 @@ class TestProjectionProducts:
                           FINITE_SPECIAL[np.abs(FINITE_SPECIAL) < 1])
         h = (a + a.T) / 2.0
         hvp = lambda v: laid_out(h @ v, layout)  # noqa: E731
-        cfg = LanczosConfig(k=1, iters=iters, seed=seed % 1000)
-        TestSignsFixedOncePerBuild.assert_same(block_lanczos(hvp, n, cfg),
-                                               eigh_rayleigh_ritz(hvp, n, cfg))
+        cfg = dict(k=1, iters=iters, seed=seed % 1000)
+        TestSignsFixedOncePerBuild.assert_same(block_lanczos(hvp, n, **cfg),
+                                               eigh_rayleigh_ritz(hvp, n, **cfg))
 
     @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
     @pytest.mark.parametrize("k", [1, 2, 3, 8])
@@ -500,8 +522,9 @@ class TestProjectionProducts:
             h = gapped_symmetric(n=n, seed=k)
             hvp = lambda v: laid_out(h @ v, layout)  # noqa: E731
             for seed in range(3):
-                cfg = LanczosConfig(k=k, iters=3, seed=seed)
-                sketch = block_lanczos(hvp, n, cfg)
-                self.assert_close(sketch, block_lanczos(lambda v: h @ v, n, cfg))
+                cfg = dict(k=k, iters=3, seed=seed)
+                sketch = block_lanczos(hvp, n, **cfg)
+                self.assert_close(sketch, block_lanczos(lambda v: h @ v, n, **cfg))
                 if k == 1:
-                    TestSignsFixedOncePerBuild.assert_same(sketch, eigh_rayleigh_ritz(hvp, n, cfg))
+                    TestSignsFixedOncePerBuild.assert_same(sketch,
+                                                           eigh_rayleigh_ritz(hvp, n, **cfg))

@@ -5,8 +5,9 @@ import pytest
 
 from cao.errors import OracleUnavailableError
 from cao.problems import QuadraticProblem, quadratic, rosenbrock
-from cao.sketch import LanczosConfig, Sketch, block_lanczos, sketch_residual
+from cao.sketch import Sketch, block_lanczos, sketch_residual
 from cao.theory import (
+    WINDOW_FLOOR,
     TheoryReport,
     check_descent_lemma,
     check_pl_contraction,
@@ -91,6 +92,15 @@ class TestSufficientDescent:
         with pytest.raises(OracleUnavailableError):
             check_sufficient_descent(rosenbrock(4), k=0)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_diverging_run_fails_with_its_step(self, k):
+        rep = check_sufficient_descent(suite_quadratics()[0], k=k, seed=0, alpha_scale=1e5)
+        assert rep.passed is False
+        assert rep.notes == "run diverged"
+        assert sorted(rep.measured) == ["alpha", "diverged_at", "eta"]
+        assert 0 < rep.measured["diverged_at"] < 200
+        assert json.loads(rep.to_json())["passed"] is False
+
 
 class TestStationarity:
     def test_quadratic_trivially_bounded(self):
@@ -108,6 +118,15 @@ class TestStationarity:
         L = estimate_smoothness(ros, ros.initial_point(0), seed=0)
         rep = check_stationarity_rate(ros, seed=0, alpha=10.0 / L, eta=0.01)
         assert not rep.passed
+
+    def test_loss_past_ten_times_f0_fails_without_diverging(self):
+        # the top direction grows by |1 - 5 * 5 / 6| per step: 1e22 after 20, still finite
+        rep = check_stationarity_rate(quadratic([5.0, 1.0], seed=4), horizons=(10, 20),
+                                      alpha=5.0)
+        assert rep.passed is False
+        assert rep.notes == "loss exceeded 10x initial value"
+        assert sorted(rep.measured) == ["L", "alpha", "f0", "max_loss"]
+        assert 10.0 * rep.measured["f0"] < rep.measured["max_loss"] < np.inf
 
 
 class TestPlContraction:
@@ -136,6 +155,16 @@ class TestPlContraction:
         with pytest.raises(OracleUnavailableError):
             check_pl_contraction(rosenbrock(4), k=1)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_every_window_below_the_floor(self, k):
+        # f0 is about 1e-30, below WINDOW_FLOOR from the first window on
+        rep = check_pl_contraction(quadratic([1e-30, 1e-30], seed=3), k=k)
+        assert rep.passed is True
+        assert rep.notes == "all windows below floating-point floor; fully converged"
+        assert sorted(rep.measured) == ["alpha", "gamma", "lambda_perp", "windows_used"]
+        assert rep.measured["gamma"] == 1.0 and rep.measured["windows_used"] == 0
+        assert 0.0 < rep.measured["lambda_perp"] < WINDOW_FLOOR
+
 
 class TestResidualCurvature:
     def test_delegates_to_sketch_residual(self):
@@ -146,7 +175,7 @@ class TestResidualCurvature:
     def test_matches_probe_sketch(self):
         p = quadratic([9.0, 3.0, 1.0, 0.5], seed=6)
         theta = p.initial_point(0)
-        sk = block_lanczos(p.hvp_closure(theta), 4, LanczosConfig(k=1, iters=30, seed=1))
+        sk = block_lanczos(p.hvp_closure(theta), 4, k=1, iters=30, seed=1)
         assert sketch_residual(sk, p.dense_hessian(theta)) == pytest.approx(3.0, rel=1e-6)
 
 

@@ -56,3 +56,25 @@ def test_each_traced_run_names_its_log(tmp_path):
     assert len(runs) == 4
     assert sorted(tracer.paths[i] for i in runs) == sorted(result["logs"])
     assert all(Path(tracer.paths[i]).is_file() for i in runs)
+
+
+def test_every_step_and_sketch_build_is_traced(tmp_path):
+    # make_runner looks each step function up when a run starts, after the tracer
+    # has wrapped it: one span per step taken and per sketch built
+    cfg = parse_config({
+        "name": "steps",
+        "problem": {"name": "quadratic", "spectrum": [9.0, 4.0, 1.0, 0.5], "seed": 2},
+        "optimizers": [{"kind": "cao", "alpha": 0.1, "k": 2, "m": 4, "t_pow": 3},
+                       {"kind": "cao", "label": "cao-k0", "alpha": 0.1, "k": 0},
+                       {"kind": "sgd", "alpha": 0.1}, {"kind": "adam", "alpha": 0.1}],
+        "seeds": [0, 1], "steps": 11, "threshold": 0.01,
+    })
+    tracer = spans.Tracer()
+    with tracer.installed():
+        result = harness.run_comparison(cfg, tmp_path, jobs=1)
+    counts = {name: sum(tracer.names[code] == name for code in tracer.code)
+              for name in ("optim.cao_step", "optim.sgd_step", "optim.adam_step",
+                           "sketch.build")}
+    assert not result["diverged"]
+    assert counts == {"optim.cao_step": 2 * 2 * 11, "optim.sgd_step": 2 * 11,
+                      "optim.adam_step": 2 * 11, "sketch.build": 2 * 3}

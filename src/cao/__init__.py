@@ -35,7 +35,7 @@ from .problems import (
     quadratic,
     rosenbrock,
 )
-from .sketch import Sketch, block_lanczos, qr_orthonormalize, sketch_residual
+from .sketch import Sketch, block_lanczos, sketch_residual
 from .theory import (
     TheoryReport,
     check_descent_lemma,

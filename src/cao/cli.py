@@ -41,11 +41,11 @@ def _collect_logs(logs_arg):
 
 
 def _default_name(args):
-    """``--name``, which must be one path part, or the first ``--logs`` entry's name."""
+    """``--name``, or else the first ``--logs`` entry's name; it must be one path part."""
     if args.name is not None:
         return _path_component(args.name, "--name")
     # made absolute first, so that "." and ".." give the directory's own name
-    return Path(os.path.abspath(args.logs[0])).name
+    return _path_component(Path(os.path.abspath(args.logs[0])).name, "the --logs name")
 
 
 def _parse_list(text, flag, cast):
@@ -84,10 +84,7 @@ def _cmd_run(args):
     result = harness.run_comparison(cfg, args.out, jobs=jobs)
     for path in result["logs"]:
         print(path)
-    if result["diverged"]:
-        print("divergence detected; partial logs retained", file=sys.stderr)
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return EXIT_DIVERGED if result["diverged"] else EXIT_OK
 
 
 def _write_table(args, name, text):
@@ -232,7 +229,10 @@ def main(argv=None) -> int:
                 out = os.path.dirname(out) or "."
             if not os.path.isdir(out):
                 raise ConfigError(f"--out {args.out}: {out} is not a directory")
-        return args.func(args)
+        code = args.func(args)
+        if code == EXIT_DIVERGED:  # run, ablate-k or sweep
+            print("divergence detected; partial logs retained", file=sys.stderr)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

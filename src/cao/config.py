@@ -10,11 +10,16 @@ rate of every kind; the Adam rate must be stated explicitly, nothing is inherite
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, ContractViolationError, Knob, check_knobs
 from .optim import KINDS
+
+# a file name's 255 bytes, less the longest suffix the program adds to a path part
+PATH_PART_BYTES = 255 - len("-time-to-threshold.txt")
+SEED_DIGITS = 255 - len(".log.part")  # a log's lock file is "<seed>.log.part"
 
 
 @dataclass(frozen=True)
@@ -51,11 +56,18 @@ class ExperimentConfig:
 
 
 def _path_component(value, key: str) -> str:
-    """``value``, which names a directory of the log tree and so must be one path part."""
+    """``value``, which names a file or directory of the outputs and so must be one path part."""
     if (not isinstance(value, str) or value in ("", ".", "..")
             or "/" in value or "\0" in value):
         raise ConfigError(f"{key} must be a non-empty string without '/' or NUL,"
                           f" and not '.' or '..', got {value!r}")
+    try:
+        size = len(os.fsencode(value))
+    except UnicodeEncodeError:
+        raise ConfigError(f"{key} cannot be encoded as a file name, got {value!r}") from None
+    if size > PATH_PART_BYTES:
+        raise ConfigError(f"{key} is {size} bytes as a file name, more than the"
+                          f" {PATH_PART_BYTES} that fit: {value!r}")
     return value
 
 
@@ -95,6 +107,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if len(set(labels)) != len(labels):
         raise ConfigError(f"optimizer labels must be unique, got {labels}")
     seeds = doc["seeds"]
+    if any(seed >= 10**SEED_DIGITS for seed in seeds):
+        raise ConfigError(f"seeds must have at most {SEED_DIGITS} digits (file '<seed>.log.part')")
     # two runs of one (label, seed) would write the same log
     repeated = next((seed for i, seed in enumerate(seeds) if seed in seeds[:i]), None)
     if repeated is not None:
@@ -123,6 +137,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: unreadable config ({exc})") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an int past 4300 digits
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return parse_config(doc)

@@ -187,8 +187,12 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None, jobs: int = 
             log.info("%s plans %d HVPs per run if every refresh succeeds:"
                      " %d refreshes of (t_pow + 1) * k = %d",
                      spec.label, refreshes * per_refresh, refreshes, per_refresh)
-    schedules = {seed: build_schedule(problem.num_samples, cfg.batch_size, cfg.steps, seed)
-                 for seed in cfg.seeds}
+    try:
+        schedules = {seed: build_schedule(problem.num_samples, cfg.batch_size, cfg.steps, seed)
+                     for seed in cfg.seeds}
+    except (MemoryError, OverflowError) as exc:  # more steps than a list can hold
+        raise ConfigError(f"steps = {cfg.steps} cannot be scheduled:"
+                          f" {type(exc).__name__}: {exc}") from None
     logs = [str(Path(out_root, "logs", t.cfg.name, t.spec.label, f"{t.seed}.log"))
             for t in tasks]
 
@@ -472,12 +476,11 @@ def sensitivity_sweep(cfg: ExperimentConfig, etas, ms, out_root=".", jobs: int =
     result = run_comparison(grid_cfg, out_root, tasks=[
         Task(replace(grid_cfg, optimizers=(spec,)), spec, 0, seed)
         for seed in grid_cfg.seeds for spec in grid_cfg.optimizers], jobs=jobs)
-    groups, _ = _group(result["runs"])
+    groups, labels = _group(result["runs"])
+    first_hits = _ttt_table(groups, labels, cfg.threshold)["optimizers"]
     cells = []
     for spec in grid_cfg.optimizers:
-        label = spec.label
-        runs = groups[label]
-        entry = _ttt_table(groups, [label], cfg.threshold)["optimizers"][label]
+        runs, entry = groups[spec.label], first_hits[spec.label]
         clamps = sum(run["summary"]["clamp_steps"] for run in runs)
         diverged = any(run["summary"]["diverged"] for run in runs)
         cells.append({

@@ -20,7 +20,6 @@ state: ``widths`` has three entries, ``n_classes >= 2``, ``n_samples >= n_classe
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -147,13 +146,7 @@ class Problem:
         return value
 
     def grad(self, theta, batch: Batch = FULL_BATCH) -> np.ndarray:
-        theta = self._check_theta(theta)
-        batch = self._check_batch(batch)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = self._loss_and_grad(theta, batch)[1]
-        if not all_finite(g):
-            raise self._non_finite("gradient")
-        return g
+        return self.loss_and_grad(theta, batch)[1]
 
     def loss_and_grad(self, theta, batch: Batch = FULL_BATCH):
         """``(loss, grad)`` from one pass; the same values and checks as the two calls."""

@@ -90,8 +90,10 @@ def _orthonormalize(m, rng) -> np.ndarray:
     costs about twice the normalization and would dominate k = 1 sketch builds.
     Otherwise, and for one column whose norm is below ``RANK_DEFICIENCY_TOL``
     or whose square overflows, Householder QR, whose norms are scaled; its Q
-    does not depend on the signs of the input columns. Rank deficiency is
-    repaired as ``qr_orthonormalize`` describes. The caller silences the
+    does not depend on the signs of the input columns. A column numerically in
+    the span of the earlier ones (``|R_jj|``, or one column's norm, below
+    ``RANK_DEFICIENCY_TOL``) is replaced by a random direction from ``rng``,
+    with a warning, and the block factored again. The caller silences the
     overflow warning of the squared norm.
     """
     n, k = m.shape
@@ -108,30 +110,9 @@ def _orthonormalize(m, rng) -> np.ndarray:
         # only the first small R_jj is meaningful: later ones depend on the
         # arbitrary direction QR picked for column j
         j = int(np.argmax(small < RANK_DEFICIENCY_TOL))
-        if rng is None:
-            rng = np.random.default_rng(0)
         log.warning("rank-deficient column %d repaired with a random direction", j)
         m = m.copy()
         m[:, j] = rng.standard_normal(n)
-
-
-def qr_orthonormalize(m, rng=None) -> np.ndarray:
-    """Orthonormalize the columns of an n x k matrix (Householder QR).
-
-    A column whose projection off the earlier ones is numerically zero
-    (``|R_jj|`` below ``RANK_DEFICIENCY_TOL``; for k = 1, the column's norm)
-    is replaced by a fresh random direction and the factorization redone;
-    each repair is logged. Signs are normalized so the first nonzero entry of
-    every column is positive.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ContractViolationError("expected a 2-d matrix")
-    n, k = m.shape
-    if k > n:
-        raise ContractViolationError(f"need k <= n, got shape {m.shape}")
-    with np.errstate(over="ignore"):
-        return _positive_first(_orthonormalize(m, rng))
 
 
 def block_lanczos(hvp_closure, n: int, k: int, iters: int = 10, seed: int = 0,

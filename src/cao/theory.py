@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, DivergenceError, OracleUnavailableError
-from .optim import CaoConfig, CaoState, cao_step
+from .optim import CaoConfig, make_runner
 from .problems import FULL_BATCH, Problem, QuadraticProblem, quadratic, rosenbrock
 from .sketch import block_lanczos, sketch_residual
 
@@ -70,13 +70,20 @@ def estimate_smoothness(problem: Problem, center, radius: float = 1.5,
     return worst
 
 
-def _run_cao(problem, cfg, theta0, steps):
-    state = CaoState(theta=np.asarray(theta0, dtype=np.float64).copy())
+def _run_cao(problem, theta0, steps, seed, **knobs):
+    """(state, records) of full-batch cao steps, made by ``make_runner`` as every run's are."""
+    step, state = make_runner("cao", theta0, knobs, seed)
     records = []
     for _ in range(steps):
-        state, rec = cao_step(state, problem, FULL_BATCH, cfg)
+        state, rec = step(state, problem, FULL_BATCH)
         records.append(rec)
     return state, records
+
+
+def _diverged(check, exc, tolerance=0.0, **measured) -> TheoryReport:
+    """The failed report of a check whose run diverged, with the step it diverged at."""
+    return TheoryReport(check, False, {**measured, "diverged_at": exc.record.step}, tolerance,
+                        "run diverged")
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +107,7 @@ def check_descent_lemma(problem: Problem, seed: int = 0, radius: float = 1.0,
         theta = center + rng.uniform(-radius, radius, size=problem.dim)
         d = rng.standard_normal(problem.dim)
         alpha = rng.uniform(1e-4, alpha_max)
-        f0 = problem.loss(theta)
-        g = problem.grad(theta)
+        f0, g = problem.loss_and_grad(theta)
         f1 = problem.loss(theta - alpha * d)
         rhs = f0 - alpha * float(g @ d) + 0.5 * L * alpha**2 * float(d @ d)
         worst = min(worst, rhs - f1)
@@ -117,45 +123,38 @@ def check_sufficient_descent(problem: QuadraticProblem, k: int = 1, steps: int =
                              seed: int = 0, alpha_scale: float = 1.0) -> TheoryReport:
     """Per-step decrease >= (alpha/2) lambda_min(M_t) ||g_t||^2 at the sufficient stepsize.
 
-    lambda_min(M_t) is taken from the sketch actually used at step t,
-    1 / max(top eigenvalue + eta, eta); for k = 0 the map is the identity and
-    lambda_min = 1. The damping is eta = 0.2 sqrt(L). ``alpha_scale`` rescales
-    the stepsize (negative controls use 50x).
+    lambda_min(M_t) is read from each step's record: 1 / max(top eigenvalue + eta,
+    eta) of the sketch the step used, or 1 with no eigenvalues (k = 0, or no
+    successful refresh yet: the map is the identity). The damping is eta = 0.2
+    sqrt(L). ``alpha_scale`` rescales the stepsize (negative controls use 50x).
     """
     L = problem.meta.smoothness_L
     if L is None:
         raise OracleUnavailableError("check_sufficient_descent needs a known smoothness bound")
     eta = 0.2 * float(np.sqrt(L))
     alpha = alpha_scale * sufficient_stepsize(L, eta)
-    cfg = CaoConfig(alpha=alpha, k=k, m=REFRESH_M, eta=eta, sketch_seed=seed)
     theta0 = problem.initial_point(seed)
     fallback = 1.0 / (L + eta)
+    check = f"sufficient_descent[{problem.meta.name},k={k},x{alpha_scale:g}]"
     try:
-        state, records = _run_cao(problem, cfg, theta0, steps)
+        state, records = _run_cao(problem, theta0, steps, seed, alpha=alpha, k=k,
+                                  m=REFRESH_M, eta=eta)
     except DivergenceError as exc:
-        return TheoryReport(
-            check=f"sufficient_descent[{problem.meta.name},k={k},x{alpha_scale:g}]",
-            passed=False,
-            measured={"alpha": alpha, "eta": eta, "diverged_at": exc.record.step},
-            tolerance=DESCENT_SLACK,
-            notes="run diverged",
-        )
+        return _diverged(check, exc, DESCENT_SLACK, alpha=alpha, eta=eta)
     losses = [rec.loss for rec in records] + [problem.loss(state.theta)]
     worst = np.inf
     worst_step = -1
     fallback_ok = True
     for t, rec in enumerate(records):
-        if k == 0:
-            lam_min = 1.0
-        else:
-            top = rec.eigvals[0] if rec.eigvals else 0.0
-            lam_min = 1.0 / max(top + eta, eta)
+        lam_min = 1.0
+        if rec.eigvals:
+            lam_min = 1.0 / max(rec.eigvals[0] + eta, eta)
             fallback_ok &= lam_min >= fallback - 1e-12
         margin = (losses[t] - losses[t + 1]) - 0.5 * alpha * lam_min * rec.grad_norm**2
         if margin < worst:
             worst, worst_step = margin, t
     return TheoryReport(
-        check=f"sufficient_descent[{problem.meta.name},k={k},x{alpha_scale:g}]",
+        check=check,
         passed=bool(worst >= -DESCENT_SLACK and fallback_ok),
         measured={"alpha": alpha, "eta": eta, "min_margin": worst,
                   "worst_step": worst_step, "lambda_min_fallback": fallback},
@@ -180,22 +179,18 @@ def check_stationarity_rate(problem: Problem, horizons=(100, 200, 400, 800),
         L = estimate_smoothness(problem, theta0, radius=1.5, seed=seed)
     if alpha is None:
         alpha = stationarity_c * eta / L
-    cfg = CaoConfig(alpha=alpha, m=REFRESH_M, eta=eta, sketch_seed=seed)
+    check = f"stationarity[{problem.meta.name},alpha={alpha:.3g}]"
     try:
-        _, records = _run_cao(problem, cfg, theta0, max(horizons))
+        _, records = _run_cao(problem, theta0, max(horizons), seed, alpha=alpha,
+                              m=REFRESH_M, eta=eta)
     except DivergenceError as exc:
-        return TheoryReport(
-            check=f"stationarity[{problem.meta.name},alpha={alpha:.3g}]",
-            passed=False,
-            measured={"alpha": alpha, "L": L, "diverged_at": exc.record.step},
-            notes="run diverged",
-        )
+        return _diverged(check, exc, alpha=alpha, L=L)
     losses = np.array([rec.loss for rec in records])
     gsq = np.array([rec.grad_norm**2 for rec in records])
     f0 = losses[0]
     if np.max(losses) > 10.0 * max(f0, 1e-12):
         return TheoryReport(
-            check=f"stationarity[{problem.meta.name},alpha={alpha:.3g}]",
+            check=check,
             passed=False,
             measured={"alpha": alpha, "L": L, "max_loss": float(np.max(losses)),
                       "f0": float(f0)},
@@ -212,7 +207,7 @@ def check_stationarity_rate(problem: Problem, horizons=(100, 200, 400, 800),
         if hi == 2 * lo:
             ok &= c_vals[hi] <= GROWTH_SLACK * c_vals[lo]
     return TheoryReport(
-        check=f"stationarity[{problem.meta.name},alpha={alpha:.3g}]",
+        check=check,
         passed=bool(ok),
         measured={"alpha": alpha, "L": L,
                   "c_T": [c_vals[T] for T in horizons],
@@ -245,9 +240,8 @@ def check_pl_contraction(problem: QuadraticProblem, k: int = 1, eta: float = 1.0
                           CaoConfig.t_pow, int(seed) + 9999)
     lam_perp = sketch_residual(probe, problem.dense_hessian(theta0))
     alpha = min(CONTRACTION_C * eta / max(lam_perp, 1e-12), ALPHA_CAP)
-    cfg = CaoConfig(alpha=alpha if k else alpha / eta, k=k, m=m, eta=eta, sketch_seed=seed)
-    steps = m * num_windows
-    state, records = _run_cao(problem, cfg, theta0, steps)
+    state, records = _run_cao(problem, theta0, m * num_windows, seed,
+                              alpha=alpha if k else alpha / eta, k=k, m=m, eta=eta)
     refresh_f = [records[r * m].loss for r in range(num_windows)]
     refresh_f.append(problem.loss(state.theta))
     ratios = []
@@ -277,17 +271,18 @@ def check_pl_contraction(problem: QuadraticProblem, k: int = 1, eta: float = 1.0
     )
 
 
+def _contraction_reports(problem, ks, seeds, **knobs) -> dict:
+    """``check_pl_contraction``'s report per (k, seed), k-major; a repeated seed runs once."""
+    return {(k, seed): check_pl_contraction(problem, k=k, seed=seed, **knobs)
+            for k in ks for seed in dict.fromkeys(seeds)}
+
+
 def measure_gamma_over_ranks(problem: QuadraticProblem, ks=(0, 1, 3), seeds=(0, 1, 2),
                              eta: float = 1.0, m: int = REFRESH_M,
                              num_windows: int = 6) -> dict:
     """Measured gamma per (k, seed); k = 0 takes alpha / eta (see ``check_pl_contraction``)."""
-    gammas = {}
-    for k in ks:
-        for seed in seeds:
-            rep = check_pl_contraction(problem, k=k, eta=eta, m=m,
-                                       num_windows=num_windows, seed=seed)
-            gammas[(k, seed)] = rep.measured["gamma"]
-    return gammas
+    reports = _contraction_reports(problem, ks, seeds, eta=eta, m=m, num_windows=num_windows)
+    return {key: rep.measured["gamma"] for key, rep in reports.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +298,11 @@ def suite_quadratics():
     ]
 
 
+def _negative_control(check, report, notes, tolerance=0.0) -> TheoryReport:
+    """``report`` named ``check``, passed exactly when ``report`` failed."""
+    return TheoryReport(check, not report.passed, report.measured, tolerance, notes)
+
+
 def run_theory_suite(seed: int = 0) -> list[TheoryReport]:
     """Run every check once; returns the reports in a fixed order."""
     reports = []
@@ -314,36 +314,25 @@ def run_theory_suite(seed: int = 0) -> list[TheoryReport]:
         reports.append(check_sufficient_descent(prob, k=1, seed=seed))
         reports.append(check_sufficient_descent(prob, k=0, seed=seed))
     negative = check_sufficient_descent(quads[2], k=0, seed=seed, alpha_scale=50.0)
-    reports.append(TheoryReport(
-        check="sufficient_descent_negative_control[quad-cond1000,x50]",
-        passed=not negative.passed,
-        measured=negative.measured,
-        tolerance=negative.tolerance,
-        notes="inverted: the 50x stepsize must violate the per-step bound",
-    ))
-    reports.append(check_stationarity_rate(rosenbrock(10), seed=seed))
-    l_est = estimate_smoothness(rosenbrock(10), rosenbrock(10).initial_point(seed),
-                                seed=seed)
-    negative = check_stationarity_rate(rosenbrock(10), seed=seed, alpha=10.0 / l_est,
-                                       eta=0.01)
-    reports.append(TheoryReport(
-        check="stationarity_negative_control[rosenbrock10,10/L]",
-        passed=not negative.passed,
-        measured=negative.measured,
-        notes="inverted: the unstable stepsize must fail the trend check",
-    ))
-    skew = quads[1]
-    contraction = {k: check_pl_contraction(skew, k=k, seed=seed) for k in (0, 1, 3)}
-    reports.extend(contraction.values())
-    # measure_gamma_over_ranks(skew), reusing the runs above at the suite's seed
-    gammas = {}
-    for k in (0, 1, 3):
-        for s in (0, 1, 2):
-            rep = contraction[k] if s == seed else check_pl_contraction(skew, k=k, seed=s)
-            gammas[(k, s)] = rep.measured["gamma"]
+    reports.append(_negative_control(
+        "sufficient_descent_negative_control[quad-cond1000,x50]", negative,
+        "inverted: the 50x stepsize must violate the per-step bound", negative.tolerance))
+    stationarity = check_stationarity_rate(rosenbrock(10), seed=seed)
+    reports.append(stationarity)
+    negative = check_stationarity_rate(rosenbrock(10), seed=seed,
+                                       alpha=10.0 / stationarity.measured["L"], eta=0.01)
+    reports.append(_negative_control(
+        "stationarity_negative_control[rosenbrock10,10/L]", negative,
+        "inverted: the unstable stepsize must fail the trend check"))
+    # the contraction reports at the suite's seed, and gamma over ranks at seeds 0-2
+    ks, seeds = (0, 1, 3), (0, 1, 2)
+    contraction = _contraction_reports(quads[1], ks, (seed, *seeds))
+    reports.extend(contraction[(k, seed)] for k in ks)
+    gammas = {key: rep.measured["gamma"] for key, rep in contraction.items()
+              if key[1] in seeds}
     monotone = all(
         gammas[(0, s)] <= gammas[(1, s)] + 1e-9 and gammas[(1, s)] <= gammas[(3, s)] + 1e-9
-        for s in (0, 1, 2)
+        for s in seeds
     )
     reports.append(TheoryReport(
         check="gamma_monotone_in_k[quad-skew]",

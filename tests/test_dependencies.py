@@ -1,7 +1,9 @@
-"""Every package that ``src/cao`` imports is declared in ``pyproject.toml``.
+"""Every package that ``src/cao`` imports is declared in ``pyproject.toml``, and used.
 
 The imports are read with ``ast`` from every ``src/cao/*.py``, nested ones
 included; standard-library modules and ``cao`` itself need no declaration.
+Every name a module imports must occur in its code, but for ``__future__``
+imports and the re-exports of ``__init__.py``.
 """
 
 import ast
@@ -36,3 +38,25 @@ def test_every_runtime_import_is_declared():
     imported = imported_packages()
     assert {"numpy", "orjson"} <= imported
     assert sorted(imported - declared_packages()) == []
+
+
+def unused_imports(path):
+    """``file:line: name`` of each name the module at ``path`` imports and never uses."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(p for p in (ROOT / "src" / "cao").glob("*.py") if p.name != "__init__.py")
+    assert len(modules) > 1
+    assert [entry for path in modules for entry in unused_imports(path)] == []

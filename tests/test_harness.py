@@ -1235,7 +1235,8 @@ class TestCli:
         ("directory", "{path}: unreadable config ([Errno 21] Is a directory: '{path}')\n"),
         ("not-utf8", "{path}: unreadable config ('utf-8' codec can't decode byte 0xff"),
         ("nested", "{path}: invalid JSON (maximum recursion depth exceeded"),
-    ], ids=["missing", "directory", "not-utf8", "nested"])
+        ("huge-int", "{path}: invalid JSON (Exceeds the limit (4300 digits)"),
+    ], ids=["missing", "directory", "not-utf8", "nested", "huge-int"])
     def test_unreadable_config_exits_before_any_run(self, tmp_path, command, case, message,
                                                     capsys):
         path = tmp_path / "cfg.json"
@@ -1245,6 +1246,8 @@ class TestCli:
             path.write_bytes(b'{"name": "\xff"}')
         elif case == "nested":
             path.write_text("[" * 100000 + "]" * 100000)
+        elif case == "huge-int":
+            path.write_text('{"seeds": [' + "1" * 5000 + "]}")
         rc = cli.main(["--out", str(tmp_path), command, "--config", str(path)])
         assert rc == cli.EXIT_CONFIG
         assert not (tmp_path / "logs").exists()
@@ -1264,6 +1267,24 @@ class TestCli:
         rc = cli.main(["--out", str(tmp_path), "run", "--config", str(cfg_path)])
         assert rc == cli.EXIT_DIVERGED
         assert strict_json_logs(tmp_path) == 1
+
+    @pytest.mark.parametrize("argv", [["run"], ["ablate-k", "--ks", "0"],
+                                      ["sweep", "--etas", "1", "--ms", "5"]],
+                             ids=["run", "ablate-k", "sweep"])
+    def test_divergence_prints_one_line(self, tmp_path, capsys, argv):
+        # the gradient step at alpha 10 on a curvature of 100 diverges
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "name": "boom",
+            "problem": {"name": "quadratic", "spectrum": [100.0, 1.0], "seed": 1},
+            "optimizers": [{"kind": "cao", "alpha": 10.0, "k": 0}],
+            "seeds": [0], "steps": 500, "threshold": 0.1}))
+        rc = cli.main(["--out", str(tmp_path), argv[0], "--config", str(cfg_path),
+                       *argv[1:]])
+        assert rc == cli.EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.endswith("divergence detected; partial logs retained\n")
+        assert err.count("divergence detected") == 1
 
     @pytest.mark.parametrize("change, named", [
         ({"optimizers": [{"kind": "sgd", "alpha": 0.1},
@@ -1415,6 +1436,99 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         assert [p for p in tmp_path.rglob("*") if p != cfg_path] == []
         assert "config error: name must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("past", [False, True], ids=["at-bound", "past-bound"])
+    @pytest.mark.parametrize("case", ["ablate-k-name", "label", "seed", "sweep-ms"])
+    def test_file_name_too_long_exits_before_any_run(self, tmp_path, capsys, case, past):
+        # a path part may take 233 bytes, a seed 246 digits ("<seed>.log.part" is 255)
+        doc = {"name": "long", "problem": {"name": "quadratic", "spectrum": [4.0, 1.0]},
+               "optimizers": [{"kind": "cao", "alpha": 0.1, "k": 1}],
+               "seeds": [0], "steps": 2, "threshold": 0.1}
+        argv = ["run"]
+        if case == "ablate-k-name":  # the runs' directory is "<name>-ablate-k"
+            doc["name"] = "n" * (224 + past)
+            argv, named = ["ablate-k", "--ks", "1"], f"name is {233 + past} bytes"
+        elif case == "label":  # two bytes per "é" in UTF-8
+            doc["optimizers"][0]["label"] = "é" * 116 + "l" * (1 + past)
+            named = f"optimizer #0: label is {233 + past} bytes"
+        elif case == "seed":
+            doc["seeds"] = [10**246 - 1 + past]
+            named = "seeds must have at most 246 digits"
+        else:  # the label "cao-eta1-m<m>"
+            argv = ["sweep", "--etas", "1", "--ms", "1" + "0" * (222 + past)]
+            named = f"optimizer #0: label is {233 + past} bytes"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        rc = cli.main(["--out", str(tmp_path), argv[0], "--config", str(cfg_path),
+                       "--jobs", "1", *argv[1:]])
+        err = capsys.readouterr().err
+        if not past:
+            assert rc == cli.EXIT_OK, err
+            assert len(list((tmp_path / "logs").rglob("*.log"))) == 1
+            return
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "logs").exists()
+        assert err.startswith(f"config error: {named}")
+
+    @pytest.mark.parametrize("past", [False, True], ids=["at-bound", "past-bound"])
+    @pytest.mark.parametrize("given", [True, False], ids=["name", "logs-dir"])
+    def test_table_name_too_long_exits_before_any_log_is_read(self, tmp_path, capsys,
+                                                              given, past):
+        # "<name>-time-to-threshold.txt" takes 22 bytes more than the name
+        name = "t" * (233 + past)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(steps=5, seeds=(0,)).to_dict()))
+        logs = tmp_path / name  # the default name is that of the first --logs entry
+        assert cli.main(["--out", str(logs), "run", "--config", str(cfg_path)]) == 0
+        if past:  # a log that cannot be read: the name is refused before any is
+            (logs / "cut.log").write_text("")
+        out = tmp_path / "out"
+        for command in ("ttt", "plotdata"):
+            rc = cli.main(["--out", str(out), command, "--logs", str(logs),
+                           *(["--name", name] if given else [])])
+            err = capsys.readouterr().err
+            if not past:
+                assert rc == cli.EXIT_OK, err
+                continue
+            key = "--name" if given else "the --logs name"
+            assert rc == cli.EXIT_CONFIG
+            assert err.startswith(f"config error: {key} is 234 bytes as a file name")
+        assert sorted(p.name for p in out.rglob("*.*")) == (
+            [] if past else [f"{name}-loss.tsv", f"{name}-time-to-threshold.txt"])
+
+    @pytest.mark.parametrize("command", ["run", "ablate-k", "sweep"])
+    def test_path_part_not_encodable_exits_before_any_run(self, tmp_path, command, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**tiny_config(steps=5).to_dict(), "name": "\ud800"}))
+        rc = cli.main(["--out", str(tmp_path), command, "--config", str(cfg_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "logs").exists()
+        assert "config error: name cannot be encoded as a file name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "ablate-k", "sweep"])
+    @pytest.mark.parametrize("steps, refused", [(10**20, None), (10**11, MemoryError)],
+                             ids=["past-any-list", "memory-error"])
+    def test_steps_past_the_schedule_exit_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                         command, steps, refused):
+        # nothing is allocated: a list of 10**20 items fails Python's size check,
+        # and the patched builder raises what a refused allocation raises
+        if refused is not None:
+            def builder(*args):
+                raise refused()
+
+            monkeypatch.setattr(harness, "build_schedule", builder)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "name": "long", "problem": {"name": "quadratic", "spectrum": [4.0] * 5},
+            "optimizers": [{"kind": "cao", "alpha": 0.1, "k": 1}],
+            "seeds": [0], "steps": steps, "threshold": 0.1}))
+        rc = cli.main(["--out", str(tmp_path), command, "--config", str(cfg_path),
+                       "--jobs", "1"])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "logs").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: steps = {steps} cannot be scheduled:"
+                              f" {'MemoryError' if refused else 'OverflowError'}")
 
     @pytest.mark.parametrize("command", ["run", "ablate-k", "sweep"])
     def test_repeated_seed_exits_before_any_run(self, tmp_path, command, capsys):

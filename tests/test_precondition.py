@@ -12,12 +12,17 @@ from cao.precondition import (
     precondition,
     quadratic_form,
 )
-from cao.sketch import Sketch, qr_orthonormalize
+from cao.sketch import Sketch, _orthonormalize, _positive_first
 from layouts import BLOCK_LAYOUTS, FINITE_SPECIAL, VECTOR_LAYOUTS, bits, laid_out, with_specials
 
 
 def empty_sketch(n):
     return Sketch(np.empty(0), np.empty((n, 0)))
+
+
+def orthonormal(m, rng):
+    """The signed orthonormal basis a sketch build makes of the block ``m``."""
+    return _positive_first(_orthonormalize(m, rng))
 
 
 def random_case(seed, n_max=200, k_max=8, allow_negative=True, dense_comparable=False):
@@ -33,7 +38,7 @@ def random_case(seed, n_max=200, k_max=8, allow_negative=True, dense_comparable=
     k = int(rng.integers(0, min(k_max, n) + 1))
     eta = float(rng.uniform(0.05, 2.0))
     if k:
-        basis = qr_orthonormalize(rng.standard_normal((n, k)), rng)
+        basis = orthonormal(rng.standard_normal((n, k)), rng)
         if not allow_negative:
             lo = 0.0
         elif dense_comparable:
@@ -155,7 +160,7 @@ class TestStructure:
 
     def test_eigen_action(self):
         rng = np.random.default_rng(6)
-        basis = qr_orthonormalize(rng.standard_normal((10, 3)), rng)
+        basis = orthonormal(rng.standard_normal((10, 3)), rng)
         vals = np.array([4.0, 2.0, 0.5])
         pc = DampedPreconditioner(Sketch(vals, basis), eta=0.3)
         for i in range(3):
@@ -211,7 +216,7 @@ class TestDotProducts:
     def test_every_basis_and_gradient_layout(self, basis_layout, k):
         for n in (8, 20, 50, 97):
             rng = np.random.default_rng([n, k])
-            basis = laid_out(qr_orthonormalize(rng.standard_normal((n, k)), rng), basis_layout)
+            basis = laid_out(orthonormal(rng.standard_normal((n, k)), rng), basis_layout)
             vals = np.arange(k, 0, -1.0)
             pc = DampedPreconditioner(Sketch(vals, basis), 0.1)
             dense = (basis * vals) @ basis.T + 0.1 * np.eye(n)
@@ -246,7 +251,7 @@ class TestDotProducts:
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_pickle_round_trip(self, k):
         rng = np.random.default_rng(k)
-        basis = qr_orthonormalize(rng.standard_normal((20, k)), rng) if k else np.empty((20, 0))
+        basis = orthonormal(rng.standard_normal((20, k)), rng) if k else np.empty((20, 0))
         pc = DampedPreconditioner(Sketch(np.arange(k, 0, -1.0), basis), 0.1)
         copy = pickle.loads(pickle.dumps(pc))
         g = rng.standard_normal(20)

@@ -519,6 +519,8 @@ class TestLossAndGrad:
             problem.loss_and_grad(np.full(problem.dim, 1e200))
         with pytest.raises(NumericOverflowError, match=message):
             problem.loss(np.full(problem.dim, 1e200))
+        with pytest.raises(NumericOverflowError, match=message):
+            problem.grad(np.full(problem.dim, 1e200))
 
     def test_nonfinite_gradient_raises(self):
         class InfGrad(cao.Problem):

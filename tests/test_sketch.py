@@ -12,7 +12,6 @@ from cao.sketch import (
     _orthonormalize,
     _positive_first,
     block_lanczos,
-    qr_orthonormalize,
     sketch_residual,
 )
 from layouts import BLOCK_LAYOUTS, FINITE_SPECIAL, laid_out, with_specials
@@ -55,30 +54,32 @@ def deficient_matrices(draw):
 
 
 class TestQrOrthonormalize:
+    """The orthonormalization of the block that enters Rayleigh-Ritz, signed."""
+
     def test_orthonormal_input_up_to_sign(self):
         q0 = np.linalg.qr(np.random.default_rng(1).standard_normal((8, 3)))[0]
-        q = qr_orthonormalize(q0)
+        q = _positive_first(_orthonormalize(q0, None))
         np.testing.assert_allclose(np.abs(q.T @ q0), np.eye(3), atol=1e-12)
 
     def test_rank_deficiency_repair(self):
         e1 = np.zeros(5)
         e1[0] = 1.0
         m = np.column_stack([e1, e1])
-        q = qr_orthonormalize(m, rng=np.random.default_rng(3))
+        q = _positive_first(_orthonormalize(m, np.random.default_rng(3)))
         np.testing.assert_allclose(q[:, 0], e1)
         assert abs(q[:, 1] @ e1) < 1e-12
         assert np.linalg.norm(q[:, 1]) == pytest.approx(1.0)
 
     def test_sign_convention(self):
         m = -np.eye(4)[:, :2]
-        q = qr_orthonormalize(m)
+        q = _positive_first(_orthonormalize(m, None))
         assert q[0, 0] > 0 and q[1, 1] > 0
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_random_matrices_orthonormal(self, seed):
         m = np.random.default_rng(seed).standard_normal((50, 3))
-        q = qr_orthonormalize(m)
+        q = _positive_first(_orthonormalize(m, None))
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-10)
         # span preserved: original columns stay inside span(q)
         resid = m - q @ (q.T @ m)
@@ -88,16 +89,12 @@ class TestQrOrthonormalize:
     @given(deficient_matrices())
     def test_orthonormal_signed_and_repaired(self, m):
         k = m.shape[1]
-        q = qr_orthonormalize(m, rng=np.random.default_rng(0))
+        q = _positive_first(_orthonormalize(m, np.random.default_rng(0)))
         np.testing.assert_allclose(q.T @ q, np.eye(k), atol=1e-10)
         first = q[(q != 0).argmax(axis=0), np.arange(k)]
         assert np.all(first > 0)
         # zero and repeated columns already lie in the span of earlier ones
         assert np.linalg.norm(m - q @ (q.T @ m)) <= 1e-8 * (1.0 + np.linalg.norm(m))
-
-    def test_k_greater_than_n(self):
-        with pytest.raises(ContractViolationError):
-            qr_orthonormalize(np.ones((2, 3)))
 
 
 class TestSketchType:
@@ -314,10 +311,12 @@ class TestBlockLanczos:
         p = quadratic([1e200, 1.0], seed=0)
         with caplog.at_level("WARNING", logger="cao.sketch"):
             sk = block_lanczos(p.hvp_closure(np.zeros(2)), 2, k=1, seed=3)
-            q = qr_orthonormalize(np.array([[3e200], [4e200]]))
+            # the start block itself: its squared norm overflows
+            start = block_lanczos(lambda v: v, 2, k=1, iters=1,
+                                  v0=np.array([[3e200], [4e200]]))
         assert caplog.records == []
         assert abs(sk.eigvals[0] - 1e200) <= 1e-12 * 1e200
-        np.testing.assert_allclose(q[:, 0], [0.6, 0.8], rtol=1e-15)
+        np.testing.assert_allclose(start.basis[:, 0], [0.6, 0.8], rtol=1e-15)
 
 
 def signed(q):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cao import optim
 from cao.errors import OracleUnavailableError
 from cao.problems import QuadraticProblem, quadratic, rosenbrock
 from cao.sketch import Sketch, block_lanczos, sketch_residual
@@ -91,6 +92,31 @@ class TestSufficientDescent:
     def test_requires_smoothness(self):
         with pytest.raises(OracleUnavailableError):
             check_sufficient_descent(rosenbrock(4), k=0)
+
+    def test_a_wrapper_on_cao_step_sees_every_step(self, monkeypatch):
+        # the checks build their runs with make_runner, as every experiment run does
+        calls = []
+        step = optim.cao_step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "cao_step", counted)
+        check_sufficient_descent(quadratic([8.0, 2.0], seed=11), k=1, steps=20)
+        assert len(calls) == 20
+
+    def test_failed_refreshes_take_lambda_min_one(self):
+        # no refresh succeeds, so every step is the gradient step and M_t = I
+        class NanCurvature(QuadraticProblem):
+            def _linearize(self, theta, batch):
+                return lambda v: np.full_like(v, np.nan)
+
+        rep = check_sufficient_descent(NanCurvature([8.0, 2.0], seed=11), k=1, steps=50)
+        plain = check_sufficient_descent(quadratic([8.0, 2.0], seed=11), k=0, steps=50)
+        assert rep.passed
+        assert rep.measured["min_margin"] == pytest.approx(0.003795, abs=5e-7)
+        assert rep.measured == plain.measured
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_diverging_run_fails_with_its_step(self, k):

@@ -5,8 +5,12 @@ Usage:
     python3 scripts/bench_pairs.py --parent REV --workload W[,W...]|all --pairs N \\
         --seed S [--seconds T] [--save FILE]
 
-The parent side is ``git archive REV`` unpacked into a temporary directory; the
-change side is this working tree. ``--workload`` names one workload of
+The parent side is ``git archive REV`` unpacked into a temporary directory. The
+change side is a copy of this working tree's files, made once at start in a
+sibling temporary directory: the tracked files as they are on disk and the
+untracked ones that no ignore rule matches, less tracked files deleted from the
+tree. So both sides run from alike places, and an edit made during the runs
+does not reach them. ``--workload`` names one workload of
 ``BENCHMARK.json``, a comma-separated list of them, or ``all`` for every one in
 its order; a name it does not declare stops the script with exit code 1 before
 any run. The workloads go one after the other, each with the same seed and the
@@ -20,7 +24,7 @@ for a metric when the change wins at least 9 pairs in 10 and its median is
 better than the parent's by more than the parent's interquartile range.
 
 A run that exits non-zero or reports an incorrect repetition stops the script
-with exit code 1. The temporary tree is removed on every exit, and every run
+with exit code 1. The temporary trees are removed on every exit, and every run
 has ended before the next starts. ``--save`` writes every workload's runs and
 summary as JSON.
 """
@@ -29,6 +33,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -121,6 +126,19 @@ def unpack(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+def copy_worktree(root: Path, dest: Path) -> None:
+    """The working tree's files at ``root`` that git lists, tracked or not ignored, into ``dest``.
+
+    A tracked file deleted from the working tree is left out.
+    """
+    listed = subprocess.run(["git", "-C", str(root), "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], stdout=subprocess.PIPE, check=True).stdout
+    for name in dict.fromkeys(filter(None, os.fsdecode(listed).split("\0"))):
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
+
+
 def command(workload: str, args) -> list:
     """The arguments of one ``perfbench/run.py`` run, after the script's path."""
     return ["--workload", workload, "--seed", str(args.seed), "--seconds", f"{args.seconds:g}",
@@ -142,13 +160,14 @@ def run_side(tree: Path, workload: str, args) -> dict:
     return result
 
 
-def run_pairs(args, workload: str, parent_tree: Path, metrics) -> tuple:
-    """Alternating runs of ``workload``; returns (runs as printed, parent values, change values)."""
+def run_pairs(args, workload: str, trees: dict, metrics) -> tuple:
+    """Alternating runs of ``workload`` in ``trees`` (side -> tree); returns (runs as printed,
+    parent values, change values)."""
     runs, values = [], {"parent": [], "change": []}
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
-            result = run_side(parent_tree if side == "parent" else ROOT, workload, args)
+            result = run_side(trees[side], workload, args)
             row = {m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}
             values[side].append(row)
             runs.append({"workload": workload, "pair": pair, "side": side, **row})
@@ -177,11 +196,12 @@ def main(argv=None) -> int:
     metrics = end_to_end_metrics()
     runs, summaries = [], {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent_tree = Path(tmp)
-        unpack(args.parent, parent_tree)
+        trees = {side: Path(tmp, side) for side in ("parent", "change")}
+        unpack(args.parent, trees["parent"])
+        copy_worktree(ROOT, trees["change"])
         try:
             for workload in names:
-                done, parent, change = run_pairs(args, workload, parent_tree, metrics)
+                done, parent, change = run_pairs(args, workload, trees, metrics)
                 runs += done
                 summaries[workload] = summarize(parent, change, metrics)
                 print(f"## {workload}\n{format_summary(summaries[workload])}", flush=True)

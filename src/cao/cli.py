@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import executor, harness, theory
-from .config import _path_component, load_config
+from .config import _path_component, check_path, load_config
 from .errors import ConfigError, WorkerError
 
 EXIT_OK = 0
@@ -223,6 +223,9 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger().setLevel(args.log_level)
     try:
+        check_path(args.out, "--out")
+        for entry in getattr(args, "logs", ()):  # ttt and plotdata
+            check_path(entry, "--logs")
         for sub in args.writes:  # the nearest existing ancestor of each must be a directory
             out = os.path.join(args.out, sub)
             while not os.path.lexists(out):

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, ContractViolationError, Knob, check_knobs
 from .optim import KINDS
 
-# a file name's 255 bytes, less the longest suffix the program adds to a path part
-PATH_PART_BYTES = 255 - len("-time-to-threshold.txt")
-SEED_DIGITS = 255 - len(".log.part")  # a log's lock file is "<seed>.log.part"
+NAME_BYTES = 255  # the most bytes a file name may take (NAME_MAX)
+# less the longest suffix the program adds to a path part
+PATH_PART_BYTES = NAME_BYTES - len("-time-to-threshold.txt")
+SEED_DIGITS = NAME_BYTES - len(".log.part")  # a log's lock file is "<seed>.log.part"
 
 
 @dataclass(frozen=True)
@@ -41,18 +42,26 @@ class ExperimentConfig:
     eval_every: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "problem": dict(self.problem),
-            "optimizers": [
-                {"kind": o.kind, "label": o.label, **o.params} for o in self.optimizers
-            ],
-            "seeds": list(self.seeds),
-            "steps": self.steps,
-            "threshold": self.threshold,
-            "batch_size": self.batch_size,
-            "eval_every": self.eval_every,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(problem=dict(self.problem), seeds=list(self.seeds), optimizers=[
+            {"kind": o.kind, "label": o.label, **o.params} for o in self.optimizers])
+        return doc
+
+
+def _fsencode(value: str, key: str) -> bytes:
+    """``value`` as a file name's bytes; one that cannot be encoded is a ``ConfigError``."""
+    try:
+        return os.fsencode(value)
+    except UnicodeEncodeError:
+        raise ConfigError(f"{key} cannot be encoded as a file name, got {value!r}") from None
+
+
+def check_path(path: str, key: str) -> None:
+    """Refuse a ``path`` (the ``key`` option) with a part no file name can hold."""
+    size = max(map(len, _fsencode(path, key).split(b"/")))
+    if size > NAME_BYTES:
+        raise ConfigError(f"{key} has a part of {size} bytes, more than the {NAME_BYTES}"
+                          f" a file name can hold: {path!r}")
 
 
 def _path_component(value, key: str) -> str:
@@ -61,10 +70,7 @@ def _path_component(value, key: str) -> str:
             or "/" in value or "\0" in value):
         raise ConfigError(f"{key} must be a non-empty string without '/' or NUL,"
                           f" and not '.' or '..', got {value!r}")
-    try:
-        size = len(os.fsencode(value))
-    except UnicodeEncodeError:
-        raise ConfigError(f"{key} cannot be encoded as a file name, got {value!r}") from None
+    size = len(_fsencode(value, key))
     if size > PATH_PART_BYTES:
         raise ConfigError(f"{key} is {size} bytes as a file name, more than the"
                           f" {PATH_PART_BYTES} that fit: {value!r}")
@@ -91,7 +97,7 @@ _TOP = {"optimizers": Knob(dict, many=True), "seeds": Knob(int, 0, many=True),
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    missing = {"name", "problem", "optimizers", "seeds", "steps", "threshold"} - set(doc)
+    missing = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(doc)
     if missing:
         raise ConfigError(f"config is missing required keys: {sorted(missing)}")
     name = _path_component(doc["name"], "name")
@@ -113,16 +119,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     repeated = next((seed for i, seed in enumerate(seeds) if seed in seeds[:i]), None)
     if repeated is not None:
         raise ConfigError(f"seeds must be unique, got {repeated} twice in {seeds!r}")
-    return ExperimentConfig(
-        name=name,
-        problem=dict(doc["problem"]),
-        optimizers=tuple(optimizers),
-        seeds=tuple(seeds),
-        steps=doc["steps"],
-        threshold=float(doc["threshold"]),
-        batch_size=doc.get("batch_size", 0),
-        eval_every=doc.get("eval_every", 1),
-    )
+    given = {f.name: doc[f.name] for f in fields(ExperimentConfig) if f.name in doc}
+    return ExperimentConfig(**{**given, "name": name, "problem": dict(doc["problem"]),
+                               "optimizers": tuple(optimizers), "seeds": tuple(seeds),
+                               "threshold": float(doc["threshold"])})
 
 
 def load_config(path) -> ExperimentConfig:

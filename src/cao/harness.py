@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import time
 from dataclasses import replace
 from itertools import repeat
@@ -52,16 +53,27 @@ class Task(NamedTuple):
     seed: int
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def build_schedule(num_samples: int, batch_size: int, steps: int, seed: int) -> Schedule:
     """The ``Schedule`` of one seed: shuffled passes, re-seeded per epoch.
 
-    ``batch_size`` 0 or a sample-free problem gives a full-batch schedule.
+    ``batch_size`` 0 or a sample-free problem gives a full-batch schedule. A
+    minibatch schedule whose indices alone would not fit in physical memory is
+    refused before its first batch.
     """
     if batch_size == 0 or num_samples == 0:
         digest = hashlib.sha256(b"full-batch").hexdigest()[:16]
         return Schedule([FULL_BATCH] * steps, 1, digest)
     if batch_size > num_samples:
         raise ConfigError(f"batch_size {batch_size} exceeds num_samples {num_samples}")
+    size, memory = steps * batch_size * 8, _physical_memory()
+    if size > memory:
+        raise ConfigError(f"steps = {steps} at batch_size {batch_size} needs {size} bytes of"
+                          f" batch indices, more than the {memory} of physical memory")
     steps_per_epoch = num_samples // batch_size
     schedule = []
     hasher = hashlib.sha256()
@@ -95,7 +107,7 @@ def run_single(problem, task: Task, schedule: Schedule, *, log_path):
     batches, steps_per_epoch, digest = schedule
     theta0 = problem.initial_point(seed)
     step, state = make_runner(spec.kind, theta0, spec.params, seed)
-    minibatch = cfg.batch_size > 0 and problem.num_samples > 0
+    minibatch = bool(batches) and not batches[0].is_full  # as build_schedule decided
     summary = {"steps_done": 0, "diverged": False, "clamp_steps": 0, "refreshes": 0}
     losses, evals = [], []
     t_start = time.perf_counter()
@@ -176,7 +188,7 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None, jobs: int = 
         raise ConfigError(f"problem {cfg.problem.get('name')!r} cannot be built:"
                           f" {type(exc).__name__}: {exc}") from None
     for _, spec, _, _ in tasks:
-        if spec.params.get("k", 0) > problem.dim:
+        if spec.params.get("k", CaoConfig.k) > problem.dim:
             raise ConfigError(f"optimizer {spec.label!r}: k = {spec.params['k']} exceeds"
                               f" the problem dimension {problem.dim}")
     for run_cfg, spec, _, seed in tasks:
@@ -203,7 +215,7 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None, jobs: int = 
     for (_, spec, index, seed), path, (summary, series) in zip(
             tasks, logs, run_all(execute, len(tasks), jobs)):
         runs.append((path, spec.label, index,
-                     _entry(seed, series, summary, spec.kind, spec.params.get("k", 1),
+                     _entry(seed, series, summary, spec.kind, spec.params.get("k", CaoConfig.k),
                             schedules[seed].steps_per_epoch)))
         diverged |= summary["diverged"]
     return {"logs": logs, "diverged": diverged, "runs": runs}
@@ -291,7 +303,7 @@ def _group_logs(log_paths):
                 recorded.append((path, header["threshold"]))
             runs.append((path, optimizer["label"], optimizer["index"], _entry(
                 header["seed"], _series(records), summary, optimizer["kind"],
-                optimizer.get("k", 1), header.get("steps_per_epoch", 1))))
+                optimizer.get("k", CaoConfig.k), header.get("steps_per_epoch", 1))))
             del records
     groups, labels = _group(runs)
     return groups, labels, recorded
@@ -504,7 +516,9 @@ def format_sweep(sweep: dict) -> str:
             else UNREACHED
         final = f"{cell['final_loss_mean']:.6g}" if cell["final_loss_mean"] is not None \
             else "-"
+        hvps = cell["hvp_calls"]  # one count when every seed spent the same
+        hvps = hvps[0] if len(set(hvps)) == 1 else ",".join(map(str, hvps))
         lines.append(f"{cell['eta']:g}\t{cell['m']}\t{hit}\t{final}"
-                     f"\t{cell['clamp_steps']}\t{cell['hvp_calls'][0]}"
+                     f"\t{cell['clamp_steps']}\t{hvps}"
                      f"\t{int(cell['unstable'])}")
     return "\n".join(lines) + "\n"

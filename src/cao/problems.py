@@ -271,7 +271,6 @@ class QuadraticProblem(Problem):
                     f" overflows the matrix Q diag(spectrum) Q^T")
         else:
             self.matrix = np.diag(spectrum)
-        self.spectrum = np.sort(spectrum)[::-1].copy()
         self.meta = ProblemMeta(
             dim=n,
             name=name,
@@ -346,11 +345,17 @@ rosenbrock = RosenbrockProblem
 # logistic regression
 
 
+def _sigmoid(z):
+    """The logistic function from one ``e = exp(-|z|)``: ``1 / (1 + e)`` for z >= 0, else
+    ``e / (1 + e)``, which never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
 class LogregProblem(Problem):
     """l2-regularized logistic regression on seeded two-class Gaussian data.
 
-    Each sigmoid is taken from one ``e = exp(-|m|)``, as ``e / (1 + e)`` or
-    ``1 / (1 + e)`` by the sign of ``m``, which never overflows. The Hessian
+    Each sigmoid is ``_sigmoid``'s, which never overflows. The Hessian
     product ``X^T (w * (X V))`` is formed as ``((w * (X V))^T X)^T``: the
     same bytes without handing BLAS a transposed ``X``, C-contiguous for a
     C-ordered ``V`` such as ``block_lanczos`` sends (F-ordered for an
@@ -400,32 +405,17 @@ class LogregProblem(Problem):
             smoothness_L=gram_top / (4.0 * n_samples) + reg,
         )
 
-    def _margins(self, theta, batch):
-        x, y = self._select(batch)
-        return x, y, y * (x @ theta)
-
-    def _loss_from(self, theta, margins):
-        terms = np.logaddexp(0.0, -margins)
-        value = float(terms.sum() / terms.size)  # np.mean's sum and division
-        return value + 0.5 * self.reg * float(theta @ theta)
-
-    def _loss(self, theta, batch):
-        return self._loss_from(theta, self._margins(theta, batch)[2])
-
     def _loss_and_grad(self, theta, batch):
-        x, y, margins = self._margins(theta, batch)
-        # sigmoid(-m) from one exp(-|m|): e / (1 + e) for m >= 0, else 1 / (1 + e)
-        e = np.exp(-np.abs(margins))
-        s = np.where(margins >= 0, e, 1.0) / (1.0 + e)
-        g = -(x.T @ (y * s)) / x.shape[0]
-        return self._loss_from(theta, margins), g + self.reg * theta
+        x, y = self._select(batch)
+        neg = -(y * (x @ theta))  # minus the margins
+        terms = np.logaddexp(0.0, neg)
+        value = float(terms.sum() / terms.size)  # np.mean's sum and division
+        g = -(x.T @ (y * _sigmoid(neg))) / x.shape[0]
+        return value + 0.5 * self.reg * float(theta @ theta), g + self.reg * theta
 
     def _linearize(self, theta, batch):
         x, _ = self._select(batch)
-        z = x @ theta
-        # sigmoid(z) from one exp(-|z|): 1 / (1 + e) for z >= 0, else e / (1 + e)
-        e = np.exp(-np.abs(z))
-        p = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        p = _sigmoid(x @ theta)
         w = (p * (1.0 - p))[:, None]
         size, reg = x.shape[0], self.reg
 

@@ -60,7 +60,6 @@ from pathlib import Path
 import orjson
 
 from .errors import ConfigError
-from .optim import StepRecord
 
 LOG_FORMAT_VERSION = 1
 WALL_KEYS = ("wall", "wall_total")
@@ -118,12 +117,15 @@ class RunLogWriter:
         self.path.unlink(missing_ok=True)
         self._fh = open(fd, "wb")
 
-    def write_header(self, header: dict) -> None:
-        payload = {"type": "header", "version": LOG_FORMAT_VERSION}
-        payload.update(_pyify(header))
-        self._fh.write(_dumps(payload).encode() + b"\n")
+    def _write_object(self, payload: dict) -> None:
+        """A header or summary line: ``payload`` by the sorted ``json`` encoder."""
+        self._fh.write(_dumps(_pyify(payload)).encode() + b"\n")
 
-    def write_record(self, rec: StepRecord) -> None:
+    def write_header(self, header: dict) -> None:
+        self._write_object({"type": "header", "version": LOG_FORMAT_VERSION, **header})
+
+    def write_record(self, rec) -> None:
+        """The line of ``rec``, an ``optim.StepRecord``."""
         fields = {"type": "step", **vars(rec)}
         if rec.eval_loss is None:
             del fields["eval_loss"]
@@ -138,9 +140,7 @@ class RunLogWriter:
         self._fh.write(line)
 
     def write_summary(self, summary: dict) -> None:
-        payload = {"type": "summary"}
-        payload.update(_pyify(summary))
-        self._fh.write(_dumps(payload).encode() + b"\n")
+        self._write_object({"type": "summary", **summary})
 
     def close(self) -> None:
         """Move the log to its final name, then close it, which gives up the ``.part``."""

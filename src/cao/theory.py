@@ -70,6 +70,12 @@ def estimate_smoothness(problem: Problem, center, radius: float = 1.5,
     return worst
 
 
+def _smoothness(problem: Problem, center, radius: float, seed: int) -> float:
+    """The problem's known L, else ``estimate_smoothness`` over a box around ``center``."""
+    L = problem.meta.smoothness_L
+    return estimate_smoothness(problem, center, radius, seed) if L is None else L
+
+
 def _run_cao(problem, theta0, steps, seed, **knobs):
     """(state, records) of full-batch cao steps, made by ``make_runner`` as every run's are."""
     step, state = make_runner("cao", theta0, knobs, seed)
@@ -98,9 +104,7 @@ def check_descent_lemma(problem: Problem, seed: int = 0, radius: float = 1.0,
     box estimate around the default start.
     """
     center = problem.initial_point(seed)
-    L = problem.meta.smoothness_L
-    if L is None:
-        L = estimate_smoothness(problem, center, radius=radius + 1.0, seed=seed)
+    L = _smoothness(problem, center, radius + 1.0, seed)
     rng = np.random.default_rng([int(seed), 811])
     worst = np.inf
     for _ in range(DESCENT_SAMPLES):
@@ -174,9 +178,7 @@ def check_stationarity_rate(problem: Problem, horizons=(100, 200, 400, 800),
     """
     horizons = sorted(horizons)
     theta0 = problem.initial_point(seed)
-    L = problem.meta.smoothness_L
-    if L is None:
-        L = estimate_smoothness(problem, theta0, radius=1.5, seed=seed)
+    L = _smoothness(problem, theta0, 1.5, seed)
     if alpha is None:
         alpha = stationarity_c * eta / L
     check = f"stationarity[{problem.meta.name},alpha={alpha:.3g}]"

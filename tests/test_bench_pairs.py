@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -101,16 +102,17 @@ class TestWorkloads:
 
 
 class FakeRuns:
-    """Stands in for ``unpack`` and ``run_side``: records each call, runs nothing."""
+    """Stands in for ``unpack``, ``copy_worktree`` and ``run_side``: records the
+    unpacks and runs, copies and runs nothing."""
 
     def __init__(self, bench_pairs, monkeypatch):
         self.calls = []
         monkeypatch.setattr(bench_pairs, "unpack", lambda rev, dest: self.calls.append("unpack"))
+        monkeypatch.setattr(bench_pairs, "copy_worktree", lambda root, dest: None)
         monkeypatch.setattr(bench_pairs, "run_side", self.run_side)
-        self.root = bench_pairs.ROOT
 
     def run_side(self, tree, workload, args):
-        side = "change" if tree == self.root else "parent"
+        side = tree.name  # the trees are <tmp>/parent and <tmp>/change
         self.calls.append((workload, side))
         # the change is 10% faster on quad-sweep and equal elsewhere
         steps = 110.0 if side == "change" and workload == "quad-sweep" else 100.0
@@ -160,3 +162,43 @@ class TestMain:
         assert bench_pairs.main(["--parent", "HEAD", "--workload", "all", "--pairs", "1",
                                  "--seed", "3"]) == 0
         assert [call[0] for call in fake.calls[1::2]] == DECLARED
+
+    def test_change_side_is_a_copy_of_the_working_tree(self, bench_pairs, monkeypatch,
+                                                       tmp_path):
+        root = tmp_path / "repo"
+        root.mkdir()
+
+        def git(*argv):
+            subprocess.run(["git", "-C", str(root), *argv], check=True, capture_output=True)
+
+        git("init", "-q")
+        files = {".gitignore": "ignored.txt\n", "tracked.txt": "as at start\n",
+                 "gone.txt": "deleted from the tree\n", "ignored.txt": "",
+                 "new/untracked.txt": "not yet added\n"}
+        for name, text in files.items():
+            (root / name).parent.mkdir(exist_ok=True)
+            (root / name).write_text(text)
+        git("add", ".gitignore", "tracked.txt", "gone.txt")
+        (root / "gone.txt").unlink()
+        monkeypatch.setattr(bench_pairs, "ROOT", root)
+        monkeypatch.setattr(bench_pairs, "unpack", lambda rev, dest: dest.mkdir())
+        seen = {}
+
+        def run_side(tree, workload, args):
+            if tree.name == "parent":  # runs first in pair 1: an edit the change must not see
+                (root / "tracked.txt").write_text("edited during the runs\n")
+            else:
+                seen["tree"] = tree
+                seen["files"] = {str(p.relative_to(tree)): p.read_text()
+                                 for p in tree.rglob("*") if p.is_file()}
+            values = {"steps_per_s": 1.0, "setup_s": 0.05, "peak_rss_mb": 40.0, "ok_share": 1.0}
+            return {"metrics": {name: {"value": value} for name, value in values.items()},
+                    "correct": True}
+
+        monkeypatch.setattr(bench_pairs, "run_side", run_side)
+        assert bench_pairs.main(["--parent", "HEAD", "--workload", "quad-sweep", "--pairs", "1",
+                                 "--seed", "1"]) == 0
+        assert seen["tree"] != root and seen["tree"].parent.name.startswith("bench-pairs-")
+        assert seen["files"] == {".gitignore": "ignored.txt\n", "tracked.txt": "as at start\n",
+                                 "new/untracked.txt": "not yet added\n"}
+        assert not seen["tree"].exists()  # removed on exit

@@ -3,7 +3,8 @@
 The imports are read with ``ast`` from every ``src/cao/*.py``, nested ones
 included; standard-library modules and ``cao`` itself need no declaration.
 Every name a module imports must occur in its code, but for ``__future__``
-imports and the re-exports of ``__init__.py``.
+imports and the re-exports of ``__init__.py``. The lowest layers import little
+of ``cao``: ``errors`` nothing, ``runlog`` and ``executor`` only ``errors``.
 """
 
 import ast
@@ -60,3 +61,26 @@ def test_no_module_imports_a_name_it_never_uses():
     modules = sorted(p for p in (ROOT / "src" / "cao").glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 1
     assert [entry for path in modules for entry in unused_imports(path)] == []
+
+
+def cao_imports(path):
+    """The ``cao`` modules that the module at ``path`` imports, nested imports included."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("cao."))
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "cao"
+                                                   or node.module.startswith("cao.")):
+            module = (node.module or "") if node.level else node.module[len("cao."):]
+            # "from . import harness" and "from cao import harness" name the modules
+            found.update([module.split(".")[0]] if module else
+                         [alias.name for alias in node.names])
+    return found
+
+
+def test_low_layers_import_only_errors():
+    src = ROOT / "src" / "cao"
+    assert cao_imports(src / "cli.py") == {"config", "errors", "executor", "harness", "theory"}
+    layers = {name: cao_imports(src / f"{name}.py") for name in ("errors", "executor", "runlog")}
+    assert layers == {"errors": set(), "executor": {"errors"}, "runlog": {"errors"}}

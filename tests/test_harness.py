@@ -31,7 +31,7 @@ from cao.harness import (
 )
 from cao.runlog import RunLogWriter, normalized_bytes, read_runlog
 from cao.optim import StepRecord, make_runner
-from cao.problems import _PROBLEMS, from_config
+from cao.problems import _PROBLEMS, QuadraticProblem, from_config
 
 ROOT = Path(__file__).resolve().parent.parent
 # the configs reproduce.py and the benchmark workloads run; perfbench/ is only read
@@ -494,6 +494,29 @@ class TestDerivedExperiments:
         for cell in result["cells"]:
             expected = -(-40 // cell["m"]) * (3 + 1) * 1  # ceil(steps/m)*(t_pow+1)*k
             assert cell["hvp_calls"] == [expected]
+
+    def test_sweep_table_shows_each_seeds_hvps_when_they_differ(self, tmp_path, monkeypatch):
+        class NanAtSeedOneStart(QuadraticProblem):
+            def _linearize(self, theta, batch):
+                if np.array_equal(theta, self.initial_point(1)):
+                    return lambda v: np.full(v.shape, np.nan)
+                return super()._linearize(theta, batch)
+
+        cfg = parse_config({
+            "name": "nan-start", "problem": {"name": "quadratic", "spectrum": [4.0, 2.0, 1.0]},
+            "optimizers": [{"kind": "cao", "alpha": 0.1, "k": 1, "m": 10, "eta": 1.0,
+                            "t_pow": 3}],
+            "seeds": [0, 1, 2], "steps": 30, "threshold": 1e-3})
+        monkeypatch.setattr(harness, "from_config",
+                            lambda section: NanAtSeedOneStart([4.0, 2.0, 1.0]))
+        sweep = sensitivity_sweep(cfg, etas=(1.0,), ms=(10, 40), out_root=tmp_path, jobs=1)
+        # refreshes at steps 0, 10 and 20 of 4 HVPs each; seed 1's first refresh fails
+        # on its first HVP and the next step refreshes again. m = 40 refreshes once.
+        assert [cell["hvp_calls"] for cell in sweep["cells"]] == [[12, 13, 12], [4, 5, 4]]
+        rows = [line.split("\t") for line in format_sweep(sweep).splitlines()[2:]]
+        assert [row[5] for row in rows] == ["12,13,12", "4,5,4"]
+        sweep["cells"][0]["hvp_calls"] = [12, 12, 12]
+        assert format_sweep(sweep).splitlines()[2].split("\t")[5] == "12"
 
     def test_sweep_larger_eta_not_faster(self, tmp_path):
         cfg = parse_config({
@@ -1531,6 +1554,39 @@ class TestCli:
                               f" {'MemoryError' if refused else 'OverflowError'}")
 
     @pytest.mark.parametrize("command", ["run", "ablate-k", "sweep"])
+    def test_minibatch_schedule_past_memory_exits_before_any_run(self, tmp_path, capsys,
+                                                                 command):
+        # the shipped mlp config at 10**11 steps of 60 rows: 48 TB of batch indices
+        doc = json.loads((ROOT / "configs" / "mlp_speedup.json").read_text())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**doc, "steps": 10**11}))
+        rc = cli.main(["--out", str(tmp_path), command, "--config", str(cfg_path),
+                       "--jobs", "1"])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "logs").exists()
+        assert capsys.readouterr().err.startswith(
+            "config error: steps = 100000000000 at batch_size 60 needs 48000000000000 bytes"
+            " of batch indices, more than the ")
+
+    @pytest.mark.parametrize("past", [False, True], ids=["at-bound", "past-bound"])
+    def test_minibatch_schedule_bound_is_physical_memory(self, tmp_path, monkeypatch, capsys,
+                                                         past):
+        cfg_path = tmp_path / "cfg.json"  # 5 steps of 12 rows: 480 bytes of indices
+        cfg_path.write_text(json.dumps(tiny_config(steps=5, seeds=(0,)).to_dict()))
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 480 - past)
+        rc = cli.main(["--out", str(tmp_path), "run", "--config", str(cfg_path),
+                       "--jobs", "1"])
+        err = capsys.readouterr().err
+        if not past:
+            assert rc == cli.EXIT_OK, err
+            assert len(list((tmp_path / "logs").rglob("*.log"))) == 2
+            return
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "logs").exists()
+        assert err == ("config error: steps = 5 at batch_size 12 needs 480 bytes of batch"
+                       " indices, more than the 479 of physical memory\n")
+
+    @pytest.mark.parametrize("command", ["run", "ablate-k", "sweep"])
     def test_repeated_seed_exits_before_any_run(self, tmp_path, command, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
@@ -1762,6 +1818,43 @@ class TestCli:
             f"config error: --out {out}: {out / sub} is not a directory\n")
         assert started == []
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--out", ["run", "--config", "{cfg}"]), ("--out", ["ttt", "--logs", "{logs}"]),
+        ("--out", ["ablate-k", "--config", "{cfg}"]),
+        ("--out", ["sweep", "--config", "{cfg}", "--ms", "10"]),
+        ("--out", ["plotdata", "--logs", "{logs}"]), ("--out", ["theory"]),
+        ("--logs", ["ttt", "--logs", "{logs}", "{long}/x", "--name", "n"]),
+        ("--logs", ["plotdata", "--logs", "{logs}", "{long}/x", "--name", "n"]),
+    ], ids=lambda value: value if isinstance(value, str) else value[0])
+    def test_path_part_past_a_file_name_exits_before_anything(
+            self, tmp_path, monkeypatch, capsys, flag, argv):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(steps=5, seeds=(0,)).to_dict()))
+        synthetic_log(tmp_path / "in" / "sgd" / "0.log", "sgd", 0, 0, hit_step=10)
+        long = str(tmp_path / ("x" * 256))
+        out = f"{long}/out" if flag == "--out" else str(tmp_path / "out")
+        before = sorted(tmp_path.rglob("*"))
+        started = []
+        for module, name in ((harness, "run_single"), (harness, "read_runlog"),
+                             (cli.theory, "run_theory_suite")):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **kw: started.append(name))
+        argv = [arg.format(cfg=cfg_path, logs=tmp_path / "in", long=long) for arg in argv]
+        rc = cli.main(["--out", out, *argv])
+        assert rc == cli.EXIT_CONFIG
+        path = out if flag == "--out" else f"{long}/x"
+        assert capsys.readouterr().err == (
+            f"config error: {flag} has a part of 256 bytes, more than the 255 a file name"
+            f" can hold: {path!r}\n")
+        assert started == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_path_part_of_a_file_names_length_is_used(self, tmp_path):
+        logs = tmp_path / ("l" * 255)
+        synthetic_log(logs / "sgd" / "0.log", "sgd", 0, 0, hit_step=10)
+        out = tmp_path / ("o" * 255)
+        assert cli.main(["--out", str(out), "ttt", "--logs", str(logs), "--name", "n"]) == 0
+        assert (out / "tables" / "n-time-to-threshold.txt").is_file()
 
     @pytest.mark.parametrize("command", ["ttt", "plotdata"])
     @pytest.mark.parametrize("name", ["../../x", "a/b", "..", ""])

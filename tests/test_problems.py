@@ -816,6 +816,14 @@ class TestContracts:
         with pytest.raises(ContractViolationError):
             ProblemMeta(dim=2, name="bad", smoothness_L=1.0, pl_mu=2.0, f_star=0.0)
 
+    def test_meta_dim_must_be_positive(self):
+        with pytest.raises(ContractViolationError, match=r"^dim must be positive, got 0$"):
+            ProblemMeta(dim=0, name="bad")
+
+    def test_meta_pl_mu_must_be_positive(self):
+        with pytest.raises(ContractViolationError, match=r"^pl_mu must be > 0$"):
+            ProblemMeta(dim=2, name="bad", pl_mu=0.0, f_star=0.0)
+
     def test_logreg_smoothness_bound(self):
         p = logreg(6, 50, seed=4)
         rng = np.random.default_rng(0)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cao import Batch, logreg, mlp_synthetic, quadratic, rosenbrock
-from cao.errors import ContractViolationError, NumericOverflowError
+from cao.errors import ContractViolationError, NumericOverflowError, OracleUnavailableError
 from cao.sketch import (
     ORTHO_TOL,
     RANK_DEFICIENCY_TOL,
@@ -127,6 +127,11 @@ class TestSketchType:
         with pytest.raises(ContractViolationError, match=match):
             Sketch(np.array(vals), np.array(basis))
 
+    def test_rejects_basis_of_another_rank(self):
+        with pytest.raises(ContractViolationError,
+                           match=r"^basis shape \(3, 2\) inconsistent with 1 eigenvalues$"):
+            Sketch(np.array([1.0]), np.eye(3)[:, :2])
+
     def test_huge_finite_eigenvalues_build(self):
         # squares that overflow are no reason to refuse
         assert Sketch(np.array([1e300, -1e300]), np.eye(2)).k == 2
@@ -175,6 +180,17 @@ class TestRankOneCheck:
 
 
 class TestBlockLanczos:
+    def test_v0_of_the_wrong_shape_refused(self):
+        h, calls = counting_closure(np.eye(3))
+        with pytest.raises(ContractViolationError, match=r"^v0 shape \(3, 2\) != \(3, 1\)$"):
+            block_lanczos(h, 3, k=1, iters=2, seed=0, v0=np.ones((3, 2)))
+        assert calls == [0]
+
+    def test_closure_of_the_wrong_shape_refused(self):
+        with pytest.raises(ContractViolationError,
+                           match=r"^block closure returned shape \(2, 1\), expected \(3, 1\)$"):
+            block_lanczos(lambda v: v[:2], 3, k=1, iters=2, seed=0)
+
     def test_dominant_eigenpair(self):
         h = np.diag([5.0, 2.0, 1.0])
         sk = block_lanczos(lambda v: h @ v, 3, k=1, iters=30, seed=0)
@@ -487,6 +503,11 @@ class TestSketchResidual:
         h = np.diag([5.0, 2.0, 1.0])
         sk = Sketch(np.array([5.0, 2.0, 1.0]), np.eye(3))
         assert sketch_residual(sk, h) == pytest.approx(0.0, abs=1e-12)
+
+    def test_non_square_refused(self):
+        with pytest.raises(OracleUnavailableError,
+                           match=r"^sketch_residual needs the square dense Hessian$"):
+            sketch_residual(Sketch(np.empty(0), np.empty((3, 0))), np.ones((3, 2)))
 
     def test_empty_sketch_gives_spectral_norm(self):
         h = np.diag([5.0, 2.0, -6.0])

@@ -21,7 +21,11 @@ workload and for each end-to-end metric that ``BENCHMARK.json`` declares, both
 sides' median and quartiles (``numpy.percentile``, linear interpolation) and
 the pairs the change won; a tie counts for neither side. The claim rule holds
 for a metric when the change wins at least 9 pairs in 10 and its median is
-better than the parent's by more than the parent's interquartile range.
+better than the parent's by more than the parent's interquartile range. The
+no-regression verdict uses the metric's ``bound``: ``worse`` when the change's
+median is worse than the parent's by more than ``bound`` times the parent's
+median, else ``unresolved`` when the parent's interquartile range is wider
+than that and not every change run beats every parent run, else ``ok``.
 
 A run that exits non-zero or reports an incorrect repetition stops the script
 with exit code 1. The temporary trees are removed on every exit, and every run
@@ -71,12 +75,14 @@ def workloads(text: str, root=ROOT) -> list:
 
 
 def summarize(parent_runs, change_runs, metrics) -> dict:
-    """Per metric: both sides' median and quartiles, the change's wins, and the claim rule.
+    """Per metric: both sides' median and quartiles, the change's wins, the claim rule
+    and the no-regression verdict.
 
     ``parent_runs`` and ``change_runs`` hold one mapping from metric name to
     value per pair, in pair order. ``metrics`` are ``BENCHMARK.json``-style
-    entries; ``better`` is ``"higher"`` or ``"lower"``. A pair where both
-    sides are equal is a tie and counts for neither.
+    entries; ``better`` is ``"higher"`` or ``"lower"``, and ``bound`` the
+    share of the parent's median that the change may be worse by. A pair where
+    both sides are equal is a tie and counts for neither.
     """
     if len(parent_runs) != len(change_runs) or not parent_runs:
         raise ValueError("need the same non-zero number of parent and change runs")
@@ -90,6 +96,13 @@ def summarize(parent_runs, change_runs, metrics) -> dict:
         p_low, p_median, p_high = np.percentile(parent, [25, 50, 75])
         c_low, c_median, c_high = np.percentile(change, [25, 50, 75])
         gain = sign * (c_median - p_median)
+        allowed = metric["bound"] * abs(p_median)
+        if gain < -allowed:
+            verdict = "worse"
+        elif p_high - p_low > allowed and not np.min(sign * change) > np.max(sign * parent):
+            verdict = "unresolved"  # the parent's own runs spread past the bound
+        else:
+            verdict = "ok"
         summary[name] = {
             "better": metric["better"],
             "parent_median": float(p_median),
@@ -101,19 +114,20 @@ def summarize(parent_runs, change_runs, metrics) -> dict:
             "ties": ties,
             "pairs": len(parent),
             "claim_holds": bool(10 * wins >= 9 * len(parent) and gain > p_high - p_low),
+            "verdict": verdict,
         }
     return summary
 
 
 def format_summary(summary: dict) -> str:
     lines = [f"# {'metric':12s} {'better':6s} {'parent median [q1, q3]':>36s}"
-             f" {'change median [q1, q3]':>36s} {'ratio':>7s} wins ties claim"]
+             f" {'change median [q1, q3]':>36s} {'ratio':>7s} {'verdict':10s} wins ties claim"]
     for name, row in summary.items():
         sides = [f"{row[f'{side}_median']:.6g} [{row[f'{side}_quartiles'][0]:.6g},"
                  f" {row[f'{side}_quartiles'][1]:.6g}]" for side in ("parent", "change")]
         ratio = "-" if row["ratio"] is None else f"{row['ratio']:.4f}"
         lines.append(f"{name:14s} {row['better']:6s} {sides[0]:>36s} {sides[1]:>36s}"
-                     f" {ratio:>7s} {row['change_wins']:2d}/{row['pairs']:<2d}"
+                     f" {ratio:>7s} {row['verdict']:10s} {row['change_wins']:2d}/{row['pairs']:<2d}"
                      f" {row['ties']:4d} {'holds' if row['claim_holds'] else 'no'}")
     return "\n".join(lines)
 

@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import executor, harness, theory
+from . import executor, harness
 from .config import _path_component, check_path, load_config
 from .errors import ConfigError, WorkerError
 
@@ -87,8 +87,14 @@ def _cmd_run(args):
     return EXIT_DIVERGED if result["diverged"] else EXIT_OK
 
 
-def _write_table(args, name, text):
-    out = Path(args.out) / "tables" / f"{name}.txt"
+def _out_file(args, *parts) -> Path:
+    """The file ``parts`` under ``--out``; a path the OS cannot take is a config error."""
+    out = Path(args.out, *parts)
+    check_path(str(out), "--out")
+    return out
+
+
+def _write_table(out, text):
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text)
     print(text, end="")
@@ -103,15 +109,16 @@ def _cmd_ttt(args):
     if args.threshold is not None:
         _finite_thresholds([args.threshold], "--threshold")
     name = _default_name(args)
+    kind = "threshold-sweep" if args.thresholds else "time-to-threshold"
+    out = _out_file(args, "tables", f"{name}-{kind}.txt")
     logs = _collect_logs(args.logs)
     if args.thresholds:
         thresholds = _finite_thresholds(
             _parse_list(args.thresholds, "--thresholds", float), "--thresholds")
-        _write_table(args, f"{name}-threshold-sweep",
-                     harness.threshold_sweep(logs, thresholds))
+        _write_table(out, harness.threshold_sweep(logs, thresholds))
     else:
         table = harness.time_to_threshold(logs, threshold=args.threshold)
-        _write_table(args, f"{name}-time-to-threshold", harness.format_ttt(table, name=name))
+        _write_table(out, harness.format_ttt(table, name=name))
     return EXIT_OK
 
 
@@ -121,7 +128,8 @@ def _cmd_ablate_k(args):
     cfg = load_config(args.config)
     result = harness.k_ablation(cfg, ks=ks, out_root=args.out, jobs=jobs)
     name = result["name"]
-    _write_table(args, name, harness.format_ttt(result["table"], name=name))
+    _write_table(_out_file(args, "tables", f"{name}.txt"),
+                 harness.format_ttt(result["table"], name=name))
     return EXIT_DIVERGED if result["diverged"] else EXIT_OK
 
 
@@ -131,15 +139,14 @@ def _cmd_sweep(args):
     jobs = _jobs(args.jobs)
     cfg = load_config(args.config)
     result = harness.sensitivity_sweep(cfg, etas, ms, out_root=args.out, jobs=jobs)
-    _write_table(args, result["name"], harness.format_sweep(result))
+    _write_table(_out_file(args, "tables", f"{result['name']}.txt"),
+                 harness.format_sweep(result))
     return EXIT_DIVERGED if result["diverged"] else EXIT_OK
 
 
 def _cmd_plotdata(args):
-    name = _default_name(args)
-    logs = _collect_logs(args.logs)
-    out = Path(args.out) / "figures-data" / f"{name}-loss.tsv"
-    harness.emit_plot_data(logs, out)
+    out = _out_file(args, "figures-data", f"{_default_name(args)}-loss.tsv")
+    harness.emit_plot_data(_collect_logs(args.logs), out)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -147,10 +154,10 @@ def _cmd_plotdata(args):
 def _cmd_theory(args):
     if args.seed < 0:
         raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
+    out = _out_file(args, "logs", "theory", "reports.jsonl")
+    from . import theory  # only this command runs the analysis checks
     reports = theory.run_theory_suite(seed=args.seed)
-    out_dir = Path(args.out) / "logs" / "theory"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "reports.jsonl"
+    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
         for rep in reports:
             fh.write(rep.to_json() + "\n")

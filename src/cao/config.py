@@ -18,6 +18,7 @@ from .errors import ConfigError, ContractViolationError, Knob, check_knobs
 from .optim import KINDS
 
 NAME_BYTES = 255  # the most bytes a file name may take (NAME_MAX)
+PATH_BYTES = 4095  # the most bytes a path may take (PATH_MAX less its NUL)
 # less the longest suffix the program adds to a path part
 PATH_PART_BYTES = NAME_BYTES - len("-time-to-threshold.txt")
 SEED_DIGITS = NAME_BYTES - len(".log.part")  # a log's lock file is "<seed>.log.part"
@@ -57,11 +58,16 @@ def _fsencode(value: str, key: str) -> bytes:
 
 
 def check_path(path: str, key: str) -> None:
-    """Refuse a ``path`` (the ``key`` option) with a part no file name can hold."""
-    size = max(map(len, _fsencode(path, key).split(b"/")))
+    """Refuse a ``path`` (of the ``key`` option) with a part no file name can hold, or
+    longer than the OS takes."""
+    encoded = _fsencode(path, key)
+    size = max(map(len, encoded.split(b"/")))
     if size > NAME_BYTES:
         raise ConfigError(f"{key} has a part of {size} bytes, more than the {NAME_BYTES}"
                           f" a file name can hold: {path!r}")
+    if len(encoded) > PATH_BYTES:
+        raise ConfigError(f"{key}: {path!r} is {len(encoded)} bytes, more than the"
+                          f" {PATH_BYTES} a path can hold")
 
 
 def _path_component(value, key: str) -> str:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, OptimizerSpec, parse_config
+from .config import ExperimentConfig, OptimizerSpec, check_path, parse_config
 from .errors import ConfigError, ContractViolationError, DivergenceError, NumericOverflowError
 from .executor import run_all
 from .optim import CaoConfig, make_runner
@@ -169,7 +169,8 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None, jobs: int = 
     """All (seed, optimizer) runs of a config; schedules shared within a seed.
 
     ``tasks`` lists the runs as ``Task`` values, seed-major; by default each
-    seed of ``cfg``, then each optimizer with its own index. The problem is
+    seed of ``cfg``, then each optimizer with its own index. A log path the OS
+    cannot take is a ``ConfigError`` before anything is built. The problem is
     built once for all of them, each seed's schedule once, and before the
     first run the HVPs each curvature-adaptive task plans per run are logged
     at INFO. ``executor.run_all`` runs the tasks on up to ``jobs`` processes,
@@ -180,6 +181,10 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None, jobs: int = 
     if tasks is None:
         tasks = [Task(cfg, spec, index, seed) for seed in cfg.seeds
                  for index, spec in enumerate(cfg.optimizers)]
+    logs = [str(Path(out_root, "logs", t.cfg.name, t.spec.label, f"{t.seed}.log"))
+            for t in tasks]
+    for path in logs:  # the longest path a run hands the OS is its log's lock file
+        check_path(f"{path}.part", "a log's lock file")
     try:
         problem = from_config(cfg.problem)
     except ContractViolationError as exc:
@@ -205,8 +210,6 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None, jobs: int = 
     except (MemoryError, OverflowError) as exc:  # more steps than a list can hold
         raise ConfigError(f"steps = {cfg.steps} cannot be scheduled:"
                           f" {type(exc).__name__}: {exc}") from None
-    logs = [str(Path(out_root, "logs", t.cfg.name, t.spec.label, f"{t.seed}.log"))
-            for t in tasks]
 
     def execute(i):
         return run_single(problem, tasks[i], schedules[tasks[i].seed], log_path=logs[i])

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
-METRICS = [{"name": "steps_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"}]
+METRICS = [{"name": "steps_per_s", "better": "higher", "bound": 0.25},
+           {"name": "setup_s", "better": "lower", "bound": 0.25}]
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,47 @@ class TestSummarize:
         text = bench_pairs.format_summary(bench_pairs.summarize(parent, parent, METRICS))
         assert text.splitlines()[1].split()[:2] == ["steps_per_s", "higher"]
         assert text.splitlines()[1].endswith(" 0/2     2 no")
+
+    def test_verdict_ok_within_the_bound(self, bench_pairs):
+        parent = runs([100, 101, 99, 100, 102], [0.050, 0.050, 0.051, 0.049, 0.050])
+        # steps 0.8x and set-up 1.24x: worse, inside the 0.25 bound
+        change = runs([80, 81, 79, 80, 82], [0.062, 0.062, 0.063, 0.061, 0.062])
+        summary = bench_pairs.summarize(parent, change, METRICS)
+        assert [summary[m]["verdict"] for m in ("steps_per_s", "setup_s")] == ["ok", "ok"]
+
+    def test_verdict_worse_past_the_bound(self, bench_pairs):
+        parent = runs([100, 101, 99, 100, 102], [0.050, 0.050, 0.051, 0.049, 0.050])
+        change = runs([74, 75, 73, 74, 76], [0.063, 0.063, 0.064, 0.062, 0.063])
+        summary = bench_pairs.summarize(parent, change, METRICS)
+        assert summary["steps_per_s"]["verdict"] == "worse"  # 0.74x
+        assert summary["setup_s"]["verdict"] == "worse"  # 1.26x
+        assert summary["setup_s"]["ratio"] == 1.26
+        # past the bound is worse however wide the parent's spread
+        wide = runs([40, 100, 160, 70, 130], [1.0] * 5)
+        assert bench_pairs.summarize(wide, change, METRICS)["steps_per_s"]["verdict"] == "worse"
+
+    def test_verdict_unresolved_when_the_parent_spreads_past_the_bound(self, bench_pairs):
+        # quartiles 70 and 130 around a median of 100: an IQR of 0.6 of the median
+        parent = runs([40, 100, 160, 70, 130], [1.0] * 5)
+        change = runs([90, 110, 100, 95, 105], [1.0] * 5)
+        summary = bench_pairs.summarize(parent, change, METRICS)
+        assert summary["steps_per_s"]["verdict"] == "unresolved"
+        # unless every change run beats every parent run
+        change = runs([161, 170, 165, 162, 180], [1.0] * 5)
+        summary = bench_pairs.summarize(parent, change, METRICS)
+        assert summary["steps_per_s"]["verdict"] == "ok"
+
+    def test_verdict_of_a_tie_is_ok_and_saved(self, bench_pairs, monkeypatch, capsys,
+                                              tmp_path):
+        FakeRuns(bench_pairs, monkeypatch)  # equal values but quad-sweep's steps_per_s
+        save = tmp_path / "pairs.json"
+        assert bench_pairs.main(["--parent", "HEAD", "--workload", "logs-summarize",
+                                 "--pairs", "2", "--seed", "1", "--save", str(save)]) == 0
+        summary = json.loads(save.read_text())["summary"]["logs-summarize"]
+        assert {name: (row["ties"], row["verdict"]) for name, row in summary.items()} == {
+            name: (2, "ok") for name in ("steps_per_s", "setup_s", "peak_rss_mb", "ok_share")}
+        rows = capsys.readouterr().out.splitlines()[-4:]
+        assert [row.split()[-5:-3] for row in rows] == [["1.0000", "ok"]] * 4
 
     def test_unequal_pair_counts_refused(self, bench_pairs):
         with pytest.raises(ValueError, match="same non-zero number"):

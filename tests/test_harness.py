@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cao import cli, harness, optim
-from cao.config import load_config, parse_config
+from cao import cli, harness, optim, theory
+from cao.config import check_path, load_config, parse_config
 from cao.errors import ConfigError, ContractViolationError
 from cao.harness import (
     build_schedule,
@@ -75,6 +75,14 @@ def strict_json_logs(root):
                 raise AssertionError(f"{path}: line {number}: {exc}") from None
         coded += any(token in text for token in ('"Infinity"', '"-Infinity"', '"NaN"'))
     return coded
+
+
+def path_of(root, size):
+    """A path of ``size`` bytes: ``root`` and parts of at most 251 ``a``s."""
+    path = str(root)
+    while size - len(path) > 252:
+        path += "/" + "a" * 250
+    return path + "/" + "a" * (size - len(path) - 1)
 
 
 def synthetic_log(path, label, index, seed, hit_step, steps=80, threshold=0.75):
@@ -1780,7 +1788,7 @@ class TestCli:
         before = sorted(tmp_path.rglob("*"))
         started = []
         for module, name in ((harness, "run_single"), (harness, "read_runlog"),
-                             (cli.theory, "run_theory_suite")):
+                             (theory, "run_theory_suite")):
             monkeypatch.setattr(module, name, lambda *a, name=name, **kw: started.append(name))
         argv = [arg.format(cfg=cfg_path, logs=tmp_path / "in") for arg in argv]
         rc = cli.main(["--out", str(tmp_path / out), *argv])
@@ -1809,7 +1817,7 @@ class TestCli:
         before = sorted(tmp_path.rglob("*"))
         started = []
         for module, name in ((harness, "run_single"), (harness, "read_runlog"),
-                             (cli.theory, "run_theory_suite")):
+                             (theory, "run_theory_suite")):
             monkeypatch.setattr(module, name, lambda *a, name=name, **kw: started.append(name))
         argv = [arg.format(cfg=cfg_path, logs=tmp_path / "in") for arg in argv]
         rc = cli.main(["--out", str(out), *argv])
@@ -1837,7 +1845,7 @@ class TestCli:
         before = sorted(tmp_path.rglob("*"))
         started = []
         for module, name in ((harness, "run_single"), (harness, "read_runlog"),
-                             (cli.theory, "run_theory_suite")):
+                             (theory, "run_theory_suite")):
             monkeypatch.setattr(module, name, lambda *a, name=name, **kw: started.append(name))
         argv = [arg.format(cfg=cfg_path, logs=tmp_path / "in", long=long) for arg in argv]
         rc = cli.main(["--out", out, *argv])
@@ -1855,6 +1863,63 @@ class TestCli:
         out = tmp_path / ("o" * 255)
         assert cli.main(["--out", str(out), "ttt", "--logs", str(logs), "--name", "n"]) == 0
         assert (out / "tables" / "n-time-to-threshold.txt").is_file()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "{cfg}"], ["ttt", "--logs", "{logs}"],
+        ["ablate-k", "--config", "{cfg}"], ["sweep", "--config", "{cfg}", "--ms", "10"],
+        ["plotdata", "--logs", "{logs}"], ["theory"],
+    ], ids=lambda argv: argv[0])
+    def test_out_past_the_path_limit_exits_before_anything(self, tmp_path, monkeypatch,
+                                                           capsys, argv):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(steps=5, seeds=(0,)).to_dict()))
+        synthetic_log(tmp_path / "in" / "sgd" / "0.log", "sgd", 0, 0, hit_step=10)
+        out = os.path.join(tmp_path, *["a" * 250] * 17)  # each part fits, the whole does not
+        before = sorted(tmp_path.rglob("*"))
+        started = []
+        for module, name in ((harness, "run_single"), (harness, "read_runlog"),
+                             (theory, "run_theory_suite")):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **kw: started.append(name))
+        argv = [arg.format(cfg=cfg_path, logs=tmp_path / "in") for arg in argv]
+        assert cli.main(["--out", out, *argv]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: --out: {out!r} is {len(out)} bytes, more than the 4095 a path"
+            " can hold\n")
+        assert started == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("past", [False, True], ids=["at-bound", "past-bound"])
+    @pytest.mark.parametrize("command", ["ttt", "run"])
+    def test_out_that_fits_alone_but_not_with_what_the_command_adds(self, tmp_path, capsys,
+                                                                   command, past):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(steps=5, seeds=(0,)).to_dict()))
+        synthetic_log(tmp_path / "in" / "sgd" / "0.log", "sgd", 0, 0, hit_step=10)
+        if command == "ttt":
+            added, key = "/tables/n-time-to-threshold.txt", "--out"
+            argv = ["ttt", "--logs", str(tmp_path / "in"), "--name", "n"]
+        else:  # the longest label of the config is "cao-k1"
+            added, key = "/logs/tiny/cao-k1/0.log.part", "a log's lock file"
+            argv = ["run", "--config", str(cfg_path), "--jobs", "1"]
+        out = path_of(tmp_path / "out", 4095 + past - len(added))
+        rc = cli.main(["--out", out, *argv])
+        err = capsys.readouterr().err
+        if not past:
+            assert rc == cli.EXIT_OK, err
+            assert os.path.isfile(out + added.removesuffix(".part"))
+            return
+        assert rc == cli.EXIT_CONFIG
+        assert err == (f"config error: {key}: {out + added!r} is 4096 bytes, more than the"
+                       " 4095 a path can hold\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_path_bound_is_4095_bytes(self):
+        check_path(path_of("/p", 4095), "--out")
+        with pytest.raises(ConfigError, match="is 4096 bytes, more than the 4095 a path"):
+            check_path(path_of("/p", 4096), "--out")
+        # two bytes per "é" in UTF-8
+        with pytest.raises(ConfigError, match="is 4096 bytes"):
+            check_path(path_of("/p", 4094) + "é", "--out")
 
     @pytest.mark.parametrize("command", ["ttt", "plotdata"])
     @pytest.mark.parametrize("name", ["../../x", "a/b", "..", ""])

@@ -183,7 +183,7 @@ class TestCaoStep:
         theta = state.theta
         state, rec = cao_step(state, p, FULL_BATCH, cfg)
         assert rec.refresh_failed and state.precond is kept
-        expected = theta - cfg.alpha * cao.precondition(p.grad(theta), kept)
+        expected = theta - cfg.alpha * cao.precondition.precondition(p.grad(theta), kept)
         assert state.theta.tobytes() == expected.tobytes()
         p.fail = False
         for _ in range(3):

@@ -7,6 +7,9 @@ benchmark runs. The file is loaded by path and only read.
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,31 @@ def test_traced_name_resolves(module_name, owner_name, attr):
     if owner_name is not None:
         owner = getattr(owner, owner_name)
     assert callable(getattr(owner, attr, None))
+
+
+# the tracer is installed right after `import cao.cli` and reads each module from
+# sys.modules: prints the names that do not resolve there, and the modules resolving
+# them imported
+RESOLVE_AFTER_CLI = """
+import json, sys
+import cao.cli
+loaded, missing = set(sys.modules), []
+for module_name, owner_name, attr in json.loads(sys.argv[1]):
+    owner = sys.modules.get(module_name)
+    if owner is not None and owner_name is not None:
+        owner = getattr(owner, owner_name, None)
+    if not callable(getattr(owner, attr, None)):
+        missing.append([module_name, owner_name, attr])
+print(json.dumps([missing, sorted(set(sys.modules) - loaded)]))
+"""
+
+
+def test_traced_names_resolve_after_importing_the_cli_alone():
+    done = subprocess.run([sys.executable, "-c", RESOLVE_AFTER_CLI,
+                           json.dumps([t[:3] for t in TRACED])],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], []]
 
 
 def test_each_traced_run_names_its_log(tmp_path):

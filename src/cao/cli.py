@@ -4,7 +4,9 @@ Subcommands: run, ttt, ablate-k, sweep, plotdata, theory. Exit codes:
 0 success, 1 failed theory check, 2 divergence detected, 3 config error,
 4 a worker process died (the logs of the runs that finished stay).
 ``--log-level`` (``-v`` is INFO) sets the level of the logging records printed
-to stderr, on every call of ``main``; the default is WARNING.
+to stderr, on every call of ``main``; the default is WARNING. Each subcommand lists
+every file it will create and checks the list (``config.check_paths``) before it
+runs, reads or creates anything.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import executor, harness
-from .config import _path_component, check_path, load_config
+from .config import _path_component, check_paths, load_config
 from .errors import ConfigError, WorkerError
 
 EXIT_OK = 0
@@ -28,13 +30,8 @@ EXIT_WORKER = 4
 
 
 def _collect_logs(logs_arg):
-    paths = []
-    for entry in logs_arg:
-        p = Path(entry)
-        if p.is_dir():
-            paths.extend(sorted(p.rglob("*.log")))
-        else:
-            paths.append(p)
+    paths = [path for entry in map(Path, logs_arg)
+             for path in (sorted(entry.rglob("*.log")) if entry.is_dir() else [entry])]
     if not paths:
         raise ConfigError(f"no log files under {logs_arg}")
     return paths
@@ -81,17 +78,11 @@ def _jobs(text):
 def _cmd_run(args):
     jobs = _jobs(args.jobs)
     cfg = load_config(args.config)
+    check_paths(args.out, harness.run_files(args.out, harness.tasks_of(cfg)))
     result = harness.run_comparison(cfg, args.out, jobs=jobs)
     for path in result["logs"]:
         print(path)
     return EXIT_DIVERGED if result["diverged"] else EXIT_OK
-
-
-def _out_file(args, *parts) -> Path:
-    """The file ``parts`` under ``--out``; a path the OS cannot take is a config error."""
-    out = Path(args.out, *parts)
-    check_path(str(out), "--out")
-    return out
 
 
 def _write_table(out, text):
@@ -110,7 +101,8 @@ def _cmd_ttt(args):
         _finite_thresholds([args.threshold], "--threshold")
     name = _default_name(args)
     kind = "threshold-sweep" if args.thresholds else "time-to-threshold"
-    out = _out_file(args, "tables", f"{name}-{kind}.txt")
+    out = Path(args.out, "tables", f"{name}-{kind}.txt")
+    check_paths(args.out, [out], args.logs)
     logs = _collect_logs(args.logs)
     if args.thresholds:
         thresholds = _finite_thresholds(
@@ -126,10 +118,11 @@ def _cmd_ablate_k(args):
     ks = _parse_list(args.ks, "--ks", int)
     jobs = _jobs(args.jobs)
     cfg = load_config(args.config)
+    ablate_cfg = harness.ablation_config(cfg, ks)
+    table = Path(args.out, "tables", f"{ablate_cfg.name}.txt")
+    check_paths(args.out, [*harness.run_files(args.out, harness.tasks_of(ablate_cfg)), table])
     result = harness.k_ablation(cfg, ks=ks, out_root=args.out, jobs=jobs)
-    name = result["name"]
-    _write_table(_out_file(args, "tables", f"{name}.txt"),
-                 harness.format_ttt(result["table"], name=name))
+    _write_table(table, harness.format_ttt(result["table"], name=result["name"]))
     return EXIT_DIVERGED if result["diverged"] else EXIT_OK
 
 
@@ -138,14 +131,17 @@ def _cmd_sweep(args):
     ms = _parse_list(args.ms, "--ms", int)
     jobs = _jobs(args.jobs)
     cfg = load_config(args.config)
+    grid_cfg = harness.sweep_config(cfg, etas, ms)
+    table = Path(args.out, "tables", f"{grid_cfg.name}.txt")
+    check_paths(args.out, [*harness.run_files(args.out, harness.tasks_of(grid_cfg)), table])
     result = harness.sensitivity_sweep(cfg, etas, ms, out_root=args.out, jobs=jobs)
-    _write_table(_out_file(args, "tables", f"{result['name']}.txt"),
-                 harness.format_sweep(result))
+    _write_table(table, harness.format_sweep(result))
     return EXIT_DIVERGED if result["diverged"] else EXIT_OK
 
 
 def _cmd_plotdata(args):
-    out = _out_file(args, "figures-data", f"{_default_name(args)}-loss.tsv")
+    out = Path(args.out, "figures-data", f"{_default_name(args)}-loss.tsv")
+    check_paths(args.out, [out], args.logs)
     harness.emit_plot_data(_collect_logs(args.logs), out)
     print(f"wrote {out}")
     return EXIT_OK
@@ -154,20 +150,16 @@ def _cmd_plotdata(args):
 def _cmd_theory(args):
     if args.seed < 0:
         raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
-    out = _out_file(args, "logs", "theory", "reports.jsonl")
+    out = Path(args.out, "logs", "theory", "reports.jsonl")
+    check_paths(args.out, [out])
     from . import theory  # only this command runs the analysis checks
     reports = theory.run_theory_suite(seed=args.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        for rep in reports:
-            fh.write(rep.to_json() + "\n")
-    failed = 0
+    out.write_text("".join(rep.to_json() + "\n" for rep in reports))
     for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        failed += not rep.passed
-        print(f"[{status}] {rep.check}")
+        print(f"[{'PASS' if rep.passed else 'FAIL'}] {rep.check}")
     print(f"wrote {out}", file=sys.stderr)
-    return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
+    return EXIT_OK if all(rep.passed for rep in reports) else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a multi-optimizer comparison from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--jobs", default=None, help=jobs_help)
-    p.set_defaults(func=_cmd_run, writes=("logs",))
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("ttt", help="time-to-threshold table from logs")
     p.add_argument("--logs", nargs="+", required=True,
@@ -198,29 +190,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", default=None,
                    help="comma-separated grid; emits one row per threshold")
     p.add_argument("--name", default=None)
-    p.set_defaults(func=_cmd_ttt, writes=("tables",))
+    p.set_defaults(func=_cmd_ttt)
 
     p = sub.add_parser("ablate-k", help="re-run the config across sketch ranks")
     p.add_argument("--config", required=True)
     p.add_argument("--ks", default="0,1,3,5")
     p.add_argument("--jobs", default=None, help=jobs_help)
-    p.set_defaults(func=_cmd_ablate_k, writes=("logs", "tables"))
+    p.set_defaults(func=_cmd_ablate_k)
 
     p = sub.add_parser("sweep", help="damping x refresh-interval sensitivity grid")
     p.add_argument("--config", required=True)
     p.add_argument("--etas", default="0.5,1.0,2.0")
     p.add_argument("--ms", default="25,50,100")
     p.add_argument("--jobs", default=None, help=jobs_help)
-    p.set_defaults(func=_cmd_sweep, writes=("logs", "tables"))
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("plotdata", help="emit loss-vs-step mean/std bands from logs")
     p.add_argument("--logs", nargs="+", required=True)
     p.add_argument("--name", default=None)
-    p.set_defaults(func=_cmd_plotdata, writes=("figures-data",))
+    p.set_defaults(func=_cmd_plotdata)
 
     p = sub.add_parser("theory", help="run the analysis checks and report pass/fail")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_theory, writes=("logs/theory",))
+    p.set_defaults(func=_cmd_theory)
     return parser
 
 
@@ -230,15 +222,6 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger().setLevel(args.log_level)
     try:
-        check_path(args.out, "--out")
-        for entry in getattr(args, "logs", ()):  # ttt and plotdata
-            check_path(entry, "--logs")
-        for sub in args.writes:  # the nearest existing ancestor of each must be a directory
-            out = os.path.join(args.out, sub)
-            while not os.path.lexists(out):
-                out = os.path.dirname(out) or "."
-            if not os.path.isdir(out):
-                raise ConfigError(f"--out {args.out}: {out} is not a directory")
         code = args.func(args)
         if code == EXIT_DIVERGED:  # run, ablate-k or sweep
             print("divergence detected; partial logs retained", file=sys.stderr)

@@ -19,9 +19,6 @@ from .optim import KINDS
 
 NAME_BYTES = 255  # the most bytes a file name may take (NAME_MAX)
 PATH_BYTES = 4095  # the most bytes a path may take (PATH_MAX less its NUL)
-# less the longest suffix the program adds to a path part
-PATH_PART_BYTES = NAME_BYTES - len("-time-to-threshold.txt")
-SEED_DIGITS = NAME_BYTES - len(".log.part")  # a log's lock file is "<seed>.log.part"
 
 
 @dataclass(frozen=True)
@@ -49,25 +46,33 @@ class ExperimentConfig:
         return doc
 
 
-def _fsencode(value: str, key: str) -> bytes:
-    """``value`` as a file name's bytes; one that cannot be encoded is a ``ConfigError``."""
-    try:
-        return os.fsencode(value)
-    except UnicodeEncodeError:
-        raise ConfigError(f"{key} cannot be encoded as a file name, got {value!r}") from None
-
-
-def check_path(path: str, key: str) -> None:
-    """Refuse a ``path`` (of the ``key`` option) with a part no file name can hold, or
-    longer than the OS takes."""
-    encoded = _fsencode(path, key)
-    size = max(map(len, encoded.split(b"/")))
-    if size > NAME_BYTES:
-        raise ConfigError(f"{key} has a part of {size} bytes, more than the {NAME_BYTES}"
-                          f" a file name can hold: {path!r}")
-    if len(encoded) > PATH_BYTES:
-        raise ConfigError(f"{key}: {path!r} is {len(encoded)} bytes, more than the"
-                          f" {PATH_BYTES} a path can hold")
+def check_paths(out: str, created, read=()) -> None:
+    """Refuse ``out`` (``--out``), ``read`` (``--logs``) or ``created`` (every file a command
+    will create) where a path does not encode, has a part past ``NAME_BYTES`` or a whole
+    past ``PATH_BYTES``, or where a created file is a directory or sits under a non-directory."""
+    for key, path in [("--out", out), *(("--logs", entry) for entry in read),
+                      *(("output path", str(path)) for path in created)]:
+        try:
+            encoded = os.fsencode(path)
+        except UnicodeEncodeError:
+            raise ConfigError(f"{key} cannot be encoded as a file name, got {path!r}") from None
+        size = max(map(len, encoded.split(b"/")))
+        if size > NAME_BYTES:
+            raise ConfigError(f"{key} has a part of {size} bytes, more than the {NAME_BYTES}"
+                              f" a file name can hold: {path!r}")
+        if len(encoded) > PATH_BYTES:
+            raise ConfigError(f"{key}: {path!r} is {len(encoded)} bytes, more than the"
+                              f" {PATH_BYTES} a path can hold")
+    seen = set()  # paths found missing or as they should be: each is looked up once
+    for path in map(str, created):
+        found = path  # then its nearest existing ancestor
+        while found not in seen and not os.path.lexists(found):
+            seen.add(found)
+            found = os.path.dirname(found) or "."
+        if found not in seen and os.path.isdir(found) == (found == path):
+            raise ConfigError(f"--out {out}: {found} is {'a' if found == path else 'not a'}"
+                              " directory")
+        seen.add(found)
 
 
 def _path_component(value, key: str) -> str:
@@ -76,10 +81,6 @@ def _path_component(value, key: str) -> str:
             or "/" in value or "\0" in value):
         raise ConfigError(f"{key} must be a non-empty string without '/' or NUL,"
                           f" and not '.' or '..', got {value!r}")
-    size = len(_fsencode(value, key))
-    if size > PATH_PART_BYTES:
-        raise ConfigError(f"{key} is {size} bytes as a file name, more than the"
-                          f" {PATH_PART_BYTES} that fit: {value!r}")
     return value
 
 
@@ -119,8 +120,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if len(set(labels)) != len(labels):
         raise ConfigError(f"optimizer labels must be unique, got {labels}")
     seeds = doc["seeds"]
-    if any(seed >= 10**SEED_DIGITS for seed in seeds):
-        raise ConfigError(f"seeds must have at most {SEED_DIGITS} digits (file '<seed>.log.part')")
     # two runs of one (label, seed) would write the same log
     repeated = next((seed for i, seed in enumerate(seeds) if seed in seeds[:i]), None)
     if repeated is not None:

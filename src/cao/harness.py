@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, OptimizerSpec, check_path, parse_config
+from .config import ExperimentConfig, OptimizerSpec, parse_config
 from .errors import ConfigError, ContractViolationError, DivergenceError, NumericOverflowError
 from .executor import run_all
 from .optim import CaoConfig, make_runner
@@ -51,6 +51,19 @@ class Task(NamedTuple):
     spec: OptimizerSpec
     index: int
     seed: int
+
+
+def tasks_of(cfg: ExperimentConfig) -> list:
+    """The runs of ``cfg`` as ``Task`` values: each seed, then each optimizer with its index."""
+    return [Task(cfg, spec, index, seed) for seed in cfg.seeds
+            for index, spec in enumerate(cfg.optimizers)]
+
+
+def run_files(out_root, tasks) -> list:
+    """The files ``tasks`` create under ``out_root``: the log of each, in order,
+    ``logs/<name>/<label>/<seed>.log``, then the ``.part`` of each, written first."""
+    logs = [str(Path(out_root, "logs", t.cfg.name, t.spec.label, f"{t.seed}.log")) for t in tasks]
+    return logs + [f"{log}.part" for log in logs]
 
 
 def _physical_memory() -> int:
@@ -168,9 +181,8 @@ def run_single(problem, task: Task, schedule: Schedule, *, log_path):
 def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None, jobs: int = 1) -> dict:
     """All (seed, optimizer) runs of a config; schedules shared within a seed.
 
-    ``tasks`` lists the runs as ``Task`` values, seed-major; by default each
-    seed of ``cfg``, then each optimizer with its own index. A log path the OS
-    cannot take is a ``ConfigError`` before anything is built. The problem is
+    ``tasks`` lists the runs as ``Task`` values, seed-major; by default
+    ``tasks_of(cfg)``, each logged where ``run_files`` puts it. The problem is
     built once for all of them, each seed's schedule once, and before the
     first run the HVPs each curvature-adaptive task plans per run are logged
     at INFO. ``executor.run_all`` runs the tasks on up to ``jobs`` processes,
@@ -178,13 +190,8 @@ def run_comparison(cfg: ExperimentConfig, out_root=".", tasks=None, jobs: int = 
     same for any ``jobs``. Returns the log paths, whether any run diverged,
     and per run a (path, label, index, entry) tuple for ``_group``.
     """
-    if tasks is None:
-        tasks = [Task(cfg, spec, index, seed) for seed in cfg.seeds
-                 for index, spec in enumerate(cfg.optimizers)]
-    logs = [str(Path(out_root, "logs", t.cfg.name, t.spec.label, f"{t.seed}.log"))
-            for t in tasks]
-    for path in logs:  # the longest path a run hands the OS is its log's lock file
-        check_path(f"{path}.part", "a log's lock file")
+    tasks = tasks_of(cfg) if tasks is None else tasks
+    logs = run_files(out_root, tasks)[:len(tasks)]
     try:
         problem = from_config(cfg.problem)
     except ContractViolationError as exc:
@@ -466,14 +473,25 @@ def _derived(cfg: ExperimentConfig, name: str, variants) -> ExperimentConfig:
         {"kind": "cao", **template.params, **variant} for variant in variants]})
 
 
+def ablation_config(cfg: ExperimentConfig, ks) -> ExperimentConfig:
+    """The config ``k_ablation`` runs: ``cfg``'s curvature-adaptive entry at each rank."""
+    return _derived(cfg, f"{cfg.name}-ablate-k", [{"label": f"cao-k{k}", "k": int(k)} for k in ks])
+
+
 def k_ablation(cfg: ExperimentConfig, ks=(0, 1, 3, 5), out_root=".", jobs: int = 1) -> dict:
     """Re-run the config's curvature-adaptive optimizer across ranks, on up to ``jobs`` workers."""
-    ablate_cfg = _derived(cfg, f"{cfg.name}-ablate-k",
-                          [{"label": f"cao-k{k}", "k": int(k)} for k in ks])
+    ablate_cfg = ablation_config(cfg, ks)
     result = run_comparison(ablate_cfg, out_root, jobs=jobs)
     groups, labels = _group(result["runs"])
     return {"logs": result["logs"], "diverged": result["diverged"],
             "table": _ttt_table(groups, labels, cfg.threshold), "name": ablate_cfg.name}
+
+
+def sweep_config(cfg: ExperimentConfig, etas, ms) -> ExperimentConfig:
+    """The config ``sensitivity_sweep`` runs, checked before any cell runs: one entry per cell."""
+    return _derived(cfg, f"{cfg.name}-sweep", [
+        {"label": f"cao-eta{eta:g}-m{m}", "eta": float(eta), "m": int(m)}
+        for eta in etas for m in ms])
 
 
 def sensitivity_sweep(cfg: ExperimentConfig, etas, ms, out_root=".", jobs: int = 1) -> dict:
@@ -484,13 +502,10 @@ def sensitivity_sweep(cfg: ExperimentConfig, etas, ms, out_root=".", jobs: int =
     of its own: its one optimizer at index 0, on up to ``jobs`` workers (see
     ``run_comparison``).
     """
-    # every cell is checked before the first one runs
-    grid_cfg = _derived(cfg, f"{cfg.name}-sweep", [
-        {"label": f"cao-eta{eta:g}-m{m}", "eta": float(eta), "m": int(m)}
-        for eta in etas for m in ms])
+    grid_cfg = sweep_config(cfg, etas, ms)
     result = run_comparison(grid_cfg, out_root, tasks=[
-        Task(replace(grid_cfg, optimizers=(spec,)), spec, 0, seed)
-        for seed in grid_cfg.seeds for spec in grid_cfg.optimizers], jobs=jobs)
+        task._replace(cfg=replace(grid_cfg, optimizers=(task.spec,)), index=0)
+        for task in tasks_of(grid_cfg)], jobs=jobs)
     groups, labels = _group(result["runs"])
     first_hits = _ttt_table(groups, labels, cfg.threshold)["optimizers"]
     cells = []

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cao import cli, harness, optim, theory
-from cao.config import check_path, load_config, parse_config
+from cao.config import check_paths, load_config, parse_config
 from cao.errors import ConfigError, ContractViolationError
 from cao.harness import (
     build_schedule,
@@ -1469,25 +1469,35 @@ class TestCli:
         assert "config error: name must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("past", [False, True], ids=["at-bound", "past-bound"])
-    @pytest.mark.parametrize("case", ["ablate-k-name", "label", "seed", "sweep-ms"])
+    @pytest.mark.parametrize("case", ["ablate-k-name", "label", "seed", "sweep-ms", "run-name",
+                                      "sweep-name"])
     def test_file_name_too_long_exits_before_any_run(self, tmp_path, capsys, case, past):
-        # a path part may take 233 bytes, a seed 246 digits ("<seed>.log.part" is 255)
+        # a name or seed may take what the longest part of a path the command creates leaves:
+        # 255 bytes in all, "<seed>.log.part" and "<name>-ablate-k.txt" among them
         doc = {"name": "long", "problem": {"name": "quadratic", "spectrum": [4.0, 1.0]},
                "optimizers": [{"kind": "cao", "alpha": 0.1, "k": 1}],
                "seeds": [0], "steps": 2, "threshold": 0.1}
-        argv = ["run"]
-        if case == "ablate-k-name":  # the runs' directory is "<name>-ablate-k"
-            doc["name"] = "n" * (224 + past)
-            argv, named = ["ablate-k", "--ks", "1"], f"name is {233 + past} bytes"
+        argv, refused = ["run"], "logs/long/cao/0.log"
+        if case == "ablate-k-name":  # the table is "<name>-ablate-k.txt"
+            doc["name"] = "n" * (242 + past)
+            argv, refused = ["ablate-k", "--ks", "1"], f"tables/{doc['name']}-ablate-k.txt"
         elif case == "label":  # two bytes per "é" in UTF-8
-            doc["optimizers"][0]["label"] = "é" * 116 + "l" * (1 + past)
-            named = f"optimizer #0: label is {233 + past} bytes"
+            doc["optimizers"][0]["label"] = "é" * 127 + "l" * (1 + past)
+            refused = f"logs/long/{doc['optimizers'][0]['label']}/0.log"
         elif case == "seed":
             doc["seeds"] = [10**246 - 1 + past]
-            named = "seeds must have at most 246 digits"
-        else:  # the label "cao-eta1-m<m>"
-            argv = ["sweep", "--etas", "1", "--ms", "1" + "0" * (222 + past)]
-            named = f"optimizer #0: label is {233 + past} bytes"
+            refused = f"logs/long/cao/{doc['seeds'][0]}.log.part"
+        elif case == "sweep-ms":  # the label "cao-eta1-m<m>"
+            m = "1" + "0" * (244 + past)
+            argv = ["sweep", "--etas", "1", "--ms", m]
+            refused = f"logs/long-sweep/cao-eta1-m{m}/0.log"
+        elif case == "run-name":  # a directory of its own
+            doc["name"] = "n" * (255 + past)
+            refused = f"logs/{doc['name']}/cao/0.log"
+        else:  # the table is "<name>-sweep.txt"
+            doc["name"] = "n" * (245 + past)
+            argv = ["sweep", "--etas", "1", "--ms", "10"]
+            refused = f"tables/{doc['name']}-sweep.txt"
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         rc = cli.main(["--out", str(tmp_path), argv[0], "--config", str(cfg_path),
@@ -1499,33 +1509,52 @@ class TestCli:
             return
         assert rc == cli.EXIT_CONFIG
         assert not (tmp_path / "logs").exists()
-        assert err.startswith(f"config error: {named}")
+        assert err == ("config error: output path has a part of 256 bytes, more than the 255"
+                       f" a file name can hold: {str(tmp_path / refused)!r}\n")
 
     @pytest.mark.parametrize("past", [False, True], ids=["at-bound", "past-bound"])
     @pytest.mark.parametrize("given", [True, False], ids=["name", "logs-dir"])
     def test_table_name_too_long_exits_before_any_log_is_read(self, tmp_path, capsys,
                                                               given, past):
-        # "<name>-time-to-threshold.txt" takes 22 bytes more than the name
-        name = "t" * (233 + past)
+        # the name may take 255 bytes less the suffix of the command's table
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config(steps=5, seeds=(0,)).to_dict()))
-        logs = tmp_path / name  # the default name is that of the first --logs entry
-        assert cli.main(["--out", str(logs), "run", "--config", str(cfg_path)]) == 0
-        if past:  # a log that cannot be read: the name is refused before any is
-            (logs / "cut.log").write_text("")
-        out = tmp_path / "out"
-        for command in ("ttt", "plotdata"):
-            rc = cli.main(["--out", str(out), command, "--logs", str(logs),
+        out, written = tmp_path / "out", []
+        for argv, suffix in ((["ttt"], "-time-to-threshold.txt"),
+                             (["ttt", "--thresholds", "0.5"], "-threshold-sweep.txt"),
+                             (["plotdata"], "-loss.tsv")):
+            name = "t" * (255 - len(suffix) + past)
+            logs = tmp_path / name  # the default name is that of the first --logs entry
+            assert cli.main(["--out", str(logs), "run", "--config", str(cfg_path)]) == 0
+            if past:  # a log that cannot be read: the name is refused before any is
+                (logs / "cut.log").write_text("")
+            rc = cli.main(["--out", str(out), argv[0], "--logs", str(logs), *argv[1:],
                            *(["--name", name] if given else [])])
             err = capsys.readouterr().err
+            table = out / ("figures-data" if argv[0] == "plotdata" else "tables") / (name + suffix)
             if not past:
                 assert rc == cli.EXIT_OK, err
+                written.append(table)
                 continue
-            key = "--name" if given else "the --logs name"
             assert rc == cli.EXIT_CONFIG
-            assert err.startswith(f"config error: {key} is 234 bytes as a file name")
-        assert sorted(p.name for p in out.rglob("*.*")) == (
-            [] if past else [f"{name}-loss.tsv", f"{name}-time-to-threshold.txt"])
+            assert err == ("config error: output path has a part of 256 bytes, more than the"
+                           f" 255 a file name can hold: {str(table)!r}\n")
+        assert sorted(out.rglob("*.*")) == sorted(written)
+
+    @pytest.mark.parametrize("command", ["run", "plotdata"])
+    def test_name_of_240_bytes_fits(self, tmp_path, capsys, command):
+        # both were refused while every name had to leave room for the longest suffix
+        name = "n" * 240
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(name=name, steps=5, seeds=(0,)).to_dict()))
+        rc = cli.main(["--out", str(tmp_path), "run", "--config", str(cfg_path), "--jobs", "1"])
+        assert rc == cli.EXIT_OK, capsys.readouterr().err
+        if command == "plotdata":
+            rc = cli.main(["--out", str(tmp_path), "plotdata", "--logs",
+                           str(tmp_path / "logs"), "--name", name])
+            assert rc == cli.EXIT_OK, capsys.readouterr().err
+            assert (tmp_path / "figures-data" / f"{name}-loss.tsv").is_file()
+        assert len(list((tmp_path / "logs" / name).rglob("*.log"))) == 2
 
     @pytest.mark.parametrize("command", ["run", "ablate-k", "sweep"])
     def test_path_part_not_encodable_exits_before_any_run(self, tmp_path, command, capsys):
@@ -1534,7 +1563,8 @@ class TestCli:
         rc = cli.main(["--out", str(tmp_path), command, "--config", str(cfg_path)])
         assert rc == cli.EXIT_CONFIG
         assert not (tmp_path / "logs").exists()
-        assert "config error: name cannot be encoded as a file name" in capsys.readouterr().err
+        assert "config error: output path cannot be encoded as a file name" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "ablate-k", "sweep"])
     @pytest.mark.parametrize("steps, refused", [(10**20, None), (10**11, MemoryError)],
@@ -1804,7 +1834,10 @@ class TestCli:
         (["sweep", "--config", "{cfg}", "--ms", "10"], "logs"),
         (["sweep", "--config", "{cfg}", "--ms", "10"], "tables"),
         (["plotdata", "--logs", "{logs}"], "figures-data"), (["theory"], "logs"),
-        (["theory"], "logs/theory"),
+        (["theory"], "logs/theory"), (["run", "--config", "{cfg}"], "logs/tiny"),
+        (["run", "--config", "{cfg}"], "logs/tiny/sgd"),
+        (["ablate-k", "--config", "{cfg}"], "logs/tiny-ablate-k"),
+        (["sweep", "--config", "{cfg}", "--ms", "10"], "logs/tiny-sweep"),
     ], ids=lambda value: value if isinstance(value, str) else value[0])
     def test_file_where_out_needs_a_directory_exits_before_any_run(
             self, tmp_path, monkeypatch, capsys, argv, sub):
@@ -1826,6 +1859,62 @@ class TestCli:
             f"config error: --out {out}: {out / sub} is not a directory\n")
         assert started == []
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("argv, file", [
+        (["run", "--config", "{cfg}"], "logs/tiny/sgd/0.log"),
+        (["ttt", "--logs", "{logs}"], "tables/in-time-to-threshold.txt"),
+        (["ttt", "--logs", "{logs}", "--thresholds", "0.5"], "tables/in-threshold-sweep.txt"),
+        (["ablate-k", "--config", "{cfg}"], "tables/tiny-ablate-k.txt"),
+        (["ablate-k", "--config", "{cfg}", "--ks", "1"], "logs/tiny-ablate-k/cao-k1/0.log"),
+        (["sweep", "--config", "{cfg}", "--ms", "10"], "tables/tiny-sweep.txt"),
+        (["sweep", "--config", "{cfg}", "--ms", "10"], "logs/tiny-sweep/cao-eta1-m10/0.log"),
+        (["plotdata", "--logs", "{logs}"], "figures-data/in-loss.tsv"),
+        (["theory"], "logs/theory/reports.jsonl"),
+    ], ids=lambda value: value if isinstance(value, str) else value[0])
+    def test_directory_where_a_command_writes_a_file_exits_before_any_run(
+            self, tmp_path, monkeypatch, capsys, argv, file):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(steps=5, seeds=(0,)).to_dict()))
+        synthetic_log(tmp_path / "in" / "sgd" / "0.log", "sgd", 0, 0, hit_step=10)
+        out = tmp_path / "out"
+        (out / file).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        started = []
+        for module, name in ((harness, "run_single"), (harness, "read_runlog"),
+                             (theory, "run_theory_suite")):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **kw: started.append(name))
+        argv = [arg.format(cfg=cfg_path, logs=tmp_path / "in") for arg in argv]
+        rc = cli.main(["--out", str(out), *argv])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: --out {out}: {out / file} is a directory\n")
+        assert started == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "{cfg}"], ["ttt", "--logs", "{logs}"],
+        ["ttt", "--logs", "{logs}", "--thresholds", "0.5,1"],
+        ["ablate-k", "--config", "{cfg}", "--ks", "0,1"],
+        ["sweep", "--config", "{cfg}", "--etas", "1", "--ms", "10,20"],
+        ["plotdata", "--logs", "{logs}"], ["theory"],
+    ], ids=["run", "ttt", "ttt-thresholds", "ablate-k", "sweep", "plotdata", "theory"])
+    def test_each_command_creates_exactly_its_plan(self, tmp_path, monkeypatch, argv):
+        # a file a command creates outside its plan would escape every path check
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(steps=5, seeds=(0, 1)).to_dict()))
+        synthetic_log(tmp_path / "in" / "sgd" / "0.log", "sgd", 0, 0, hit_step=10)
+        plans = []
+        monkeypatch.setattr(cli, "check_paths", lambda out, created, read=(): plans.append(
+            list(map(str, created))) or check_paths(out, created, read))
+        out = tmp_path / "out"
+        argv = [arg.format(cfg=cfg_path, logs=tmp_path / "in") for arg in argv]
+        assert cli.main(["--out", str(out), *argv, *(["--jobs", "1"] if "--config" in argv
+                                                     else [])]) == cli.EXIT_OK
+        [plan] = plans
+        parts = [path for path in plan if path.endswith(".part")]
+        assert sorted(str(p) for p in out.rglob("*") if not p.is_dir()) == sorted(
+            set(plan) - set(parts))
+        assert sorted(parts) == sorted(f"{path}.part" for path in plan if path.endswith(".log"))
 
     @pytest.mark.parametrize("flag, argv", [
         ("--out", ["run", "--config", "{cfg}"]), ("--out", ["ttt", "--logs", "{logs}"]),
@@ -1896,10 +1985,10 @@ class TestCli:
         cfg_path.write_text(json.dumps(tiny_config(steps=5, seeds=(0,)).to_dict()))
         synthetic_log(tmp_path / "in" / "sgd" / "0.log", "sgd", 0, 0, hit_step=10)
         if command == "ttt":
-            added, key = "/tables/n-time-to-threshold.txt", "--out"
+            added = "/tables/n-time-to-threshold.txt"
             argv = ["ttt", "--logs", str(tmp_path / "in"), "--name", "n"]
         else:  # the longest label of the config is "cao-k1"
-            added, key = "/logs/tiny/cao-k1/0.log.part", "a log's lock file"
+            added = "/logs/tiny/cao-k1/0.log.part"
             argv = ["run", "--config", str(cfg_path), "--jobs", "1"]
         out = path_of(tmp_path / "out", 4095 + past - len(added))
         rc = cli.main(["--out", out, *argv])
@@ -1909,17 +1998,28 @@ class TestCli:
             assert os.path.isfile(out + added.removesuffix(".part"))
             return
         assert rc == cli.EXIT_CONFIG
-        assert err == (f"config error: {key}: {out + added!r} is 4096 bytes, more than the"
-                       " 4095 a path can hold\n")
+        assert err == (f"config error: output path: {out + added!r} is 4096 bytes, more than"
+                       " the 4095 a path can hold\n")
         assert not (tmp_path / "out").exists()
 
     def test_path_bound_is_4095_bytes(self):
-        check_path(path_of("/p", 4095), "--out")
+        check_paths(path_of("/p", 4095), [])
         with pytest.raises(ConfigError, match="is 4096 bytes, more than the 4095 a path"):
-            check_path(path_of("/p", 4096), "--out")
+            check_paths(path_of("/p", 4096), [])
         # two bytes per "é" in UTF-8
         with pytest.raises(ConfigError, match="is 4096 bytes"):
-            check_path(path_of("/p", 4094) + "é", "--out")
+            check_paths(path_of("/p", 4094) + "é", [])
+
+    def test_plan_looks_up_each_path_once(self, tmp_path, monkeypatch):
+        # a run's log and its .part share a directory, and the labels share their parent
+        looked = []
+        lexists = os.path.lexists
+        monkeypatch.setattr(os.path, "lexists", lambda path: looked.append(path) or lexists(path))
+        files = harness.run_files(tmp_path, harness.tasks_of(tiny_config(seeds=(0, 1, 2))))
+        check_paths(str(tmp_path), files)
+        logs = tmp_path / "logs" / "tiny"
+        assert sorted(looked) == sorted([*files, *map(str, (
+            logs / "cao-k1", logs / "sgd", logs, logs.parent, tmp_path))])
 
     @pytest.mark.parametrize("command", ["ttt", "plotdata"])
     @pytest.mark.parametrize("name", ["../../x", "a/b", "..", ""])
